@@ -36,6 +36,7 @@ __all__ = [
     "bs_principle_check",
     "bs_det_evaluator",
     "det_contour_roots",
+    "ContourBoundaryError",
 ]
 
 # Singular values below this fraction of sigma_1 are transform round-off
@@ -323,6 +324,14 @@ def bs_det_evaluator(
 # contour root search
 
 
+class ContourBoundaryError(RuntimeError):
+    """A determinant zero sits on, or crowds, the edge of a search rectangle.
+
+    Inside the bisection this is the signal to move the cut; on the outer
+    rectangle it reaches the caller, who has to shift the rectangle.
+    """
+
+
 class _DetSampler:
     """Caching (log_abs, phase) sampler with an evaluation budget."""
 
@@ -429,7 +438,7 @@ def _winding(sampler: _DetSampler, x0, x1, y0, y1, min_len, segments):
         prev = w
         seg *= 3
         if seg > 9000:
-            raise RuntimeError(
+            raise ContourBoundaryError(
                 "winding number failed to stabilize under refinement; the "
                 "rectangle boundary runs too close to a cluster of zeros or "
                 "to the dispersion levels of the symbol"
@@ -497,7 +506,7 @@ def det_contour_roots(
     def solve(x0, x1, y0, y1, depth):
         w = _winding(sampler, x0, x1, y0, y1, min_len, segments)
         if w is None:
-            raise RuntimeError(
+            raise ContourBoundaryError(
                 "determinant zero sits on the search rectangle boundary; "
                 "shift the rectangle"
             )
@@ -538,9 +547,7 @@ def det_contour_roots(
                     solve(x0, x1, y0, cut, depth + 1)
                     solve(x0, x1, cut, y1, depth + 1)
                 return
-            except RuntimeError as err:
-                if "boundary" not in str(err):
-                    raise
+            except ContourBoundaryError:
                 del roots[before:]
         raise RuntimeError("a determinant zero blocked every attempted cut")
 

@@ -41,6 +41,7 @@ from .spectra import (
 from .symbols import SymbolKind, SymbolSpec, critical_values, dispersion_values
 
 __all__ = [
+    "RegimeError",
     "Region",
     "ScalingLaw",
     "BoundCertificate",
@@ -53,6 +54,12 @@ __all__ = [
     "fit_scaling_law",
     "imaginary_q_window",
     "uniform_p_window",
+    "preflight_main",
+    "preflight_uniform_resolvent",
+    "preflight_schatten_scaling",
+    "preflight_individual_bounds",
+    "preflight_imaginary",
+    "preflight_weighted_sums",
     "verify_main",
     "verify_uniform_resolvent",
     "verify_schatten_scaling",
@@ -79,11 +86,22 @@ THEOREM_IDS = (
     "weighted-sums",
 )
 
-_DIRAC = (SymbolKind.DIRAC_MASSLESS, SymbolKind.DIRAC_MASSIVE)
-
 
 # ---------------------------------------------------------------------------
 # domain types
+
+
+class RegimeError(ValueError):
+    """An argument outside the regime a verifier covers.
+
+    ``param`` names the offending argument (``q``, ``p``, ``s``, ``alpha``,
+    ``eps``, ``variant``, ``ray``, ``region`` or ``potential``) so that callers
+    can point at it without parsing the message.
+    """
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
 
 
 @dataclass(frozen=True)
@@ -166,7 +184,8 @@ class Region:
         for c in critical_values(spec):
             gap = self.distance_to(c)
             if gap < self.clearance:
-                raise ValueError(
+                raise RegimeError(
+                    "region",
                     f"region comes within {gap:.3g} of the critical value {c}, "
                     f"closer than its declared clearance {self.clearance}"
                 )
@@ -327,6 +346,45 @@ def _potential_descriptor(V: PotentialField) -> dict:
     }
 
 
+def _inputs_head(
+    spec: SymbolSpec,
+    q: Optional[float],
+    V: Optional[PotentialField] = None,
+    *,
+    alpha: Optional[float] = None,
+    eps: Optional[float] = None,
+) -> dict:
+    """Leading certificate inputs every verifier records, in schema order."""
+    head = {
+        "kind": spec.kind.value, "d": spec.d, "s": spec.s,
+        "q": q, "alpha": alpha, "eps": eps, "z0": None,
+    }
+    if V is not None:
+        head["potential"] = _potential_descriptor(V)
+    return head
+
+
+def _certifier(theorem: str, grid: TorusGrid, seed: int) -> Callable[..., BoundCertificate]:
+    """Start the clock on one verifier run; the returned function closes the run."""
+    t0 = time.perf_counter()
+
+    def certify(inputs: dict, lhs: float, *, rhs=None, constant=None, verdict: str, law=None):
+        return BoundCertificate(
+            theorem=theorem,
+            inputs=inputs,
+            lhs=lhs,
+            rhs=rhs,
+            constant=constant,
+            verdict=verdict,
+            seed=seed,
+            runtime_s=time.perf_counter() - t0,
+            grid=_grid_dict(grid),
+            law=law,
+        )
+
+    return certify
+
+
 # ---------------------------------------------------------------------------
 # shared helpers
 
@@ -410,22 +468,28 @@ def _check_q_window(spec: SymbolSpec, q: float, strict_lower: bool = False) -> N
     bad_low = q <= lo + 1e-12 if strict_lower else q < lo - 1e-12
     if bad_low or q > hi + 1e-12:
         rel = "d/s < q" if strict_lower else "d/s <= q"
-        raise ValueError(
+        raise RegimeError(
+            "q",
             f"q={q} violates the exponent window {rel} <= (d+1)/2 "
-            f"(= ({lo:.6g}, {hi:.6g}] for d={d}, s={s})"
+            f"(= ({lo:.6g}, {hi:.6g}] for d={d}, s={s})",
         )
 
 
 def imaginary_q_window(spec: SymbolSpec, q: float) -> None:
-    """Exponent checks for the purely-imaginary certificates; raises ValueError."""
+    """Exponent checks for the purely-imaginary certificates; raises RegimeError.
+
+    The kind and s decide whether any admissible q exists, so every failure
+    here is reported against q.
+    """
     d, s = spec.d, spec.s
     if spec.kind not in (SymbolKind.FRACTIONAL_LAPLACIAN, SymbolKind.DIRAC_MASSLESS):
-        raise ValueError(
+        raise RegimeError(
+            "q",
             "purely-imaginary certificates cover the fractional Laplacian and the "
-            f"massless Dirac kinds, not {spec.kind.value!r}"
+            f"massless Dirac kinds, not {spec.kind.value!r}",
         )
     if s < d / (d + 1.0) - 1e-12:
-        raise ValueError(f"need s >= d/(d+1) = {d / (d + 1):.6g}, got s={s}")
+        raise RegimeError("q", f"need s >= d/(d+1) = {d / (d + 1):.6g}, got s={s}")
     hi = (d + 1) / 2.0
     if 2.0 * s < d:
         lo, lo_strict = d / (2.0 * s), False
@@ -435,46 +499,38 @@ def imaginary_q_window(spec: SymbolSpec, q: float) -> None:
         lo, lo_strict = 1.0, False
     if q > hi + 1e-12 or q < lo - 1e-12 or (lo_strict and q <= lo + 1e-12):
         rel = "q > 1" if lo_strict else f"q >= {lo:.6g}"
-        raise ValueError(f"q={q} violates the window {rel} and q <= {hi:.6g} for 2s vs d")
+        raise RegimeError("q", f"q={q} violates the window {rel} and q <= {hi:.6g} for 2s vs d")
 
 
 def uniform_p_window(spec: SymbolSpec, p: Optional[float]) -> None:
-    """Exponent checks for the resolvent mapping scan; raises ValueError."""
+    """Exponent checks for the resolvent mapping scan; raises RegimeError."""
     d, s = spec.d, spec.s
     if _case_a(spec):
         if p is None:
-            raise ValueError("p is required in the s >= 2d/(d+1) regime")
+            raise RegimeError("p", "p is required in the s >= 2d/(d+1) regime")
         p_lo, p_hi = 2.0 * d / (d + s), 2.0 * (d + 1) / (d + 3)
         if p < max(1.0, p_lo) - 1e-9 or p > p_hi + 1e-9:
-            raise ValueError(
+            raise RegimeError(
+                "p",
                 f"p={p} outside the admissible window "
-                f"[{max(1.0, p_lo):.6g}, {p_hi:.6g}] for d={d}, s={s}"
+                f"[{max(1.0, p_lo):.6g}, {p_hi:.6g}] for d={d}, s={s}",
             )
     elif p is not None:
-        raise ValueError(
+        raise RegimeError(
+            "p",
             "below s = 2d/(d+1) the scan measures the fixed intersection-to-sum "
-            "pair; pass p=None"
+            "pair; pass p=None",
         )
-
-
-def _ray_moduli(spec: SymbolSpec, ray: Sequence[complex]) -> np.ndarray:
-    zs = np.asarray([complex(z) for z in ray])
-    if zs.size < 8:
-        raise ValueError(f"rays need at least 8 points, got {zs.size}")
-    moduli = np.abs(zs)
-    if np.any(np.diff(moduli) <= 0):
-        raise ValueError("ray moduli must be strictly increasing")
-    for z in zs:
-        if dist_to_spectrum(spec, z) <= 0.0:
-            raise ValueError(f"ray point {z} lies on the essential spectrum")
-        for c in critical_values(spec):
-            if abs(z - c) < 1e-9:
-                raise ValueError(f"ray point {z} coincides with the critical value {c}")
-    return zs
 
 
 # ---------------------------------------------------------------------------
 # verifier: eigenvalue sums over a window and the coupling threshold
+
+
+def preflight_main(spec: SymbolSpec, K: Region, q: float) -> None:
+    """Argument checks of :func:`verify_main`; raises RegimeError."""
+    _check_q_window(spec, q)
+    K.validate_for(spec)
 
 
 def verify_main(
@@ -497,24 +553,15 @@ def verify_main(
     norm stays below 1 on a K-grid (eigenvalue-free), and at t* the entering
     point solves the BS equation to residual < 1e-6 with sigma_1 >= 1.
     """
-    t0 = time.perf_counter()
-    _check_q_window(spec, q)
-    K.validate_for(spec)
+    certify = _certifier("main", grid, seed)
+    preflight_main(spec, K, q)
 
     def discrete_in(t: float) -> list[SpectralPoint]:
         return [p for p in discrete_spectrum(spec, grid, V.scaled(t)) if K.contains(p.z)]
 
     pts_unit = discrete_in(1.0)
     lhs = weighted_blaschke_sum(pts_unit, "plain") if pts_unit else 0.0
-    inputs = {
-        "kind": spec.kind.value,
-        "d": spec.d,
-        "s": spec.s,
-        "q": q,
-        "alpha": None,
-        "eps": None,
-        "z0": None,
-        "potential": _potential_descriptor(V),
+    inputs = _inputs_head(spec, q, V) | {
         "region": {"shape": K.shape, "bounds": list(K.bounds), "clearance": K.clearance},
         "points_in_window": [complex(p.z) for p in pts_unit],
         "t_max": t_max,
@@ -527,17 +574,7 @@ def verify_main(
             t_lo, t_hi = t_hi, 2.0 * t_hi
         if t_hi >= t_max and not discrete_in(t_hi):
             inputs["threshold"] = f"no eigenvalue up to t_max={t_max}"
-            return BoundCertificate(
-                theorem="main",
-                inputs=inputs,
-                lhs=0.0,
-                rhs=None,
-                constant=None,
-                verdict=REPORT_ONLY,
-                seed=seed,
-                runtime_s=time.perf_counter() - t0,
-                grid=_grid_dict(grid),
-            )
+            return certify(inputs, 0.0, verdict=REPORT_ONLY)
     for _ in range(bisect_steps):
         mid = 0.5 * (t_lo + t_hi)
         if discrete_in(mid):
@@ -576,21 +613,28 @@ def verify_main(
             "sweep_max_sigma1": sweep_max,
         }
     )
-    return BoundCertificate(
-        theorem="main",
-        inputs=inputs,
-        lhs=float(lhs),
-        rhs=None,
-        constant=float(t_hi),
-        verdict=PASS if ok else FAIL,
-        seed=seed,
-        runtime_s=time.perf_counter() - t0,
-        grid=_grid_dict(grid),
-    )
+    return certify(inputs, float(lhs), constant=float(t_hi), verdict=PASS if ok else FAIL)
 
 
 # ---------------------------------------------------------------------------
 # verifier: uniform resolvent bounds over a window
+
+
+def preflight_uniform_resolvent(
+    spec: SymbolSpec, grid: TorusGrid, K: Region, p: Optional[float], nx: int = 7, ny: int = 5
+) -> None:
+    """Argument checks of :func:`verify_uniform_resolvent`; raises RegimeError."""
+    K.validate_for(spec)
+    uniform_p_window(spec, p)
+    levels = dispersion_values(spec, grid.xi())
+    lev_lo, lev_hi = float(levels.min()), float(levels.max())
+    for z in K.sample_grid(nx, ny):
+        if not lev_lo <= z.real <= lev_hi:
+            raise RegimeError(
+                "region",
+                f"window reaches Re z = {z.real:.4g}, outside the dispersion range "
+                f"[{lev_lo:.4g}, {lev_hi:.4g}] resolved by this grid; refine or rescale",
+            )
 
 
 def verify_uniform_resolvent(
@@ -614,9 +658,8 @@ def verify_uniform_resolvent(
     the scan measures the intersection-to-sum pair instead, with the sum
     norm evaluated by threshold splits.
     """
-    t0 = time.perf_counter()
-    K.validate_for(spec)
-    uniform_p_window(spec, p)
+    certify = _certifier("uniform-resolvent", grid, seed)
+    preflight_uniform_resolvent(spec, grid, K, p, nx, ny)
     d, s = spec.d, spec.s
     case_a = _case_a(spec)
     if not case_a:
@@ -630,15 +673,8 @@ def verify_uniform_resolvent(
             for _ in range(probes)
         ]
 
-    levels = dispersion_values(spec, grid.xi())
-    lev_lo, lev_hi = float(levels.min()), float(levels.max())
     zs = []
     for z in K.sample_grid(nx, ny):
-        if not lev_lo <= z.real <= lev_hi:
-            raise ValueError(
-                f"window reaches Re z = {z.real:.4g}, outside the dispersion range "
-                f"[{lev_lo:.4g}, {lev_hi:.4g}] resolved by this grid; refine or rescale"
-            )
         eps = boundary_epsilon(spec, grid, z.real)
         y = z.imag
         if abs(y) < eps:
@@ -646,31 +682,14 @@ def verify_uniform_resolvent(
         lifted = complex(z.real, y)
         if K.contains(lifted):
             zs.append(lifted)
-    inputs = {
-        "kind": spec.kind.value,
-        "d": d,
-        "s": s,
-        "q": None,
-        "alpha": None,
-        "eps": None,
-        "z0": None,
+    inputs = _inputs_head(spec, None) | {
         "p": p,
         "region": {"shape": K.shape, "bounds": list(K.bounds), "clearance": K.clearance},
         "n_scan_points": len(zs),
     }
     if len(zs) < 8:
         inputs["note"] = "insufficient boundary-offset separation inside K on this grid"
-        return BoundCertificate(
-            theorem="uniform-resolvent",
-            inputs=inputs,
-            lhs=0.0,
-            rhs=4.0,
-            constant=None,
-            verdict=REPORT_ONLY,
-            seed=seed,
-            runtime_s=time.perf_counter() - t0,
-            grid=_grid_dict(grid),
-        )
+        return certify(inputs, 0.0, rhs=4.0, verdict=REPORT_ONLY)
 
     vals = []
     for z in zs:
@@ -708,21 +727,41 @@ def verify_uniform_resolvent(
         }
     )
     verdict = PASS if (ratio <= 4.0 and contrast >= 10.0) else FAIL
-    return BoundCertificate(
-        theorem="uniform-resolvent",
-        inputs=inputs,
-        lhs=ratio,
-        rhs=4.0,
-        constant=contrast,
-        verdict=verdict,
-        seed=seed,
-        runtime_s=time.perf_counter() - t0,
-        grid=_grid_dict(grid),
-    )
+    return certify(inputs, ratio, rhs=4.0, constant=contrast, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
 # verifier: Schatten-norm scaling laws
+
+
+def preflight_schatten_scaling(spec: SymbolSpec, q: float, ray: Sequence[complex]) -> None:
+    """Argument checks of :func:`verify_schatten_scaling`; raises RegimeError."""
+    zs = np.asarray([complex(z) for z in ray])
+    if zs.size < 8:
+        raise RegimeError("ray", f"rays need at least 8 points, got {zs.size}")
+    moduli = np.abs(zs)
+    if np.any(np.diff(moduli) <= 0):
+        raise RegimeError("ray", "ray moduli must be strictly increasing")
+    for z in zs:
+        if dist_to_spectrum(spec, z) <= 0.0:
+            raise RegimeError("ray", f"ray point {z} lies on the essential spectrum")
+        for c in critical_values(spec):
+            if abs(z - c) < 1e-9:
+                raise RegimeError("ray", f"ray point {z} coincides with the critical value {c}")
+    case_a = _case_a(spec)
+    if case_a:
+        _check_q_window(spec, q)
+    if spec.kind is SymbolKind.FRACTIONAL_LAPLACIAN and case_a:
+        args = np.angle(zs)
+        if np.max(np.abs(args - args[0])) > 1e-9:
+            raise RegimeError("ray", "co-rescaled fits need a fixed-argument ray")
+    elif spec.kind is SymbolKind.RELATIVISTIC:
+        if not (np.all(moduli < 1.0) or np.all(moduli >= 1.0)):
+            raise RegimeError(
+                "ray", "relativistic rays must stay within one |z| regime (all < 1 or all >= 1)"
+            )
+    elif spec.kind is SymbolKind.DIRAC_MASSIVE and np.any(np.abs(zs * zs - 1.0) < 1.0):
+        raise RegimeError("ray", "the massive growth fit needs |z^2 - 1| >= 1 along the ray")
 
 
 def verify_schatten_scaling(
@@ -743,13 +782,13 @@ def verify_schatten_scaling(
     along the supplied sample line.  PASS needs |fitted - predicted| <= 0.1;
     a log-space fit residual above 0.05 downgrades to REPORT-ONLY.
     """
-    t0 = time.perf_counter()
-    zs = _ray_moduli(spec, ray)
+    certify = _certifier("schatten-scaling", grid, seed)
+    preflight_schatten_scaling(spec, q, ray)
+    zs = np.asarray([complex(z) for z in ray])
     moduli = np.abs(zs)
     d, s, kind = spec.d, spec.s, spec.kind
     case_a = _case_a(spec)
     if case_a:
-        _check_q_window(spec, q)
         alpha = schatten_order(d, q)
         vnorm = potential_norm(V, q)
     else:
@@ -762,9 +801,7 @@ def verify_schatten_scaling(
         xs = np.log(moduli) if case_a else np.log1p(moduli)
         co_rescaled = case_a
     elif kind is SymbolKind.RELATIVISTIC:
-        small, large = bool(np.all(moduli < 1.0)), bool(np.all(moduli >= 1.0))
-        if not (small or large):
-            raise ValueError("relativistic rays must stay within one |z| regime (all < 1 or all >= 1)")
+        small = bool(np.all(moduli < 1.0))
         if case_a:
             predicted = d / (2.0 * q) - 1.0 if small else d / (s * q) - 1.0
         else:
@@ -773,14 +810,9 @@ def verify_schatten_scaling(
     else:
         predicted = (d - 1.0) / (d + 1.0)
         xs = np.log1p(moduli)
-        if kind is SymbolKind.DIRAC_MASSIVE and np.any(np.abs(zs * zs - 1.0) < 1.0):
-            raise ValueError("the massive growth fit needs |z^2 - 1| >= 1 along the ray")
 
     measured = []
     if co_rescaled:
-        args = np.angle(zs)
-        if np.max(np.abs(args - args[0])) > 1e-9:
-            raise ValueError("co-rescaled fits need a fixed-argument ray")
         for z in zs:
             t = (abs(z) / moduli[0]) ** (1.0 / s)
             Vt = scaled_field(V, t, s)
@@ -803,15 +835,7 @@ def verify_schatten_scaling(
         verdict = PASS
     else:
         verdict = FAIL
-    inputs = {
-        "kind": kind.value,
-        "d": d,
-        "s": s,
-        "q": q,
-        "alpha": alpha,
-        "eps": None,
-        "z0": None,
-        "potential": _potential_descriptor(V),
+    inputs = _inputs_head(spec, q, V, alpha=alpha) | {
         "ray": [complex(z) for z in zs],
         "measured": [float(v) for v in measured],
         "co_rescaled": co_rescaled,
@@ -820,22 +844,27 @@ def verify_schatten_scaling(
         "residual": law.residual,
         "case": "a" if case_a else "b",
     }
-    return BoundCertificate(
-        theorem="schatten-scaling",
-        inputs=inputs,
-        lhs=law.fitted,
+    return certify(
+        inputs,
+        law.fitted,
         rhs=law.predicted,
         constant=float(math.exp(intercept)),
         verdict=verdict,
-        seed=seed,
-        runtime_s=time.perf_counter() - t0,
-        grid=_grid_dict(grid),
         law=law,
     )
 
 
 # ---------------------------------------------------------------------------
 # verifier: bounds on individual eigenvalues
+
+
+def preflight_individual_bounds(spec: SymbolSpec, q: float) -> None:
+    """Argument checks of :func:`verify_individual_bounds`; raises RegimeError."""
+    d, s = spec.d, spec.s
+    if not 0.0 < s < d:
+        raise RegimeError("s", f"the sectorial bound regime needs 0 < s < d, got s={s}, d={d}")
+    if q < d / s - 1e-12:
+        raise RegimeError("q", f"q={q} below the exponent floor d/s = {d / s:.6g}")
 
 
 def verify_individual_bounds(
@@ -857,39 +886,15 @@ def verify_individual_bounds(
     ratio (|Im z|/|Re z|)^{d/s-1}|Im z|^{q-d/s}/||V||_q^q as empirical
     constants.
     """
-    t0 = time.perf_counter()
+    certify = _certifier("individual-bounds", grid, seed)
+    preflight_individual_bounds(spec, q)
     d, s = spec.d, spec.s
-    if not 0.0 < s < d:
-        raise ValueError(f"the sectorial bound regime needs 0 < s < d, got s={s}, d={d}")
-    if q < d / s - 1e-12:
-        raise ValueError(f"q={q} below the exponent floor d/s = {d / s:.6g}")
 
     base_pts = discrete_spectrum(spec, grid, V)
-    inputs = {
-        "kind": spec.kind.value,
-        "d": d,
-        "s": s,
-        "q": q,
-        "alpha": None,
-        "eps": None,
-        "z0": None,
-        "potential": _potential_descriptor(V),
-        "ts": list(ts),
-        "family_size": family_size,
-    }
+    inputs = _inputs_head(spec, q, V) | {"ts": list(ts), "family_size": family_size}
     if not base_pts:
         inputs["note"] = "no Discrete eigenvalues for the base potential"
-        return BoundCertificate(
-            theorem="individual-bounds",
-            inputs=inputs,
-            lhs=0.0,
-            rhs=None,
-            constant=None,
-            verdict=REPORT_ONLY,
-            seed=seed,
-            runtime_s=time.perf_counter() - t0,
-            grid=_grid_dict(grid),
-        )
+        return certify(inputs, 0.0, verdict=REPORT_ONLY)
 
     anchor = max(base_pts, key=lambda pt: pt.dist_sigma)
     base_eigs = eigensolve(assemble_hamiltonian(spec, grid, V)).values
@@ -934,21 +939,26 @@ def verify_individual_bounds(
             "family_eigenvalues": n_eigs,
         }
     )
-    return BoundCertificate(
-        theorem="individual-bounds",
-        inputs=inputs,
-        lhs=float(ratio_drift),
+    return certify(
+        inputs,
+        float(ratio_drift),
         rhs=1e-10,
         constant=float(sup_radial),
         verdict=PASS if ok else FAIL,
-        seed=seed,
-        runtime_s=time.perf_counter() - t0,
-        grid=_grid_dict(grid),
     )
 
 
 # ---------------------------------------------------------------------------
 # verifier: purely imaginary potentials
+
+
+def preflight_imaginary(spec: SymbolSpec, W: PotentialField, q: float) -> None:
+    """Argument checks of :func:`verify_imaginary`; raises RegimeError."""
+    imaginary_q_window(spec, q)
+    try:
+        imaginary_potential(W)
+    except ValueError as err:
+        raise RegimeError("potential", str(err)) from err
 
 
 def verify_imaginary(
@@ -968,11 +978,11 @@ def verify_imaginary(
     Q(z) = -i sqrt(W) R0(z) sqrt(W); (iii) reports the supremum of
     |z|^{2q-d/s} |Im z|^{-q} / ||V||_q^q over the eigenvalue family.
     """
-    t0 = time.perf_counter()
+    certify = _certifier("imaginary", W.grid, seed)
     grid = W.grid
     d, s = spec.d, spec.s
-    imaginary_q_window(spec, q)
-    Vi = imaginary_potential(W)  # rejects negative W
+    preflight_imaginary(spec, W, q)
+    Vi = imaginary_potential(W)
 
     # (i) resolvent identity as dense matrices
     n = spec.n
@@ -1006,30 +1016,18 @@ def verify_imaginary(
             sup_quantity = val if sup_quantity is None else max(sup_quantity, val)
 
     ok = resid_identity <= 1e-10 and dev_max <= 1e-6
-    inputs = {
-        "kind": spec.kind.value,
-        "d": d,
-        "s": s,
-        "q": q,
-        "alpha": None,
-        "eps": None,
-        "z0": None,
-        "potential": _potential_descriptor(Vi),
+    inputs = _inputs_head(spec, q, Vi) | {
         "ladder": [float(t) for t in ladder],
         "identity_points": [complex(z) for z in identity_points],
         "re_q_deviation": dev_max,
         "eigenvalues_checked": n_eigs,
     }
-    return BoundCertificate(
-        theorem="imaginary",
-        inputs=inputs,
-        lhs=float(resid_identity),
+    return certify(
+        inputs,
+        float(resid_identity),
         rhs=1e-10,
         constant=None if sup_quantity is None else float(sup_quantity),
         verdict=PASS if ok else FAIL,
-        seed=seed,
-        runtime_s=time.perf_counter() - t0,
-        grid=_grid_dict(grid),
     )
 
 
@@ -1051,6 +1049,40 @@ def _threshold_bracket(
         if discrete_spectrum(spec, grid, V.scaled(t)):
             return t
     return None
+
+
+_ALPHA_WEIGHTS = {
+    SymbolKind.RELATIVISTIC: "relativistic",
+    SymbolKind.DIRAC_MASSLESS: "massless_dirac",
+    SymbolKind.DIRAC_MASSIVE: "massive_dirac",
+}
+
+
+def preflight_weighted_sums(
+    spec: SymbolSpec, q: float, alpha: Optional[float], eps: float, variant: str = "auto"
+) -> None:
+    """Argument checks of :func:`verify_weighted_sums`; raises RegimeError."""
+    d, kind = spec.d, spec.kind
+    if eps <= 0.0:
+        raise RegimeError("eps", "eps must be positive")
+    if variant not in ("auto", "inverse_sqrt"):
+        raise RegimeError(
+            "variant", f"unknown variant {variant!r}; options: 'auto', 'inverse_sqrt'"
+        )
+    if variant == "inverse_sqrt" and kind is not SymbolKind.RELATIVISTIC:
+        raise RegimeError("variant", "variant='inverse_sqrt' applies to the relativistic kind only")
+    if kind is SymbolKind.FRACTIONAL_LAPLACIAN:
+        # a nonempty window d/s < q <= (d+1)/2 already forces s > 2d/(d+1)
+        _check_q_window(spec, q, strict_lower=True)
+    elif variant == "inverse_sqrt":
+        if 2.0 * q <= d + 1e-12:
+            raise RegimeError("q", f"the inverse_sqrt substitution needs 2q > d, got q={q}, d={d}")
+    elif alpha is None:
+        raise RegimeError("alpha", f"the {_ALPHA_WEIGHTS[kind]!r} weight needs the alpha parameter")
+    elif d == 2 and alpha != 3.0:
+        raise RegimeError("alpha", f"alpha must be 3 when d = 2, got {alpha}")
+    elif d != 2 and alpha <= d:
+        raise RegimeError("alpha", f"alpha must exceed d = {d}, got {alpha}")
 
 
 def verify_weighted_sums(
@@ -1077,67 +1109,24 @@ def verify_weighted_sums(
     (1+eps)q/(sq-d) + 0.2; the other kinds carry non-explicit constants and
     report the measured series.
     """
-    t0 = time.perf_counter()
+    certify = _certifier("weighted-sums", grid, seed)
+    preflight_weighted_sums(spec, q, alpha, eps, variant)
     d, s, kind = spec.d, spec.s, spec.kind
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if variant not in ("auto", "inverse_sqrt"):
-        raise ValueError(f"unknown variant {variant!r}; options: 'auto', 'inverse_sqrt'")
-    if variant == "inverse_sqrt" and kind is not SymbolKind.RELATIVISTIC:
-        raise ValueError("variant='inverse_sqrt' applies to the relativistic kind only")
-
     fit_budget = None
     if kind is SymbolKind.FRACTIONAL_LAPLACIAN:
-        if not _case_a(spec):
-            raise ValueError(f"the inverse_sqrt sum needs s >= 2d/(d+1) = {2 * d / (d + 1):.6g}")
-        _check_q_window(spec, q, strict_lower=True)
         weight = "inverse_sqrt"
         fit_budget = (1.0 + eps) * q / (s * q - d) + 0.2
-    elif kind is SymbolKind.RELATIVISTIC and variant == "inverse_sqrt":
-        if 2.0 * q <= d + 1e-12:
-            raise ValueError(f"the inverse_sqrt substitution needs 2q > d, got q={q}, d={d}")
+    elif variant == "inverse_sqrt":
         weight = "inverse_sqrt"
         fit_budget = (1.0 + eps) * q / (2.0 * q - d) + 0.2
     else:
-        weight = {
-            SymbolKind.RELATIVISTIC: "relativistic",
-            SymbolKind.DIRAC_MASSLESS: "massless_dirac",
-            SymbolKind.DIRAC_MASSIVE: "massive_dirac",
-        }[kind]
-        if alpha is None:
-            raise ValueError(f"the {weight!r} weight needs the alpha parameter")
-        if d == 2 and alpha != 3.0:
-            raise ValueError(f"alpha must be 3 when d = 2, got {alpha}")
-        if d != 2 and alpha <= d:
-            raise ValueError(f"alpha must exceed d = {d}, got {alpha}")
-
-    inputs = {
-        "kind": kind.value,
-        "d": d,
-        "s": s,
-        "q": q,
-        "alpha": alpha,
-        "eps": eps,
-        "z0": None,
-        "potential": _potential_descriptor(V),
-        "weight": weight,
-        "variant": variant,
-    }
+        weight = _ALPHA_WEIGHTS[kind]
+    inputs = _inputs_head(spec, q, V, alpha=alpha, eps=eps) | {"weight": weight, "variant": variant}
 
     t_entry = _threshold_bracket(spec, grid, V, t_floor=2.0**-12, t_cap=64.0)
     if t_entry is None:
         inputs["note"] = "no Discrete eigenvalues at any probed coupling"
-        return BoundCertificate(
-            theorem="weighted-sums",
-            inputs=inputs,
-            lhs=0.0,
-            rhs=fit_budget,
-            constant=None,
-            verdict=REPORT_ONLY,
-            seed=seed,
-            runtime_s=time.perf_counter() - t0,
-            grid=_grid_dict(grid),
-        )
+        return certify(inputs, 0.0, rhs=fit_budget, verdict=REPORT_ONLY)
 
     ladder = [t_entry * 2.0 ** (k / 2.0) for k in range(-2, 11)]
     sums, counts, vnorms, max_abs_z = [], [], [], 0.0
@@ -1200,17 +1189,7 @@ def verify_weighted_sums(
     else:
         verdict = REPORT_ONLY
         lhs = float(sums[-1])
-    return BoundCertificate(
-        theorem="weighted-sums",
-        inputs=inputs,
-        lhs=lhs,
-        rhs=fit_budget,
-        constant=float(max(sums)),
-        verdict=verdict,
-        seed=seed,
-        runtime_s=time.perf_counter() - t0,
-        grid=_grid_dict(grid),
-    )
+    return certify(inputs, lhs, rhs=fit_budget, constant=float(max(sums)), verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ fields).
 Exit codes: 0 when every certificate is PASS or REPORT-ONLY, 1 when some
 certificate FAILs, 2 for configuration or validation errors (the message
 names the offending config field path), 3 for compute failures (the message
-names the failing job id).
+names the failing job id).  Each verifier's preflight runs on every listed
+theorem before the first job starts, so regime errors never reach exit 3.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,16 +34,20 @@ from .birman_schwinger import assemble_bs, bs_det_evaluator, schatten_norm, scha
 from .certlab import (
     BoundCertificate,
     JobError,
+    RegimeError,
     Region,
-    THEOREM_IDS,
     VerifyJob,
     boundary_ray,
     certificate_json,
     fixed_argument_ray,
-    imaginary_q_window,
+    preflight_imaginary,
+    preflight_individual_bounds,
+    preflight_main,
+    preflight_schatten_scaling,
+    preflight_uniform_resolvent,
+    preflight_weighted_sums,
     run_jobs,
     summary_csv,
-    uniform_p_window,
     verify_imaginary,
     verify_individual_bounds,
     verify_main,
@@ -49,7 +55,7 @@ from .certlab import (
     verify_uniform_resolvent,
     verify_weighted_sums,
 )
-from .certlab import _case_a, _check_q_window  # shared regime rules
+from .certlab import _case_a  # the s >= 2d/(d+1) split picks the bs-scan Schatten order
 from .lattice import TorusGrid
 from .potentials import (
     PotentialField,
@@ -70,7 +76,7 @@ from .spectra import (
 )
 from .symbols import SymbolKind, SymbolSpec, critical_values, dispersion_values
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "emit_report", "main"]
+__all__ = ["ConfigError", "ExperimentConfig", "VERIFIERS", "load_config", "emit_report", "main"]
 
 OUTPUT_DIR_ENV = "BSLAB_OUTPUT_DIR"
 REPORT_FORMATS = ("json", "csv", "markdown-summary")
@@ -132,10 +138,8 @@ def _load_operator(doc: dict) -> SymbolSpec:
     try:
         kind = SymbolKind(kind_name)
     except ValueError:
-        options = ", ".join(k.value for k in SymbolKind if k is not SymbolKind.CUSTOM)
+        options = ", ".join(k.value for k in SymbolKind)
         raise ConfigError("operator.kind", f"unknown kind {kind_name!r}; options: {options}")
-    if kind is SymbolKind.CUSTOM:
-        raise ConfigError("operator.kind", "custom symbols need the library API, not the CLI")
     d = block.get("d")
     if not isinstance(d, int):
         raise ConfigError("operator.d", "must be an integer dimension")
@@ -218,8 +222,8 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(theorems, list) or not all(isinstance(t, str) for t in theorems):
         raise ConfigError("run.theorems", "must be a list of theorem ids")
     for t in theorems:
-        if t not in THEOREM_IDS:
-            raise ConfigError("run.theorems", f"unknown id {t!r}; options: {THEOREM_IDS}")
+        if t not in VERIFIERS:
+            raise ConfigError("run.theorems", f"unknown id {t!r}; options: {tuple(VERIFIERS)}")
     if len(set(theorems)) != len(theorems):
         raise ConfigError("run.theorems", "theorem ids must be unique")
     return ExperimentConfig(
@@ -235,38 +239,38 @@ def load_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# run-block accessors and regime validation
+# verifier table
 
 
-def _run_number(cfg: ExperimentConfig, key: str, thm: str) -> float:
-    if key not in cfg.run:
-        raise ConfigError(f"run.{key}", f"required by verifier {thm!r}")
-    val = cfg.run[key]
+def _as_number(key: str, val) -> float:
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"run.{key}", "must be a number")
     return float(val)
 
 
-def _run_region(cfg: ExperimentConfig, thm: str) -> Region:
-    block = cfg.run.get("region")
-    if not isinstance(block, dict):
-        raise ConfigError("run.region", f"required by verifier {thm!r}")
+def _as_complex(key: str, val) -> complex:
     try:
-        region = Region(
+        return complex(*val) if isinstance(val, list) else complex(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"run.{key}", "must be a number or an [re, im] pair")
+
+
+def _as_region(key: str, block) -> Region:
+    if not isinstance(block, dict):
+        raise ConfigError(f"run.{key}", "must be a JSON object")
+    try:
+        return Region(
             shape=block.get("shape", "rectangle"),
             bounds=tuple(block.get("bounds", ())),
             clearance=block.get("clearance", 0.1),
         )
-        region.validate_for(cfg.spec)
     except (TypeError, ValueError) as err:
-        raise ConfigError("run.region", str(err))
-    return region
+        raise ConfigError(f"run.{key}", str(err))
 
 
-def _run_ray(cfg: ExperimentConfig, thm: str) -> list[complex]:
-    block = cfg.run.get("ray")
+def _as_ray(key: str, block) -> list[complex]:
     if not isinstance(block, dict):
-        raise ConfigError("run.ray", f"required by verifier {thm!r}")
+        raise ConfigError(f"run.{key}", "must be a JSON object")
     kind = block.get("type")
     try:
         if kind == "fixed_argument":
@@ -278,113 +282,116 @@ def _run_ray(cfg: ExperimentConfig, thm: str) -> list[complex]:
                 block["re_lo"], block["re_hi"], block["height"], block.get("count", 9)
             )
     except KeyError as err:
-        raise ConfigError("run.ray", f"missing field {err.args[0]!r} for type {kind!r}")
+        raise ConfigError(f"run.{key}", f"missing field {err.args[0]!r} for type {kind!r}")
     except (TypeError, ValueError) as err:
-        raise ConfigError("run.ray", str(err))
-    raise ConfigError("run.ray.type", f"unknown ray type {kind!r}; options: fixed_argument, boundary")
+        raise ConfigError(f"run.{key}", str(err))
+    raise ConfigError(f"run.{key}.type", f"unknown ray type {kind!r}; options: fixed_argument, boundary")
 
 
-def _validate_theorem(cfg: ExperimentConfig, thm: str) -> None:
-    """Exponent-regime checks before any compute; raises ConfigError."""
-    spec = cfg.spec
-    try:
-        if thm == "main":
-            _check_q_window(spec, _run_number(cfg, "q", thm))
-            _run_region(cfg, thm)
-        elif thm == "uniform-resolvent":
-            _run_region(cfg, thm)
-            p = cfg.run.get("p")
-            if p is not None and not isinstance(p, (int, float)):
-                raise ConfigError("run.p", "must be a number or null")
-            uniform_p_window(spec, None if p is None else float(p))
-        elif thm == "schatten-scaling":
-            if _case_a(spec):
-                _check_q_window(spec, _run_number(cfg, "q", thm))
-            else:
-                _run_number(cfg, "q", thm)
-            _run_ray(cfg, thm)
-        elif thm == "individual-bounds":
-            if not 0.0 < spec.s < spec.d:
-                raise ConfigError(
-                    "operator.s", f"the sectorial bound regime needs 0 < s < d, got s={spec.s}"
-                )
-            q = _run_number(cfg, "q", thm)
-            if q < spec.d / spec.s - 1e-12:
-                raise ConfigError(
-                    "run.q", f"q={q} below the exponent floor d/s = {spec.d / spec.s:.6g}"
-                )
-        elif thm == "imaginary":
-            imaginary_q_window(spec, _run_number(cfg, "q", thm))
-            vals = cfg.potential.values
-            if cfg.potential.is_matrix or np.any(np.abs(vals.imag) > 0) or np.any(vals.real < 0):
-                raise ConfigError(
-                    "potential", "the imaginary verifier reads W from this block: "
-                    "need real nonnegative scalar samples"
-                )
-        elif thm == "weighted-sums":
-            _run_number(cfg, "q", thm)
-            eps = _run_number(cfg, "eps", thm)
-            if eps <= 0.0:
-                raise ConfigError("run.eps", "must be positive")
-            variant = cfg.run.get("variant", "auto")
-            if variant not in ("auto", "inverse_sqrt"):
-                raise ConfigError("run.variant", f"unknown variant {variant!r}")
-            kind = spec.kind
-            needs_alpha = not (
-                kind is SymbolKind.FRACTIONAL_LAPLACIAN
-                or (kind is SymbolKind.RELATIVISTIC and variant == "inverse_sqrt")
-            )
-            if needs_alpha:
-                alpha = _run_number(cfg, "alpha", thm)
-                if spec.d == 2 and alpha != 3.0:
-                    raise ConfigError("run.alpha", f"alpha must be 3 when d = 2, got {alpha}")
-                if spec.d != 2 and alpha <= spec.d:
-                    raise ConfigError("run.alpha", f"alpha must exceed d = {spec.d}, got {alpha}")
-            if kind is SymbolKind.FRACTIONAL_LAPLACIAN:
-                _check_q_window(spec, cfg.run["q"], strict_lower=True)
-            if kind is SymbolKind.RELATIVISTIC and variant == "inverse_sqrt":
-                if 2.0 * cfg.run["q"] <= spec.d + 1e-12:
-                    raise ConfigError("run.q", "the inverse_sqrt substitution needs 2q > d")
-    except ConfigError:
-        raise
-    except ValueError as err:
-        # regime helpers name the parameter; attach the config path
-        key = "run.p" if thm == "uniform-resolvent" else "run.q"
-        raise ConfigError(key, str(err))
+# run-block key -> (reader, default); a _REQUIRED default makes the key mandatory
+_REQUIRED = object()
+_RUN_KEYS = {
+    "q": (_as_number, _REQUIRED),
+    "eps": (_as_number, _REQUIRED),
+    "region": (_as_region, _REQUIRED),
+    "ray": (_as_ray, _REQUIRED),
+    "p": (_as_number, None),
+    "alpha": (_as_number, None),
+    "t_max": (_as_number, 32.0),
+    "z0": (_as_complex, None),
+    "variant": (lambda key, val: val, "auto"),
+}
 
 
-def _build_job(cfg: ExperimentConfig, thm: str) -> VerifyJob:
-    spec, grid, V, run, seed = cfg.spec, cfg.grid, cfg.potential, cfg.run, cfg.seed
-    if thm == "main":
-        K, q = _run_region(cfg, thm), float(run["q"])
-        t_max = float(run.get("t_max", 32.0))
-        fn = lambda: verify_main(spec, grid, V, K, q, t_max=t_max, seed=seed)
-    elif thm == "uniform-resolvent":
-        K = _run_region(cfg, thm)
-        p = run.get("p")
-        p = None if p is None else float(p)
-        fn = lambda: verify_uniform_resolvent(spec, grid, K, p, seed=seed)
-    elif thm == "schatten-scaling":
-        q, ray = float(run["q"]), _run_ray(cfg, thm)
-        fn = lambda: verify_schatten_scaling(spec, grid, q, ray, V, seed=seed)
-    elif thm == "individual-bounds":
-        q = float(run["q"])
-        fn = lambda: verify_individual_bounds(spec, grid, V, q, seed=seed)
-    elif thm == "imaginary":
-        q = float(run["q"])
-        W = PotentialField(grid, V.values.real.copy())
-        fn = lambda: verify_imaginary(spec, W, q, seed=seed)
-    else:  # weighted-sums
-        q, eps = float(run["q"]), float(run["eps"])
-        alpha = run.get("alpha")
-        alpha = None if alpha is None else float(alpha)
-        z0 = run.get("z0")
-        z0 = None if z0 is None else complex(*z0) if isinstance(z0, list) else complex(z0)
-        variant = run.get("variant", "auto")
-        fn = lambda: verify_weighted_sums(
-            spec, grid, V, q, alpha, eps, z0, variant=variant, seed=seed
+def _run_value(cfg: ExperimentConfig, key: str, user: str):
+    reader, default = _RUN_KEYS[key]
+    val = cfg.run.get(key)
+    if val is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"run.{key}", f"required by verifier {user!r}")
+        return default
+    return reader(key, val)
+
+
+def _imaginary_weight(a: SimpleNamespace) -> PotentialField:
+    """W for the imaginary verifier, read from the potential block (V = iW)."""
+    if a.V.is_matrix or np.any(np.abs(a.V.values.imag) > 0):
+        raise ConfigError(
+            "potential", "the imaginary verifier reads W from this block: need real scalar samples"
         )
-    return VerifyJob(job_id=thm, fn=fn)
+    return PotentialField(a.grid, a.V.values.real.copy())
+
+
+@dataclass(frozen=True)
+class Verifier:
+    """How the CLI drives one certlab verifier.
+
+    ``preflight`` and ``run`` take the namespace built from ``keys`` (plus
+    spec, grid, V and seed).  They name the certlab functions inside their
+    bodies, so the module globals are looked up at call time.  ``series``
+    is (name, x key, y key) of the curve ``plot_data_csv`` reads from the
+    certificate inputs; x values enter as moduli.
+    """
+
+    keys: tuple[str, ...]
+    preflight: Callable[[SimpleNamespace], None]
+    run: Callable[[SimpleNamespace], BoundCertificate]
+    series: Optional[tuple[str, str, str]] = None
+
+
+VERIFIERS = {
+    "main": Verifier(
+        keys=("q", "region", "t_max"),
+        preflight=lambda a: preflight_main(a.spec, a.region, a.q),
+        run=lambda a: verify_main(a.spec, a.grid, a.V, a.region, a.q, t_max=a.t_max, seed=a.seed),
+    ),
+    "uniform-resolvent": Verifier(
+        keys=("region", "p"),
+        preflight=lambda a: preflight_uniform_resolvent(a.spec, a.grid, a.region, a.p),
+        run=lambda a: verify_uniform_resolvent(a.spec, a.grid, a.region, a.p, seed=a.seed),
+        series=("resolvent-norm", "scan_points", "scan_values"),
+    ),
+    "schatten-scaling": Verifier(
+        keys=("q", "ray"),
+        preflight=lambda a: preflight_schatten_scaling(a.spec, a.q, a.ray),
+        run=lambda a: verify_schatten_scaling(a.spec, a.grid, a.q, a.ray, a.V, seed=a.seed),
+        series=("schatten-norm", "ray", "measured"),
+    ),
+    "individual-bounds": Verifier(
+        keys=("q",),
+        preflight=lambda a: preflight_individual_bounds(a.spec, a.q),
+        run=lambda a: verify_individual_bounds(a.spec, a.grid, a.V, a.q, seed=a.seed),
+    ),
+    "imaginary": Verifier(
+        keys=("q",),
+        preflight=lambda a: preflight_imaginary(a.spec, _imaginary_weight(a), a.q),
+        run=lambda a: verify_imaginary(a.spec, _imaginary_weight(a), a.q, seed=a.seed),
+    ),
+    "weighted-sums": Verifier(
+        keys=("q", "eps", "alpha", "z0", "variant"),
+        preflight=lambda a: preflight_weighted_sums(a.spec, a.q, a.alpha, a.eps, a.variant),
+        run=lambda a: verify_weighted_sums(
+            a.spec, a.grid, a.V, a.q, a.alpha, a.eps, a.z0, variant=a.variant, seed=a.seed
+        ),
+        series=("weighted-sum", "vnorms", "sums"),
+    ),
+}
+
+# RegimeError.param -> config path, where it is not the run-block key of that name
+_PARAM_PATHS = {"s": "operator.s", "potential": "potential"}
+
+
+def _prepare_job(cfg: ExperimentConfig, thm: str) -> VerifyJob:
+    """Read the verifier's run keys and preflight them; raises ConfigError."""
+    entry = VERIFIERS[thm]
+    a = SimpleNamespace(spec=cfg.spec, grid=cfg.grid, V=cfg.potential, seed=cfg.seed)
+    for key in entry.keys:
+        setattr(a, key, _run_value(cfg, key, thm))
+    try:
+        entry.preflight(a)
+    except RegimeError as err:
+        raise ConfigError(_PARAM_PATHS.get(err.param, f"run.{err.param}"), str(err))
+    return VerifyJob(job_id=thm, fn=lambda: entry.run(a))
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +414,12 @@ def plot_data_csv(certs: Sequence[BoundCertificate]) -> Optional[str]:
     """Long-format curve data (series, x, y) extracted from certificate inputs."""
     rows = []
     for c in certs:
-        inp = c.inputs
-        if c.theorem == "schatten-scaling" and "measured" in inp:
-            for z, val in zip(inp["ray"], inp["measured"]):
-                rows.append(("schatten-norm", abs(complex(z)), val))
-        elif c.theorem == "uniform-resolvent" and "scan_values" in inp:
-            for z, val in zip(inp["scan_points"], inp["scan_values"]):
-                rows.append(("resolvent-norm", abs(complex(z)), val))
-        elif c.theorem == "weighted-sums" and "sums" in inp:
-            for v, ssum in zip(inp["vnorms"], inp["sums"]):
-                rows.append(("weighted-sum", v, ssum))
+        series = VERIFIERS[c.theorem].series
+        if series is None or series[2] not in c.inputs:
+            continue
+        name, x_key, y_key = series
+        for x, y in zip(c.inputs[x_key], c.inputs[y_key]):
+            rows.append((name, abs(complex(x)), y))
     if not rows:
         return None
     lines = ["series,x,y"] + [f"{s},{x!r},{y!r}" for s, x, y in rows]
@@ -514,15 +517,14 @@ def _cmd_spectrum(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_bs(cfg: ExperimentConfig, args) -> int:
-    ray = _run_ray(cfg, "bs scan")
-    alpha = cfg.run.get("alpha")
+    ray = _run_value(cfg, "ray", "bs scan")
+    alpha = _run_value(cfg, "alpha", "bs scan")
     if alpha is None:
         q = cfg.run.get("q")
         if q is not None and _case_a(cfg.spec) and cfg.spec.d > 1:
-            alpha = schatten_order(cfg.spec.d, float(q))
+            alpha = float(schatten_order(cfg.spec.d, _as_number("q", q)))
         else:
             alpha = 2.0
-    alpha = float(alpha)
     order = max(2, math.ceil(alpha))
     det = bs_det_evaluator(cfg.spec, cfg.grid, cfg.potential, order)
     lines = ["re,im,sigma1,schatten,det_log_abs,det_phase"]
@@ -541,9 +543,7 @@ def _cmd_bs(cfg: ExperimentConfig, args) -> int:
 
 
 def _run_verifiers(cfg: ExperimentConfig, theorems: list[str], args, with_spectra: bool) -> int:
-    for thm in theorems:
-        _validate_theorem(cfg, thm)
-    jobs = [_build_job(cfg, thm) for thm in theorems]
+    jobs = [_prepare_job(cfg, thm) for thm in theorems]
     workers = args.workers if args.workers is not None else cfg.workers
     certs = run_jobs(jobs, workers=workers)
     dest = _artifact_dir(args.out)
@@ -601,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("spectrum", help="eigensolve, classify, and write spectra CSV"))
     common(sub.add_parser("bs", help="Schatten/determinant scan along the configured contour"))
     p_verify = sub.add_parser("verify", help="run one verifier and write its certificate")
-    p_verify.add_argument("theorem", choices=THEOREM_IDS)
+    p_verify.add_argument("theorem", choices=tuple(VERIFIERS))
     common(p_verify, reports=True)
     common(sub.add_parser("scan", help="run every verifier listed in the config"), reports=True)
     return parser

@@ -33,7 +33,6 @@ __all__ = [
     "inner",
     "lp_norm",
     "multiplier_matrix",
-    "smooth_cutoff",
 ]
 
 _N_CAP = {1: 4096, 2: 64, 3: 16}
@@ -197,27 +196,6 @@ def lp_norm(f: GridFunction, p: float) -> float:
     if p < 1:
         raise ValueError(f"p={p} out of range; need 1 <= p <= inf")
     return float((grid.weight * np.sum(mags**p)) ** (1.0 / p))
-
-
-def smooth_cutoff(grid: TorusGrid, center, r_inner: float, r_outer: float) -> GridFunction:
-    """C-infinity radial cutoff: 1 inside |x-c| <= r_inner, 0 outside r_outer.
-
-    Uses the standard exp(-1/t) partition ramp between the two radii
-    (minimum-image distance on the torus).
-    """
-    if not 0 < r_inner < r_outer:
-        raise ValueError("need 0 < r_inner < r_outer")
-    r = np.linalg.norm(grid.x_folded(center), axis=-1)
-    t = np.clip((r_outer - r) / (r_outer - r_inner), 0.0, 1.0)
-
-    def _ramp(u):
-        out = np.zeros_like(u)
-        pos = u > 0
-        out[pos] = np.exp(-1.0 / u[pos])
-        return out
-
-    up, down = _ramp(t), _ramp(1.0 - t)
-    return GridFunction(grid, up / (up + down))
 
 
 def multiplier_matrix(m, grid: TorusGrid, n: int = 1) -> np.ndarray:

@@ -7,23 +7,19 @@ power iteration on the weighted lattice norms.
 
 Spectral parameters on (or numerically on) the lattice dispersion are
 rejected; boundary values T(xi) = lambda +- i*0 are reached by offsetting the
-parameter by a multiple of the local level spacing and, where a limit is
-wanted, Richardson extrapolation in the offset.
+parameter by a multiple of the local level spacing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .lattice import GridFunction, TorusGrid, lp_norm
-from .symbols import SymbolSpec, dispersion_values, eval_symbol
+from .symbols import SymbolSpec, dispersion_values
 
 __all__ = [
-    "EnvelopeFit",
-    "KernelSample",
     "OpNormEstimate",
     "ResolventHandle",
     "ResolventPoleError",
@@ -31,12 +27,9 @@ __all__ = [
     "empirical_opnorm",
     "factored_dirac_apply",
     "kernel_array",
-    "kernel_envelope_fit",
     "local_spacing",
     "resolvent_apply",
-    "resolvent_kernel",
     "resolvent_multiplier",
-    "richardson",
 ]
 
 
@@ -143,23 +136,6 @@ def factored_dirac_apply(spec: SymbolSpec, grid: TorusGrid, z: complex, f: GridF
     return apply_multiplier(mats, g)
 
 
-# ---------------------------------------------------------------------------
-# position kernels
-
-
-@dataclass
-class KernelSample:
-    """Kernel values folded to torus radii 0 < r <= L/2.
-
-    values[i] is the (n, n) block (complex scalar for n = 1) at radius
-    radii[i]; entries are sorted by radius, one representative per grid
-    offset inside the inscribed ball.
-    """
-
-    radii: np.ndarray
-    values: np.ndarray
-
-
 def kernel_array(handle: ResolventHandle) -> np.ndarray:
     """Position kernel on grid offsets: inverse transform of the multiplier.
 
@@ -172,63 +148,8 @@ def kernel_array(handle: ResolventHandle) -> np.ndarray:
     return np.fft.ifftn(handle._mult, axes=grid.axes()) * scale
 
 
-def resolvent_kernel(handle: ResolventHandle) -> KernelSample:
-    """Fold the kernel to radii inside the inscribed ball (0 < |x| <= L/2)."""
-    grid = handle.grid
-    kern = kernel_array(handle)
-    radii = np.linalg.norm(grid.x_folded(0.0), axis=-1).reshape(-1)
-    vals = kern.reshape((grid.size,) + kern.shape[grid.d:])
-    keep = (radii > 0) & (radii <= grid.L / 2.0 + 1e-12)
-    order = np.argsort(radii[keep], kind="stable")
-    return KernelSample(radii[keep][order], vals[keep][order])
-
-
-@dataclass
-class EnvelopeFit:
-    """sup of |K(r; z)| r^{d-s} over sampled radii and unit |z|, with the argmax."""
-
-    constant: float
-    z_at: complex
-    r_at: float
-
-
-def kernel_envelope_fit(
-    spec: SymbolSpec,
-    grid: TorusGrid,
-    zs: Sequence[complex],
-    radius: float,
-    r_min: float = 0.0,
-) -> EnvelopeFit:
-    """Fit the short-range kernel envelope |K(r; z)| <= C(R) r^{s-d}, r <= R.
-
-    Requires a scalar kind with d/2 < s < d (the Hilbert-Schmidt regime of
-    the short-range bound) and |z| = 1 for every probe. Radii below r_min are
-    excluded; the default 0 takes the raw sup, but cross-grid comparisons
-    should set r_min to a few mesh widths of the coarsest grid, since the
-    finest radii sit at the resolution limit where the r^{s-d} singularity is
-    still forming.
-    """
-    if spec.is_dirac:
-        raise ValueError("envelope fit applies to scalar kinds")
-    if not spec.d / 2.0 < spec.s < spec.d:
-        raise ValueError(f"need d/2 < s < d, got s={spec.s}, d={spec.d}")
-    if not 0 <= r_min < radius <= grid.L / 2.0:
-        raise ValueError("need 0 <= r_min < radius <= L/2")
-    best, z_at, r_at = -np.inf, None, None
-    for z in zs:
-        if abs(abs(z) - 1.0) > 1e-12:
-            raise ValueError(f"probe |z| must be 1, got {abs(z)}")
-        sample = resolvent_kernel(ResolventHandle(spec, grid, z))
-        mask = (sample.radii <= radius) & (sample.radii >= r_min)
-        prod = np.abs(sample.values[mask]) * sample.radii[mask] ** (spec.d - spec.s)
-        i = int(np.argmax(prod))
-        if prod[i] > best:
-            best, z_at, r_at = float(prod[i]), complex(z), float(sample.radii[mask][i])
-    return EnvelopeFit(best, z_at, r_at)
-
-
 # ---------------------------------------------------------------------------
-# boundary offsets and extrapolation
+# boundary offsets
 
 
 def local_spacing(spec: SymbolSpec, grid: TorusGrid, at: float, window: int = 8) -> float:
@@ -249,22 +170,6 @@ def local_spacing(spec: SymbolSpec, grid: TorusGrid, at: float, window: int = 8)
 def boundary_epsilon(spec: SymbolSpec, grid: TorusGrid, lam: float, factor: float = 4.0) -> float:
     """Offset for boundary values lam +- i*eps: factor x local level spacing."""
     return factor * local_spacing(spec, grid, lam)
-
-
-def richardson(g: Callable[[float], complex], eps: float, levels: int = 2) -> complex:
-    """Richardson-extrapolate g(eps) -> g(0+) assuming an expansion in powers of eps.
-
-    Evaluates at eps, eps/2, ..., eps/2^(levels-1) and runs the Neville table.
-    """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    hs = [eps / 2.0**j for j in range(levels)]
-    table = [complex(g(h)) for h in hs]
-    for j in range(1, levels):
-        for i in range(levels - 1, j - 1, -1):
-            num = 2.0**j
-            table[i] = (num * table[i] - table[i - 1]) / (num - 1.0)
-    return table[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ Dirac families (s fixed to 1, spinor dimension 2 for d <= 2 and 4 for d = 3):
 
 with alpha_j, beta a Hermitian Clifford family (alpha_i alpha_j + alpha_j
 alpha_i = 2 delta_ij, beta anticommutes with every alpha_j, beta^2 = 1).
-A fifth ``custom`` kind carries a user-supplied radial profile so that
-multiplier plumbing can be exercised on symbols outside the shipped table.
 
 Frequencies are plain vectors; the 2*pi convention lives entirely in the
 lattice transforms, which pair these symbols with the frequency grid k/L.
@@ -21,10 +19,8 @@ lattice transforms, which pair these symbols with the frequency grid k/L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
-
 import numpy as np
 
 __all__ = [
@@ -48,11 +44,9 @@ class SymbolKind(str, Enum):
     RELATIVISTIC = "relativistic"
     DIRAC_MASSLESS = "dirac_massless"
     DIRAC_MASSIVE = "dirac_massive"
-    CUSTOM = "custom"
 
 
 _DIRAC_KINDS = (SymbolKind.DIRAC_MASSLESS, SymbolKind.DIRAC_MASSIVE)
-_SCALAR_KINDS = (SymbolKind.FRACTIONAL_LAPLACIAN, SymbolKind.RELATIVISTIC)
 
 
 def clifford_generators(d: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -96,21 +90,16 @@ class SymbolSpec:
     Parameters
     ----------
     kind : SymbolKind or str
-        One of the four shipped families, or ``custom``.
+        One of the four shipped families.
     d : int
         Space dimension, 1 <= d <= 3.
     s : float
         Symbol order. Must be positive; forced to 1 for Dirac kinds.
-    profile : callable, optional
-        Radial profile r -> T(r) for ``kind='custom'`` only.
     """
 
     kind: SymbolKind
     d: int
     s: float = 1.0
-    profile: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SymbolKind(self.kind))
@@ -121,11 +110,6 @@ class SymbolSpec:
                 raise ValueError(f"s is fixed to 1 for Dirac kinds, got s={self.s}")
         elif not 0.0 < float(self.s) < float("inf"):
             raise ValueError(f"s={self.s} out of range; need s > 0")
-        if self.kind is SymbolKind.CUSTOM:
-            if self.profile is None:
-                raise ValueError("custom symbols need a radial profile callable")
-        elif self.profile is not None:
-            raise ValueError("profile is only accepted for kind='custom'")
 
     @property
     def n(self) -> int:
@@ -149,8 +133,6 @@ def eval_symbol(spec: SymbolSpec, xi) -> float | np.ndarray:
         return float(np.linalg.norm(xi) ** spec.s)
     if spec.kind is SymbolKind.RELATIVISTIC:
         return float((1.0 + np.dot(xi, xi)) ** (spec.s / 2.0) - 1.0)
-    if spec.kind is SymbolKind.CUSTOM:
-        return float(spec.profile(np.linalg.norm(xi)))
     alphas, beta = clifford_generators(spec.d)
     mat = sum(a * x for a, x in zip(alphas, xi))
     if spec.kind is SymbolKind.DIRAC_MASSIVE:
@@ -180,8 +162,6 @@ def dispersion_values(spec: SymbolSpec, xi_array: np.ndarray) -> np.ndarray:
         return (r2 ** (spec.s / 2.0))[..., None]
     if spec.kind is SymbolKind.RELATIVISTIC:
         return ((1.0 + r2) ** (spec.s / 2.0) - 1.0)[..., None]
-    if spec.kind is SymbolKind.CUSTOM:
-        return np.vectorize(spec.profile)(np.sqrt(r2))[..., None]
     lam = np.sqrt(r2) if spec.kind is SymbolKind.DIRAC_MASSLESS else np.sqrt(1.0 + r2)
     half = spec.n // 2
     return np.stack([-lam] * half + [lam] * half, axis=-1)
@@ -199,6 +179,4 @@ def critical_values(spec: SymbolSpec) -> tuple[float, ...]:
         return (0.0,)
     if spec.kind is SymbolKind.DIRAC_MASSLESS:
         return ()
-    if spec.kind is SymbolKind.DIRAC_MASSIVE:
-        return (1.0, -1.0)
-    raise ValueError("critical values are not defined for custom symbols")
+    return (1.0, -1.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bslab.birman_schwinger import (
+    ContourBoundaryError,
     DetValue,
     assemble_bs,
     bs_det_evaluator,
@@ -348,6 +349,30 @@ def test_contour_double_root_multiplicity():
 def test_contour_budget_guard():
     with pytest.raises(RuntimeError, match="budget"):
         det_contour_roots(poly_det([0.0]), -1.0 - 1.0j, 1.0 + 1.0j, max_evals=3)
+
+
+def test_contour_zero_on_outer_boundary_is_typed():
+    with pytest.raises(ContourBoundaryError):
+        det_contour_roots(poly_det([1.0 + 0.0j]), -1.0 - 1.0j, 1.0 + 1.0j)
+    assert issubclass(ContourBoundaryError, RuntimeError)
+
+
+def test_contour_propagates_other_runtime_errors():
+    # a determinant failure is not a zero on a cut, whatever its message says
+    outer = poly_det([0.2 + 0.1j, -0.3 - 0.2j])
+    interior_calls = []
+
+    def det_fn(z):
+        if abs(z.real) < 1.0 and abs(z.imag) < 1.0:
+            interior_calls.append(z)
+            raise RuntimeError("eigensolver stalled near the boundary of its band")
+        return outer(z)
+
+    # two zeros inside: no polish step, so the first interior sample lies on a cut
+    with pytest.raises(RuntimeError, match="stalled") as err:
+        det_contour_roots(det_fn, -1.0 - 1.0j, 1.0 + 1.0j)
+    assert not isinstance(err.value, ContourBoundaryError)
+    assert len(interior_calls) == 1
 
 
 def test_contour_roots_match_eigensolve():

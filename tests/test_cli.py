@@ -177,6 +177,13 @@ def test_bs_scan_writes_contour_csv(tmp_path):
     assert sig1[0] > sig1[-1] > 0.0  # norms decay along the outgoing ray
 
 
+def test_bs_scan_names_a_malformed_alpha(tmp_path, capsys):
+    doc = base_config(run={"alpha": [2.0, 3.0]})
+    rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error at run.alpha:")
+
+
 def test_verify_writes_certificate_and_report(tmp_path):
     out = tmp_path / "runs"
     rc = cli_main([
@@ -292,6 +299,65 @@ def test_unknown_ray_type_is_named(tmp_path, capsys):
     rc = cli_main(["verify", "schatten-scaling", "--config", write_config(tmp_path, doc)])
     assert rc == 2
     assert "run.ray.type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "theorem, operator, run, key",
+    [
+        ("weighted-sums", None, {"variant": "inverse_sqrt"}, "variant"),
+        (
+            "schatten-scaling",
+            None,
+            {"ray": {"type": "boundary", "re_lo": 0.5, "re_hi": 8.0, "height": 0.3}},
+            "ray",
+        ),
+        (
+            "schatten-scaling",
+            {"kind": "relativistic", "d": 1, "s": 1.5},
+            {"ray": {"type": "fixed_argument", "theta": math.pi, "r_lo": 0.5, "r_hi": 2.0}},
+            "ray",
+        ),
+        (
+            "schatten-scaling",
+            None,
+            {"ray": {"type": "fixed_argument", "theta": math.pi, "r_lo": 0.5, "r_hi": 8.0, "count": 5}},
+            "ray",
+        ),
+        (
+            "uniform-resolvent",
+            None,
+            {"p": 1.0, "region": {"shape": "rectangle", "bounds": [0.1, 300.0, 0.01, 0.6], "clearance": 0.04}},
+            "region",
+        ),
+    ],
+    ids=[
+        "inverse-sqrt-variant-on-fractional",
+        "boundary-ray-when-co-rescaled",
+        "relativistic-ray-across-unit-modulus",
+        "ray-with-five-points",
+        "region-beyond-dispersion-range",
+    ],
+)
+def test_verifier_argument_errors_exit_2_before_compute(
+    tmp_path, capsys, monkeypatch, theorem, operator, run, key
+):
+    def no_compute(*a, **k):
+        raise AssertionError("a job started despite a config error")
+
+    monkeypatch.setattr("bslab.cli.run_jobs", no_compute)
+    doc = base_config(run=dict(run, theorems=[theorem]))
+    if operator is not None:
+        doc["operator"] = operator
+    rc = cli_main(["verify", theorem, "--config", write_config(tmp_path, doc)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error at run.{key}:")
+
+
+def test_custom_kind_is_an_unknown_operator_kind(tmp_path, capsys):
+    doc = base_config(operator={"kind": "custom", "d": 1})
+    rc = cli_main(["symbols", "--config", write_config(tmp_path, doc)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error at operator.kind:")
 
 
 def test_unknown_theorem_rejected_by_parser(tmp_path):

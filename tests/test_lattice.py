@@ -1,4 +1,4 @@
-"""Grid transforms, weighted norms, multipliers, cutoffs."""
+"""Grid transforms, weighted norms, multipliers."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from bslab.lattice import (
     inner,
     lp_norm,
     multiplier_matrix,
-    smooth_cutoff,
 )
 
 
@@ -89,19 +88,6 @@ def test_spinor_field_norm_uses_site_euclidean_norm():
     f = GridFunction(grid, vals)
     assert lp_norm(f, np.inf) == pytest.approx(5.0)
     assert lp_norm(f, 1.0) == pytest.approx(5.0 * grid.weight)
-
-
-def test_smooth_cutoff_profile():
-    grid = TorusGrid(1, 256, 10.0)
-    chi = smooth_cutoff(grid, 0.0, 1.0, 2.5)
-    r = np.linalg.norm(grid.x_folded(0.0), axis=-1)
-    vals = chi.values.real
-    assert np.allclose(vals[r <= 1.0], 1.0, atol=1e-15)
-    assert np.allclose(vals[r >= 2.5], 0.0, atol=1e-15)
-    assert ((vals >= -1e-15) & (vals <= 1 + 1e-15)).all()
-    assert np.abs(chi.values.imag).max() == 0.0
-    # no jumps: discrete gradient stays O(dx) * max slope of the ramp
-    assert np.abs(np.diff(vals)).max() < 10 * grid.dx
 
 
 def test_multiplier_matrix_matches_apply_scalar():

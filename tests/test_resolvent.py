@@ -11,11 +11,8 @@ from bslab.resolvent import (
     empirical_opnorm,
     factored_dirac_apply,
     kernel_array,
-    kernel_envelope_fit,
     local_spacing,
     resolvent_apply,
-    resolvent_kernel,
-    richardson,
 )
 from bslab.symbols import SymbolSpec, dispersion_values
 
@@ -80,27 +77,6 @@ def test_kernel_torus_symmetry_radial():
     assert np.abs(kern[1:] - kern[:0:-1]).max() < 1e-13 * np.abs(kern).max()
 
 
-def test_kernel_sample_folding():
-    spec = SymbolSpec("fractional_laplacian", d=2, s=1.2)
-    grid = TorusGrid(2, 16, 4.0)
-    sample = resolvent_kernel(ResolventHandle(spec, grid, -0.5))
-    assert sample.radii.min() > 0
-    assert sample.radii.max() <= grid.L / 2 + 1e-12
-    assert (np.diff(sample.radii) >= 0).all()
-
-
-def test_exponential_kernel_for_quadratic_symbol():
-    # user-supplied radial symbol |xi|^2 at z = -1: K(r) ~ pi e^{-2 pi r}
-    spec = SymbolSpec("custom", d=1, profile=lambda r: r**2)
-    grid = TorusGrid(1, 1024, 20.0)
-    sample = resolvent_kernel(ResolventHandle(spec, grid, -1.0))
-    mask = (sample.radii >= 0.2) & (sample.radii <= 1.0)
-    r, k = sample.radii[mask], np.abs(sample.values[mask])
-    slope = np.polyfit(r, np.log(k), 1)[0]
-    assert slope == pytest.approx(-2 * np.pi, rel=0.02)
-    assert k[0] / np.exp(-2 * np.pi * r[0]) == pytest.approx(np.pi, rel=0.05)
-
-
 def test_fractional_kernel_scaling_identity():
     # K_{N,L}(x; z) = |z|^{d/s-1} K_{N, L |z|^{1/s}}(|z|^{1/s} x; z/|z|) exactly
     spec = SymbolSpec("fractional_laplacian", d=1, s=1.5)
@@ -123,23 +99,6 @@ def test_imaginary_part_identity_dense():
         r_zbar = multiplier_matrix(ResolventHandle(spec, grid, np.conj(z))._mult, grid, n=n)
         im_part = (r_z - r_z.conj().T) / 2j
         assert np.abs(im_part - z.imag * (r_z @ r_zbar)).max() < 1e-12
-
-
-def test_envelope_fit_regime_and_stability():
-    spec = SymbolSpec("fractional_laplacian", d=1, s=0.8)
-    zs = [-1.0, 1j, np.exp(3j * np.pi / 4)]
-    r0 = 8 * 16.0 / 512  # a few mesh widths of the coarser grid
-    fits = [
-        kernel_envelope_fit(spec, TorusGrid(1, N, 16.0), zs, radius=4.0, r_min=r0)
-        for N in (512, 1024)
-    ]
-    assert fits[0].constant > 0
-    assert fits[1].constant == pytest.approx(fits[0].constant, rel=0.1)
-    with pytest.raises(ValueError):
-        kernel_envelope_fit(SymbolSpec("fractional_laplacian", d=1, s=1.5),
-                            TorusGrid(1, 64, 8.0), zs, radius=2.0)
-    with pytest.raises(ValueError):
-        kernel_envelope_fit(spec, TorusGrid(1, 64, 8.0), [2.0 + 0j], radius=2.0)
 
 
 def test_opnorm_l2_matches_multiplier_sup():
@@ -196,8 +155,3 @@ def test_local_spacing_and_boundary_epsilon():
     fine = local_spacing(spec, TorusGrid(1, 64, 20.0), at=1.0)
     assert coarse > fine > 0  # bigger box -> denser frequencies -> finer spacing
     assert boundary_epsilon(spec, TorusGrid(1, 64, 5.0), 1.0) == pytest.approx(4 * coarse)
-
-
-def test_richardson_extrapolation():
-    g = lambda e: 2.5 + 3.0 * e - 1.7 * e**2 + 0.3 * e**3
-    assert richardson(g, 0.1, levels=4) == pytest.approx(2.5, abs=1e-10)

@@ -90,11 +90,3 @@ def test_validation():
         SymbolSpec("nonsense", d=1)
     # the acceptance configurations d=1, s=1.5 must construct
     SymbolSpec("fractional_laplacian", d=1, s=1.5)
-
-
-def test_custom_radial_hook():
-    spec = SymbolSpec("custom", d=1, profile=lambda r: r**2)
-    assert eval_symbol(spec, [3.0]) == pytest.approx(9.0)
-    assert critical_values.__call__ is not None
-    with pytest.raises(ValueError):
-        critical_values(spec)
