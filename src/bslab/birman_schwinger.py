@@ -1,12 +1,13 @@
 """Birman-Schwinger operators M(z) = |V|^{1/2} (T(D) - z)^{-1} V^{1/2}.
 
-Assembles the sandwiched resolvent as a dense matrix, computes Schatten
-norms from its singular values and regularized Fredholm determinants
-det_n(I + M) from its eigenvalues, and locates determinant zeros inside
-rectangles of the complex plane by an argument-principle bisection with
-secant polishing.  For z off the dispersion levels of T, the finite model
-makes the eigenvalue correspondence exact: z is an eigenvalue of H_0 + V
-iff -1 is an eigenvalue of M(z).
+:func:`bs_matrix` is the one place M(z) is built -- variant choice, grid
+check, half-potential split and the dense sandwiched resolvent.  On top of it
+this module computes Schatten norms from singular values and regularized
+Fredholm determinants det_n(I + M) from eigenvalues, and locates determinant
+zeros inside rectangles of the complex plane by an argument-principle
+bisection with secant polishing.  For z off the dispersion levels of T, the
+finite model makes the eigenvalue correspondence exact: z is an eigenvalue
+of H_0 + V iff -1 is an eigenvalue of M(z).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "SchattenReport",
     "DetValue",
     "half_potentials",
+    "bs_matrix",
     "assemble_bs",
     "schatten_order",
     "schatten_norm",
@@ -131,13 +133,14 @@ def _sandwich(left: np.ndarray, rmat: np.ndarray, right: np.ndarray, grid: Torus
     return out.reshape(size * n, size * n)
 
 
-def _bs_matrix(
+def bs_matrix(
     spec: SymbolSpec,
     grid: TorusGrid,
     V: PotentialField,
     z: complex,
     variant: str = "abs_first",
 ) -> np.ndarray:
+    """Dense M(z) = |V|^{1/2} R0(z) V^{1/2}; "signed_first" swaps the two factors."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown order variant {variant!r}; options: {_VARIANTS}")
     if V.grid != grid:
@@ -148,11 +151,11 @@ def _bs_matrix(
             f"matrix potential blocks are {V.values.shape[-1]}x{V.values.shape[-1]}, "
             f"symbol needs {n}x{n}"
         )
-    abs_half, signed_half = half_potentials(V)
+    left, right = half_potentials(V)  # |V|^{1/2}, V^{1/2}
+    if variant == "signed_first":
+        left, right = right, left
     rmat = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid, n=n)
-    if variant == "abs_first":
-        return _sandwich(abs_half.values, rmat, signed_half.values, grid, n)
-    return _sandwich(signed_half.values, rmat, abs_half.values, grid, n)
+    return _sandwich(left.values, rmat, right.values, grid, n)
 
 
 def assemble_bs(
@@ -163,7 +166,7 @@ def assemble_bs(
     variant: str = "abs_first",
 ) -> BSOperator:
     """Assemble the dense BS matrix at z and cache its singular values."""
-    mat = _bs_matrix(spec, grid, V, z, variant)
+    mat = bs_matrix(spec, grid, V, z, variant)
     sv = np.linalg.svd(mat, compute_uv=False)
     return BSOperator(matrix=mat, z=complex(z), grid=grid, singular_values=sv, variant=variant)
 
@@ -291,8 +294,7 @@ def bs_principle_check(
     variant: str = "abs_first",
 ) -> float:
     """min_j |mu_j(M(z)) + 1|; near zero certifies z as an eigenvalue of H_0+V."""
-    mat = _bs_matrix(spec, grid, V, z_candidate, variant)
-    mu = np.linalg.eigvals(mat)
+    mu = np.linalg.eigvals(bs_matrix(spec, grid, V, z_candidate, variant))
     return float(np.min(np.abs(mu + 1.0)))
 
 
@@ -303,21 +305,8 @@ def bs_det_evaluator(
     order: int,
     variant: str = "abs_first",
 ) -> Callable[[complex], DetValue]:
-    """z -> det_order(I + M(z)), skipping the SVD that assemble_bs would do."""
-    abs_half, signed_half = half_potentials(V)
-    if variant == "abs_first":
-        left, right = abs_half.values, signed_half.values
-    elif variant == "signed_first":
-        left, right = signed_half.values, abs_half.values
-    else:
-        raise ValueError(f"unknown order variant {variant!r}; options: {_VARIANTS}")
-    n = spec.n
-
-    def evaluate(z: complex) -> DetValue:
-        rmat = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid, n=n)
-        return regularized_det(_sandwich(left, rmat, right, grid, n), order)
-
-    return evaluate
+    """z -> det_order(I + M(z)) on bs_matrix, skipping the SVD that assemble_bs would do."""
+    return lambda z: regularized_det(bs_matrix(spec, grid, V, z, variant), order)
 
 
 # ---------------------------------------------------------------------------

@@ -25,20 +25,20 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .birman_schwinger import assemble_bs, bs_principle_check, schatten_norm, schatten_order
+from .birman_schwinger import assemble_bs, bs_matrix, bs_principle_check, schatten_norm, schatten_order
 from .conformal import weighted_blaschke_sum
 from .lattice import GridFunction, TorusGrid, lp_norm, multiplier_matrix
-from .potentials import PotentialField, imaginary_potential, potential_norm, resample, scaled_field
-from .resolvent import ResolventHandle, boundary_epsilon, empirical_opnorm, resolvent_multiplier
+from .potentials import PotentialField, imaginary_potential, potential_norm, scaled_field
+from .resolvent import ResolventHandle, boundary_epsilon, empirical_opnorm, lattice_levels, resolvent_multiplier
 from .spectra import (
     SpectralLabel,
     SpectralPoint,
     assemble_hamiltonian,
-    classify,
+    classified_spectrum,
     dist_to_spectrum,
     eigensolve,
 )
-from .symbols import SymbolKind, SymbolSpec, critical_values, dispersion_values
+from .symbols import SymbolKind, SymbolSpec, critical_values
 
 __all__ = [
     "RegimeError",
@@ -94,9 +94,9 @@ THEOREM_IDS = (
 class RegimeError(ValueError):
     """An argument outside the regime a verifier covers.
 
-    ``param`` names the offending argument (``q``, ``p``, ``s``, ``alpha``,
-    ``eps``, ``variant``, ``ray``, ``region`` or ``potential``) so that callers
-    can point at it without parsing the message.
+    ``param`` names the offending argument (``kind``, ``s``, ``q``, ``p``,
+    ``alpha``, ``eps``, ``variant``, ``ray``, ``region`` or ``potential``) so
+    that callers can point at it without parsing the message.
     """
 
     def __init__(self, param: str, message: str):
@@ -390,12 +390,8 @@ def _certifier(theorem: str, grid: TorusGrid, seed: int) -> Callable[..., BoundC
 
 
 def discrete_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> list[SpectralPoint]:
-    """Discrete-labeled spectral points of H0+V via the N -> 2N refinement filter."""
-    fine = grid.refined(2)
-    sol_c = eigensolve(assemble_hamiltonian(spec, grid, V))
-    sol_f = eigensolve(assemble_hamiltonian(spec, fine, resample(V, fine)))
-    pts = classify(sol_c.values, sol_f.values, spec, grid, fine)
-    return [p for p in pts if p.label is SpectralLabel.DISCRETE]
+    """Discrete-labeled points of :func:`classified_spectrum`."""
+    return [p for p in classified_spectrum(spec, grid, V) if p.label is SpectralLabel.DISCRETE]
 
 
 def sum_space_norm(f: GridFunction, r_lo: float, r_hi: float, thresholds: int = 65) -> float:
@@ -476,20 +472,20 @@ def _check_q_window(spec: SymbolSpec, q: float, strict_lower: bool = False) -> N
 
 
 def imaginary_q_window(spec: SymbolSpec, q: float) -> None:
-    """Exponent checks for the purely-imaginary certificates; raises RegimeError.
+    """Operator and exponent checks for the purely-imaginary certificates.
 
-    The kind and s decide whether any admissible q exists, so every failure
-    here is reported against q.
+    Raises RegimeError against ``kind`` or ``s`` when the operator lies
+    outside the covered range, and against ``q`` when q misses the window.
     """
     d, s = spec.d, spec.s
     if spec.kind not in (SymbolKind.FRACTIONAL_LAPLACIAN, SymbolKind.DIRAC_MASSLESS):
         raise RegimeError(
-            "q",
+            "kind",
             "purely-imaginary certificates cover the fractional Laplacian and the "
             f"massless Dirac kinds, not {spec.kind.value!r}",
         )
     if s < d / (d + 1.0) - 1e-12:
-        raise RegimeError("q", f"need s >= d/(d+1) = {d / (d + 1):.6g}, got s={s}")
+        raise RegimeError("s", f"need s >= d/(d+1) = {d / (d + 1):.6g}, got s={s}")
     hi = (d + 1) / 2.0
     if 2.0 * s < d:
         lo, lo_strict = d / (2.0 * s), False
@@ -626,8 +622,8 @@ def preflight_uniform_resolvent(
     """Argument checks of :func:`verify_uniform_resolvent`; raises RegimeError."""
     K.validate_for(spec)
     uniform_p_window(spec, p)
-    levels = dispersion_values(spec, grid.xi())
-    lev_lo, lev_hi = float(levels.min()), float(levels.max())
+    levels = lattice_levels(spec, grid)
+    lev_lo, lev_hi = float(levels[0]), float(levels[-1])
     for z in K.sample_grid(nx, ny):
         if not lev_lo <= z.real <= lev_hi:
             raise RegimeError(
@@ -706,7 +702,7 @@ def verify_uniform_resolvent(
     ratio = float(vals.max() / np.median(vals))
 
     # contrast witness at an exact dispersion level inside (or nearest to) K
-    levels = np.sort(np.unique(dispersion_values(spec, grid.xi()).reshape(-1)))
+    levels = lattice_levels(spec, grid)
     center = K.sample_grid(3, 3)[4].real
     lam0 = float(levels[np.argmin(np.abs(levels - center))])
     eps0 = boundary_epsilon(spec, grid, lam0)
@@ -890,14 +886,15 @@ def verify_individual_bounds(
     preflight_individual_bounds(spec, q)
     d, s = spec.d, spec.s
 
-    base_pts = discrete_spectrum(spec, grid, V)
+    points = classified_spectrum(spec, grid, V)
+    base_pts = [p for p in points if p.label is SpectralLabel.DISCRETE]
     inputs = _inputs_head(spec, q, V) | {"ts": list(ts), "family_size": family_size}
     if not base_pts:
         inputs["note"] = "no Discrete eigenvalues for the base potential"
         return certify(inputs, 0.0, verdict=REPORT_ONLY)
 
     anchor = max(base_pts, key=lambda pt: pt.dist_sigma)
-    base_eigs = eigensolve(assemble_hamiltonian(spec, grid, V)).values
+    base_eigs = np.array([p.z for p in points])
     ratios = {}
     spectrum_drift = 0.0
     for t in ts:
@@ -1007,7 +1004,7 @@ def verify_imaginary(
             if z.imag <= 0.0:
                 continue
             n_eigs += 1
-            M = assemble_bs(spec, grid, Vt, z).matrix
+            M = bs_matrix(spec, grid, Vt, z)
             mu, vecs = np.linalg.eig(M)
             g = vecs[:, int(np.argmin(np.abs(mu + 1.0)))]
             ratio = np.vdot(g, -(M @ g)) / np.vdot(g, g)

@@ -65,16 +65,17 @@ from .potentials import (
     resample,
     sample_potential,
 )
+from .resolvent import lattice_levels
 from .spectra import (
     SpectralLabel,
     SpectralPoint,
     assemble_hamiltonian,
-    classify,
+    classified_spectrum,
     dist_to_spectrum,
     eigensolve,
     spectrum_csv,
 )
-from .symbols import SymbolKind, SymbolSpec, critical_values, dispersion_values
+from .symbols import SymbolKind, SymbolSpec, critical_values
 
 __all__ = ["ConfigError", "ExperimentConfig", "VERIFIERS", "load_config", "emit_report", "main"]
 
@@ -378,7 +379,7 @@ VERIFIERS = {
 }
 
 # RegimeError.param -> config path, where it is not the run-block key of that name
-_PARAM_PATHS = {"s": "operator.s", "potential": "potential"}
+_PARAM_PATHS = {"kind": "operator.kind", "s": "operator.s", "potential": "potential"}
 
 
 def _prepare_job(cfg: ExperimentConfig, thm: str) -> VerifyJob:
@@ -465,21 +466,19 @@ def emit_report(
 
 
 def _classified_points(cfg: ExperimentConfig) -> list[SpectralPoint]:
+    if cfg.refine:
+        return classified_spectrum(cfg.spec, cfg.grid, cfg.potential)
+    # no refinement pair -> drift is unknowable, leave every point Undecided
     sol = eigensolve(assemble_hamiltonian(cfg.spec, cfg.grid, cfg.potential))
-    if not cfg.refine:
-        # no refinement pair -> drift is unknowable, leave every point Undecided
-        return [
-            SpectralPoint(
-                z=complex(z),
-                dist_sigma=dist_to_spectrum(cfg.spec, z),
-                refinement_drift=math.nan,
-                label=SpectralLabel.UNDECIDED,
-            )
-            for z in sol.values
-        ]
-    fine = cfg.grid.refined(2)
-    eigs_f = eigensolve(assemble_hamiltonian(cfg.spec, fine, resample(cfg.potential, fine))).values
-    return classify(sol.values, eigs_f, cfg.spec, cfg.grid, fine)
+    return [
+        SpectralPoint(
+            z=complex(z),
+            dist_sigma=dist_to_spectrum(cfg.spec, z),
+            refinement_drift=math.nan,
+            label=SpectralLabel.UNDECIDED,
+        )
+        for z in sol.values
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +486,15 @@ def _classified_points(cfg: ExperimentConfig) -> list[SpectralPoint]:
 
 
 def _cmd_symbols(cfg: ExperimentConfig, args) -> int:
-    levels = dispersion_values(cfg.spec, cfg.grid.xi())
+    levels = lattice_levels(cfg.spec, cfg.grid)
     doc = {
         "kind": cfg.spec.kind.value,
         "d": cfg.spec.d,
         "s": cfg.spec.s,
         "spinor_dim": cfg.spec.n,
         "critical_values": [[z.real, z.imag] for z in critical_values(cfg.spec)],
-        "dispersion_min": float(levels.min()),
-        "dispersion_max": float(levels.max()),
+        "dispersion_min": float(levels[0]),
+        "dispersion_max": float(levels[-1]),
         "grid": {"d": cfg.grid.d, "N": cfg.grid.N, "L": cfg.grid.L},
     }
     print(json.dumps(doc, indent=2, sort_keys=True))

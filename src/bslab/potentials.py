@@ -81,11 +81,6 @@ class PotentialField:
     def is_matrix(self) -> bool:
         return self.values.ndim == self.grid.d + 2
 
-    def as_gridfunction(self) -> GridFunction:
-        if self.is_matrix:
-            raise ValueError("matrix potentials are not scalar grid functions")
-        return GridFunction(self.grid, self.values)
-
     def scaled(self, c: complex) -> "PotentialField":
         keep_flag = self.imaginary_nonneg and float(np.real(c)) == c and np.real(c) >= 0
         return PotentialField(self.grid, c * self.values, imaginary_nonneg=keep_flag)
@@ -216,9 +211,11 @@ def scaled_field(fld: PotentialField, t: float, s: float) -> PotentialField:
 
 
 def imaginary_potential(w: PotentialField | np.ndarray, grid: Optional[TorusGrid] = None) -> PotentialField:
-    """Build V = iW from a nonnegative profile W (Hermitian PSD site-wise if matrix)."""
+    """Build V = iW from W >= 0 (Hermitian PSD site-wise if matrix); raw arrays need grid."""
     if isinstance(w, PotentialField):
         grid, wvals = w.grid, w.values
+    elif grid is None:
+        raise ValueError("a raw W array needs grid")
     else:
         wvals = np.asarray(w, dtype=complex)
     if np.abs(wvals.imag).max(initial=0.0) > 1e-14 * max(1.0, np.abs(wvals).max()):

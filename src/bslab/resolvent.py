@@ -5,19 +5,22 @@ trip, the position kernel is the inverse transform of the multiplier samples,
 and operator p->r norms are estimated from below by a Boyd-style nonlinear
 power iteration on the weighted lattice norms.
 
-Spectral parameters on (or numerically on) the lattice dispersion are
-rejected; boundary values T(xi) = lambda +- i*0 are reached by offsetting the
-parameter by a multiple of the local level spacing.
+The multiplier samples of T come from ``symbols.symbol_values``.  The
+sorted level set of the lattice dispersion is built once per (symbol, grid)
+by :func:`lattice_levels`; spectral parameters on (or numerically on) it are
+rejected, and boundary values T(xi) = lambda +- i*0 are reached by offsetting
+the parameter by a multiple of the local level spacing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .lattice import GridFunction, TorusGrid, lp_norm
-from .symbols import SymbolSpec, dispersion_values
+from .lattice import GridFunction, TorusGrid, apply_multiplier, lp_norm
+from .symbols import SymbolKind, SymbolSpec, dispersion_values, symbol_values
 
 __all__ = [
     "OpNormEstimate",
@@ -27,6 +30,7 @@ __all__ = [
     "empirical_opnorm",
     "factored_dirac_apply",
     "kernel_array",
+    "lattice_levels",
     "local_spacing",
     "resolvent_apply",
     "resolvent_multiplier",
@@ -37,18 +41,15 @@ class ResolventPoleError(ValueError):
     """Spectral parameter sits on (or within roundoff of) the lattice dispersion."""
 
 
-def _symbol_matrices(spec: SymbolSpec, grid: TorusGrid) -> np.ndarray:
-    """Stacked symbol matrices T(xi_k), shape grid.shape + (n, n)."""
-    xi = grid.xi()
-    if not spec.is_dirac:
-        raise ValueError("matrix symbols exist for Dirac kinds only")
-    from .symbols import clifford_generators
+@lru_cache(maxsize=64)
+def lattice_levels(spec: SymbolSpec, grid: TorusGrid) -> np.ndarray:
+    """Sorted distinct levels of the dispersion branches over the grid's modes.
 
-    alphas, beta = clifford_generators(spec.d)
-    mats = np.einsum("...j,jab->...ab", xi, np.stack(alphas))
-    if spec.kind.value == "dirac_massive":
-        mats = mats + beta
-    return mats
+    Cached per (spec, grid) and read-only, like the grid's frequency array.
+    """
+    levels = np.unique(dispersion_values(spec, grid.xi()))
+    levels.setflags(write=False)
+    return levels
 
 
 def resolvent_multiplier(spec: SymbolSpec, grid: TorusGrid, z: complex) -> np.ndarray:
@@ -59,25 +60,18 @@ def resolvent_multiplier(spec: SymbolSpec, grid: TorusGrid, z: complex) -> np.nd
     route lives in factored_dirac_apply so the two stay independent).
     """
     _check_off_dispersion(spec, grid, z)
-    xi = grid.xi()
+    tvals = symbol_values(spec, grid.xi())
     if not spec.is_dirac:
-        tvals = dispersion_values(spec, xi)[..., 0]
         return 1.0 / (tvals - z)
-    mats = _symbol_matrices(spec, grid)
-    eye = np.eye(spec.n, dtype=complex)
-    return np.linalg.inv(mats - z * eye)
+    return np.linalg.inv(tvals - z * np.eye(spec.n, dtype=complex))
 
 
 def _check_off_dispersion(spec: SymbolSpec, grid: TorusGrid, z: complex) -> None:
-    branches = dispersion_values(spec, grid.xi())
-    gap = np.abs(branches - z)
-    scale = max(1.0, float(np.abs(branches).max()))
-    if gap.min() <= 1e-12 * scale:
-        flat = int(np.argmin(gap))
-        idx = np.unravel_index(flat, gap.shape)
-        raise ResolventPoleError(
-            f"z={z} within roundoff of lattice level {branches[idx]:.6g} at mode {idx[:-1]}"
-        )
+    levels = lattice_levels(spec, grid)
+    gap = np.abs(levels - z)
+    j = int(np.argmin(gap))
+    if gap[j] <= 1e-12 * max(1.0, float(np.abs(levels).max())):
+        raise ResolventPoleError(f"z={z} within roundoff of lattice level {levels[j]:.6g}")
 
 
 @dataclass
@@ -98,13 +92,9 @@ class ResolventHandle:
         return self.spec.n
 
     def apply(self, f: GridFunction) -> GridFunction:
-        from .lattice import apply_multiplier
-
         return apply_multiplier(self._mult, f)
 
     def apply_adjoint(self, f: GridFunction) -> GridFunction:
-        from .lattice import apply_multiplier
-
         if self._mult.ndim == self.grid.d:
             adj = np.conj(self._mult)
         else:
@@ -123,17 +113,14 @@ def factored_dirac_apply(spec: SymbolSpec, grid: TorusGrid, z: complex, f: GridF
     zeta = z^2 for the massless kind and z^2 - 1 for the massive kind, with
     -Lap the scalar multiplier |xi|^2 acting diagonally on spinors.
     """
-    from .lattice import apply_multiplier
-
     if not spec.is_dirac:
         raise ValueError("factorization applies to Dirac kinds only")
     _check_off_dispersion(spec, grid, z)
     xi = grid.xi()
-    zeta = z * z - (1.0 if spec.kind.value == "dirac_massive" else 0.0)
+    zeta = z * z - (1.0 if spec.kind is SymbolKind.DIRAC_MASSIVE else 0.0)
     scalar_res = 1.0 / (np.sum(xi**2, axis=-1) - zeta)
     g = apply_multiplier(scalar_res, f)
-    mats = _symbol_matrices(spec, grid) + z * np.eye(spec.n, dtype=complex)
-    return apply_multiplier(mats, g)
+    return apply_multiplier(symbol_values(spec, xi) + z * np.eye(spec.n, dtype=complex), g)
 
 
 def kernel_array(handle: ResolventHandle) -> np.ndarray:
@@ -154,7 +141,7 @@ def kernel_array(handle: ResolventHandle) -> np.ndarray:
 
 def local_spacing(spec: SymbolSpec, grid: TorusGrid, at: float, window: int = 8) -> float:
     """Median spacing of the lattice dispersion levels nearest to `at`."""
-    levels = np.sort(np.unique(dispersion_values(spec, grid.xi()).reshape(-1)))
+    levels = lattice_levels(spec, grid)
     if levels.size < 2:
         raise ValueError("dispersion has a single level; spacing undefined")
     idx = int(np.searchsorted(levels, at))

@@ -7,6 +7,8 @@ site-diagonal potential).  Eigenvalues of the discretized continuum
 genuine discrete eigenvalues stay put, so a pair of spectra at N and 2N
 separates the two: points close to the essential intervals are artifacts,
 distant points that barely move across the refinement are discrete.
+:func:`classified_spectrum` is that pipeline: the eigensolve at N and at 2N,
+then :func:`classify`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 import scipy.linalg
 
 from .lattice import TorusGrid, multiplier_matrix
-from .potentials import PotentialField
-from .resolvent import _symbol_matrices, local_spacing
-from .symbols import SymbolKind, SymbolSpec, dispersion_values
+from .potentials import PotentialField, resample
+from .resolvent import local_spacing
+from .symbols import SymbolKind, SymbolSpec, symbol_values
 
 __all__ = [
     "EssentialSpectrum",
@@ -35,6 +37,7 @@ __all__ = [
     "assemble_hamiltonian",
     "eigensolve",
     "classify",
+    "classified_spectrum",
     "spectrum_csv",
 ]
 
@@ -84,11 +87,7 @@ def assemble_hamiltonian(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -
     if V.grid != grid:
         raise ValueError("potential grid does not match the requested grid")
     n = spec.n
-    if spec.n == 1:
-        tmult = dispersion_values(spec, grid.xi())[..., 0]
-    else:
-        tmult = _symbol_matrices(spec, grid)
-    H = multiplier_matrix(tmult, grid, n=n)
+    H = multiplier_matrix(symbol_values(spec, grid.xi()), grid, n=n)
     if V.is_matrix:
         if V.values.shape[-1] != n:
             raise ValueError(
@@ -221,6 +220,14 @@ def classify(
             )
         )
     return points
+
+
+def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> list[SpectralPoint]:
+    """Every eigenvalue of H0 + V on grid, in eigensolve order, labeled by classify."""
+    fine = grid.refined(2)
+    coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
+    refined = eigensolve(assemble_hamiltonian(spec, fine, resample(V, fine)))
+    return classify(coarse.values, refined.values, spec, grid, fine)
 
 
 def spectrum_csv(points, path) -> None:

@@ -13,6 +13,10 @@ Dirac families (s fixed to 1, spinor dimension 2 for d <= 2 and 4 for d = 3):
 with alpha_j, beta a Hermitian Clifford family (alpha_i alpha_j + alpha_j
 alpha_i = 2 delta_ij, beta anticommutes with every alpha_j, beta^2 = 1).
 
+T(xi) on frequency arrays is built in :func:`symbol_values` only; its
+eigenvalue branches are :func:`dispersion_values`, and the sorted level set
+of a lattice is ``resolvent.lattice_levels``.
+
 Frequencies are plain vectors; the 2*pi convention lives entirely in the
 lattice transforms, which pair these symbols with the frequency grid k/L.
 """
@@ -31,6 +35,7 @@ __all__ = [
     "dispersion_values",
     "eval_symbol",
     "spinor_dim",
+    "symbol_values",
 ]
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -120,8 +125,28 @@ class SymbolSpec:
         return self.kind in _DIRAC_KINDS
 
 
+def symbol_values(spec: SymbolSpec, xi) -> np.ndarray:
+    """T on a frequency array xi of shape (..., d).
+
+    Scalar kinds give real samples, shape (...); Dirac kinds give the
+    Hermitian matrices sum_j alpha_j xi_j (+ beta if massive), shape (..., n, n).
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != (spec.d,):
+        raise ValueError(f"last axis must have length d={spec.d}")
+    if spec.kind is SymbolKind.FRACTIONAL_LAPLACIAN:
+        return np.sum(xi**2, axis=-1) ** (spec.s / 2.0)
+    if spec.kind is SymbolKind.RELATIVISTIC:
+        return (1.0 + np.sum(xi**2, axis=-1)) ** (spec.s / 2.0) - 1.0
+    alphas, beta = clifford_generators(spec.d)
+    mats = np.einsum("...j,jab->...ab", xi, np.stack(alphas))
+    if spec.kind is SymbolKind.DIRAC_MASSIVE:
+        mats = mats + beta
+    return mats
+
+
 def eval_symbol(spec: SymbolSpec, xi) -> float | np.ndarray:
-    """Evaluate T(xi) at a single frequency vector.
+    """Evaluate T(xi) at a single frequency vector (the one-point symbol_values).
 
     Returns a real scalar for spinor dimension 1 and a Hermitian (n, n)
     complex matrix for the Dirac kinds.
@@ -129,39 +154,23 @@ def eval_symbol(spec: SymbolSpec, xi) -> float | np.ndarray:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (spec.d,):
         raise ValueError(f"frequency must have shape ({spec.d},), got {xi.shape}")
-    if spec.kind is SymbolKind.FRACTIONAL_LAPLACIAN:
-        return float(np.linalg.norm(xi) ** spec.s)
-    if spec.kind is SymbolKind.RELATIVISTIC:
-        return float((1.0 + np.dot(xi, xi)) ** (spec.s / 2.0) - 1.0)
-    alphas, beta = clifford_generators(spec.d)
-    mat = sum(a * x for a, x in zip(alphas, xi))
-    if spec.kind is SymbolKind.DIRAC_MASSIVE:
-        mat = mat + beta
-    return mat
+    value = symbol_values(spec, xi)
+    return value if spec.is_dirac else float(value)
 
 
 def dispersion_values(spec: SymbolSpec, xi_array: np.ndarray) -> np.ndarray:
-    """Eigenvalue branches of T over an array of frequencies.
+    """Eigenvalue branches of T over a frequency array of shape (..., d).
 
-    Parameters
-    ----------
-    xi_array : ndarray, shape (..., d)
-
-    Returns
-    -------
-    ndarray, shape (..., n)
-        For scalar kinds the single branch; for Dirac kinds the branches
-        -lambda(xi) and +lambda(xi), each with multiplicity n/2, where
-        lambda = |xi| (massless) or sqrt(1 + |xi|^2) (massive).
+    Returns shape (..., n): for scalar kinds the single branch T itself; for
+    Dirac kinds -lambda(xi) and +lambda(xi), each with multiplicity n/2, where
+    lambda = |xi| (massless) or sqrt(1 + |xi|^2) (massive).
     """
+    if not spec.is_dirac:
+        return symbol_values(spec, xi_array)[..., None]
     xi_array = np.asarray(xi_array, dtype=float)
     if xi_array.shape[-1] != spec.d:
         raise ValueError(f"last axis must have length d={spec.d}")
     r2 = np.sum(xi_array**2, axis=-1)
-    if spec.kind is SymbolKind.FRACTIONAL_LAPLACIAN:
-        return (r2 ** (spec.s / 2.0))[..., None]
-    if spec.kind is SymbolKind.RELATIVISTIC:
-        return ((1.0 + r2) ** (spec.s / 2.0) - 1.0)[..., None]
     lam = np.sqrt(r2) if spec.kind is SymbolKind.DIRAC_MASSLESS else np.sqrt(1.0 + r2)
     half = spec.n // 2
     return np.stack([-lam] * half + [lam] * half, axis=-1)

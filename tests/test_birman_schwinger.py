@@ -11,6 +11,7 @@ from bslab.birman_schwinger import (
     DetValue,
     assemble_bs,
     bs_det_evaluator,
+    bs_matrix,
     bs_principle_check,
     det_bound_constant,
     det_contour_roots,
@@ -156,6 +157,14 @@ def test_assemble_validations():
         assemble_bs(FRAC, other, V, -1.0)
 
 
+def test_assemble_bs_wraps_bs_matrix():
+    grid = TorusGrid(d=1, N=16, L=8.0)
+    V = gaussian_well(grid, -1.3 + 0.4j)
+    for variant in ("abs_first", "signed_first"):
+        M = assemble_bs(FRAC, grid, V, -0.6 + 0.3j, variant=variant)
+        assert np.array_equal(M.matrix, bs_matrix(FRAC, grid, V, -0.6 + 0.3j, variant))
+
+
 # ---------------------------------------------------------------------------
 # Schatten norms
 
@@ -241,14 +250,9 @@ def test_det_invalid_order():
 
 
 def dense_hamiltonian(spec, grid, V):
-    from bslab.resolvent import _symbol_matrices
-    from bslab.symbols import dispersion_values
+    from bslab.symbols import symbol_values
 
-    if spec.n == 1:
-        tmult = dispersion_values(spec, grid.xi())[..., 0]
-    else:
-        tmult = _symbol_matrices(spec, grid)
-    H0 = multiplier_matrix(tmult, grid, n=spec.n)
+    H0 = multiplier_matrix(symbol_values(spec, grid.xi()), grid, n=spec.n)
     return H0 + np.diag(np.repeat(V.values.ravel(), spec.n))
 
 
@@ -309,6 +313,13 @@ def test_det_evaluator_matches_assembled_determinant():
     slow = regularized_det(assemble_bs(FRAC, grid, V, z), 2)
     assert abs(fast.log_abs - slow.log_abs) < 1e-10 * max(1.0, abs(slow.log_abs))
     assert abs(cmath.exp(1j * (fast.phase - slow.phase)) - 1.0) < 1e-10
+
+
+def test_det_evaluator_checks_the_potential_grid():
+    V = gaussian_well(TorusGrid(d=1, N=32, L=20.0), -1.0)
+    det = bs_det_evaluator(FRAC, TorusGrid(d=1, N=32, L=10.0), V, order=2)
+    with pytest.raises(ValueError, match="potential grid does not match"):
+        det(-1.0 + 0.5j)
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,26 @@ def test_verifier_argument_errors_exit_2_before_compute(
     assert capsys.readouterr().err.startswith(f"config error at run.{key}:")
 
 
+@pytest.mark.parametrize(
+    "operator, q, path",
+    [
+        ({"kind": "dirac_massive", "d": 1}, 1.0, "operator.kind"),
+        ({"kind": "fractional_laplacian", "d": 1, "s": 0.4}, 1.0, "operator.s"),
+        ({"kind": "fractional_laplacian", "d": 1, "s": 1.0}, 1.5, "run.q"),
+    ],
+    ids=["massive-dirac-kind", "s-below-d-over-d-plus-1", "q-above-window"],
+)
+def test_imaginary_regime_errors_name_their_field(tmp_path, capsys, operator, q, path):
+    doc = base_config(
+        potential={"family": "gaussian", "params": {"amplitude": [2.0, 0.0], "width": 1.0}},
+        run={"q": q, "theorems": ["imaginary"]},
+    )
+    doc["operator"] = operator
+    rc = cli_main(["verify", "imaginary", "--config", write_config(tmp_path, doc)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error at {path}:")
+
+
 def test_custom_kind_is_an_unknown_operator_kind(tmp_path, capsys):
     doc = base_config(operator={"kind": "custom", "d": 1})
     rc = cli_main(["symbols", "--config", write_config(tmp_path, doc)])

@@ -97,6 +97,11 @@ def test_imaginary_potential_flag_and_validation():
         imaginary_potential(PotentialField(grid, bad))
 
 
+def test_imaginary_potential_raw_array_needs_grid():
+    with pytest.raises(ValueError, match="needs grid"):
+        imaginary_potential(np.ones(8))
+
+
 def test_scaled_keeps_imaginary_flag_only_for_nonneg_real_factor():
     grid = TorusGrid(1, 16, 4.0)
     fld = imaginary_potential(np.ones(grid.shape), grid)

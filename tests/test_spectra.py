@@ -70,10 +70,10 @@ def test_assembled_dirac_with_matrix_potential():
     blocks = rng.standard_normal(grid.shape + (2, 2)) + 1j * rng.standard_normal(grid.shape + (2, 2))
     V = PotentialField(grid, blocks)
     H = assemble_hamiltonian(MASSIVE, grid, V)
-    from bslab.resolvent import _symbol_matrices
+    from bslab.symbols import symbol_values
 
     f = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
-    tf = apply_multiplier(_symbol_matrices(MASSIVE, grid), GridFunction(grid, f))
+    tf = apply_multiplier(symbol_values(MASSIVE, grid.xi()), GridFunction(grid, f))
     expected = tf.values + np.einsum("xab,xb->xa", blocks, f)
     got = (H @ f.ravel()).reshape(grid.shape + (2,))
     assert np.max(np.abs(got - expected)) < 1e-11 * max(1.0, np.max(np.abs(expected)))
