@@ -3,11 +3,12 @@
 :func:`bs_matrix` is the one place M(z) is built -- variant choice, grid
 check, half-potential split and the dense sandwiched resolvent.  On top of it
 this module computes Schatten norms from singular values and regularized
-Fredholm determinants det_n(I + M) from eigenvalues, and locates determinant
-zeros inside rectangles of the complex plane by an argument-principle
-bisection with secant polishing.  For z off the dispersion levels of T, the
-finite model makes the eigenvalue correspondence exact: z is an eigenvalue
-of H_0 + V iff -1 is an eigenvalue of M(z).
+Fredholm determinants det_n(I + M) from one LU factorization plus traces of
+powers of M, and locates determinant zeros inside rectangles of the complex
+plane by an argument-principle bisection with secant polishing.  For z off
+the dispersion levels of T, the finite model makes the eigenvalue
+correspondence exact: z is an eigenvalue of H_0 + V iff -1 is an eigenvalue
+of M(z), which :func:`bs_residual` measures.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "schatten_norm",
     "regularized_det",
     "det_bound_constant",
+    "bs_residual",
     "bs_principle_check",
     "bs_det_evaluator",
     "det_contour_roots",
@@ -46,6 +48,8 @@ __all__ = [
 _SV_TRUNCATION = 1e-13
 
 _VARIANTS = ("abs_first", "signed_first")
+
+_TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +229,11 @@ def schatten_norm(M, alpha: float) -> SchattenReport:
 
 @dataclass(frozen=True)
 class DetValue:
-    """det_n(I + M) with the magnitude kept in log form to avoid overflow."""
+    """det_n(I + M) with the magnitude kept in log form to avoid overflow.
+
+    phase is the argument of value, defined mod 2 pi and stored as its
+    principal value (math.remainder by 2 pi, so |phase| <= pi).
+    """
 
     order: int
     value: complex
@@ -234,34 +242,27 @@ class DetValue:
 
 
 def regularized_det(M, order: int) -> DetValue:
-    """Regularized determinant det_n(I+M) = prod_j (1+mu_j) exp(sum_{k<n} (-mu_j)^k / k).
+    """Regularized determinant det_n(I+M) = det(I+M) exp(sum_{k=1}^{n-1} (-1)^k tr(M^k) / k).
 
-    Evaluated from the eigenvalues mu_j of M rather than traces of powers,
-    which stays stable on the contours used for root finding where |mu_j|
-    sits near 1.  Magnitude and phase accumulate separately in log form.
+    det(I+M) comes from one LU factorization (slogdet); the regularizing
+    factor from traces of powers of M, so order 2 costs only tr M and each
+    higher order one more matrix product.  Magnitude and phase are combined
+    in log form.  A singular I+M gives log_abs = -inf and value 0.  M is not
+    modified.
     """
     order = int(order)
     if order < 1:
         raise ValueError(f"determinant regularization order must be >= 1, got {order}")
     mat = M.matrix if isinstance(M, BSOperator) else np.asarray(M, dtype=complex)
-    mu = np.linalg.eigvals(mat)
-
-    one_plus = 1.0 + mu
-    log_abs = 0.0
-    phase = 0.0
-    if np.any(one_plus == 0):
-        log_abs = -math.inf
-    else:
-        log_abs += float(np.sum(np.log(np.abs(one_plus))))
-        phase += float(np.sum(np.angle(one_plus)))
-    # regularizing factor exp(sum_{k=1}^{n-1} (-1)^k mu^k / k), exact in log form
-    reg = np.zeros_like(mu)
-    term = np.ones_like(mu)
+    sign, log_abs = np.linalg.slogdet(mat + np.eye(mat.shape[0]))
+    reg = 0j
+    power = mat
     for k in range(1, order):
-        term = term * (-mu)
-        reg = reg + term / k
-    log_abs += float(np.sum(reg.real))
-    phase += float(np.sum(reg.imag))
+        if k > 1:
+            power = power @ mat
+        reg += (-1) ** k * complex(np.trace(power)) / k
+    log_abs = float(log_abs) + reg.real
+    phase = math.remainder(cmath.phase(sign) + reg.imag, _TWO_PI)
 
     if log_abs == -math.inf:
         value = 0j
@@ -286,6 +287,12 @@ def det_bound_constant(order: int) -> float:
 # eigenvalue correspondence
 
 
+def bs_residual(M: np.ndarray) -> float:
+    """min_j |mu_j + 1| over the eigenvalues mu_j of a BS matrix M."""
+    mu = np.linalg.eigvals(M)
+    return float(np.min(np.abs(mu + 1.0)))
+
+
 def bs_principle_check(
     spec: SymbolSpec,
     grid: TorusGrid,
@@ -294,8 +301,7 @@ def bs_principle_check(
     variant: str = "abs_first",
 ) -> float:
     """min_j |mu_j(M(z)) + 1|; near zero certifies z as an eigenvalue of H_0+V."""
-    mu = np.linalg.eigvals(bs_matrix(spec, grid, V, z_candidate, variant))
-    return float(np.min(np.abs(mu + 1.0)))
+    return bs_residual(bs_matrix(spec, grid, V, z_candidate, variant))
 
 
 def bs_det_evaluator(
@@ -343,9 +349,6 @@ class _DetSampler:
         val = (dv.log_abs, dv.phase)
         self.cache[z] = val
         return val
-
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _phase_change(sampler: _DetSampler, a: complex, b: complex, min_len: float):

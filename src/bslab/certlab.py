@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .birman_schwinger import assemble_bs, bs_matrix, bs_principle_check, schatten_norm, schatten_order
+from .birman_schwinger import assemble_bs, bs_matrix, bs_residual, schatten_norm, schatten_order
 from .conformal import weighted_blaschke_sum
 from .lattice import GridFunction, TorusGrid, lp_norm, multiplier_matrix
 from .potentials import PotentialField, imaginary_potential, potential_norm, scaled_field
@@ -579,10 +579,9 @@ def verify_main(
             t_lo = mid
 
     new_pts = discrete_in(t_hi)
-    bs_residuals = [bs_principle_check(spec, grid, V.scaled(t_hi), p.z) for p in new_pts]
-    sigma1 = [
-        float(assemble_bs(spec, grid, V.scaled(t_hi), p.z).singular_values[0]) for p in new_pts
-    ]
+    entering = [assemble_bs(spec, grid, V.scaled(t_hi), p.z) for p in new_pts]
+    bs_residuals = [bs_residual(op.matrix) for op in entering]
+    sigma1 = [float(op.singular_values[0]) for op in entering]
     sweep_max = 0.0
     if t_lo > 0.0:
         for z in K.sample_grid(*sweep_shape):

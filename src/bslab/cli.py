@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .birman_schwinger import assemble_bs, bs_det_evaluator, schatten_norm, schatten_order
+from .birman_schwinger import assemble_bs, regularized_det, schatten_norm, schatten_order
 from .certlab import (
     BoundCertificate,
     JobError,
@@ -525,13 +525,12 @@ def _cmd_bs(cfg: ExperimentConfig, args) -> int:
         else:
             alpha = 2.0
     order = max(2, math.ceil(alpha))
-    det = bs_det_evaluator(cfg.spec, cfg.grid, cfg.potential, order)
     lines = ["re,im,sigma1,schatten,det_log_abs,det_phase"]
     for z in ray:
         op = assemble_bs(cfg.spec, cfg.grid, cfg.potential, z)
         sig1 = float(op.singular_values[0])
         snorm = schatten_norm(op, alpha).norm
-        dv = det(z)
+        dv = regularized_det(op, order)
         lines.append(f"{z.real!r},{z.imag!r},{sig1!r},{snorm!r},{dv.log_abs!r},{dv.phase!r}")
     dest = _artifact_dir(args.out)
     path = dest / "bs-scan.csv"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bslab.birman_schwinger import (
     ContourBoundaryError,
@@ -22,7 +23,7 @@ from bslab.birman_schwinger import (
 )
 from bslab.lattice import TorusGrid, multiplier_matrix
 from bslab.potentials import PotentialField, PotentialSpec, sample_potential
-from bslab.resolvent import ResolventHandle, kernel_array
+from bslab.resolvent import ResolventHandle, kernel_array, lattice_levels
 from bslab.symbols import SymbolKind, SymbolSpec
 
 FRAC = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=1.5)
@@ -411,3 +412,99 @@ def test_contour_roots_match_eigensolve():
         assert min(abs(f - z) for f in found) < 1e-6
     for f in found:
         assert min(abs(f - z) for z in targets) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# LU determinants against slow oracles
+
+_PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def eigenvalue_det(M, order):
+    """(log_abs, phase) of prod_j (1+mu_j) exp(sum_{k<n} (-mu_j)^k / k) from eigvals."""
+    mu = np.linalg.eigvals(M)
+    logs = np.log(1.0 + mu) + sum((-mu) ** k / k for k in range(1, order))
+    return float(np.sum(logs.real)), float(np.sum(logs.imag))
+
+
+def same_phase(a, b, tol):
+    return abs(math.remainder(a - b, 2.0 * math.pi)) <= tol
+
+
+@st.composite
+def random_matrices(draw):
+    """Complex Gaussian matrices; some shifted so one eigenvalue of I+M is tiny.
+
+    The LU and eigenvalue forms both lose about eps/|delta| when I+M has an
+    eigenvalue delta, so near-singular draws keep |delta| >= 1e-3.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 40))
+    scale = draw(st.floats(0.05, 3.0))
+    M = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(dim)
+    if draw(st.booleans()):
+        delta = 10.0 ** draw(st.floats(-3.0, -1.0)) * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        M = M - (1.0 + np.linalg.eigvals(M)[0] + delta) * np.eye(dim)
+    return M
+
+
+@_PROPERTY
+@given(random_matrices(), st.integers(1, 3))
+def test_lu_determinant_matches_eigenvalue_oracle(M, order):
+    before = M.copy()
+    dv = regularized_det(M, order)
+    assert np.array_equal(M, before)
+    log_abs, phase = eigenvalue_det(M, order)
+    assert abs(dv.log_abs - log_abs) <= 1e-10 * max(1.0, abs(log_abs))
+    assert same_phase(dv.phase, phase, 1e-10)
+
+
+@_PROPERTY
+@given(random_matrices(), st.integers(1, 3), st.floats(-60.0, 60.0))
+def test_det_phase_is_the_principal_value(M, order, twist):
+    # a large imaginary shift winds the unreduced phase many times around
+    dv = regularized_det(M + 1j * twist * np.eye(M.shape[0]) / M.shape[0], order)
+    assert abs(dv.phase) <= math.pi
+    assume(dv.log_abs < 700.0)  # beyond that exp overflows and value is inf
+    assert cmath.rect(math.exp(dv.log_abs), dv.phase) == dv.value
+
+
+@st.composite
+def finite_models(draw):
+    """d=1 fractional Laplacian or massive Dirac, a complex well and z off the levels."""
+    if draw(st.booleans()):
+        spec = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=draw(st.floats(0.5, 2.0)))
+    else:
+        spec = SymbolSpec(kind=SymbolKind.DIRAC_MASSIVE, d=1)
+    grid = TorusGrid(d=1, N=2 * draw(st.integers(4, 16)), L=draw(st.floats(2.0, 20.0)))
+    amp = complex(draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0)))
+    well = PotentialSpec("gaussian", {"amplitude": amp, "width": draw(st.floats(0.3, 2.0)), "center": [0.0]})
+    z = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-2.0, 2.0)))
+    assume(np.min(np.abs(lattice_levels(spec, grid) - z)) >= 0.1)
+    return spec, grid, sample_potential(well, grid), z
+
+
+@_PROPERTY
+@given(finite_models())
+def test_det1_is_the_ratio_of_hamiltonian_determinants(model):
+    spec, grid, V, z = model
+    H = dense_hamiltonian(spec, grid, V)
+    H0 = dense_hamiltonian(spec, grid, V.scaled(0.0))
+    eye = np.eye(H.shape[0])
+    sign, log_h = np.linalg.slogdet(H - z * eye)
+    sign0, log_h0 = np.linalg.slogdet(H0 - z * eye)
+    dv = regularized_det(bs_matrix(spec, grid, V, z), 1)
+    expected = log_h - log_h0
+    assert abs(dv.log_abs - expected) <= 1e-9 * max(1.0, abs(expected))
+    assert same_phase(dv.phase, cmath.phase(sign) - cmath.phase(sign0), 1e-9)
+
+
+@_PROPERTY
+@given(finite_models())
+def test_det2_is_det1_times_exp_minus_trace(model):
+    spec, grid, V, z = model
+    M = bs_matrix(spec, grid, V, z)
+    one, two = regularized_det(M, 1), regularized_det(M, 2)
+    tr = complex(np.trace(M))
+    assert abs(two.log_abs - (one.log_abs - tr.real)) <= 1e-12 * max(1.0, abs(one.log_abs), abs(tr))
+    assert same_phase(two.phase, one.phase - tr.imag, 1e-12 * max(1.0, abs(tr)))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bslab.birman_schwinger import bs_det_evaluator
 from bslab.certlab import BoundCertificate, certificate_json, summary_csv
 from bslab.cli import ConfigError, emit_report, load_config, main as cli_main
 from bslab.lattice import TorusGrid
@@ -175,6 +176,22 @@ def test_bs_scan_writes_contour_csv(tmp_path):
     assert len(lines) == 1 + 9
     sig1 = [float(row.split(",")[2]) for row in lines[1:]]
     assert sig1[0] > sig1[-1] > 0.0  # norms decay along the outgoing ray
+
+
+@pytest.mark.parametrize("alpha, order", [(None, 2), (2.5, 3)])
+def test_bs_scan_det_columns_match_the_evaluator(tmp_path, alpha, order):
+    doc = base_config() if alpha is None else base_config(run={"alpha": alpha})
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "runs"
+    assert cli_main(["bs", "--config", path, "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    cfg = load_config(path)
+    det = bs_det_evaluator(cfg.spec, cfg.grid, cfg.potential, order)
+    for row in (run_dir / "bs-scan.csv").read_text().strip().splitlines()[1:]:
+        re_, im, _, _, log_abs, phase = map(float, row.split(","))
+        dv = det(complex(re_, im))
+        assert log_abs == dv.log_abs
+        assert abs(math.remainder(phase - dv.phase, 2.0 * math.pi)) <= 1e-12
 
 
 def test_bs_scan_names_a_malformed_alpha(tmp_path, capsys):
