@@ -1,6 +1,6 @@
 """Birman-Schwinger operators M(z) = |V|^{1/2} (T(D) - z)^{-1} V^{1/2}.
 
-:func:`bs_matrix` is the one place M(z) is built -- variant choice, grid
+:func:`bs_matrix` is the one place M(z) is built -- variant choice, potential
 check, half-potential split and the dense sandwiched resolvent.  On top of it
 this module computes Schatten norms from singular values and regularized
 Fredholm determinants det_n(I + M) from one LU factorization plus traces of
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import TorusGrid, multiplier_matrix
+from .lattice import TorusGrid, multiplier_matrix, site_diagonal_sandwich
 from .potentials import PotentialField
 from .resolvent import resolvent_multiplier
 from .symbols import SymbolSpec
@@ -123,20 +123,6 @@ class BSOperator:
         return self.dim // self.grid.size
 
 
-def _sandwich(left: np.ndarray, rmat: np.ndarray, right: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:
-    """diag-block(left) @ rmat @ diag-block(right) for site-local factors."""
-    if left.ndim == grid.d:
-        lvec = np.repeat(left.ravel(), n)
-        rvec = np.repeat(right.ravel(), n)
-        return lvec[:, None] * rmat * rvec[None, :]
-    size = grid.size
-    lb = left.reshape(size, n, n)
-    rb = right.reshape(size, n, n)
-    m = rmat.reshape(size, n, size, n)
-    out = np.einsum("xab,xbyc,ycd->xayd", lb, m, rb, optimize=True)
-    return out.reshape(size * n, size * n)
-
-
 def bs_matrix(
     spec: SymbolSpec,
     grid: TorusGrid,
@@ -147,19 +133,12 @@ def bs_matrix(
     """Dense M(z) = |V|^{1/2} R0(z) V^{1/2}; "signed_first" swaps the two factors."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown order variant {variant!r}; options: {_VARIANTS}")
-    if V.grid != grid:
-        raise ValueError("potential grid does not match the requested grid")
-    n = spec.n
-    if V.is_matrix and V.values.shape[-1] != n:
-        raise ValueError(
-            f"matrix potential blocks are {V.values.shape[-1]}x{V.values.shape[-1]}, "
-            f"symbol needs {n}x{n}"
-        )
+    V.check_fits(grid, spec.n)
     left, right = half_potentials(V)  # |V|^{1/2}, V^{1/2}
     if variant == "signed_first":
         left, right = right, left
-    rmat = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid, n=n)
-    return _sandwich(left.values, rmat, right.values, grid, n)
+    rmat = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid, n=spec.n)
+    return site_diagonal_sandwich(left.values, rmat, right.values, grid, spec.n)
 
 
 def assemble_bs(

@@ -19,7 +19,6 @@ import cmath
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .birman_schwinger import assemble_bs, bs_matrix, bs_residual, schatten_norm, schatten_order
 from .conformal import weighted_blaschke_sum
-from .lattice import GridFunction, TorusGrid, lp_norm, multiplier_matrix
+from .lattice import GridFunction, TorusGrid, lp_norm, multiplier_matrix, per_site, site_magnitudes
 from .potentials import PotentialField, imaginary_potential, potential_norm, scaled_field
 from .resolvent import ResolventHandle, boundary_epsilon, empirical_opnorm, lattice_levels, resolvent_multiplier
 from .spectra import (
@@ -405,7 +404,7 @@ def sum_space_norm(f: GridFunction, r_lo: float, r_hi: float, thresholds: int = 
     if not 1.0 <= r_lo <= r_hi:
         raise ValueError(f"need 1 <= r_lo <= r_hi, got {r_lo}, {r_hi}")
     vals = np.asarray(f.values)
-    mags = np.abs(vals) if vals.ndim == f.grid.d else np.linalg.norm(vals, axis=-1)
+    mags = site_magnitudes(vals, f.grid.d)
     top = float(mags.max())
     if top == 0.0:
         return 0.0
@@ -415,10 +414,9 @@ def sum_space_norm(f: GridFunction, r_lo: float, r_hi: float, thresholds: int = 
     )
     best = math.inf
     for tau in taus:
-        mask = mags > tau
-        shaped = mask if vals.ndim == f.grid.d else mask[..., None]
-        f1 = GridFunction(f.grid, np.where(shaped, vals, 0.0))
-        f2 = GridFunction(f.grid, np.where(shaped, 0.0, vals))
+        mask = per_site(mags > tau, vals, f.grid.d)
+        f1 = GridFunction(f.grid, np.where(mask, vals, 0.0))
+        f2 = GridFunction(f.grid, np.where(mask, 0.0, vals))
         best = min(best, lp_norm(f1, r_lo) + lp_norm(f2, r_hi))
     return best
 
@@ -662,7 +660,7 @@ def verify_uniform_resolvent(
         a_star = 2.0 * d / (d - s)
         b_star = 2.0 * (d + 1) / (d - 1) if d > 1 else math.inf
         rng = np.random.default_rng(seed)
-        shape = grid.shape if spec.n == 1 else grid.shape + (spec.n,)
+        shape = grid.field_shape(spec.n)
         fields = [
             GridFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             for _ in range(probes)
@@ -1145,16 +1143,11 @@ def verify_weighted_sums(
             z0 = complex(-c_emp * v_pow, 0.0)
             inputs["c_emp"] = c_emp
         else:
-            mags = (
-                np.linalg.norm(V.values, ord=2, axis=(-2, -1))
-                if V.is_matrix
-                else np.abs(V.values)
-            )
+            mags = site_magnitudes(V.values, grid.d)
             rho = float(mags.max())
             for _ in range(40):
-                mask = mags < rho
-                shaped = mask if not V.is_matrix else mask[..., None, None]
-                tail = PotentialField(grid, np.where(shaped, V.values, 0.0))
+                mask = per_site(mags < rho, V.values, grid.d)
+                tail = PotentialField(grid, np.where(mask, V.values, 0.0))
                 probe_z = _point_at_distance(kind, 2.0 * rho)
                 if assemble_bs(spec, grid, tail, probe_z).singular_values[0] < 0.5:
                     break
@@ -1208,19 +1201,15 @@ class JobError(RuntimeError):
         self.job_id = job_id
 
 
-def run_jobs(jobs: Sequence[VerifyJob], workers: int = 1) -> list[BoundCertificate]:
-    """Run jobs across a thread pool; results come back in submission order."""
+def run_jobs(jobs: Sequence[VerifyJob]) -> list[BoundCertificate]:
+    """Run jobs in order in the calling thread; the first failure stops the run."""
     ids = [j.job_id for j in jobs]
     if len(set(ids)) != len(ids):
         raise ValueError(f"job ids must be unique, got {ids}")
-    if not jobs:
-        return []
-    with ThreadPoolExecutor(max_workers=max(1, int(workers))) as pool:
-        futures = [pool.submit(job.fn) for job in jobs]
-        results = []
-        for job, fut in zip(jobs, futures):
-            try:
-                results.append(fut.result())
-            except Exception as err:
-                raise JobError(job.job_id, err) from err
+    results = []
+    for job in jobs:
+        try:
+            results.append(job.fn())
+        except Exception as err:
+            raise JobError(job.job_id, err) from err
     return results

@@ -3,10 +3,10 @@
 The CLI is a thin layer over the library: a single JSON config file with
 ``operator`` / ``grid`` / ``potential`` / ``run`` blocks describes the whole
 experiment, and no command-line flag can override physics parameters -- only
-output paths, report format, and worker counts.  Certificates written by a
-run therefore fully describe it, and a rerun of the same config and seed
-reproduces them byte for byte (with ``--deterministic`` zeroing wall-clock
-fields).
+output paths and the report format.  Certificates written by a run therefore
+fully describe it, and a rerun of the same config and seed reproduces them
+byte for byte (with ``--deterministic`` zeroing wall-clock fields).  The
+verifiers of a run execute one after another in this process.
 
 Exit codes: 0 when every certificate is PASS or REPORT-ONLY, 1 when some
 certificate FAILs, 2 for configuration or validation errors (the message
@@ -59,7 +59,6 @@ from .certlab import _case_a  # the s >= 2d/(d+1) split picks the bs-scan Schatt
 from .lattice import TorusGrid
 from .potentials import (
     PotentialField,
-    PotentialFormatError,
     PotentialSpec,
     parse_potential_file,
     resample,
@@ -102,7 +101,6 @@ class ExperimentConfig:
     potential: PotentialField
     run: dict
     seed: int
-    workers: int
     theorems: list[str] = field(default_factory=list)
 
 
@@ -170,28 +168,22 @@ def _load_potential(doc: dict, grid: TorusGrid, config_dir: Path) -> PotentialFi
     if not block:
         return PotentialField(grid, np.zeros(grid.shape, dtype=complex))
     if "file" in block:
+        if not isinstance(block["file"], str):
+            raise ConfigError("potential.file", "must be a path string")
         path = Path(block["file"])
         if not path.is_absolute():
             path = config_dir / path
         try:
             fgrid, pspec = parse_potential_file(path)
-        except (OSError, PotentialFormatError) as err:
+            fld = sample_potential(pspec, fgrid)
+            return fld if fgrid == grid else resample(fld, grid)
+        except (OSError, ValueError) as err:  # a PotentialFormatError is a ValueError
             raise ConfigError("potential.file", str(err))
-        if fgrid.d != grid.d or abs(fgrid.L - grid.L) > 1e-12 * grid.L:
-            raise ConfigError(
-                "potential.file",
-                f"samples live on d={fgrid.d}, L={fgrid.L}, but the grid block says "
-                f"d={grid.d}, L={grid.L}",
-            )
-        fld = sample_potential(pspec, fgrid)
-        if fgrid.N != grid.N:
-            try:
-                fld = resample(fld, grid)
-            except ValueError as err:
-                raise ConfigError("potential.file", str(err))
-        return fld
     family = block.get("family")
-    params = {k: _coerce_param(k, v) for k, v in block.get("params", {}).items()}
+    raw = block.get("params", {})
+    if not isinstance(raw, dict):
+        raise ConfigError("potential.params", "must be a JSON object")
+    params = {k: _coerce_param(k, v) for k, v in raw.items()}
     try:
         return sample_potential(PotentialSpec(family, params), grid)
     except (TypeError, ValueError) as err:
@@ -216,9 +208,6 @@ def load_config(path) -> ExperimentConfig:
     seed = run.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("run.seed", "must be an integer")
-    workers = run.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("run.workers", "must be a positive integer")
     theorems = run.get("theorems", [])
     if not isinstance(theorems, list) or not all(isinstance(t, str) for t in theorems):
         raise ConfigError("run.theorems", "must be a list of theorem ids")
@@ -234,7 +223,6 @@ def load_config(path) -> ExperimentConfig:
         potential=potential,
         run=run,
         seed=seed,
-        workers=workers,
         theorems=theorems,
     )
 
@@ -542,8 +530,7 @@ def _cmd_bs(cfg: ExperimentConfig, args) -> int:
 
 def _run_verifiers(cfg: ExperimentConfig, theorems: list[str], args, with_spectra: bool) -> int:
     jobs = [_prepare_job(cfg, thm) for thm in theorems]
-    workers = args.workers if args.workers is not None else cfg.workers
-    certs = run_jobs(jobs, workers=workers)
+    certs = run_jobs(jobs)
     dest = _artifact_dir(args.out)
     for cert in certs:
         doc = certificate_json(cert, deterministic=args.deterministic)
@@ -592,8 +579,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=REPORT_FORMATS, default="json")
             p.add_argument("--deterministic", action="store_true",
                            help="zero wall-clock fields so reruns compare byte for byte")
-            p.add_argument("--workers", type=int, default=None,
-                           help="thread count (overrides run.workers)")
 
     common(sub.add_parser("symbols", help="print the symbol and critical-value table"))
     common(sub.add_parser("spectrum", help="eigensolve, classify, and write spectra CSV"))
@@ -619,7 +604,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not hasattr(args, "format"):
         args.format = "json"
         args.deterministic = False
-        args.workers = None
     try:
         cfg = load_config(args.config)
         return _HANDLERS[args.command](cfg, args)

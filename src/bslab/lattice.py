@@ -1,4 +1,4 @@
-"""Periodic grid, Fourier transforms, and weighted norms.
+"""Periodic grid, Fourier transforms, weighted norms, and the field layout.
 
 The spatial grid on the torus [0, L)^d has N points per axis at x_j = j*L/N;
 the dual frequency lattice is xi_k = k/L for k in {-N/2, ..., N/2-1}^d, stored
@@ -13,12 +13,14 @@ approximates the continuum Fourier integral and the inverse
 is the matching Riemann sum over the frequency lattice (mesh 1/L per axis).
 Parseval then reads (L/N)^d sum|f|^2 = L^{-d} sum|fhat|^2.
 
-Grid functions carry an optional trailing spinor axis; multipliers may be
-scalar per mode or (n, n) matrices per mode.
+Only this module knows the field layout: samples of shape grid.shape
+(scalar), grid.shape + (n,) (spinor) or grid.shape + (n, n) (site block), and
+the site-major, spinor-minor index of dense operators (:func:`multiplier_matrix`).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,12 +29,17 @@ import numpy as np
 __all__ = [
     "GridFunction",
     "TorusGrid",
+    "add_site_diagonal",
     "apply_multiplier",
     "fft_coeffs",
     "from_fft_coeffs",
     "inner",
     "lp_norm",
     "multiplier_matrix",
+    "per_site",
+    "site_diagonal_sandwich",
+    "site_magnitudes",
+    "weighted_lp",
 ]
 
 _N_CAP = {1: 4096, 2: 64, 3: 16}
@@ -50,6 +57,8 @@ class TorusGrid:
     def __post_init__(self):
         if self.d not in _N_CAP:
             raise ValueError(f"d={self.d} unsupported; need 1 <= d <= 3")
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
+            raise TypeError(f"N={self.N!r} must be an integer")
         if self.N % 2 != 0 or self.N < 8:
             raise ValueError(f"N={self.N} must be even and >= 8")
         if self.N > _N_CAP[self.d]:
@@ -77,6 +86,10 @@ class TorusGrid:
 
     def axes(self) -> tuple[int, ...]:
         return tuple(range(self.d))
+
+    def field_shape(self, n: int = 1) -> tuple[int, ...]:
+        """Sample shape of an n-component field: grid.shape, plus (n,) for spinors."""
+        return self.shape + ((n,) if n > 1 else ())
 
     def xi(self) -> np.ndarray:
         """Frequency vectors in FFT order, shape (N,)*d + (d,)."""
@@ -151,22 +164,37 @@ def from_fft_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-def apply_multiplier(m, f: GridFunction) -> GridFunction:
+def site_magnitudes(values: np.ndarray, d: int) -> np.ndarray:
+    """Per-site magnitude of samples on a d-dimensional grid.
+
+    A scalar uses |v|, a spinor its Euclidean norm and an (n, n) site block
+    its spectral norm.
+    """
+    extra = values.ndim - d
+    if extra == 0:
+        return np.abs(values)
+    if extra == 1:
+        return np.linalg.norm(values, axis=-1)
+    return np.linalg.norm(values, ord=2, axis=(-2, -1))
+
+
+def per_site(a: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
+    """A site array a (shape grid.shape) broadcast against the samples values."""
+    return a.reshape(a.shape + (1,) * (values.ndim - d))
+
+
+def apply_multiplier(m: np.ndarray, f: GridFunction) -> GridFunction:
     """Apply a Fourier multiplier to a grid function.
 
-    m is either a callable taking the (..., d) frequency array, or a
-    precomputed array of multiplier values in FFT order: shape grid.shape
-    for scalar multipliers, grid.shape + (n, n) for matrix multipliers
-    acting on spinor fields.
+    m holds the multiplier values in FFT order: shape grid.shape for scalar
+    multipliers (acting componentwise on spinors), grid.shape + (n, n) for
+    matrix multipliers acting on spinor fields.
     """
     grid = f.grid
-    mvals = np.asarray(m(grid.xi()) if callable(m) else m, dtype=complex)
+    mvals = np.asarray(m, dtype=complex)
     spectrum = np.fft.fftn(f.values, axes=grid.axes())
     if mvals.shape == grid.shape:
-        if f.values.ndim == grid.d:
-            spectrum = mvals * spectrum
-        else:
-            spectrum = mvals[..., None] * spectrum
+        spectrum = per_site(mvals, spectrum, grid.d) * spectrum
     elif mvals.ndim == grid.d + 2:
         if f.values.ndim != grid.d + 1 or mvals.shape[-1] != f.values.shape[-1]:
             raise ValueError("matrix multiplier needs a matching spinor field")
@@ -183,28 +211,31 @@ def inner(f: GridFunction, g: GridFunction) -> complex:
     return complex(np.vdot(f.values, g.values) * f.grid.weight)
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Weighted L^p norm, 1 <= p <= inf.
-
-    Scalar fields use |f(x)|, spinor fields the pointwise Euclidean norm.
-    """
-    grid = f.grid
-    vals = np.asarray(f.values)
-    mags = np.abs(vals) if vals.ndim == grid.d else np.linalg.norm(vals, axis=-1)
+def weighted_lp(mags: np.ndarray, p: float, weight: float) -> float:
+    """(weight * sum mags^p)^(1/p) over per-site magnitudes, 1 <= p <= inf."""
     if np.isinf(p):
         return float(mags.max())
     if p < 1:
         raise ValueError(f"p={p} out of range; need 1 <= p <= inf")
-    return float((grid.weight * np.sum(mags**p)) ** (1.0 / p))
+    return float((weight * np.sum(mags**p)) ** (1.0 / p))
 
 
-def multiplier_matrix(m, grid: TorusGrid, n: int = 1) -> np.ndarray:
+def lp_norm(f, p: float) -> float:
+    """Weighted L^p norm of a field with .grid and .values, 1 <= p <= inf.
+
+    Each site counts with its :func:`site_magnitudes` value, so this is
+    also the L^q norm of a scalar or matrix potential.
+    """
+    return weighted_lp(site_magnitudes(np.asarray(f.values), f.grid.d), p, f.grid.weight)
+
+
+def multiplier_matrix(m: np.ndarray, grid: TorusGrid, n: int = 1) -> np.ndarray:
     """Dense matrix of a Fourier multiplier on coefficient vectors.
 
     Index layout is site-major, spinor-minor (row-major sites); the matrix
     acts on f.values.reshape(-1). Assembly is capped at N^d * n <= 8192.
     """
-    mvals = np.asarray(m(grid.xi()) if callable(m) else m, dtype=complex)
+    mvals = np.asarray(m, dtype=complex)
     dim = grid.size * n
     if dim > _DENSE_CAP:
         raise ValueError(f"dense assembly size {dim} exceeds the cap {_DENSE_CAP}")
@@ -218,7 +249,7 @@ def multiplier_matrix(m, grid: TorusGrid, n: int = 1) -> np.ndarray:
         hi = min(lo + chunk, dim)
         block = np.zeros((hi - lo, dim), dtype=complex)
         block[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        fields = block.reshape((hi - lo,) + grid.shape + ((n,) if n > 1 else ()))
+        fields = block.reshape((hi - lo,) + grid.field_shape(n))
         spec = np.fft.fftn(fields, axes=axes)
         if scalar:
             spec = spec * (mvals[None, ..., None] if n > 1 else mvals[None])
@@ -227,3 +258,33 @@ def multiplier_matrix(m, grid: TorusGrid, n: int = 1) -> np.ndarray:
         cols = np.fft.ifftn(spec, axes=axes).reshape(hi - lo, dim)
         out[:, lo:hi] = cols.T
     return out
+
+
+def site_diagonal_sandwich(
+    left: np.ndarray, mat: np.ndarray, right: np.ndarray, grid: TorusGrid, n: int = 1
+) -> np.ndarray:
+    """diag(left) @ mat @ diag(right) in the layout of multiplier_matrix.
+
+    left and right are site-local: scalar samples (grid.shape, acting on
+    each of the n spinor components) or (n, n) site blocks.
+    """
+    if left.ndim == grid.d:
+        lvec = np.repeat(left.ravel(), n)
+        rvec = np.repeat(right.ravel(), n)
+        return lvec[:, None] * mat * rvec[None, :]
+    size = grid.size
+    lb = left.reshape(size, n, n)
+    rb = right.reshape(size, n, n)
+    m = mat.reshape(size, n, size, n)
+    out = np.einsum("xab,xbyc,ycd->xayd", lb, m, rb, optimize=True)
+    return out.reshape(size * n, size * n)
+
+
+def add_site_diagonal(mat: np.ndarray, values: np.ndarray, grid: TorusGrid, n: int = 1) -> np.ndarray:
+    """mat += diag(values) in place, for site-local values as in site_diagonal_sandwich."""
+    if values.ndim == grid.d:
+        mat[np.diag_indices_from(mat)] += np.repeat(values.ravel(), n)
+    else:
+        idx = np.arange(grid.size)
+        mat.reshape(grid.size, n, grid.size, n)[idx, :, idx, :] += values.reshape(grid.size, n, n)
+    return mat

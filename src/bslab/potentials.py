@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import GridFunction, TorusGrid, lp_norm
+from .lattice import TorusGrid, lp_norm
 
 __all__ = [
     "PotentialField",
@@ -80,6 +80,14 @@ class PotentialField:
     @property
     def is_matrix(self) -> bool:
         return self.values.ndim == self.grid.d + 2
+
+    def check_fits(self, grid: TorusGrid, n: int) -> None:
+        """Raise ValueError unless this potential lives on grid and acts on n-spinors."""
+        if self.grid != grid:
+            raise ValueError("potential grid does not match the requested grid")
+        block = self.values.shape[grid.d:]
+        if block not in ((), (n, n)):
+            raise ValueError(f"matrix potential blocks are {block[0]}x{block[1]}, symbol needs {n}x{n}")
 
     def scaled(self, c: complex) -> "PotentialField":
         keep_flag = self.imaginary_nonneg and float(np.real(c)) == c and np.real(c) >= 0
@@ -172,10 +180,13 @@ def _sample_random(spec: PotentialSpec, grid: TorusGrid) -> PotentialField:
 
 
 def resample(fld: PotentialField, grid: TorusGrid) -> PotentialField:
-    """Trigonometric interpolation onto a finer grid (same box, larger even N)."""
+    """Trigonometric interpolation onto a grid on the same box (d, L equal) with N2 >= N."""
     old = fld.grid
     if grid.d != old.d or grid.L != old.L or grid.N < old.N:
-        raise ValueError("resample targets the same box with N2 >= N")
+        raise ValueError(
+            f"samples on d={old.d}, N={old.N}, L={old.L!r} resample only onto the same "
+            f"d and L with N2 >= N, not d={grid.d}, N={grid.N}, L={grid.L!r}"
+        )
     if grid.N == old.N:
         return PotentialField(grid, fld.values.copy(), fld.imaginary_nonneg)
     coeffs = np.fft.fftn(fld.values, axes=old.axes()) / old.size
@@ -233,14 +244,8 @@ def imaginary_potential(w: PotentialField | np.ndarray, grid: Optional[TorusGrid
                           imaginary_nonneg=True)
 
 
-def potential_norm(fld: PotentialField, q: float) -> float:
-    """Weighted L^q norm of the potential (site-wise spectral norm if matrix)."""
-    if fld.is_matrix:
-        mags = np.linalg.norm(fld.values, ord=2, axis=(-2, -1))
-        if np.isinf(q):
-            return float(mags.max())
-        return float((fld.grid.weight * np.sum(mags**q)) ** (1.0 / q))
-    return lp_norm(GridFunction(fld.grid, fld.values), q)
+#: Weighted L^q norm of a potential; an (n, n) site block counts with its spectral norm.
+potential_norm = lp_norm
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import GridFunction, TorusGrid, apply_multiplier, lp_norm
+from .lattice import GridFunction, TorusGrid, apply_multiplier, lp_norm, per_site, site_magnitudes, weighted_lp
 from .symbols import SymbolKind, SymbolSpec, dispersion_values, symbol_values
 
 __all__ = [
@@ -174,53 +174,39 @@ class OpNormEstimate:
     converged: bool
 
 
-def _site_mags(values: np.ndarray, spatial_ndim: int) -> np.ndarray:
-    """Per-site magnitude: |f(x)| for scalars, Euclidean norm over the spinor axis."""
-    if values.ndim == spatial_ndim:
-        return np.abs(values)
-    return np.linalg.norm(values, axis=-1)
-
-
-def _rescale_sites(values: np.ndarray, factor: np.ndarray, spatial_ndim: int) -> np.ndarray:
-    if values.ndim == spatial_ndim:
-        return values * factor
-    return values * factor[..., None]
-
-
-def _spike_like(values: np.ndarray, weight: float, spatial_ndim: int) -> np.ndarray:
+def _spike_like(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Unit-mass spike at the (first, row-major) max-magnitude site."""
-    mags = _site_mags(values, spatial_ndim)
+    mags = site_magnitudes(values, grid.d)
     j = int(np.argmax(mags.reshape(-1)))  # first maximizer: deterministic ties
     out = np.zeros_like(values)
     idx = np.unravel_index(j, mags.shape)
     m = mags[idx]
-    out[idx] = (values[idx] / m if m > 0 else np.ones_like(values[idx])) / weight
+    out[idx] = (values[idx] / m if m > 0 else np.ones_like(values[idx])) / grid.weight
     return out
 
 
-def _norming_dual(y: np.ndarray, r: float, weight: float, spatial_ndim: int) -> np.ndarray:
+def _norming_dual(y: np.ndarray, r: float, grid: TorusGrid) -> np.ndarray:
     """u with ||u||_{r*} = 1 and <u, y> = ||y||_r (weighted site norms)."""
     if np.isinf(r):
-        return _spike_like(y, weight, spatial_ndim)
-    mags = _site_mags(y, spatial_ndim)
-    nrm = (weight * np.sum(mags**r)) ** (1.0 / r)
+        return _spike_like(y, grid)
+    mags = site_magnitudes(y, grid.d)
+    nrm = weighted_lp(mags, r, grid.weight)
     if nrm == 0:
         raise ZeroDivisionError("zero iterate")
     with np.errstate(invalid="ignore", divide="ignore"):
         factor = np.where(mags > 0, (mags / nrm) ** (r - 1.0) / mags, 0.0)
-    return _rescale_sites(y, factor, spatial_ndim)
+    return y * per_site(factor, y, grid.d)
 
 
-def _norming_primal(v: np.ndarray, p: float, weight: float, spatial_ndim: int) -> np.ndarray:
+def _norming_primal(v: np.ndarray, p: float, grid: TorusGrid) -> np.ndarray:
     """x with ||x||_p = 1 maximizing Re<v, x>."""
     if p == 1.0:
-        return _spike_like(v, weight, spatial_ndim)
-    mags = _site_mags(v, spatial_ndim)
+        return _spike_like(v, grid)
+    mags = site_magnitudes(v, grid.d)
     with np.errstate(invalid="ignore", divide="ignore"):
         factor = np.where(mags > 0, mags ** (1.0 / (p - 1.0)) / mags, 0.0)
-    x = _rescale_sites(v, factor, spatial_ndim)
-    nrm = (weight * np.sum(_site_mags(x, spatial_ndim) ** p)) ** (1.0 / p)
-    return x / nrm
+    x = v * per_site(factor, v, grid.d)
+    return x / lp_norm(GridFunction(grid, x), p)
 
 
 def empirical_opnorm(
@@ -246,8 +232,7 @@ def empirical_opnorm(
     if not (1.0 <= p <= 2.0 <= r):
         raise ValueError(f"need 1 <= p <= 2 <= r, got p={p}, r={r}")
     grid = op.grid
-    n = getattr(op, "spinor_dim", 1)
-    shape = grid.shape + ((n,) if n > 1 else ())
+    shape = grid.field_shape(getattr(op, "spinor_dim", 1))
     rng = np.random.default_rng(seed)
     best, best_trace, any_conv = 0.0, [], False
     for _ in range(restarts):
@@ -264,9 +249,9 @@ def empirical_opnorm(
                 conv = True
                 break
             prev = est
-            u = _norming_dual(y, r, grid.weight, grid.d)
+            u = _norming_dual(y, r, grid)
             v = op.apply_adjoint(GridFunction(grid, u)).values
-            x = _norming_primal(v, p, grid.weight, grid.d)
+            x = _norming_primal(v, p, grid)
         if trace and trace[-1] > best:
             best, best_trace = trace[-1], trace
         any_conv = any_conv or conv

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .lattice import TorusGrid, multiplier_matrix
+from .lattice import TorusGrid, add_site_diagonal, multiplier_matrix
 from .potentials import PotentialField, resample
 from .resolvent import local_spacing
 from .symbols import SymbolKind, SymbolSpec, symbol_values
@@ -84,22 +84,9 @@ def dist_to_spectrum(spec: SymbolSpec, z: complex) -> float:
 
 def assemble_hamiltonian(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> np.ndarray:
     """Dense H = T(D) + V on the grid (site-major, spinor-minor layout)."""
-    if V.grid != grid:
-        raise ValueError("potential grid does not match the requested grid")
-    n = spec.n
-    H = multiplier_matrix(symbol_values(spec, grid.xi()), grid, n=n)
-    if V.is_matrix:
-        if V.values.shape[-1] != n:
-            raise ValueError(
-                f"matrix potential blocks are {V.values.shape[-1]}x{V.values.shape[-1]}, "
-                f"symbol needs {n}x{n}"
-            )
-        idx = np.arange(grid.size)
-        Hr = H.reshape(grid.size, n, grid.size, n)
-        Hr[idx, :, idx, :] += V.values.reshape(grid.size, n, n)
-    else:
-        H[np.diag_indices_from(H)] += np.repeat(V.values.ravel(), n)
-    return H
+    V.check_fits(grid, spec.n)
+    H = multiplier_matrix(symbol_values(spec, grid.xi()), grid, n=spec.n)
+    return add_site_diagonal(H, V.values, grid, spec.n)
 
 
 @dataclass

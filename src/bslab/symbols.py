@@ -23,6 +23,7 @@ lattice transforms, which pair these symbols with the frequency grid k/L.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 import numpy as np
@@ -110,6 +111,8 @@ class SymbolSpec:
         object.__setattr__(self, "kind", SymbolKind(self.kind))
         if not 1 <= self.d <= 3:
             raise ValueError(f"d={self.d} unsupported; need 1 <= d <= 3")
+        if isinstance(self.s, bool) or not isinstance(self.s, numbers.Real):
+            raise TypeError(f"s={self.s!r} must be a real number")
         if self.kind in _DIRAC_KINDS:
             if self.s != 1.0:
                 raise ValueError(f"s is fixed to 1 for Dirac kinds, got s={self.s}")

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -537,9 +538,26 @@ def test_run_jobs_preserves_submission_order():
         return fn
 
     jobs = [VerifyJob("slow", make("slow", 0.05)), VerifyJob("fast", make("fast", 0.0))]
-    out = run_jobs(jobs, workers=2)
+    out = run_jobs(jobs)
     assert [c.inputs["tag"] for c in out] == ["slow", "fast"]
-    assert run_jobs([], workers=4) == []
+    assert run_jobs([]) == []
+
+
+def test_run_jobs_runs_in_the_calling_thread_and_stops_at_a_failure():
+    seen = []
+
+    def record(tag):
+        def fn():
+            seen.append((tag, threading.get_ident()))
+            if tag == "bad":
+                raise RuntimeError("solver exploded")
+            return _quick_cert()
+
+        return fn
+
+    with pytest.raises(JobError):
+        run_jobs([VerifyJob(t, record(t)) for t in ("a", "bad", "c")])
+    assert seen == [("a", threading.get_ident()), ("bad", threading.get_ident())]
 
 
 def test_run_jobs_rejects_duplicate_ids_and_wraps_errors():
@@ -551,5 +569,5 @@ def test_run_jobs_rejects_duplicate_ids_and_wraps_errors():
         raise RuntimeError("solver exploded")
 
     with pytest.raises(JobError, match="'bad'") as err:
-        run_jobs([ok, VerifyJob("bad", boom)], workers=2)
+        run_jobs([ok, VerifyJob("bad", boom)])
     assert err.value.job_id == "bad"

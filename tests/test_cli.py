@@ -76,8 +76,12 @@ def test_load_config_field_errors(tmp_path):
         (base_config(operator={"kind": "fractional_laplacian", "d": "one"}), "operator.d"),
         (base_config(run={"theorems": ["schatten-scaling", "nope"]}), "run.theorems"),
         (base_config(run={"seed": 0.5}), "run.seed"),
-        (base_config(run={"workers": 0}), "run.workers"),
         (base_config(grid={"refine": "yes"}), "grid.refine"),
+        (base_config(grid={"N": 32.0}), "grid"),
+        (base_config(operator={"kind": "fractional_laplacian", "d": 1, "s": "1.5"}), "operator"),
+        (base_config(operator={"kind": "fractional_laplacian", "d": 1, "s": True}), "operator"),
+        (base_config(potential={"params": [1, 2]}), "potential.params"),
+        (base_config(potential={"file": 5}), "potential.file"),
     ]
     for doc, path in cases:
         if doc.get("operator") is None:
@@ -110,6 +114,22 @@ def test_potential_file_grid_mismatch_is_config_error(tmp_path):
     with pytest.raises(ConfigError) as einfo:
         load_config(write_config(tmp_path, doc))
     assert einfo.value.path == "potential.file"
+
+
+def test_potential_file_box_must_equal_the_grid_box_exactly(tmp_path, capsys):
+    # the same-box rule of resample and of the potential check, with no tolerance
+    write_potential_file(
+        tmp_path / "well.pot",
+        TorusGrid(1, 32, 20.000000000001),
+        PotentialSpec("gaussian", {"amplitude": complex(-4.0, 0.0), "width": 1.0}),
+    )
+    doc = base_config(potential={"file": "well.pot"})
+    doc["potential"].pop("family", None)
+    doc["potential"].pop("params", None)
+    cfg = write_config(tmp_path, doc)
+    for cmd in ("spectrum", "scan"):
+        assert cli_main([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error at potential.file:")
 
 
 def test_potential_file_upsamples_onto_finer_config_grid(tmp_path):
@@ -454,7 +474,7 @@ def test_exit_3_on_unwritable_destination(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# determinism and parallelism
+# determinism
 
 
 def test_scan_reruns_are_byte_identical(tmp_path):
@@ -468,18 +488,6 @@ def test_scan_reruns_are_byte_identical(tmp_path):
     assert names == sorted(p.name for p in db.iterdir())
     for name in names:
         assert (da / name).read_bytes() == (db / name).read_bytes(), name
-
-
-def test_parallel_workers_match_serial(tmp_path):
-    cfg = write_config(tmp_path, base_config())
-    rc1 = cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "s"), "--deterministic"])
-    rc2 = cli_main([
-        "scan", "--config", cfg, "--out", str(tmp_path / "p"),
-        "--deterministic", "--workers", "2",
-    ])
-    assert rc1 == rc2 == 0
-    (ds,), (dp,) = run_dirs(tmp_path / "s"), run_dirs(tmp_path / "p")
-    assert (ds / "summary.csv").read_bytes() == (dp / "summary.csv").read_bytes()
 
 
 def test_output_root_env_variable(tmp_path, monkeypatch):

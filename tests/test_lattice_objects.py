@@ -1,13 +1,24 @@
-"""Property tests of the lattice objects: T(xi), its level set and the local spacing."""
+"""Property tests of the lattice objects: T(xi), its level set, the local spacing
+and the field layout (site magnitudes, weighted L^p norms, site-diagonal embedding)."""
 
 import bisect
+import math
 import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bslab.lattice import TorusGrid
+from bslab.lattice import (
+    GridFunction,
+    TorusGrid,
+    add_site_diagonal,
+    lp_norm,
+    per_site,
+    site_diagonal_sandwich,
+    site_magnitudes,
+)
+from bslab.potentials import PotentialField, potential_norm
 from bslab.resolvent import lattice_levels, local_spacing
 from bslab.symbols import SymbolKind, SymbolSpec, dispersion_values, symbol_values
 
@@ -65,3 +76,99 @@ def test_local_spacing_matches_a_brute_force_recount(lattice, frac, window):
     gaps = [b - a for a, b in zip(near, near[1:])] or [b - a for a, b in zip(levels, levels[1:])]
     expected = statistics.median(gaps)
     assert local_spacing(spec, grid, at, window) == pytest.approx(expected, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# field layout
+
+_LAYOUTS = ("scalar", "spinor", "block")
+
+
+def _samples(grid, layout, n, seed):
+    """Random complex samples in one layout, with about a quarter of the sites zero."""
+    rng = np.random.default_rng(seed)
+    tail = {"scalar": (), "spinor": (n,), "block": (n, n)}[layout]
+    shape = grid.shape + tail
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dead = rng.random(grid.shape) < 0.25
+    return np.where(per_site(dead, vals, grid.d), 0.0, vals)
+
+
+@st.composite
+def fields(draw, layouts=_LAYOUTS, max_d=3):
+    """(grid, layout, n, samples) for a small grid with d <= max_d."""
+    d = draw(st.integers(1, max_d))
+    grid = TorusGrid(d, 2 * draw(st.integers(4, {1: 16, 2: 6, 3: 4}[d])), draw(st.floats(0.5, 40.0)))
+    layout = draw(st.sampled_from(layouts))
+    n = draw(st.integers(2, 4))
+    return grid, layout, n, _samples(grid, layout, n, draw(st.integers(0, 2**32 - 1)))
+
+
+def _loop_magnitude(v, layout):
+    if layout == "scalar":
+        return abs(complex(v))
+    if layout == "spinor":
+        return math.sqrt(sum(abs(complex(c)) ** 2 for c in v))
+    return float(np.linalg.svd(v, compute_uv=False)[0])
+
+
+@_SETTINGS
+@given(fields())
+def test_site_magnitudes_match_a_per_site_loop(field):
+    grid, layout, n, vals = field
+    mags = site_magnitudes(vals, grid.d)
+    assert mags.shape == grid.shape
+    for idx in np.ndindex(grid.shape):
+        assert mags[idx] == pytest.approx(_loop_magnitude(vals[idx], layout), rel=1e-12, abs=0.0)
+
+
+_POTENTIALS = ("scalar", "block")
+
+
+@_SETTINGS
+@given(fields(_POTENTIALS), st.sampled_from([1.0, 1.25, 4.0 / 3.0, 2.0, 3.5, math.inf]))
+def test_lp_norm_of_a_potential_is_potential_norm(field, q):
+    grid, layout, n, vals = field
+    V = PotentialField(grid, vals)
+    assert lp_norm(V, q) == potential_norm(V, q)
+    mags = [_loop_magnitude(vals[idx], layout) for idx in np.ndindex(grid.shape)]
+    if math.isinf(q):
+        expected = max(mags)
+    else:
+        expected = (grid.weight * sum(m**q for m in mags)) ** (1.0 / q)
+    assert potential_norm(V, q) == pytest.approx(expected, rel=1e-11)
+
+
+@_SETTINGS
+@given(fields(_POTENTIALS), st.floats(0.05, 0.999))
+def test_potential_norm_rejects_q_below_one_for_scalar_and_matrix_v(field, q):
+    grid, layout, n, vals = field
+    with pytest.raises(ValueError, match="out of range"):
+        potential_norm(PotentialField(grid, vals), q)
+
+
+def _block_diagonal(vals, grid, n):
+    """Dense diag of site-local values: each site's n x n block (or value times I_n)."""
+    dim = grid.size * n
+    out = np.zeros((dim, dim), dtype=complex)
+    for j, idx in enumerate(np.ndindex(grid.shape)):
+        v = vals[idx]
+        out[j * n:(j + 1) * n, j * n:(j + 1) * n] = v * np.eye(n) if np.ndim(v) == 0 else v
+    return out
+
+
+@_SETTINGS
+@given(fields(_POTENTIALS, max_d=2), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_site_diagonal_embedding_is_the_block_diagonal_product(field, n_scalar, seed):
+    grid, layout, n, left = field
+    if layout == "scalar":
+        n = n_scalar  # a scalar factor acts on each of n spinor components
+    right = _samples(grid, layout, n, seed)
+    dim = grid.size * n
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    L, R = _block_diagonal(left, grid, n), _block_diagonal(right, grid, n)
+    got = site_diagonal_sandwich(left, mat, right, grid, n)
+    scale = np.abs(mat).max() * max(1.0, np.abs(left).max() * np.abs(right).max())
+    assert np.max(np.abs(got - L @ mat @ R)) <= 1e-12 * n * scale
+    assert np.array_equal(add_site_diagonal(mat.copy(), left, grid, n), mat + L)
