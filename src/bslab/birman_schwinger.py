@@ -1,7 +1,7 @@
 """Birman-Schwinger operators M(z) = |V|^{1/2} (T(D) - z)^{-1} V^{1/2}.
 
-:func:`bs_matrix` is the one place M(z) is built -- variant choice, potential
-check, half-potential split and the dense sandwiched resolvent.  On top of it
+:func:`bs_matrix` is the one place M(z) is built -- potential check,
+half-potential split and the dense sandwiched resolvent.  On top of it
 this module computes Schatten norms from singular values and regularized
 Fredholm determinants det_n(I + M) from one LU factorization plus traces of
 powers of M, and locates determinant zeros inside rectangles of the complex
@@ -26,8 +26,6 @@ from .resolvent import resolvent_multiplier
 from .symbols import SymbolSpec
 
 __all__ = [
-    "BSOperator",
-    "SchattenReport",
     "DetValue",
     "half_potentials",
     "bs_matrix",
@@ -46,8 +44,6 @@ __all__ = [
 # Singular values below this fraction of sigma_1 are transform round-off
 # and are dropped from Schatten sums (keeps norms monotone in alpha).
 _SV_TRUNCATION = 1e-13
-
-_VARIANTS = ("abs_first", "signed_first")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -87,71 +83,20 @@ def half_potentials(V: PotentialField) -> tuple[PotentialField, PotentialField]:
 # assembly
 
 
-@dataclass(frozen=True)
-class BSOperator:
-    """Dense Birman-Schwinger matrix at a fixed spectral parameter z.
-
-    variant "abs_first" is |V|^{1/2} R_0(z) V^{1/2}; "signed_first" swaps the
-    two half potentials.  Singular values are computed once at assembly and
-    cached nonincreasing.
-    """
-
-    matrix: np.ndarray
-    z: complex
-    grid: TorusGrid
-    singular_values: np.ndarray
-    variant: str = "abs_first"
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"BS matrix must be square, got shape {m.shape}")
-        if m.shape[0] % self.grid.size != 0:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not tile grid size {self.grid.size}"
-            )
-        sv = self.singular_values
-        if np.any(sv < 0) or np.any(np.diff(sv) > 0):
-            raise ValueError("singular values must be nonnegative and nonincreasing")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def spinor_dim(self) -> int:
-        return self.dim // self.grid.size
-
-
-def bs_matrix(
-    spec: SymbolSpec,
-    grid: TorusGrid,
-    V: PotentialField,
-    z: complex,
-    variant: str = "abs_first",
-) -> np.ndarray:
-    """Dense M(z) = |V|^{1/2} R0(z) V^{1/2}; "signed_first" swaps the two factors."""
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown order variant {variant!r}; options: {_VARIANTS}")
+def bs_matrix(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex) -> np.ndarray:
+    """Dense M(z) = |V|^{1/2} R0(z) V^{1/2}."""
     V.check_fits(grid, spec.n)
     left, right = half_potentials(V)  # |V|^{1/2}, V^{1/2}
-    if variant == "signed_first":
-        left, right = right, left
     rmat = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid, n=spec.n)
     return site_diagonal_sandwich(left.values, rmat, right.values, grid, spec.n)
 
 
 def assemble_bs(
-    spec: SymbolSpec,
-    grid: TorusGrid,
-    V: PotentialField,
-    z: complex,
-    variant: str = "abs_first",
-) -> BSOperator:
-    """Assemble the dense BS matrix at z and cache its singular values."""
-    mat = bs_matrix(spec, grid, V, z, variant)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return BSOperator(matrix=mat, z=complex(z), grid=grid, singular_values=sv, variant=variant)
+    spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """M(z) from :func:`bs_matrix` and its singular values, nonincreasing."""
+    M = bs_matrix(spec, grid, V, z)
+    return M, np.linalg.svd(M, compute_uv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -172,34 +117,17 @@ def schatten_order(d: int, q: float) -> float:
     return q * (d - 1) / (d - q)
 
 
-def _singvals(M) -> np.ndarray:
-    if isinstance(M, BSOperator):
-        return M.singular_values
-    return np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
-
-
-@dataclass(frozen=True)
-class SchattenReport:
-    """(sum sigma_j^alpha)^{1/alpha} over the retained singular values."""
-
-    alpha: float
-    norm: float
-    retained: int
-
-
-def schatten_norm(M, alpha: float) -> SchattenReport:
-    """Schatten alpha-norm from singular values; alpha = inf gives sigma_1."""
+def schatten_norm(sv: np.ndarray, alpha: float) -> float:
+    """Schatten alpha-norm from nonincreasing singular values; alpha = inf gives sigma_1."""
     if alpha < 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {alpha}")
-    sv = _singvals(M)
     if sv.size == 0 or sv[0] == 0.0:
-        return SchattenReport(alpha=float(alpha), norm=0.0, retained=0)
-    kept = sv[sv >= _SV_TRUNCATION * sv[0]]
+        return 0.0
     if math.isinf(alpha):
-        return SchattenReport(alpha=float(alpha), norm=float(sv[0]), retained=kept.size)
+        return float(sv[0])
+    kept = sv[sv >= _SV_TRUNCATION * sv[0]]
     # factor out sigma_1 so large exponents cannot overflow
-    norm = float(sv[0] * np.sum((kept / sv[0]) ** alpha) ** (1.0 / alpha))
-    return SchattenReport(alpha=float(alpha), norm=norm, retained=int(kept.size))
+    return float(sv[0] * np.sum((kept / sv[0]) ** alpha) ** (1.0 / alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +148,7 @@ class DetValue:
     phase: float
 
 
-def regularized_det(M, order: int) -> DetValue:
+def regularized_det(M: np.ndarray, order: int) -> DetValue:
     """Regularized determinant det_n(I+M) = det(I+M) exp(sum_{k=1}^{n-1} (-1)^k tr(M^k) / k).
 
     det(I+M) comes from one LU factorization (slogdet); the regularizing
@@ -232,7 +160,7 @@ def regularized_det(M, order: int) -> DetValue:
     order = int(order)
     if order < 1:
         raise ValueError(f"determinant regularization order must be >= 1, got {order}")
-    mat = M.matrix if isinstance(M, BSOperator) else np.asarray(M, dtype=complex)
+    mat = np.asarray(M, dtype=complex)
     sign, log_abs = np.linalg.slogdet(mat + np.eye(mat.shape[0]))
     reg = 0j
     power = mat
@@ -277,10 +205,9 @@ def bs_principle_check(
     grid: TorusGrid,
     V: PotentialField,
     z_candidate: complex,
-    variant: str = "abs_first",
 ) -> float:
     """min_j |mu_j(M(z)) + 1|; near zero certifies z as an eigenvalue of H_0+V."""
-    return bs_residual(bs_matrix(spec, grid, V, z_candidate, variant))
+    return bs_residual(bs_matrix(spec, grid, V, z_candidate))
 
 
 def bs_det_evaluator(
@@ -288,10 +215,9 @@ def bs_det_evaluator(
     grid: TorusGrid,
     V: PotentialField,
     order: int,
-    variant: str = "abs_first",
 ) -> Callable[[complex], DetValue]:
     """z -> det_order(I + M(z)) on bs_matrix, skipping the SVD that assemble_bs would do."""
-    return lambda z: regularized_det(bs_matrix(spec, grid, V, z, variant), order)
+    return lambda z: regularized_det(bs_matrix(spec, grid, V, z), order)
 
 
 # ---------------------------------------------------------------------------

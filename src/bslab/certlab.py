@@ -51,6 +51,7 @@ __all__ = [
     "fixed_argument_ray",
     "boundary_ray",
     "fit_scaling_law",
+    "sandwich_schatten_order",
     "imaginary_q_window",
     "uniform_p_window",
     "preflight_main",
@@ -456,6 +457,17 @@ def _case_a(spec: SymbolSpec) -> bool:
     return spec.s >= 2.0 * spec.d / (spec.d + 1.0) - 1e-12
 
 
+def sandwich_schatten_order(spec: SymbolSpec, q: float) -> float:
+    """Schatten exponent of the sandwiched resolvent |V|^{1/2} R0(z) V^{1/2}.
+
+    For s >= 2d/(d+1) it is :func:`schatten_order` at q; below, q plays no
+    part and the exponent is 3 in d = 2 and d/s + 1 otherwise.
+    """
+    if _case_a(spec):
+        return schatten_order(spec.d, q)
+    return 3.0 if spec.d == 2 else spec.d / spec.s + 1.0
+
+
 def _check_q_window(spec: SymbolSpec, q: float, strict_lower: bool = False) -> None:
     d, s = spec.d, spec.s
     lo, hi = d / s, (d + 1) / 2.0
@@ -578,17 +590,15 @@ def verify_main(
 
     new_pts = discrete_in(t_hi)
     entering = [assemble_bs(spec, grid, V.scaled(t_hi), p.z) for p in new_pts]
-    bs_residuals = [bs_residual(op.matrix) for op in entering]
-    sigma1 = [float(op.singular_values[0]) for op in entering]
+    bs_residuals = [bs_residual(M) for M, _ in entering]
+    sigma1 = [float(sv[0]) for _, sv in entering]
     sweep_max = 0.0
     if t_lo > 0.0:
         for z in K.sample_grid(*sweep_shape):
             if dist_to_spectrum(spec, z) <= 0.0:
                 continue
-            sweep_max = max(
-                sweep_max,
-                float(assemble_bs(spec, grid, V.scaled(t_lo), z).singular_values[0]),
-            )
+            _, sv = assemble_bs(spec, grid, V.scaled(t_lo), z)
+            sweep_max = max(sweep_max, float(sv[0]))
 
     ok = (
         bool(new_pts)
@@ -781,11 +791,10 @@ def verify_schatten_scaling(
     moduli = np.abs(zs)
     d, s, kind = spec.d, spec.s, spec.kind
     case_a = _case_a(spec)
+    alpha = sandwich_schatten_order(spec, q)
     if case_a:
-        alpha = schatten_order(d, q)
         vnorm = potential_norm(V, q)
     else:
-        alpha = 3.0 if d == 2 else d / s + 1.0
         vnorm = max(potential_norm(V, d / s), potential_norm(V, (d + 1) / 2.0))
 
     co_rescaled = False
@@ -809,11 +818,11 @@ def verify_schatten_scaling(
         for z in zs:
             t = (abs(z) / moduli[0]) ** (1.0 / s)
             Vt = scaled_field(V, t, s)
-            norm_t = schatten_norm(assemble_bs(spec, grid.rescaled(t), Vt, z), alpha).norm
+            norm_t = schatten_norm(assemble_bs(spec, grid.rescaled(t), Vt, z)[1], alpha)
             measured.append(norm_t / potential_norm(Vt, q))
     else:
         for z in zs:
-            measured.append(schatten_norm(assemble_bs(spec, grid, V, z), alpha).norm / vnorm)
+            measured.append(schatten_norm(assemble_bs(spec, grid, V, z)[1], alpha) / vnorm)
     law, intercept = fit_scaling_law(
         xs,
         np.log(measured),
@@ -896,7 +905,7 @@ def verify_individual_bounds(
     spectrum_drift = 0.0
     for t in ts:
         Vt = scaled_field(V, t, s)
-        eigs_t = eigensolve(assemble_hamiltonian(spec, grid.rescaled(t), Vt)).values
+        eigs_t = eigensolve(assemble_hamiltonian(spec, grid.rescaled(t), Vt))
         scale = t**s
         spectrum_drift = max(
             spectrum_drift,
@@ -1149,7 +1158,8 @@ def verify_weighted_sums(
                 mask = per_site(mags < rho, V.values, grid.d)
                 tail = PotentialField(grid, np.where(mask, V.values, 0.0))
                 probe_z = _point_at_distance(kind, 2.0 * rho)
-                if assemble_bs(spec, grid, tail, probe_z).singular_values[0] < 0.5:
+                _, sv = assemble_bs(spec, grid, tail, probe_z)
+                if sv[0] < 0.5:
                     break
                 rho /= 2.0
             z0 = _point_at_distance(kind, 2.0 * rho)

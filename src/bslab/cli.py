@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .birman_schwinger import assemble_bs, regularized_det, schatten_norm, schatten_order
+from .birman_schwinger import assemble_bs, regularized_det, schatten_norm
 from .certlab import (
     BoundCertificate,
     JobError,
@@ -47,6 +47,7 @@ from .certlab import (
     preflight_uniform_resolvent,
     preflight_weighted_sums,
     run_jobs,
+    sandwich_schatten_order,
     summary_csv,
     verify_imaginary,
     verify_individual_bounds,
@@ -55,7 +56,6 @@ from .certlab import (
     verify_uniform_resolvent,
     verify_weighted_sums,
 )
-from .certlab import _case_a  # the s >= 2d/(d+1) split picks the bs-scan Schatten order
 from .lattice import TorusGrid
 from .potentials import (
     PotentialField,
@@ -140,7 +140,7 @@ def _load_operator(doc: dict) -> SymbolSpec:
         options = ", ".join(k.value for k in SymbolKind)
         raise ConfigError("operator.kind", f"unknown kind {kind_name!r}; options: {options}")
     d = block.get("d")
-    if not isinstance(d, int):
+    if isinstance(d, bool) or not isinstance(d, int):
         raise ConfigError("operator.d", "must be an integer dimension")
     kwargs = {"kind": kind, "d": d}
     if "s" in block:
@@ -206,7 +206,7 @@ def load_config(path) -> ExperimentConfig:
     potential = _load_potential(doc, grid, path.parent)
     run = _get_block(doc, "run", required=False)
     seed = run.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("run.seed", "must be an integer")
     theorems = run.get("theorems", [])
     if not isinstance(theorems, list) or not all(isinstance(t, str) for t in theorems):
@@ -457,7 +457,7 @@ def _classified_points(cfg: ExperimentConfig) -> list[SpectralPoint]:
     if cfg.refine:
         return classified_spectrum(cfg.spec, cfg.grid, cfg.potential)
     # no refinement pair -> drift is unknowable, leave every point Undecided
-    sol = eigensolve(assemble_hamiltonian(cfg.spec, cfg.grid, cfg.potential))
+    eigs = eigensolve(assemble_hamiltonian(cfg.spec, cfg.grid, cfg.potential))
     return [
         SpectralPoint(
             z=complex(z),
@@ -465,7 +465,7 @@ def _classified_points(cfg: ExperimentConfig) -> list[SpectralPoint]:
             refinement_drift=math.nan,
             label=SpectralLabel.UNDECIDED,
         )
-        for z in sol.values
+        for z in eigs
     ]
 
 
@@ -508,17 +508,14 @@ def _cmd_bs(cfg: ExperimentConfig, args) -> int:
     alpha = _run_value(cfg, "alpha", "bs scan")
     if alpha is None:
         q = cfg.run.get("q")
-        if q is not None and _case_a(cfg.spec) and cfg.spec.d > 1:
-            alpha = float(schatten_order(cfg.spec.d, _as_number("q", q)))
-        else:
-            alpha = 2.0
+        alpha = 2.0 if q is None else sandwich_schatten_order(cfg.spec, _as_number("q", q))
     order = max(2, math.ceil(alpha))
     lines = ["re,im,sigma1,schatten,det_log_abs,det_phase"]
     for z in ray:
-        op = assemble_bs(cfg.spec, cfg.grid, cfg.potential, z)
-        sig1 = float(op.singular_values[0])
-        snorm = schatten_norm(op, alpha).norm
-        dv = regularized_det(op, order)
+        M, sv = assemble_bs(cfg.spec, cfg.grid, cfg.potential, z)
+        sig1 = float(sv[0])
+        snorm = schatten_norm(sv, alpha)
+        dv = regularized_det(M, order)
         lines.append(f"{z.real!r},{z.imag!r},{sig1!r},{snorm!r},{dv.log_abs!r},{dv.phase!r}")
     dest = _artifact_dir(args.out)
     path = dest / "bs-scan.csv"

@@ -63,6 +63,8 @@ class TorusGrid:
             raise ValueError(f"N={self.N} must be even and >= 8")
         if self.N > _N_CAP[self.d]:
             raise ValueError(f"N={self.N} exceeds the d={self.d} cap {_N_CAP[self.d]}")
+        if isinstance(self.L, bool) or not isinstance(self.L, numbers.Real):
+            raise TypeError(f"L={self.L!r} must be a number")
         if not self.L > 0:
             raise ValueError(f"L={self.L} must be positive")
 

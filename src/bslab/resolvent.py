@@ -146,11 +146,9 @@ def local_spacing(spec: SymbolSpec, grid: TorusGrid, at: float, window: int = 8)
         raise ValueError("dispersion has a single level; spacing undefined")
     idx = int(np.searchsorted(levels, at))
     lo, hi = max(0, idx - window), min(levels.size, idx + window)
-    gaps = np.diff(levels[lo:hi])
-    gaps = gaps[gaps > 0]
+    gaps = np.diff(levels[lo:hi])  # levels are np.unique output, so every gap is positive
     if gaps.size == 0:
         gaps = np.diff(levels)
-        gaps = gaps[gaps > 0]
     return float(np.median(gaps))
 
 

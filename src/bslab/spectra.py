@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -31,7 +31,6 @@ __all__ = [
     "EssentialSpectrum",
     "SpectralLabel",
     "SpectralPoint",
-    "EigenSolution",
     "essential_spectrum",
     "dist_to_spectrum",
     "assemble_hamiltonian",
@@ -89,43 +88,19 @@ def assemble_hamiltonian(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -
     return add_site_diagonal(H, V.values, grid, spec.n)
 
 
-@dataclass
-class EigenSolution:
-    """Full non-Hermitian spectrum, sorted by (Re, Im).
-
-    condition_numbers are the eigenvalue condition numbers 1/|<l_j, r_j>|
-    (left/right eigenvector angle); large values flag pseudospectral
-    instability of the non-normal matrix, so downstream reports carry them.
-    """
-
-    values: np.ndarray
-    right_vectors: Optional[np.ndarray] = None
-    condition_numbers: Optional[np.ndarray] = None
-
-
-def eigensolve(H: np.ndarray, want_vectors: bool = False) -> EigenSolution:
+def eigensolve(H: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of the dense matrix H, sorted by (Re, Im)."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"need a square matrix, got shape {H.shape}")
     try:
-        if want_vectors:
-            w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
-        else:
-            w = scipy.linalg.eig(H, right=False)
+        w = scipy.linalg.eig(H, right=False)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:  # pragma: no cover
         raise RuntimeError(
             f"dense eigensolver failed on a {H.shape[0]}x{H.shape[0]} matrix "
             f"with 1-norm {np.linalg.norm(H, 1):.3e}: {err}"
         ) from err
-    order = np.lexsort((w.imag, w.real))
-    if not want_vectors:
-        return EigenSolution(values=w[order])
-    vl = vl[:, order]
-    vr = vr[:, order]
-    overlaps = np.abs(np.sum(vl.conj() * vr, axis=0))
-    norms = np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
-    conds = norms / np.maximum(overlaps, 1e-300)
-    return EigenSolution(values=w[order], right_vectors=vr, condition_numbers=conds)
+    return w[np.lexsort((w.imag, w.real))]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +119,7 @@ class SpectralPoint:
     dist_sigma: float
     refinement_drift: float
     label: SpectralLabel
-    cond: float = math.nan
+    cond: float = math.nan  # eigenvalue condition number; not computed yet
 
     def __post_init__(self):
         if self.dist_sigma < 0:
@@ -161,7 +136,6 @@ def classify(
     grid_coarse: TorusGrid,
     grid_fine: TorusGrid,
     eta: Optional[float] = None,
-    conds=None,
 ) -> list[SpectralPoint]:
     """Label each coarse eigenvalue Discrete / ContinuumArtifact / Undecided.
 
@@ -183,7 +157,7 @@ def classify(
     if eigs_fine.size == 0:
         raise ValueError("refined spectrum is empty")
     points = []
-    for j, z in enumerate(eigs_coarse):
+    for z in eigs_coarse:
         dist = dist_to_spectrum(spec, z)
         partner = eigs_fine[np.argmin(np.abs(eigs_fine - z))]
         drift = abs(z - partner) / max(abs(z), 1e-12)
@@ -196,14 +170,12 @@ def classify(
             label = SpectralLabel.DISCRETE
         else:
             label = SpectralLabel.UNDECIDED
-        cond = math.nan if conds is None else float(conds[j])
         points.append(
             SpectralPoint(
                 z=complex(z),
                 dist_sigma=float(dist),
                 refinement_drift=float(drift),
                 label=label,
-                cond=cond,
             )
         )
     return points
@@ -214,7 +186,7 @@ def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) ->
     fine = grid.refined(2)
     coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
     refined = eigensolve(assemble_hamiltonian(spec, fine, resample(V, fine)))
-    return classify(coarse.values, refined.values, spec, grid, fine)
+    return classify(coarse, refined, spec, grid, fine)
 
 
 def spectrum_csv(points, path) -> None:

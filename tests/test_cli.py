@@ -76,6 +76,9 @@ def test_load_config_field_errors(tmp_path):
         (base_config(operator={"kind": "fractional_laplacian", "d": "one"}), "operator.d"),
         (base_config(run={"theorems": ["schatten-scaling", "nope"]}), "run.theorems"),
         (base_config(run={"seed": 0.5}), "run.seed"),
+        (base_config(run={"seed": True}), "run.seed"),
+        (base_config(grid={"L": True}), "grid"),
+        (base_config(operator={"kind": "fractional_laplacian", "d": True, "s": 1.5}), "operator.d"),
         (base_config(grid={"refine": "yes"}), "grid.refine"),
         (base_config(grid={"N": 32.0}), "grid"),
         (base_config(operator={"kind": "fractional_laplacian", "d": 1, "s": "1.5"}), "operator"),
@@ -212,6 +215,18 @@ def test_bs_scan_det_columns_match_the_evaluator(tmp_path, alpha, order):
         dv = det(complex(re_, im))
         assert log_abs == dv.log_abs
         assert abs(math.remainder(phase - dv.phase, 2.0 * math.pi)) <= 1e-12
+
+
+def test_bs_scan_uses_the_verifier_schatten_order(tmp_path, capsys):
+    # massless Dirac in d=2 has s = 1 < 2d/(d+1): the scaling verifier fits order 3
+    doc = base_config(
+        grid={"N": 8, "L": 4.8},
+        run={"ray": {"type": "boundary", "re_lo": 1.0, "re_hi": 3.0, "height": 0.2, "count": 9}},
+    )
+    doc["operator"] = {"kind": "dirac_massless", "d": 2}
+    rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "runs")])
+    assert rc == 0
+    assert "(Schatten order 3, det order 3)" in capsys.readouterr().out
 
 
 def test_bs_scan_names_a_malformed_alpha(tmp_path, capsys):

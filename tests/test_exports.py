@@ -1,7 +1,10 @@
 """Public surface: every exported name resolves, and the CLI drives every verifier."""
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,19 @@ def test_module_exports_resolve(name):
 
 def test_cli_table_ids_match_theorem_ids():
     assert tuple(cli.VERIFIERS) == certlab.THEOREM_IDS
+
+
+def test_bench_tracer_layers_resolve(monkeypatch):
+    # bench/tracer.py wraps each LAYERS entry by name; a missing one breaks --trace 1
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_tracer", tracer)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fn, _ in tracer.LAYERS
+        if not callable(getattr(importlib.import_module(f"bslab.{mod}"), fn, None))
+    ]
+    assert tracer.LAYERS
+    assert missing == []
