@@ -55,6 +55,8 @@ class TorusGrid:
     L: float
 
     def __post_init__(self):
+        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
+            raise TypeError(f"d={self.d!r} must be an integer")
         if self.d not in _N_CAP:
             raise ValueError(f"d={self.d} unsupported; need 1 <= d <= 3")
         if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):

@@ -9,7 +9,8 @@ The multiplier samples of T come from ``symbols.symbol_values``.  The
 sorted level set of the lattice dispersion is built once per (symbol, grid)
 by :func:`lattice_levels`; spectral parameters on (or numerically on) it are
 rejected, and boundary values T(xi) = lambda +- i*0 are reached by offsetting
-the parameter by a multiple of the local level spacing.
+the parameter by a multiple of the local level spacing, which
+:func:`local_spacings` reads from a per-grid table for any number of points.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "kernel_array",
     "lattice_levels",
     "local_spacing",
+    "local_spacings",
     "resolvent_apply",
     "resolvent_multiplier",
 ]
@@ -139,17 +141,39 @@ def kernel_array(handle: ResolventHandle) -> np.ndarray:
 # boundary offsets
 
 
-def local_spacing(spec: SymbolSpec, grid: TorusGrid, at: float, window: int = 8) -> float:
-    """Median spacing of the lattice dispersion levels nearest to `at`."""
+@lru_cache(maxsize=64)
+def _spacing_table(spec: SymbolSpec, grid: TorusGrid, window: int) -> np.ndarray:
+    """Local spacing for each insertion index 0..size into :func:`lattice_levels`.
+
+    Entry idx is the median gap among the levels[idx - window : idx + window]
+    (clipped to the level set), or the median of all gaps when that window
+    holds a single level.  Cached per (spec, grid, window) and read-only.
+    """
     levels = lattice_levels(spec, grid)
     if levels.size < 2:
         raise ValueError("dispersion has a single level; spacing undefined")
-    idx = int(np.searchsorted(levels, at))
-    lo, hi = max(0, idx - window), min(levels.size, idx + window)
-    gaps = np.diff(levels[lo:hi])  # levels are np.unique output, so every gap is positive
-    if gaps.size == 0:
-        gaps = np.diff(levels)
-    return float(np.median(gaps))
+    gaps = np.diff(levels)  # levels are np.unique output, so every gap is positive
+    table = np.empty(levels.size + 1)
+    for idx in range(levels.size + 1):
+        lo, hi = max(0, idx - window), min(levels.size, idx + window)
+        table[idx] = np.median(gaps[lo:hi - 1] if hi - lo > 1 else gaps)
+    table.setflags(write=False)
+    return table
+
+
+def local_spacings(spec: SymbolSpec, grid: TorusGrid, at, window: int = 8) -> np.ndarray:
+    """Median spacing of the lattice dispersion levels nearest to each of `at`.
+
+    One ``searchsorted`` places every point in the level set; the spacing
+    depends only on that insertion index.
+    """
+    table = _spacing_table(spec, grid, window)
+    return table[np.searchsorted(lattice_levels(spec, grid), at)]
+
+
+def local_spacing(spec: SymbolSpec, grid: TorusGrid, at: float, window: int = 8) -> float:
+    """Median spacing of the lattice dispersion levels nearest to `at`."""
+    return float(local_spacings(spec, grid, at, window))
 
 
 def boundary_epsilon(spec: SymbolSpec, grid: TorusGrid, lam: float, factor: float = 4.0) -> float:

@@ -4,11 +4,14 @@ The perturbed operator is realized exactly on the torus grid as a dense
 matrix (Fourier multiplier conjugated back to physical space plus the
 site-diagonal potential).  Eigenvalues of the discretized continuum
 [0, inf), R, or (-inf,-1] u [1,inf) shift under grid refinement while
-genuine discrete eigenvalues stay put, so a pair of spectra at N and 2N
-separates the two: points close to the essential intervals are artifacts,
-distant points that barely move across the refinement are discrete.
-:func:`classified_spectrum` is that pipeline: the eigensolve at N and at 2N,
-then :func:`classify`.
+genuine discrete eigenvalues stay put, so refining N -> 2N separates the
+two: points close to the essential intervals are artifacts, distant points
+that barely move across the refinement are discrete.
+:func:`classified_spectrum` is that pipeline: dense at N, shift-invert
+partners at 2N.  It runs the full eigensolve at N only; a point beyond eta
+of the essential spectrum gets its nearest 2N eigenvalue from one LU of
+H_2N - z and a short Arnoldi run on the inverse, and H_2N is assembled only
+if some point needs a partner.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import zgemv
 
 from .lattice import TorusGrid, add_site_diagonal, multiplier_matrix
 from .potentials import PotentialField, resample
-from .resolvent import local_spacing
+from .resolvent import local_spacings
 from .symbols import SymbolKind, SymbolSpec, symbol_values
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "eigensolve",
     "classify",
     "classified_spectrum",
+    "nearest_in",
     "spectrum_csv",
 ]
 
@@ -129,9 +134,17 @@ class SpectralPoint:
 _DRIFT_TOLERANCE = 0.1
 
 
+def nearest_in(eigs) -> Callable[[complex], complex]:
+    """z -> the entry of the array eigs nearest to z (first one on a tie)."""
+    eigs = np.asarray(eigs, dtype=complex)
+    if eigs.size == 0:
+        raise ValueError("refined spectrum is empty")
+    return lambda z: eigs[np.argmin(np.abs(eigs - z))]
+
+
 def classify(
     eigs_coarse,
-    eigs_fine,
+    nearest_fine: Callable[[complex], complex],
     spec: SymbolSpec,
     grid_coarse: TorusGrid,
     grid_fine: TorusGrid,
@@ -139,13 +152,15 @@ def classify(
 ) -> list[SpectralPoint]:
     """Label each coarse eigenvalue Discrete / ContinuumArtifact / Undecided.
 
-    The two spectra must come from the same potential sampled on grid_coarse
-    and on its 2x refinement (same L); only the grids are checked here, the
-    potential consistency is the caller's contract.  A point is Discrete if
-    its distance to the essential spectrum exceeds eta AND its nearest
-    partner across the refinement moved by less than 10% relatively;
-    ContinuumArtifact if the distance is at most eta; Undecided otherwise.
-    eta defaults per point to 5x the local dispersion spacing near Re z.
+    nearest_fine maps z to the eigenvalue nearest z of the same potential
+    sampled on grid_fine, which must be the 2x refinement of grid_coarse
+    (same L); only the grids are checked here, the potential consistency is
+    the caller's contract.  A point is ContinuumArtifact if its distance to
+    the essential spectrum is at most eta; it gets no partner and its drift
+    is nan.  Every other point asks nearest_fine for its partner and is
+    Discrete if that partner moved by less than 10% relatively, Undecided
+    otherwise.  eta defaults per point to 5x the local dispersion spacing
+    near Re z.
     """
     if grid_fine != grid_coarse.refined(2):
         raise ValueError(
@@ -153,23 +168,19 @@ def classify(
             f"N={grid_coarse.N},L={grid_coarse.L} vs N={grid_fine.N},L={grid_fine.L}"
         )
     eigs_coarse = np.asarray(eigs_coarse, dtype=complex)
-    eigs_fine = np.asarray(eigs_fine, dtype=complex)
-    if eigs_fine.size == 0:
-        raise ValueError("refined spectrum is empty")
+    if eta is None:
+        thresholds = 5.0 * local_spacings(spec, grid_coarse, eigs_coarse.real)
+    else:
+        thresholds = np.full(eigs_coarse.size, eta)
     points = []
-    for z in eigs_coarse:
+    for z, threshold in zip(eigs_coarse, thresholds):
         dist = dist_to_spectrum(spec, z)
-        partner = eigs_fine[np.argmin(np.abs(eigs_fine - z))]
-        drift = abs(z - partner) / max(abs(z), 1e-12)
-        threshold = eta
-        if threshold is None:
-            threshold = 5.0 * local_spacing(spec, grid_coarse, at=z.real)
         if dist <= threshold:
+            drift = math.nan
             label = SpectralLabel.CONTINUUM_ARTIFACT
-        elif drift < _DRIFT_TOLERANCE:
-            label = SpectralLabel.DISCRETE
         else:
-            label = SpectralLabel.UNDECIDED
+            drift = abs(z - nearest_fine(z)) / max(abs(z), 1e-12)
+            label = SpectralLabel.DISCRETE if drift < _DRIFT_TOLERANCE else SpectralLabel.UNDECIDED
         points.append(
             SpectralPoint(
                 z=complex(z),
@@ -181,12 +192,102 @@ def classify(
     return points
 
 
+# ---------------------------------------------------------------------------
+# fine partners by shift-invert
+
+
+_ARNOLDI_STEPS = 20
+_CHECK_EVERY = 4
+_RESIDUAL_TOLERANCE = 1e-13  # backward error ||H x - lam x|| / ||H||_1 of an accepted pair
+
+
+def _shift_invert_nearest(H: np.ndarray, z: complex) -> Optional[complex]:
+    """Eigenvalue of H nearest z by Arnoldi on (H - z)^{-1}, or None if unconverged.
+
+    One LU of H - z, then up to _ARNOLDI_STEPS Arnoldi steps (Gram-Schmidt
+    twice per step) from a fixed pseudo-random unit vector.  Every
+    _CHECK_EVERY steps, the Ritz value theta of largest modulus maps back to
+    lam = z + 1/theta, and the pair is accepted when its Ritz vector x is an
+    eigenvector of H itself to within _RESIDUAL_TOLERANCE * ||H||_1 (a small
+    residual on the inverse alone also passes pseudo-eigenvalues of a
+    far-from-normal H).
+
+    Every product goes through scipy's BLAS, the library that factors and
+    solves: numpy links its own BLAS, and on a few cores the idle workers of
+    one threaded BLAS stall the threads of the other.
+    """
+    n = H.shape[0]
+    H = np.asfortranarray(H)
+    tolerance = _RESIDUAL_TOLERANCE * np.linalg.norm(H, 1)
+    shifted = H.copy(order="F")
+    shifted.flat[:: n + 1] -= z
+    lu = scipy.linalg.lu_factor(shifted, overwrite_a=True, check_finite=False)
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    steps = min(_ARNOLDI_STEPS, n)
+    Q = np.zeros((n, steps + 1), dtype=complex, order="F")
+    h = np.zeros((steps + 1, steps), dtype=complex)
+    Q[:, 0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        w = scipy.linalg.lu_solve(lu, Q[:, j], check_finite=False)
+        for _ in range(2):
+            c = zgemv(1.0, Q[:, : j + 1], w, trans=2)
+            w = zgemv(-1.0, Q[:, : j + 1], c, beta=1.0, y=w, overwrite_y=True)
+            h[: j + 1, j] += c
+        h[j + 1, j] = np.linalg.norm(w)
+        if not np.isfinite(h[j + 1, j]):
+            return None
+        exhausted = h[j + 1, j] <= np.finfo(float).eps * np.abs(h[: j + 2, : j + 1]).max()
+        if exhausted or (j + 1) % _CHECK_EVERY == 0 or j + 1 == steps:
+            theta, Y = scipy.linalg.eig(h[: j + 1, : j + 1])
+            k = int(np.argmax(np.abs(theta)))
+            lam = z + 1.0 / theta[k]
+            x = zgemv(1.0, Q[:, : j + 1], Y[:, k] / np.linalg.norm(Y[:, k]))
+            if np.linalg.norm(zgemv(1.0, H, x) - lam * x) < tolerance:
+                return lam
+            if exhausted:  # invariant subspace: its Ritz values are all there is
+                return None
+        Q[:, j + 1] = w / h[j + 1, j]
+    return None
+
+
+class _FinePartner:
+    """z -> nearest eigenvalue of H_2N = T(D) + V on the fine grid.
+
+    H_2N is assembled on the first call.  Each z is answered by
+    :func:`_shift_invert_nearest`; the first time its check fails, the
+    dense spectrum of H_2N is computed and answers that z and every later one.
+    """
+
+    def __init__(self, spec: SymbolSpec, fine: TorusGrid, V: PotentialField):
+        self.spec, self.fine, self.V = spec, fine, V
+        self.H: Optional[np.ndarray] = None
+        self.dense: Optional[Callable[[complex], complex]] = None
+
+    def __call__(self, z: complex) -> complex:
+        if self.H is None:
+            H = assemble_hamiltonian(self.spec, self.fine, resample(self.V, self.fine))
+            self.H = np.asfortranarray(H)
+        if self.dense is None:
+            w = _shift_invert_nearest(self.H, z)
+            if w is not None:
+                return w
+            self.dense = nearest_in(eigensolve(self.H))
+        return self.dense(z)
+
+
 def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> list[SpectralPoint]:
-    """Every eigenvalue of H0 + V on grid, in eigensolve order, labeled by classify."""
+    """Every eigenvalue of H0 + V on grid, in eigensolve order, labeled by classify.
+
+    Dense at N, shift-invert partners at 2N: the full eigensolve runs on
+    grid only, and each point beyond eta gets its nearest eigenvalue on
+    grid.refined(2) from one LU and a short Arnoldi run (dense 2N eigensolve
+    as the fallback when that does not converge).  A call whose points are
+    all ContinuumArtifact assembles no fine matrix.
+    """
     fine = grid.refined(2)
     coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
-    refined = eigensolve(assemble_hamiltonian(spec, fine, resample(V, fine)))
-    return classify(coarse, refined, spec, grid, fine)
+    return classify(coarse, _FinePartner(spec, fine, V), spec, grid, fine)
 
 
 def spectrum_csv(points, path) -> None:

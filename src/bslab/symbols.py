@@ -109,6 +109,8 @@ class SymbolSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SymbolKind(self.kind))
+        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
+            raise TypeError(f"d={self.d!r} must be an integer")
         if not 1 <= self.d <= 3:
             raise ValueError(f"d={self.d} unsupported; need 1 <= d <= 3")
         if isinstance(self.s, bool) or not isinstance(self.s, numbers.Real):

@@ -46,7 +46,7 @@ from bslab.potentials import (
     scaled_field,
 )
 from bslab.resolvent import factored_dirac_apply, resolvent_apply
-from bslab.spectra import SpectralLabel, assemble_hamiltonian, classify, eigensolve
+from bslab.spectra import SpectralLabel, assemble_hamiltonian, classify, eigensolve, nearest_in
 from bslab.symbols import SymbolKind, SymbolSpec
 
 from pathlib import Path
@@ -58,7 +58,7 @@ def discrete_points(spec, grid, V):
     coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
     fine = grid.refined(2)
     refined = eigensolve(assemble_hamiltonian(spec, fine, resample(V, fine)))
-    pts = classify(coarse, refined, spec, grid, fine)
+    pts = classify(coarse, nearest_in(refined), spec, grid, fine)
     return [p for p in pts if p.label is SpectralLabel.DISCRETE], coarse
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands, config validation, exit codes, and report artifacts."""
 
+import csv
 import json
 import math
 
@@ -174,6 +175,19 @@ def test_spectrum_writes_classified_csv(tmp_path):
     assert len(lines) == 1 + 32
     labels = {row.split(",")[4] for row in lines[1:]}
     assert "Discrete" in labels  # the deep well binds eigenvalues
+
+
+def test_spectrum_drift_is_nan_for_artifacts_and_small_for_discrete(tmp_path):
+    out = tmp_path / "runs"
+    rc = cli_main(["spectrum", "--config", write_config(tmp_path, base_config()), "--out", str(out)])
+    assert rc == 0
+    (run_dir,) = run_dirs(out)
+    with open(run_dir / "spectra.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    artifact = [float(r["drift"]) for r in rows if r["label"] == "ContinuumArtifact"]
+    discrete = [float(r["drift"]) for r in rows if r["label"] == "Discrete"]
+    assert artifact and all(math.isnan(x) for x in artifact)
+    assert discrete and all(math.isfinite(x) and x < 0.1 for x in discrete)
 
 
 def test_spectrum_without_refinement_leaves_points_undecided(tmp_path):

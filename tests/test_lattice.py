@@ -34,6 +34,13 @@ def test_grid_validation():
         TorusGrid(4, 16, 1.0)
 
 
+@pytest.mark.parametrize("d", [True, False, 1.0, "1", None])
+def test_grid_dimension_must_be_an_integer(d):
+    with pytest.raises(TypeError, match="d="):
+        TorusGrid(d, 8, 1.0)
+    assert TorusGrid(np.int64(2), 8, 1.0).shape == (8, 8)
+
+
 def test_parseval_and_roundtrip():
     grid = TorusGrid(2, 16, 3.0)
     f = _random_field(grid, seed=1)

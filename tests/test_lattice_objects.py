@@ -19,7 +19,7 @@ from bslab.lattice import (
     site_magnitudes,
 )
 from bslab.potentials import PotentialField, potential_norm
-from bslab.resolvent import lattice_levels, local_spacing
+from bslab.resolvent import lattice_levels, local_spacing, local_spacings
 from bslab.symbols import SymbolKind, SymbolSpec, dispersion_values, symbol_values
 
 _HALF_N = {1: 32, 2: 8, 3: 4}  # small grids: N <= 64, 16, 8 for d = 1, 2, 3
@@ -76,6 +76,22 @@ def test_local_spacing_matches_a_brute_force_recount(lattice, frac, window):
     gaps = [b - a for a, b in zip(near, near[1:])] or [b - a for a, b in zip(levels, levels[1:])]
     expected = statistics.median(gaps)
     assert local_spacing(spec, grid, at, window) == pytest.approx(expected, rel=1e-12)
+
+
+@_SETTINGS
+@given(lattices(), st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=40), st.integers(1, 12))
+def test_local_spacings_equal_local_spacing_bit_for_bit(lattice, fracs, window):
+    spec, grid = lattice
+    levels = lattice_levels(spec, grid)
+    ats = np.concatenate([levels[0] + np.array(fracs) * (levels[-1] - levels[0]), levels[:3], levels[-3:]])
+    got = local_spacings(spec, grid, ats, window)
+    assert got.shape == ats.shape
+    for at, spacing in zip(ats, got):
+        # the per-point rule: median gap in a window of levels around the insertion index
+        idx = int(np.searchsorted(levels, at))
+        gaps = np.diff(levels[max(0, idx - window):min(levels.size, idx + window)])
+        expected = np.median(gaps if gaps.size else np.diff(levels))
+        assert spacing == expected == local_spacing(spec, grid, float(at), window)
 
 
 # ---------------------------------------------------------------------------

@@ -90,3 +90,11 @@ def test_validation():
         SymbolSpec("nonsense", d=1)
     # the acceptance configurations d=1, s=1.5 must construct
     SymbolSpec("fractional_laplacian", d=1, s=1.5)
+
+
+@pytest.mark.parametrize("kind", list(SymbolKind))
+@pytest.mark.parametrize("d", [True, 1.0, None])
+def test_dimension_must_be_an_integer(kind, d):
+    with pytest.raises(TypeError, match="d="):
+        SymbolSpec(kind, d=d)
+    assert SymbolSpec(kind, d=np.int64(2)).d == 2
