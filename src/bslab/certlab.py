@@ -394,6 +394,24 @@ def discrete_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> l
     return [p for p in classified_spectrum(spec, grid, V) if p.label is SpectralLabel.DISCRETE]
 
 
+def _coupling_memo(
+    spec: SymbolSpec, grid: TorusGrid, V: PotentialField
+) -> Callable[[float], list[SpectralPoint]]:
+    """t -> discrete_spectrum(spec, grid, V.scaled(t)), solved once per coupling.
+
+    The memo lives as long as the callable, so one verifier call solves each
+    coupling it probes once and the next call starts empty.
+    """
+    solved: dict[float, list[SpectralPoint]] = {}
+
+    def at(t: float) -> list[SpectralPoint]:
+        if t not in solved:
+            solved[t] = discrete_spectrum(spec, grid, V.scaled(t))
+        return solved[t]
+
+    return at
+
+
 def sum_space_norm(f: GridFunction, r_lo: float, r_hi: float, thresholds: int = 65) -> float:
     """Norm of f in L^{r_lo} + L^{r_hi} via optimized magnitude-threshold splits.
 
@@ -562,8 +580,10 @@ def verify_main(
     certify = _certifier("main", grid, seed)
     preflight_main(spec, K, q)
 
+    discrete_at = _coupling_memo(spec, grid, V)
+
     def discrete_in(t: float) -> list[SpectralPoint]:
-        return [p for p in discrete_spectrum(spec, grid, V.scaled(t)) if K.contains(p.z)]
+        return [p for p in discrete_at(t) if K.contains(p.z)]
 
     pts_unit = discrete_in(1.0)
     lhs = weighted_blaschke_sum(pts_unit, "plain") if pts_unit else 0.0
@@ -1039,17 +1059,22 @@ def verify_imaginary(
 
 
 def _threshold_bracket(
-    spec: SymbolSpec, grid: TorusGrid, V: PotentialField, t_floor: float, t_cap: float
+    discrete_at: Callable[[float], list[SpectralPoint]], t_floor: float, t_cap: float
 ) -> Optional[float]:
-    """Smallest probed coupling with a Discrete point, scanning powers of two."""
+    """Smallest probed coupling with a Discrete point, scanning powers of two.
+
+    discrete_at maps a coupling t to the Discrete points of t*V, as
+    :func:`_coupling_memo` builds it; every t probed here is a power of two,
+    so a caller's ladder through t_entry * 2**k reuses these solves.
+    """
     t = 1.0
-    if discrete_spectrum(spec, grid, V.scaled(t)):
-        while t > t_floor and discrete_spectrum(spec, grid, V.scaled(t / 2.0)):
+    if discrete_at(t):
+        while t > t_floor and discrete_at(t / 2.0):
             t /= 2.0
         return t
     while t < t_cap:
         t *= 2.0
-        if discrete_spectrum(spec, grid, V.scaled(t)):
+        if discrete_at(t):
             return t
     return None
 
@@ -1126,7 +1151,8 @@ def verify_weighted_sums(
         weight = _ALPHA_WEIGHTS[kind]
     inputs = _inputs_head(spec, q, V, alpha=alpha, eps=eps) | {"weight": weight, "variant": variant}
 
-    t_entry = _threshold_bracket(spec, grid, V, t_floor=2.0**-12, t_cap=64.0)
+    discrete_at = _coupling_memo(spec, grid, V)
+    t_entry = _threshold_bracket(discrete_at, t_floor=2.0**-12, t_cap=64.0)
     if t_entry is None:
         inputs["note"] = "no Discrete eigenvalues at any probed coupling"
         return certify(inputs, 0.0, rhs=fit_budget, verdict=REPORT_ONLY)
@@ -1134,13 +1160,12 @@ def verify_weighted_sums(
     ladder = [t_entry * 2.0 ** (k / 2.0) for k in range(-2, 11)]
     sums, counts, vnorms, max_abs_z = [], [], [], 0.0
     for t in ladder:
-        Vt = V.scaled(t)
-        pts = discrete_spectrum(spec, grid, Vt)
+        pts = discrete_at(t)
         sums.append(
             weighted_blaschke_sum(pts, weight, d=d, alpha=alpha, eps=eps) if pts else 0.0
         )
         counts.append(len(pts))
-        vnorms.append(potential_norm(Vt, q))
+        vnorms.append(potential_norm(V.scaled(t), q))
         if pts:
             max_abs_z = max(max_abs_z, max(abs(p.z) for p in pts))
 

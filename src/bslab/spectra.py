@@ -11,20 +11,25 @@ that barely move across the refinement are discrete.
 partners at 2N.  It runs the full eigensolve at N only; a point beyond eta
 of the essential spectrum gets its nearest 2N eigenvalue from one LU of
 H_2N - z and a short Arnoldi run on the inverse, and H_2N is assembled only
-if some point needs a partner.
+if some point needs a partner.  The dense T(D) is built once per (symbol,
+grid) and cached read-only; every Hamiltonian is a fresh copy of it plus
+the site diagonal of V.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import zgemv
+from scipy.linalg.lapack import zgeev, zgeev_lwork, zgetrf, zgetrs
 
 from .lattice import TorusGrid, add_site_diagonal, multiplier_matrix
 from .potentials import PotentialField, resample
@@ -44,6 +49,8 @@ __all__ = [
     "nearest_in",
     "spectrum_csv",
 ]
+
+_log = logging.getLogger("bslab")
 
 
 @dataclass(frozen=True)
@@ -86,11 +93,21 @@ def dist_to_spectrum(spec: SymbolSpec, z: complex) -> float:
 # dense Hamiltonian
 
 
+@lru_cache(maxsize=4)
+def _kinetic_matrix(spec: SymbolSpec, grid: TorusGrid) -> np.ndarray:
+    """Dense T(D) on the grid, built once per (spec, grid); read-only."""
+    T = multiplier_matrix(symbol_values(spec, grid.xi()), grid, n=spec.n)
+    T.setflags(write=False)
+    return T
+
+
 def assemble_hamiltonian(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> np.ndarray:
-    """Dense H = T(D) + V on the grid (site-major, spinor-minor layout)."""
+    """Dense H = T(D) + V on the grid (site-major, spinor-minor layout).
+
+    A fresh writable copy of the cached T(D) with the site diagonal added.
+    """
     V.check_fits(grid, spec.n)
-    H = multiplier_matrix(symbol_values(spec, grid.xi()), grid, n=spec.n)
-    return add_site_diagonal(H, V.values, grid, spec.n)
+    return add_site_diagonal(_kinetic_matrix(spec, grid).copy(), V.values, grid, spec.n)
 
 
 def eigensolve(H: np.ndarray) -> np.ndarray:
@@ -201,6 +218,13 @@ _CHECK_EVERY = 4
 _RESIDUAL_TOLERANCE = 1e-13  # backward error ||H x - lam x|| / ||H||_1 of an accepted pair
 
 
+@lru_cache(maxsize=None)
+def _geev_lwork(m: int) -> int:
+    """Optimal zgeev workspace for an m x m matrix, as scipy.linalg.eig queries it."""
+    work, _ = zgeev_lwork(m, compute_vl=0, compute_vr=1)
+    return int(work.real)
+
+
 def _shift_invert_nearest(H: np.ndarray, z: complex) -> Optional[complex]:
     """Eigenvalue of H nearest z by Arnoldi on (H - z)^{-1}, or None if unconverged.
 
@@ -210,18 +234,21 @@ def _shift_invert_nearest(H: np.ndarray, z: complex) -> Optional[complex]:
     lam = z + 1/theta, and the pair is accepted when its Ritz vector x is an
     eigenvector of H itself to within _RESIDUAL_TOLERANCE * ||H||_1 (a small
     residual on the inverse alone also passes pseudo-eigenvalues of a
-    far-from-normal H).
+    far-from-normal H).  An exactly singular H - z also returns None.
 
-    Every product goes through scipy's BLAS, the library that factors and
-    solves: numpy links its own BLAS, and on a few cores the idle workers of
-    one threaded BLAS stall the threads of the other.
+    Every call goes straight to scipy's LAPACK and BLAS (getrf, getrs and
+    geev are what lu_factor, lu_solve and eig run, minus their per-call
+    argument checks).  numpy links its own BLAS, and on a few cores the idle
+    workers of one threaded BLAS stall the threads of the other.
     """
     n = H.shape[0]
     H = np.asfortranarray(H)
     tolerance = _RESIDUAL_TOLERANCE * np.linalg.norm(H, 1)
     shifted = H.copy(order="F")
     shifted.flat[:: n + 1] -= z
-    lu = scipy.linalg.lu_factor(shifted, overwrite_a=True, check_finite=False)
+    lu, piv, info = zgetrf(shifted, overwrite_a=True)
+    if info > 0:  # z is an eigenvalue to working precision: the dense fallback answers
+        return None
     rng = np.random.default_rng(0)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     steps = min(_ARNOLDI_STEPS, n)
@@ -229,7 +256,7 @@ def _shift_invert_nearest(H: np.ndarray, z: complex) -> Optional[complex]:
     h = np.zeros((steps + 1, steps), dtype=complex)
     Q[:, 0] = start / np.linalg.norm(start)
     for j in range(steps):
-        w = scipy.linalg.lu_solve(lu, Q[:, j], check_finite=False)
+        w, _ = zgetrs(lu, piv, Q[:, j])
         for _ in range(2):
             c = zgemv(1.0, Q[:, : j + 1], w, trans=2)
             w = zgemv(-1.0, Q[:, : j + 1], c, beta=1.0, y=w, overwrite_y=True)
@@ -239,10 +266,13 @@ def _shift_invert_nearest(H: np.ndarray, z: complex) -> Optional[complex]:
             return None
         exhausted = h[j + 1, j] <= np.finfo(float).eps * np.abs(h[: j + 2, : j + 1]).max()
         if exhausted or (j + 1) % _CHECK_EVERY == 0 or j + 1 == steps:
-            theta, Y = scipy.linalg.eig(h[: j + 1, : j + 1])
+            m = j + 1
+            theta, _, Y, info = zgeev(h[:m, :m], compute_vl=0, compute_vr=1, lwork=_geev_lwork(m))
+            if info != 0:  # QR iteration on the Hessenberg matrix did not converge
+                return None
             k = int(np.argmax(np.abs(theta)))
             lam = z + 1.0 / theta[k]
-            x = zgemv(1.0, Q[:, : j + 1], Y[:, k] / np.linalg.norm(Y[:, k]))
+            x = zgemv(1.0, Q[:, :m], Y[:, k] / np.linalg.norm(Y[:, k]))
             if np.linalg.norm(zgemv(1.0, H, x) - lam * x) < tolerance:
                 return lam
             if exhausted:  # invariant subspace: its Ritz values are all there is
@@ -256,7 +286,8 @@ class _FinePartner:
 
     H_2N is assembled on the first call.  Each z is answered by
     :func:`_shift_invert_nearest`; the first time its check fails, the
-    dense spectrum of H_2N is computed and answers that z and every later one.
+    dense spectrum of H_2N is computed (one DEBUG record on the ``bslab``
+    logger) and answers that z and every later one.
     """
 
     def __init__(self, spec: SymbolSpec, fine: TorusGrid, V: PotentialField):
@@ -272,6 +303,7 @@ class _FinePartner:
             w = _shift_invert_nearest(self.H, z)
             if w is not None:
                 return w
+            _log.debug("dense %d-dim fine solve: no shift-invert partner at z=%s", self.H.shape[0], z)
             self.dense = nearest_in(eigensolve(self.H))
         return self.dense(z)
 

@@ -5,10 +5,13 @@ import json
 import math
 import threading
 import time
+import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bslab import certlab
 from bslab.certlab import (
     BoundCertificate,
     JobError,
@@ -31,6 +34,7 @@ from bslab.certlab import (
     verify_uniform_resolvent,
     verify_weighted_sums,
 )
+from bslab.cli import main as cli_main
 from bslab.conformal import weighted_blaschke_sum
 from bslab.lattice import GridFunction, TorusGrid
 from bslab.potentials import PotentialField, PotentialSpec, sample_potential
@@ -464,6 +468,25 @@ def test_verify_weighted_sums_policing():
         verify_weighted_sums(MASSLESS1, grid, V, q=1.0, alpha=0.5, eps=0.5)
     with pytest.raises(ValueError, match="relativistic kind"):
         verify_weighted_sums(FRAC15, grid, V, q=1.0, alpha=None, eps=0.5, variant="inverse_sqrt")
+
+
+def test_golden_verifiers_solve_each_coupling_once(tmp_path, monkeypatch):
+    # The bracket, bisection and ladder revisit couplings; each verifier call
+    # solves every distinct t*V once.
+    solved = {"verify_main": [], "verify_weighted_sums": []}
+    original = certlab.discrete_spectrum
+
+    def recording(spec, grid, V):
+        for frame in traceback.extract_stack():
+            if frame.name in solved:
+                solved[frame.name].append(V.values.tobytes())
+        return original(spec, grid, V)
+
+    monkeypatch.setattr(certlab, "discrete_spectrum", recording)
+    config = Path(__file__).resolve().parent.parent / "configs" / "golden.json"
+    assert cli_main(["scan", "--config", str(config), "--out", str(tmp_path), "--deterministic"]) == 0
+    assert {name: len(vs) for name, vs in solved.items()} == {"verify_main": 15, "verify_weighted_sums": 13}
+    assert all(len(set(vs)) == len(vs) for vs in solved.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """CLI subcommands, config validation, exit codes, and report artifacts."""
 
 import csv
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,6 +519,19 @@ def test_scan_reruns_are_byte_identical(tmp_path):
     assert names == sorted(p.name for p in db.iterdir())
     for name in names:
         assert (da / name).read_bytes() == (db / name).read_bytes(), name
+
+
+def test_golden_certificates_match_the_benchmark_references(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    refs = json.loads((repo / "bench" / "references.json").read_text(encoding="utf-8"))
+    config = repo / "configs" / "golden.json"
+    assert cli_main(["scan", "--config", str(config), "--out", str(tmp_path), "--deterministic"]) == 0
+    (run_dir,) = run_dirs(tmp_path)
+    hashes = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(run_dir.glob("certificate-*.json"))
+    }
+    assert hashes == refs["golden-scan"]["certificate_sha256"]
 
 
 def test_output_root_env_variable(tmp_path, monkeypatch):

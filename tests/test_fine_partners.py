@@ -1,6 +1,7 @@
 """classified_spectrum (dense at N, shift-invert partners at 2N) against the
 dense oracle: classify fed every eigenvalue of H_2N."""
 
+import logging
 import math
 
 import numpy as np
@@ -113,15 +114,19 @@ def test_isolated_eigenvalue_needs_no_dense_fine_solve(monkeypatch):
     ],
     ids=lambda spec: spec.kind.value,
 )
-def test_failed_residual_check_falls_back_to_one_dense_solve(monkeypatch, spec):
+def test_failed_residual_check_falls_back_to_one_dense_solve(monkeypatch, caplog, spec):
     grid = TorusGrid(1, 48, 12.0)
     V = gaussian_well(grid, -3.0 + 0.8j, 1.0, [6.0])
     oracle = dense_oracle(spec, grid, V)
     assert any(p.label is not _ARTIFACT for p in oracle)
     monkeypatch.setattr(spectra, "_RESIDUAL_TOLERANCE", 0.0)
     solved = counting(monkeypatch, "eigensolve")
-    points = classified_spectrum(spec, grid, V)
+    with caplog.at_level(logging.DEBUG, logger="bslab"):
+        points = classified_spectrum(spec, grid, V)
     assert [H.shape[0] for H in solved] == [48 * spec.n, 96 * spec.n]
+    (record,) = [r for r in caplog.records if r.name == "bslab"]
+    assert record.levelno == logging.DEBUG
+    assert f"dense {96 * spec.n}-dim fine solve" in record.getMessage()
     assert [(p.z, p.label) for p in points] == [(p.z, p.label) for p in oracle]
     for p, q in zip(points, oracle):
         assert p.refinement_drift == q.refinement_drift or p.label is _ARTIFACT

@@ -1,5 +1,6 @@
-"""Property tests of the lattice objects: T(xi), its level set, the local spacing
-and the field layout (site magnitudes, weighted L^p norms, site-diagonal embedding)."""
+"""Property tests of the lattice objects: T(xi), its level set, the local spacing,
+the field layout (site magnitudes, weighted L^p norms, site-diagonal embedding)
+and the cached dense T(D) under every Hamiltonian."""
 
 import bisect
 import math
@@ -9,17 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bslab import spectra
 from bslab.lattice import (
     GridFunction,
     TorusGrid,
     add_site_diagonal,
     lp_norm,
+    multiplier_matrix,
     per_site,
     site_diagonal_sandwich,
     site_magnitudes,
 )
 from bslab.potentials import PotentialField, potential_norm
 from bslab.resolvent import lattice_levels, local_spacing, local_spacings
+from bslab.spectra import assemble_hamiltonian
 from bslab.symbols import SymbolKind, SymbolSpec, dispersion_values, symbol_values
 
 _HALF_N = {1: 32, 2: 8, 3: 4}  # small grids: N <= 64, 16, 8 for d = 1, 2, 3
@@ -188,3 +192,22 @@ def test_site_diagonal_embedding_is_the_block_diagonal_product(field, n_scalar, 
     scale = np.abs(mat).max() * max(1.0, np.abs(left).max() * np.abs(right).max())
     assert np.max(np.abs(got - L @ mat @ R)) <= 1e-12 * n * scale
     assert np.array_equal(add_site_diagonal(mat.copy(), left, grid, n), mat + L)
+
+
+@_SETTINGS
+@given(lattices(), st.sampled_from(_POTENTIALS), st.integers(0, 2**32 - 1))
+def test_hamiltonian_is_a_fresh_copy_of_the_cached_kinetic_matrix(lattice, layout, seed):
+    spec, grid = lattice
+    V = PotentialField(grid, _samples(grid, layout, spec.n, seed))
+    T = multiplier_matrix(symbol_values(spec, grid.xi()), grid, n=spec.n)
+    expected = add_site_diagonal(T.copy(), V.values, grid, spec.n)
+    H = assemble_hamiltonian(spec, grid, V)
+    assert np.array_equal(H, expected)
+    assert H.flags.writeable
+    H[...] = 0.0
+    assert np.array_equal(assemble_hamiltonian(spec, grid, V), expected)
+    cached = spectra._kinetic_matrix(spec, grid)
+    assert np.array_equal(cached, T)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 0.0
