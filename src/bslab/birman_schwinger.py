@@ -47,6 +47,13 @@ _SV_TRUNCATION = 1e-13
 
 _TWO_PI = 2.0 * math.pi
 
+# Contour search: segments per rectangle side at the first winding level,
+# and the smallest box side and the secant tolerance, relative to the
+# rectangle's longer side.
+_BASE_SEGMENTS = 8
+_MIN_BOX_REL = 1e-9
+_POLISH_REL = 5e-13
+
 
 # ---------------------------------------------------------------------------
 # half potentials
@@ -87,8 +94,8 @@ def bs_matrix(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex) 
     """Dense M(z) = |V|^{1/2} R0(z) V^{1/2}."""
     V.check_fits(grid, spec.n)
     left, right = half_potentials(V)  # |V|^{1/2}, V^{1/2}
-    rmat = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid, n=spec.n)
-    return site_diagonal_sandwich(left.values, rmat, right.values, grid, spec.n)
+    rmat = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid)
+    return site_diagonal_sandwich(left.values, rmat, right.values, grid)
 
 
 def assemble_bs(
@@ -374,10 +381,7 @@ def det_contour_roots(
     lo: complex,
     hi: complex,
     *,
-    segments: int = 8,
     max_evals: int = 40000,
-    min_box_rel: float = 1e-9,
-    polish_rel: float = 5e-13,
 ) -> list[complex]:
     """Zeros of det_fn inside the open rectangle with corners lo, hi.
 
@@ -394,14 +398,14 @@ def det_contour_roots(
         raise ValueError("need lo.real < hi.real and lo.imag < hi.imag")
     scale = max(hi.real - lo.real, hi.imag - lo.imag)
     min_len = 1e-12 * scale
-    min_box = min_box_rel * scale
-    polish_tol = polish_rel * scale
+    min_box = _MIN_BOX_REL * scale
+    polish_tol = _POLISH_REL * scale
     sampler = _DetSampler(det_fn, max_evals)
 
     roots: list[complex] = []
 
     def solve(x0, x1, y0, y1, depth):
-        w = _winding(sampler, x0, x1, y0, y1, min_len, segments)
+        w = _winding(sampler, x0, x1, y0, y1, min_len, _BASE_SEGMENTS)
         if w is None:
             raise ContourBoundaryError(
                 "determinant zero sits on the search rectangle boundary; "

@@ -86,6 +86,14 @@ THEOREM_IDS = (
     "weighted-sums",
 )
 
+# Fixed verifier settings, by verifier
+_BISECT_STEPS = 14  # main: bisection steps on t* after the power-of-two bracket
+_SWEEP_SHAPE = (6, 4)  # main: K-grid of the eigenvalue-free sweep just below t*
+_SUM_SPACE_PROBES = 4  # uniform-resolvent: random fields per point below s = 2d/(d+1)
+_SCALING_TS = (0.25, 0.5, 1.0, 2.0, 4.0)  # individual-bounds: co-rescalings, against t = 1
+_IMAGINARY_LADDER = (1.0, math.sqrt(2.0), 2.0, 2.0 * math.sqrt(2.0), 4.0)  # imaginary: couplings
+_IDENTITY_POINTS = (0.7 + 0.4j, -1.3 + 0.9j, 2.1 + 0.05j)  # imaginary: Im R0 identity points
+
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -565,8 +573,6 @@ def verify_main(
     q: float,
     *,
     t_max: float = 32.0,
-    bisect_steps: int = 14,
-    sweep_shape: tuple[int, int] = (6, 4),
     seed: int = 0,
 ) -> BoundCertificate:
     """Window eigenvalue sum plus the coupling threshold with its BS cross-checks.
@@ -601,7 +607,7 @@ def verify_main(
         if t_hi >= t_max and not discrete_in(t_hi):
             inputs["threshold"] = f"no eigenvalue up to t_max={t_max}"
             return certify(inputs, 0.0, verdict=REPORT_ONLY)
-    for _ in range(bisect_steps):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (t_lo + t_hi)
         if discrete_in(mid):
             t_hi = mid
@@ -614,7 +620,7 @@ def verify_main(
     sigma1 = [float(sv[0]) for _, sv in entering]
     sweep_max = 0.0
     if t_lo > 0.0:
-        for z in K.sample_grid(*sweep_shape):
+        for z in K.sample_grid(*_SWEEP_SHAPE):
             if dist_to_spectrum(spec, z) <= 0.0:
                 continue
             _, sv = assemble_bs(spec, grid, V.scaled(t_lo), z)
@@ -644,14 +650,14 @@ def verify_main(
 
 
 def preflight_uniform_resolvent(
-    spec: SymbolSpec, grid: TorusGrid, K: Region, p: Optional[float], nx: int = 7, ny: int = 5
+    spec: SymbolSpec, grid: TorusGrid, K: Region, p: Optional[float]
 ) -> None:
     """Argument checks of :func:`verify_uniform_resolvent`; raises RegimeError."""
     K.validate_for(spec)
     uniform_p_window(spec, p)
     levels = lattice_levels(spec, grid)
     lev_lo, lev_hi = float(levels[0]), float(levels[-1])
-    for z in K.sample_grid(nx, ny):
+    for z in K.sample_grid():
         if not lev_lo <= z.real <= lev_hi:
             raise RegimeError(
                 "region",
@@ -666,9 +672,6 @@ def verify_uniform_resolvent(
     K: Region,
     p: Optional[float],
     *,
-    nx: int = 7,
-    ny: int = 5,
-    probes: int = 4,
     seed: int = 0,
 ) -> BoundCertificate:
     """Uniformity proxy for the resolvent mapping bound over the window K.
@@ -682,7 +685,7 @@ def verify_uniform_resolvent(
     norm evaluated by threshold splits.
     """
     certify = _certifier("uniform-resolvent", grid, seed)
-    preflight_uniform_resolvent(spec, grid, K, p, nx, ny)
+    preflight_uniform_resolvent(spec, grid, K, p)
     d, s = spec.d, spec.s
     case_a = _case_a(spec)
     if not case_a:
@@ -693,11 +696,11 @@ def verify_uniform_resolvent(
         shape = grid.field_shape(spec.n)
         fields = [
             GridFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            for _ in range(probes)
+            for _ in range(_SUM_SPACE_PROBES)
         ]
 
     zs = []
-    for z in K.sample_grid(nx, ny):
+    for z in K.sample_grid():
         eps = boundary_epsilon(spec, grid, z.real)
         y = z.imag
         if abs(y) < eps:
@@ -895,7 +898,6 @@ def verify_individual_bounds(
     V: PotentialField,
     q: float,
     *,
-    ts: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
     family_size: int = 6,
     seed: int = 0,
 ) -> BoundCertificate:
@@ -914,7 +916,7 @@ def verify_individual_bounds(
 
     points = classified_spectrum(spec, grid, V)
     base_pts = [p for p in points if p.label is SpectralLabel.DISCRETE]
-    inputs = _inputs_head(spec, q, V) | {"ts": list(ts), "family_size": family_size}
+    inputs = _inputs_head(spec, q, V) | {"ts": list(_SCALING_TS), "family_size": family_size}
     if not base_pts:
         inputs["note"] = "no Discrete eigenvalues for the base potential"
         return certify(inputs, 0.0, verdict=REPORT_ONLY)
@@ -923,7 +925,7 @@ def verify_individual_bounds(
     base_eigs = np.array([p.z for p in points])
     ratios = {}
     spectrum_drift = 0.0
-    for t in ts:
+    for t in _SCALING_TS:
         Vt = scaled_field(V, t, s)
         eigs_t = eigensolve(assemble_hamiltonian(spec, grid.rescaled(t), Vt))
         scale = t**s
@@ -933,7 +935,7 @@ def verify_individual_bounds(
         )
         z_t = scale * anchor.z
         ratios[t] = abs(z_t) ** (q - d / s) / potential_norm(Vt, q) ** q
-    ratio_drift = max(abs(ratios[t] / ratios[1.0] - 1.0) for t in ts)
+    ratio_drift = max(abs(ratios[t] / ratios[1.0] - 1.0) for t in _SCALING_TS)
 
     # empirical constants over a seeded family of rescaled copies
     rng = np.random.default_rng(seed)
@@ -989,8 +991,6 @@ def verify_imaginary(
     W: PotentialField,
     q: float,
     *,
-    ladder: Sequence[float] = (1.0, math.sqrt(2.0), 2.0, 2.0 * math.sqrt(2.0), 4.0),
-    identity_points: Sequence[complex] = (0.7 + 0.4j, -1.3 + 0.9j, 2.1 + 0.05j),
     seed: int = 0,
 ) -> BoundCertificate:
     """Checks specific to V = iW with W >= 0.
@@ -1008,12 +1008,10 @@ def verify_imaginary(
     Vi = imaginary_potential(W)
 
     # (i) resolvent identity as dense matrices
-    n = spec.n
     resid_identity = 0.0
-    for z in identity_points:
-        z = complex(z)
-        R = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid, n=n)
-        Rc = multiplier_matrix(resolvent_multiplier(spec, grid, z.conjugate()), grid, n=n)
+    for z in _IDENTITY_POINTS:
+        R = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid)
+        Rc = multiplier_matrix(resolvent_multiplier(spec, grid, z.conjugate()), grid)
         im_part = (R - R.conj().T) / 2j
         resid = np.linalg.norm(im_part - z.imag * (R @ Rc)) / np.linalg.norm(im_part)
         resid_identity = max(resid_identity, float(resid))
@@ -1022,8 +1020,8 @@ def verify_imaginary(
     dev_max = 0.0
     sup_quantity = None
     n_eigs = 0
-    for t in ladder:
-        Vt = Vi.scaled(float(t))
+    for t in _IMAGINARY_LADDER:
+        Vt = Vi.scaled(t)
         vq = potential_norm(Vt, q) ** q
         for pt in discrete_spectrum(spec, grid, Vt):
             z = pt.z
@@ -1040,8 +1038,8 @@ def verify_imaginary(
 
     ok = resid_identity <= 1e-10 and dev_max <= 1e-6
     inputs = _inputs_head(spec, q, Vi) | {
-        "ladder": [float(t) for t in ladder],
-        "identity_points": [complex(z) for z in identity_points],
+        "ladder": list(_IMAGINARY_LADDER),
+        "identity_points": list(_IDENTITY_POINTS),
         "re_q_deviation": dev_max,
         "eigenvalues_checked": n_eigs,
     }
@@ -1177,16 +1175,10 @@ def verify_weighted_sums(
             z0 = complex(-c_emp * v_pow, 0.0)
             inputs["c_emp"] = c_emp
         else:
-            mags = site_magnitudes(V.values, grid.d)
-            rho = float(mags.max())
-            for _ in range(40):
-                mask = per_site(mags < rho, V.values, grid.d)
-                tail = PotentialField(grid, np.where(mask, V.values, 0.0))
-                probe_z = _point_at_distance(kind, 2.0 * rho)
-                _, sv = assemble_bs(spec, grid, tail, probe_z)
-                if sv[0] < 0.5:
-                    break
-                rho /= 2.0
+            # The tail of V below rho = max site magnitude has sigma_1(M(z0)) < 1/2:
+            # H0 is self-adjoint with its levels in sigma_ess, so ||R0(z0)|| <= 1/(2 rho)
+            # (massive gap, 2 rho < 1: z0 = 0, ||R0(0)|| <= 1 and sigma_1 < rho < 1/2).
+            rho = float(site_magnitudes(V.values, grid.d).max())
             z0 = _point_at_distance(kind, 2.0 * rho)
             inputs["rho"] = rho
     inputs["z0"] = complex(z0)

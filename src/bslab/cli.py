@@ -72,6 +72,7 @@ from .spectra import (
     classified_spectrum,
     dist_to_spectrum,
     eigensolve,
+    fine_grid,
     spectrum_csv,
 )
 from .symbols import SymbolKind, SymbolSpec, critical_values
@@ -119,14 +120,25 @@ def _get_block(doc: dict, name: str, required: bool = True) -> dict:
     return block
 
 
+def _number(path: str, val) -> float:
+    """The config-number rule: a finite int or float that is not a bool.
+
+    json.loads parses NaN and Infinity, and bool is an int subclass.
+    """
+    try:
+        ok = not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(path, "must be a finite number")
+    return float(val)
+
+
 def _coerce_param(key: str, value):
+    for v in np.asarray(value, dtype=object).ravel():  # the numbers of nested lists
+        _number(f"potential.params.{key}", v)
     # [re, im] pairs denote complex numbers everywhere except center points
-    if (
-        key != "center"
-        and isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if key != "center" and np.shape(value) == (2,):
         return complex(value[0], value[1])
     return value
 
@@ -232,49 +244,53 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _as_number(key: str, val) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"run.{key}", "must be a number")
-    return float(val)
+    return _number(f"run.{key}", val)
 
 
 def _as_complex(key: str, val) -> complex:
-    try:
-        return complex(*val) if isinstance(val, list) else complex(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"run.{key}", "must be a number or an [re, im] pair")
+    parts = val if isinstance(val, list) and len(val) == 2 else [val]
+    return complex(*(_number(f"run.{key}", v) for v in parts))
 
 
 def _as_region(key: str, block) -> Region:
     if not isinstance(block, dict):
         raise ConfigError(f"run.{key}", "must be a JSON object")
+    bounds = block.get("bounds", [])
+    for v in np.asarray(bounds, dtype=object).ravel():
+        _number(f"run.{key}.bounds", v)
+    clearance = block.get("clearance", 0.1)
+    _number(f"run.{key}.clearance", clearance)
     try:
-        return Region(
-            shape=block.get("shape", "rectangle"),
-            bounds=tuple(block.get("bounds", ())),
-            clearance=block.get("clearance", 0.1),
-        )
+        return Region(shape=block.get("shape", "rectangle"), bounds=tuple(bounds), clearance=clearance)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"run.{key}", str(err))
+
+
+# ray type -> (builder, the numeric fields it takes before count)
+_RAYS = {
+    "fixed_argument": (fixed_argument_ray, ("theta", "r_lo", "r_hi")),
+    "boundary": (boundary_ray, ("re_lo", "re_hi", "height")),
+}
 
 
 def _as_ray(key: str, block) -> list[complex]:
     if not isinstance(block, dict):
         raise ConfigError(f"run.{key}", "must be a JSON object")
     kind = block.get("type")
+    if kind not in _RAYS:
+        raise ConfigError(f"run.{key}.type", f"unknown ray type {kind!r}; options: {', '.join(_RAYS)}")
+    build, names = _RAYS[kind]
+    missing = [name for name in names if name not in block]
+    if missing:
+        raise ConfigError(f"run.{key}", f"missing field {missing[0]!r} for type {kind!r}")
+    args = [_as_number(f"{key}.{name}", block[name]) for name in names]
+    count = block.get("count", 9)
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ConfigError(f"run.{key}.count", "must be an integer")
     try:
-        if kind == "fixed_argument":
-            return fixed_argument_ray(
-                block["theta"], block["r_lo"], block["r_hi"], block.get("count", 9)
-            )
-        if kind == "boundary":
-            return boundary_ray(
-                block["re_lo"], block["re_hi"], block["height"], block.get("count", 9)
-            )
-    except KeyError as err:
-        raise ConfigError(f"run.{key}", f"missing field {err.args[0]!r} for type {kind!r}")
-    except (TypeError, ValueError) as err:
+        return build(*args, count)
+    except ValueError as err:
         raise ConfigError(f"run.{key}", str(err))
-    raise ConfigError(f"run.{key}.type", f"unknown ray type {kind!r}; options: fixed_argument, boundary")
 
 
 # run-block key -> (reader, default); a _REQUIRED default makes the key mandatory
@@ -489,7 +505,17 @@ def _cmd_symbols(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+def _check_refinement(cfg: ExperimentConfig) -> None:
+    """Under grid.refine, the N -> 2N pair of classified_spectrum must exist."""
+    if cfg.refine:
+        try:
+            fine_grid(cfg.spec, cfg.grid)
+        except ValueError as err:
+            raise ConfigError("grid.refine", f"no N -> 2N refinement pair: {err}; lower N or set false")
+
+
 def _cmd_spectrum(cfg: ExperimentConfig, args) -> int:
+    _check_refinement(cfg)
     points = _classified_points(cfg)
     dest = _artifact_dir(args.out)
     path = dest / "spectra.csv"
@@ -555,6 +581,7 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
 def _cmd_scan(cfg: ExperimentConfig, args) -> int:
     if not cfg.theorems:
         raise ConfigError("run.theorems", "a scan needs at least one theorem id")
+    _check_refinement(cfg)
     return _run_verifiers(cfg, cfg.theorems, args, with_spectra=True)
 
 

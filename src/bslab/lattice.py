@@ -20,6 +20,7 @@ the site-major, spinor-minor index of dense operators (:func:`multiplier_matrix`
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,9 +32,7 @@ __all__ = [
     "TorusGrid",
     "add_site_diagonal",
     "apply_multiplier",
-    "fft_coeffs",
-    "from_fft_coeffs",
-    "inner",
+    "dense_dim",
     "lp_norm",
     "multiplier_matrix",
     "per_site",
@@ -67,8 +66,8 @@ class TorusGrid:
             raise ValueError(f"N={self.N} exceeds the d={self.d} cap {_N_CAP[self.d]}")
         if isinstance(self.L, bool) or not isinstance(self.L, numbers.Real):
             raise TypeError(f"L={self.L!r} must be a number")
-        if not self.L > 0:
-            raise ValueError(f"L={self.L} must be positive")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"L={self.L} must be positive and finite")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -157,17 +156,6 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy())
 
 
-def fft_coeffs(f: GridFunction) -> np.ndarray:
-    """Continuum-normalized Fourier coefficients on the frequency lattice."""
-    return np.fft.fftn(f.values, axes=f.grid.axes()) * f.grid.weight
-
-
-def from_fft_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> GridFunction:
-    """Inverse of fft_coeffs: Riemann sum over the frequency lattice."""
-    vals = np.fft.ifftn(coeffs, axes=grid.axes()) * (grid.N / grid.L) ** grid.d
-    return GridFunction(grid, vals)
-
-
 def site_magnitudes(values: np.ndarray, d: int) -> np.ndarray:
     """Per-site magnitude of samples on a d-dimensional grid.
 
@@ -208,13 +196,6 @@ def apply_multiplier(m: np.ndarray, f: GridFunction) -> GridFunction:
     return GridFunction(grid, np.fft.ifftn(spectrum, axes=grid.axes()))
 
 
-def inner(f: GridFunction, g: GridFunction) -> complex:
-    """Weighted L^2 inner product (conjugate-linear in the first slot)."""
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch")
-    return complex(np.vdot(f.values, g.values) * f.grid.weight)
-
-
 def weighted_lp(mags: np.ndarray, p: float, weight: float) -> float:
     """(weight * sum mags^p)^(1/p) over per-site magnitudes, 1 <= p <= inf."""
     if np.isinf(p):
@@ -233,19 +214,28 @@ def lp_norm(f, p: float) -> float:
     return weighted_lp(site_magnitudes(np.asarray(f.values), f.grid.d), p, f.grid.weight)
 
 
-def multiplier_matrix(m: np.ndarray, grid: TorusGrid, n: int = 1) -> np.ndarray:
-    """Dense matrix of a Fourier multiplier on coefficient vectors.
-
-    Index layout is site-major, spinor-minor (row-major sites); the matrix
-    acts on f.values.reshape(-1). Assembly is capped at N^d * n <= 8192.
-    """
-    mvals = np.asarray(m, dtype=complex)
+def dense_dim(grid: TorusGrid, n: int) -> int:
+    """N^d * n, the size of a dense operator on n-component fields; ValueError above 8192."""
     dim = grid.size * n
     if dim > _DENSE_CAP:
         raise ValueError(f"dense assembly size {dim} exceeds the cap {_DENSE_CAP}")
+    return dim
+
+
+def multiplier_matrix(m: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Dense matrix of a Fourier multiplier on coefficient vectors.
+
+    m is a scalar multiplier (shape grid.shape) or an (n, n) block
+    multiplier (grid.shape + (n, n)) acting on n-component spinors.  Index
+    layout is site-major, spinor-minor (row-major sites); the matrix acts on
+    f.values.reshape(-1). Assembly is capped by :func:`dense_dim`.
+    """
+    mvals = np.asarray(m, dtype=complex)
     scalar = mvals.shape == grid.shape
+    n = 1 if scalar else mvals.shape[-1]
     if not scalar and mvals.shape != grid.shape + (n, n):
         raise ValueError(f"multiplier shape {mvals.shape} does not match grid/spinor")
+    dim = dense_dim(grid, n)
     axes = tuple(range(1, grid.d + 1))
     out = np.empty((dim, dim), dtype=complex)
     chunk = max(1, min(dim, (1 << 23) // dim))
@@ -256,7 +246,7 @@ def multiplier_matrix(m: np.ndarray, grid: TorusGrid, n: int = 1) -> np.ndarray:
         fields = block.reshape((hi - lo,) + grid.field_shape(n))
         spec = np.fft.fftn(fields, axes=axes)
         if scalar:
-            spec = spec * (mvals[None, ..., None] if n > 1 else mvals[None])
+            spec = spec * mvals[None]
         else:
             spec = np.einsum("...ij,b...j->b...i", mvals, spec)
         cols = np.fft.ifftn(spec, axes=axes).reshape(hi - lo, dim)
@@ -265,18 +255,20 @@ def multiplier_matrix(m: np.ndarray, grid: TorusGrid, n: int = 1) -> np.ndarray:
 
 
 def site_diagonal_sandwich(
-    left: np.ndarray, mat: np.ndarray, right: np.ndarray, grid: TorusGrid, n: int = 1
+    left: np.ndarray, mat: np.ndarray, right: np.ndarray, grid: TorusGrid
 ) -> np.ndarray:
     """diag(left) @ mat @ diag(right) in the layout of multiplier_matrix.
 
     left and right are site-local: scalar samples (grid.shape, acting on
-    each of the n spinor components) or (n, n) site blocks.
+    each of the n spinor components) or (n, n) site blocks; n is
+    mat.shape[0] // grid.size.
     """
+    size = grid.size
+    n = mat.shape[0] // size
     if left.ndim == grid.d:
         lvec = np.repeat(left.ravel(), n)
         rvec = np.repeat(right.ravel(), n)
         return lvec[:, None] * mat * rvec[None, :]
-    size = grid.size
     lb = left.reshape(size, n, n)
     rb = right.reshape(size, n, n)
     m = mat.reshape(size, n, size, n)
@@ -284,11 +276,13 @@ def site_diagonal_sandwich(
     return out.reshape(size * n, size * n)
 
 
-def add_site_diagonal(mat: np.ndarray, values: np.ndarray, grid: TorusGrid, n: int = 1) -> np.ndarray:
+def add_site_diagonal(mat: np.ndarray, values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """mat += diag(values) in place, for site-local values as in site_diagonal_sandwich."""
+    size = grid.size
+    n = mat.shape[0] // size
     if values.ndim == grid.d:
         mat[np.diag_indices_from(mat)] += np.repeat(values.ravel(), n)
     else:
-        idx = np.arange(grid.size)
-        mat.reshape(grid.size, n, grid.size, n)[idx, :, idx, :] += values.reshape(grid.size, n, n)
+        idx = np.arange(size)
+        mat.reshape(size, n, size, n)[idx, :, idx, :] += values.reshape(size, n, n)
     return mat

@@ -34,9 +34,11 @@ __all__ = [
     "lattice_levels",
     "local_spacing",
     "local_spacings",
-    "resolvent_apply",
     "resolvent_multiplier",
 ]
+
+_BOUNDARY_SPACINGS = 4.0  # boundary offset in local level spacings
+_OPNORM_TOL = 1e-10  # relative per-sweep gain at which a norm iteration has converged
 
 
 class ResolventPoleError(ValueError):
@@ -102,11 +104,6 @@ class ResolventHandle:
         else:
             adj = np.conj(np.swapaxes(self._mult, -1, -2))
         return apply_multiplier(adj, f)
-
-
-def resolvent_apply(spec: SymbolSpec, grid: TorusGrid, z: complex, f: GridFunction) -> GridFunction:
-    """One-shot R0(z) f."""
-    return ResolventHandle(spec, grid, z).apply(f)
 
 
 def factored_dirac_apply(spec: SymbolSpec, grid: TorusGrid, z: complex, f: GridFunction) -> GridFunction:
@@ -176,9 +173,9 @@ def local_spacing(spec: SymbolSpec, grid: TorusGrid, at: float, window: int = 8)
     return float(local_spacings(spec, grid, at, window))
 
 
-def boundary_epsilon(spec: SymbolSpec, grid: TorusGrid, lam: float, factor: float = 4.0) -> float:
-    """Offset for boundary values lam +- i*eps: factor x local level spacing."""
-    return factor * local_spacing(spec, grid, lam)
+def boundary_epsilon(spec: SymbolSpec, grid: TorusGrid, lam: float) -> float:
+    """Offset for boundary values lam +- i*eps: 4x the local level spacing."""
+    return _BOUNDARY_SPACINGS * local_spacing(spec, grid, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +235,6 @@ def empirical_opnorm(
     *,
     iters: int = 60,
     restarts: int = 3,
-    tol: float = 1e-10,
     seed: int = 7,
 ) -> OpNormEstimate:
     """Lower bound for ||op||_{L^p -> L^r} by alternating duality-map iteration.
@@ -267,7 +263,7 @@ def empirical_opnorm(
             trace.append(float(est))
             if est == 0.0:
                 break
-            if prev > 0 and est - prev <= tol * est:
+            if prev > 0 and est - prev <= _OPNORM_TOL * est:
                 conv = True
                 break
             prev = est

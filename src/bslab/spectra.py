@@ -31,7 +31,7 @@ import scipy.linalg
 from scipy.linalg.blas import zgemv
 from scipy.linalg.lapack import zgeev, zgeev_lwork, zgetrf, zgetrs
 
-from .lattice import TorusGrid, add_site_diagonal, multiplier_matrix
+from .lattice import TorusGrid, add_site_diagonal, dense_dim, multiplier_matrix
 from .potentials import PotentialField, resample
 from .resolvent import local_spacings
 from .symbols import SymbolKind, SymbolSpec, symbol_values
@@ -46,6 +46,7 @@ __all__ = [
     "eigensolve",
     "classify",
     "classified_spectrum",
+    "fine_grid",
     "nearest_in",
     "spectrum_csv",
 ]
@@ -96,7 +97,7 @@ def dist_to_spectrum(spec: SymbolSpec, z: complex) -> float:
 @lru_cache(maxsize=4)
 def _kinetic_matrix(spec: SymbolSpec, grid: TorusGrid) -> np.ndarray:
     """Dense T(D) on the grid, built once per (spec, grid); read-only."""
-    T = multiplier_matrix(symbol_values(spec, grid.xi()), grid, n=spec.n)
+    T = multiplier_matrix(symbol_values(spec, grid.xi()), grid)
     T.setflags(write=False)
     return T
 
@@ -107,7 +108,7 @@ def assemble_hamiltonian(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -
     A fresh writable copy of the cached T(D) with the site diagonal added.
     """
     V.check_fits(grid, spec.n)
-    return add_site_diagonal(_kinetic_matrix(spec, grid).copy(), V.values, grid, spec.n)
+    return add_site_diagonal(_kinetic_matrix(spec, grid).copy(), V.values, grid)
 
 
 def eigensolve(H: np.ndarray) -> np.ndarray:
@@ -163,32 +164,20 @@ def classify(
     eigs_coarse,
     nearest_fine: Callable[[complex], complex],
     spec: SymbolSpec,
-    grid_coarse: TorusGrid,
-    grid_fine: TorusGrid,
-    eta: Optional[float] = None,
+    grid: TorusGrid,
 ) -> list[SpectralPoint]:
     """Label each coarse eigenvalue Discrete / ContinuumArtifact / Undecided.
 
-    nearest_fine maps z to the eigenvalue nearest z of the same potential
-    sampled on grid_fine, which must be the 2x refinement of grid_coarse
-    (same L); only the grids are checked here, the potential consistency is
-    the caller's contract.  A point is ContinuumArtifact if its distance to
-    the essential spectrum is at most eta; it gets no partner and its drift
-    is nan.  Every other point asks nearest_fine for its partner and is
-    Discrete if that partner moved by less than 10% relatively, Undecided
-    otherwise.  eta defaults per point to 5x the local dispersion spacing
-    near Re z.
+    eigs_coarse are eigenvalues of H0 + V on grid, and nearest_fine maps z
+    to the eigenvalue nearest z of the same potential sampled on
+    grid.refined(2) (the caller's contract).  A point is ContinuumArtifact
+    if its distance to the essential spectrum is at most eta, 5x the local
+    dispersion spacing near Re z; it gets no partner and its drift is nan.
+    Every other point asks nearest_fine for its partner and is Discrete if
+    that partner moved by less than 10% relatively, Undecided otherwise.
     """
-    if grid_fine != grid_coarse.refined(2):
-        raise ValueError(
-            f"grids must be an N -> 2N refinement pair at fixed L, got "
-            f"N={grid_coarse.N},L={grid_coarse.L} vs N={grid_fine.N},L={grid_fine.L}"
-        )
     eigs_coarse = np.asarray(eigs_coarse, dtype=complex)
-    if eta is None:
-        thresholds = 5.0 * local_spacings(spec, grid_coarse, eigs_coarse.real)
-    else:
-        thresholds = np.full(eigs_coarse.size, eta)
+    thresholds = 5.0 * local_spacings(spec, grid, eigs_coarse.real)
     points = []
     for z, threshold in zip(eigs_coarse, thresholds):
         dist = dist_to_spectrum(spec, z)
@@ -308,6 +297,13 @@ class _FinePartner:
         return self.dense(z)
 
 
+def fine_grid(spec: SymbolSpec, grid: TorusGrid) -> TorusGrid:
+    """grid.refined(2), the one N -> 2N rule; ValueError past the grid or dense cap."""
+    fine = grid.refined(2)
+    dense_dim(fine, spec.n)
+    return fine
+
+
 def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> list[SpectralPoint]:
     """Every eigenvalue of H0 + V on grid, in eigensolve order, labeled by classify.
 
@@ -315,11 +311,12 @@ def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) ->
     grid only, and each point beyond eta gets its nearest eigenvalue on
     grid.refined(2) from one LU and a short Arnoldi run (dense 2N eigensolve
     as the fallback when that does not converge).  A call whose points are
-    all ContinuumArtifact assembles no fine matrix.
+    all ContinuumArtifact assembles no fine matrix.  A grid without a
+    :func:`fine_grid` partner raises ValueError before any eigensolve.
     """
-    fine = grid.refined(2)
+    fine = fine_grid(spec, grid)
     coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
-    return classify(coarse, _FinePartner(spec, fine, V), spec, grid, fine)
+    return classify(coarse, _FinePartner(spec, fine, V), spec, grid)
 
 
 def spectrum_csv(points, path) -> None:

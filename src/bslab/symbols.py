@@ -34,7 +34,6 @@ __all__ = [
     "clifford_generators",
     "critical_values",
     "dispersion_values",
-    "eval_symbol",
     "spinor_dim",
     "symbol_values",
 ]
@@ -148,19 +147,6 @@ def symbol_values(spec: SymbolSpec, xi) -> np.ndarray:
     if spec.kind is SymbolKind.DIRAC_MASSIVE:
         mats = mats + beta
     return mats
-
-
-def eval_symbol(spec: SymbolSpec, xi) -> float | np.ndarray:
-    """Evaluate T(xi) at a single frequency vector (the one-point symbol_values).
-
-    Returns a real scalar for spinor dimension 1 and a Hermitian (n, n)
-    complex matrix for the Dirac kinds.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (spec.d,):
-        raise ValueError(f"frequency must have shape ({spec.d},), got {xi.shape}")
-    value = symbol_values(spec, xi)
-    return value if spec.is_dirac else float(value)
 
 
 def dispersion_values(spec: SymbolSpec, xi_array: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ from bslab.potentials import (
     sample_potential,
     scaled_field,
 )
-from bslab.resolvent import factored_dirac_apply, resolvent_apply
+from bslab.resolvent import ResolventHandle, factored_dirac_apply
 from bslab.spectra import SpectralLabel, assemble_hamiltonian, classify, eigensolve, nearest_in
 from bslab.symbols import SymbolKind, SymbolSpec
 
@@ -58,7 +58,7 @@ def discrete_points(spec, grid, V):
     coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
     fine = grid.refined(2)
     refined = eigensolve(assemble_hamiltonian(spec, fine, resample(V, fine)))
-    pts = classify(coarse, nearest_in(refined), spec, grid, fine)
+    pts = classify(coarse, nearest_in(refined), spec, grid)
     return [p for p in pts if p.label is SpectralLabel.DISCRETE], coarse
 
 
@@ -137,7 +137,7 @@ def test_criterion_2_dirac_factorization_identity():
                     grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 )
                 z = complex(3.0 * (rng.random() - 0.5), 0.1 + 2.0 * rng.random())
-                a = resolvent_apply(spec, grid, z, f)
+                a = ResolventHandle(spec, grid, z).apply(f)
                 b = factored_dirac_apply(spec, grid, z, f)
                 rel = np.linalg.norm(a.values - b.values) / np.linalg.norm(a.values)
                 assert rel < 1e-10, (kind, d, z, rel)

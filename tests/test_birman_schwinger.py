@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from bslab.birman_schwinger import (
     ContourBoundaryError,
@@ -117,8 +117,8 @@ def test_order_variants_share_nonzero_spectra():
     V = gaussian_well(grid, -2.0 + 1.3j)
     z = -1.1 - 0.6j
     abs_half, signed_half = half_potentials(V)
-    rmat = multiplier_matrix(resolvent_multiplier(FRAC, grid, z), grid, n=FRAC.n)
-    swapped = site_diagonal_sandwich(signed_half.values, rmat, abs_half.values, grid, FRAC.n)
+    rmat = multiplier_matrix(resolvent_multiplier(FRAC, grid, z), grid)
+    swapped = site_diagonal_sandwich(signed_half.values, rmat, abs_half.values, grid)
     mu_a = np.linalg.eigvals(assemble_bs(FRAC, grid, V, z)[0])
     mu_b = np.linalg.eigvals(swapped)
     big_a = sorted((m for m in mu_a if abs(m) > 1e-9), key=abs, reverse=True)
@@ -255,7 +255,7 @@ def test_det_invalid_order():
 def dense_hamiltonian(spec, grid, V):
     from bslab.symbols import symbol_values
 
-    H0 = multiplier_matrix(symbol_values(spec, grid.xi()), grid, n=spec.n)
+    H0 = multiplier_matrix(symbol_values(spec, grid.xi()), grid)
     return H0 + np.diag(np.repeat(V.values.ravel(), spec.n))
 
 
@@ -419,8 +419,6 @@ def test_contour_roots_match_eigensolve():
 # ---------------------------------------------------------------------------
 # LU determinants against slow oracles
 
-_PROPERTY = settings(max_examples=60, deadline=None)
-
 
 def eigenvalue_det(M, order):
     """(log_abs, phase) of prod_j (1+mu_j) exp(sum_{k<n} (-mu_j)^k / k) from eigvals."""
@@ -450,7 +448,6 @@ def random_matrices(draw):
     return M
 
 
-@_PROPERTY
 @given(random_matrices(), st.integers(1, 3))
 def test_lu_determinant_matches_eigenvalue_oracle(M, order):
     before = M.copy()
@@ -461,7 +458,6 @@ def test_lu_determinant_matches_eigenvalue_oracle(M, order):
     assert same_phase(dv.phase, phase, 1e-10)
 
 
-@_PROPERTY
 @given(random_matrices(), st.integers(1, 3), st.floats(-60.0, 60.0))
 def test_det_phase_is_the_principal_value(M, order, twist):
     # a large imaginary shift winds the unreduced phase many times around
@@ -486,7 +482,6 @@ def finite_models(draw):
     return spec, grid, sample_potential(well, grid), z
 
 
-@_PROPERTY
 @given(finite_models())
 def test_det1_is_the_ratio_of_hamiltonian_determinants(model):
     spec, grid, V, z = model
@@ -501,7 +496,6 @@ def test_det1_is_the_ratio_of_hamiltonian_determinants(model):
     assert same_phase(dv.phase, cmath.phase(sign) - cmath.phase(sign0), 1e-9)
 
 
-@_PROPERTY
 @given(finite_models())
 def test_det2_is_det1_times_exp_minus_trace(model):
     spec, grid, V, z = model

@@ -470,6 +470,49 @@ def test_verify_weighted_sums_policing():
         verify_weighted_sums(FRAC15, grid, V, q=1.0, alpha=None, eps=0.5, variant="inverse_sqrt")
 
 
+def _coupling_calls(monkeypatch):
+    """Coupling t of every certlab.discrete_spectrum call, read off V.scaled(t)."""
+    made, calls = {}, []
+    scaled, solve = PotentialField.scaled, certlab.discrete_spectrum
+
+    def scaled_spy(self, c):
+        out = scaled(self, c)
+        made[id(out)] = (out, c)  # holding out keeps its id unique
+        return out
+
+    def solve_spy(spec, grid, V):
+        calls.append(made[id(V)][1])
+        return solve(spec, grid, V)
+
+    monkeypatch.setattr(PotentialField, "scaled", scaled_spy)
+    monkeypatch.setattr(certlab, "discrete_spectrum", solve_spy)
+    return calls
+
+
+def test_verify_weighted_sums_zero_potential_reports_only(monkeypatch):
+    # no coupling binds: the bracket doubles t from 1 up to its cap 64, once each
+    calls = _coupling_calls(monkeypatch)
+    grid = TorusGrid(d=1, N=64, L=30.0)
+    V = PotentialField(grid, np.zeros(grid.shape))
+    cert = verify_weighted_sums(FRAC15, grid, V, q=1.0, alpha=None, eps=0.5)
+    assert cert.verdict == "REPORT-ONLY"
+    assert cert.inputs["note"] == "no Discrete eigenvalues at any probed coupling"
+    assert calls == [2.0**k for k in range(7)]
+
+
+def test_verify_weighted_sums_shallow_well_enters_above_unit_coupling(monkeypatch):
+    # the first Discrete point appears at t = 4: the bracket doubles 1 -> 2 -> 4
+    # and the ladder t_entry * 2**(k/2), k = -2..10, reuses 2 and 4
+    calls = _coupling_calls(monkeypatch)
+    grid = TorusGrid(d=1, N=64, L=30.0)
+    cert = verify_weighted_sums(FRAC15, grid, gaussian(grid, -0.05), q=1.0, alpha=None, eps=0.5)
+    ladder, counts = cert.inputs["ladder"], cert.inputs["counts"]
+    assert ladder[2] == 4.0  # t_entry
+    assert counts[0] == 0 and counts[2] >= 1
+    assert len(calls) == len(set(calls)) == 14
+    assert set(calls) == {1.0, *ladder}
+
+
 def test_golden_verifiers_solve_each_coupling_once(tmp_path, monkeypatch):
     # The bracket, bisection and ladder revisit couplings; each verifier call
     # solves every distinct t*V once.

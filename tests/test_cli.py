@@ -421,6 +421,79 @@ def test_verifier_argument_errors_exit_2_before_compute(
     assert capsys.readouterr().err.startswith(f"config error at run.{key}:")
 
 
+def _set(block, key, value, *path):
+    """Config edit: doc[block][path...][key] = value."""
+    def edit(doc):
+        target = doc[block]
+        for step in path:
+            target = target[step]
+        target[key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "theorem, edit, path",
+    [
+        ("main", _set("run", "q", math.nan), "run.q"),
+        ("weighted-sums", _set("run", "eps", math.nan), "run.eps"),
+        ("main", _set("run", "t_max", math.inf), "run.t_max"),
+        ("weighted-sums", _set("run", "z0", True), "run.z0"),
+        ("weighted-sums", _set("run", "z0", [-1.0, math.nan]), "run.z0"),
+        ("schatten-scaling", _set("run", "theta", True, "ray"), "run.ray.theta"),
+        ("schatten-scaling", _set("run", "r_hi", math.inf, "ray"), "run.ray.r_hi"),
+        ("schatten-scaling", _set("run", "count", True, "ray"), "run.ray.count"),
+        ("main", _set("run", "bounds", [-6.0, -0.05, -0.4, True], "region"), "run.region.bounds"),
+        ("main", _set("run", "clearance", math.nan, "region"), "run.region.clearance"),
+        ("main", _set("potential", "width", True, "params"), "potential.params.width"),
+        ("main", _set("potential", "amplitude", [math.nan, 0.0], "params"), "potential.params.amplitude"),
+        ("main", _set("grid", "L", math.inf), "grid"),
+    ],
+    ids=[
+        "q-nan", "eps-nan", "t-max-infinity", "z0-bool", "z0-nan-pair",
+        "ray-theta-bool", "ray-r-hi-infinity", "ray-count-bool", "region-bound-bool",
+        "region-clearance-nan", "param-width-bool", "param-amplitude-nan", "grid-l-infinity",
+    ],
+)
+def test_config_numbers_are_finite_and_not_bools(tmp_path, capsys, monkeypatch, theorem, edit, path):
+    def no_compute(*a, **k):
+        raise AssertionError("a job started despite a config error")
+
+    monkeypatch.setattr("bslab.cli.run_jobs", no_compute)
+    doc = base_config(run={"theorems": [theorem]})
+    edit(doc)
+    out = tmp_path / "out"
+    rc = cli_main(["verify", theorem, "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error at {path}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "operator, N",
+    [
+        ({"kind": "fractional_laplacian", "d": 2, "s": 1.5}, 64),  # 2N = 128 > the d=2 cap 64
+        ({"kind": "dirac_massive", "d": 3}, 8),  # 2N = 16: dense size 16^3 * 4 = 16384 > 8192
+    ],
+    ids=["grid-cap", "dense-cap"],
+)
+def test_refinement_pair_that_cannot_be_built_exits_2_before_compute(
+    tmp_path, capsys, monkeypatch, operator, N
+):
+    def no_compute(*a, **k):
+        raise AssertionError("compute started despite a config error")
+
+    for name in ("run_jobs", "classified_spectrum", "eigensolve"):
+        monkeypatch.setattr(f"bslab.cli.{name}", no_compute)
+    doc = base_config(grid={"N": N, "L": 6.0, "refine": True}, run={"theorems": ["uniform-resolvent"]})
+    doc["operator"] = operator
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    for cmd in ("spectrum", "scan"):
+        assert cli_main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error at grid.refine:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "operator, q, path",
     [

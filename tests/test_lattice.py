@@ -7,9 +7,6 @@ from bslab.lattice import (
     GridFunction,
     TorusGrid,
     apply_multiplier,
-    fft_coeffs,
-    from_fft_coeffs,
-    inner,
     lp_norm,
     multiplier_matrix,
 )
@@ -39,17 +36,6 @@ def test_grid_dimension_must_be_an_integer(d):
     with pytest.raises(TypeError, match="d="):
         TorusGrid(d, 8, 1.0)
     assert TorusGrid(np.int64(2), 8, 1.0).shape == (8, 8)
-
-
-def test_parseval_and_roundtrip():
-    grid = TorusGrid(2, 16, 3.0)
-    f = _random_field(grid, seed=1)
-    coeffs = fft_coeffs(f)
-    lhs = grid.weight * np.sum(np.abs(f.values) ** 2)
-    rhs = np.sum(np.abs(coeffs) ** 2) / grid.L**grid.d
-    assert lhs == pytest.approx(rhs, rel=1e-13)
-    back = from_fft_coeffs(grid, coeffs)
-    assert np.allclose(back.values, f.values, atol=1e-13)
 
 
 def test_plane_wave_multiplier_eigenvalue():
@@ -84,8 +70,6 @@ def test_norm_properties_random():
             assert lp_norm(GridFunction(grid, c * f.values), p) == pytest.approx(
                 abs(c) * lp_norm(f, p), rel=1e-12
             )
-        # Hoelder at (p, p') = (1.5, 3)
-        assert abs(inner(f, g)) <= lp_norm(f, 1.5) * lp_norm(g, 3.0) + 1e-12
 
 
 def test_spinor_field_norm_uses_site_euclidean_norm():
@@ -113,16 +97,16 @@ def test_multiplier_matrix_matches_apply_spinor():
     mvals[..., 0, 1] = xi[..., 0]
     mvals[..., 1, 0] = xi[..., 0]
     mvals[..., 0, 0] = 1.0 + 0.5j
-    mat = multiplier_matrix(mvals, grid, n=2)
+    mat = multiplier_matrix(mvals, grid)
     f = _random_field(grid, seed=6, n=2)
     direct = apply_multiplier(mvals, f).values.reshape(-1)
     assert np.allclose(mat @ f.values.reshape(-1), direct, atol=1e-12)
 
 
 def test_multiplier_matrix_cap():
-    grid = TorusGrid(1, 4096, 1.0)
+    grid = TorusGrid(3, 16, 1.0)
     with pytest.raises(ValueError):
-        multiplier_matrix(np.ones(grid.shape), grid, n=4)
+        multiplier_matrix(np.ones(grid.shape + (4, 4)), grid)
 
 
 def test_folded_coordinates_range():

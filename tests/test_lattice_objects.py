@@ -8,7 +8,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from bslab import spectra
 from bslab.lattice import (
@@ -27,7 +27,6 @@ from bslab.spectra import assemble_hamiltonian
 from bslab.symbols import SymbolKind, SymbolSpec, dispersion_values, symbol_values
 
 _HALF_N = {1: 32, 2: 8, 3: 4}  # small grids: N <= 64, 16, 8 for d = 1, 2, 3
-_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
@@ -42,7 +41,6 @@ def lattices(draw):
     return spec, grid
 
 
-@_SETTINGS
 @given(lattices())
 def test_symbol_values_diagonalize_to_the_dispersion_branches(lattice):
     spec, grid = lattice
@@ -56,7 +54,6 @@ def test_symbol_values_diagonalize_to_the_dispersion_branches(lattice):
     assert np.max(np.abs(np.linalg.eigvalsh(T) - branches)) <= 1e-12 * scale
 
 
-@_SETTINGS
 @given(lattices())
 def test_lattice_levels_are_the_cached_read_only_level_set(lattice):
     spec, grid = lattice
@@ -69,7 +66,6 @@ def test_lattice_levels_are_the_cached_read_only_level_set(lattice):
     assert again is levels
 
 
-@_SETTINGS
 @given(lattices(), st.floats(-0.2, 1.2), st.integers(1, 12))
 def test_local_spacing_matches_a_brute_force_recount(lattice, frac, window):
     spec, grid = lattice
@@ -82,7 +78,6 @@ def test_local_spacing_matches_a_brute_force_recount(lattice, frac, window):
     assert local_spacing(spec, grid, at, window) == pytest.approx(expected, rel=1e-12)
 
 
-@_SETTINGS
 @given(lattices(), st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=40), st.integers(1, 12))
 def test_local_spacings_equal_local_spacing_bit_for_bit(lattice, fracs, window):
     spec, grid = lattice
@@ -132,7 +127,6 @@ def _loop_magnitude(v, layout):
     return float(np.linalg.svd(v, compute_uv=False)[0])
 
 
-@_SETTINGS
 @given(fields())
 def test_site_magnitudes_match_a_per_site_loop(field):
     grid, layout, n, vals = field
@@ -145,7 +139,6 @@ def test_site_magnitudes_match_a_per_site_loop(field):
 _POTENTIALS = ("scalar", "block")
 
 
-@_SETTINGS
 @given(fields(_POTENTIALS), st.sampled_from([1.0, 1.25, 4.0 / 3.0, 2.0, 3.5, math.inf]))
 def test_lp_norm_of_a_potential_is_potential_norm(field, q):
     grid, layout, n, vals = field
@@ -159,7 +152,6 @@ def test_lp_norm_of_a_potential_is_potential_norm(field, q):
     assert potential_norm(V, q) == pytest.approx(expected, rel=1e-11)
 
 
-@_SETTINGS
 @given(fields(_POTENTIALS), st.floats(0.05, 0.999))
 def test_potential_norm_rejects_q_below_one_for_scalar_and_matrix_v(field, q):
     grid, layout, n, vals = field
@@ -177,7 +169,6 @@ def _block_diagonal(vals, grid, n):
     return out
 
 
-@_SETTINGS
 @given(fields(_POTENTIALS, max_d=2), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_site_diagonal_embedding_is_the_block_diagonal_product(field, n_scalar, seed):
     grid, layout, n, left = field
@@ -188,19 +179,18 @@ def test_site_diagonal_embedding_is_the_block_diagonal_product(field, n_scalar, 
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     L, R = _block_diagonal(left, grid, n), _block_diagonal(right, grid, n)
-    got = site_diagonal_sandwich(left, mat, right, grid, n)
+    got = site_diagonal_sandwich(left, mat, right, grid)
     scale = np.abs(mat).max() * max(1.0, np.abs(left).max() * np.abs(right).max())
     assert np.max(np.abs(got - L @ mat @ R)) <= 1e-12 * n * scale
-    assert np.array_equal(add_site_diagonal(mat.copy(), left, grid, n), mat + L)
+    assert np.array_equal(add_site_diagonal(mat.copy(), left, grid), mat + L)
 
 
-@_SETTINGS
 @given(lattices(), st.sampled_from(_POTENTIALS), st.integers(0, 2**32 - 1))
 def test_hamiltonian_is_a_fresh_copy_of_the_cached_kinetic_matrix(lattice, layout, seed):
     spec, grid = lattice
     V = PotentialField(grid, _samples(grid, layout, spec.n, seed))
-    T = multiplier_matrix(symbol_values(spec, grid.xi()), grid, n=spec.n)
-    expected = add_site_diagonal(T.copy(), V.values, grid, spec.n)
+    T = multiplier_matrix(symbol_values(spec, grid.xi()), grid)
+    expected = add_site_diagonal(T.copy(), V.values, grid)
     H = assemble_hamiltonian(spec, grid, V)
     assert np.array_equal(H, expected)
     assert H.flags.writeable

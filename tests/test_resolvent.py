@@ -12,7 +12,6 @@ from bslab.resolvent import (
     factored_dirac_apply,
     kernel_array,
     local_spacing,
-    resolvent_apply,
 )
 from bslab.symbols import SymbolSpec, dispersion_values
 
@@ -28,7 +27,7 @@ def test_resolvent_inverts_symbol():
     grid = TorusGrid(1, 64, 7.0)
     z = -0.7 + 0.3j
     f = _random_field(grid, seed=2)
-    g = resolvent_apply(spec, grid, z, f)
+    g = ResolventHandle(spec, grid, z).apply(f)
     tvals = dispersion_values(spec, grid.xi())[..., 0]
     back = apply_multiplier(tvals - z, g)
     assert np.abs(back.values - f.values).max() < 1e-12
@@ -51,7 +50,7 @@ def test_dirac_factorization_small(kind, d):
     for _ in range(5):
         z = complex(*rng.standard_normal(2)) * 1.7
         f = _random_field(grid, seed=rng.integers(1e6), n=spec.n)
-        direct = resolvent_apply(spec, grid, z, f)
+        direct = ResolventHandle(spec, grid, z).apply(f)
         factored = factored_dirac_apply(spec, grid, z, f)
         scale = np.abs(direct.values).max()
         assert np.abs(direct.values - factored.values).max() < 1e-12 * max(1.0, scale)
@@ -91,12 +90,11 @@ def test_fractional_kernel_scaling_identity():
 
 def test_imaginary_part_identity_dense():
     # Im R0(z) = (Im z) R0(z) R0(zbar) as matrices, scalar and Dirac kinds
-    for spec, n in [(SymbolSpec("fractional_laplacian", d=1, s=1.5), 1),
-                    (SymbolSpec("dirac_massive", d=1), 2)]:
+    for spec in [SymbolSpec("fractional_laplacian", d=1, s=1.5), SymbolSpec("dirac_massive", d=1)]:
         grid = TorusGrid(1, 16, 3.0)
         z = 0.8 + 0.6j
-        r_z = multiplier_matrix(ResolventHandle(spec, grid, z)._mult, grid, n=n)
-        r_zbar = multiplier_matrix(ResolventHandle(spec, grid, np.conj(z))._mult, grid, n=n)
+        r_z = multiplier_matrix(ResolventHandle(spec, grid, z)._mult, grid)
+        r_zbar = multiplier_matrix(ResolventHandle(spec, grid, np.conj(z))._mult, grid)
         im_part = (r_z - r_z.conj().T) / 2j
         assert np.abs(im_part - z.imag * (r_z @ r_zbar)).max() < 1e-12
 

@@ -157,32 +157,19 @@ def test_classify_zero_potential_all_artifacts():
     g2 = g1.refined(2)
     e1 = eigensolve(assemble_hamiltonian(FRAC, g1, PotentialField(g1, np.zeros(g1.shape))))
     e2 = eigensolve(assemble_hamiltonian(FRAC, g2, PotentialField(g2, np.zeros(g2.shape))))
-    points = classify(e1, nearest_in(e2), FRAC, g1, g2)
+    points = classify(e1, nearest_in(e2), FRAC, g1)
     assert all(p.label is SpectralLabel.CONTINUUM_ARTIFACT for p in points)
 
 
 def test_classify_single_isolated_eigenvalue():
     g1, g2, e1, e2 = refinement_pair(FRAC, -0.5 - 0.02j)
-    points = classify(e1, nearest_in(e2), FRAC, g1, g2)
+    points = classify(e1, nearest_in(e2), FRAC, g1)
     discrete = [p for p in points if p.label is SpectralLabel.DISCRETE]
     assert len(discrete) == 1
     p = discrete[0]
     assert p.refinement_drift < 1e-10
     assert p.dist_sigma > 0.3
     assert p.z.real < 0 and p.z.imag < 0
-
-
-def test_classify_large_eta_suppresses_discrete():
-    g1, g2, e1, e2 = refinement_pair(FRAC, -0.5 - 0.02j)
-    points = classify(e1, nearest_in(e2), FRAC, g1, g2, eta=1e9)
-    assert all(p.label is SpectralLabel.CONTINUUM_ARTIFACT for p in points)
-
-
-def test_classify_rejects_non_refinement_pair():
-    g1 = TorusGrid(d=1, N=32, L=8.0)
-    g3 = TorusGrid(d=1, N=96, L=8.0)
-    with pytest.raises(ValueError, match="refinement"):
-        classify([1.0], nearest_in([1.0]), FRAC, g1, g3)
 
 
 def test_spectral_point_rejects_negative_distance():
@@ -221,7 +208,7 @@ def test_relativistic_eigenvalue_satisfies_bs_principle():
 
 def test_spectrum_csv_roundtrip(tmp_path):
     g1, g2, e1, e2 = refinement_pair(FRAC, -0.5 - 0.02j)
-    points = classify(e1, nearest_in(e2), FRAC, g1, g2)
+    points = classify(e1, nearest_in(e2), FRAC, g1)
     path = tmp_path / "spectrum.csv"
     spectrum_csv(points, path)
     with open(path, newline="") as fh:

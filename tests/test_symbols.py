@@ -9,7 +9,7 @@ from bslab.symbols import (
     clifford_generators,
     critical_values,
     dispersion_values,
-    eval_symbol,
+    symbol_values,
 )
 
 
@@ -30,12 +30,12 @@ def test_clifford_relations(d):
 
 def test_scalar_symbol_values():
     frac = SymbolSpec(SymbolKind.FRACTIONAL_LAPLACIAN, d=2, s=1.5)
-    assert eval_symbol(frac, [0.0, 0.0]) == 0.0
-    assert eval_symbol(frac, [3.0, 4.0]) == pytest.approx(5.0**1.5, rel=1e-15)
+    assert symbol_values(frac, [0.0, 0.0]) == 0.0
+    assert symbol_values(frac, [3.0, 4.0]) == pytest.approx(5.0**1.5, rel=1e-15)
     rel = SymbolSpec(SymbolKind.RELATIVISTIC, d=1, s=1.0)
-    assert eval_symbol(rel, [0.0]) == 0.0
+    assert symbol_values(rel, [0.0]) == 0.0
     # 1 + xi^2 = 4 -> sqrt(4) - 1 = 1
-    assert eval_symbol(rel, [np.sqrt(3.0)]) == pytest.approx(1.0, rel=1e-15)
+    assert symbol_values(rel, [np.sqrt(3.0)]) == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -48,7 +48,7 @@ def test_dirac_symbol_eigenvalues(kind, d, n):
     rng = np.random.default_rng(3)
     for _ in range(25):
         xi = rng.standard_normal(d)
-        mat = eval_symbol(spec, xi)
+        mat = symbol_values(spec, xi)
         assert np.allclose(mat, mat.conj().T)
         lam = np.linalg.norm(xi) if kind == "dirac_massless" else np.sqrt(1 + xi @ xi)
         expected = np.sort(np.r_[[-lam] * (n // 2), [lam] * (n // 2)])
@@ -63,7 +63,7 @@ def test_dispersion_matches_eigenvalues():
     xis = rng.standard_normal((40, 3))
     branches = dispersion_values(spec, xis)
     for xi, branch in zip(xis, branches):
-        assert np.allclose(np.sort(branch), np.sort(np.linalg.eigvalsh(eval_symbol(spec, xi))), atol=1e-12)
+        assert np.allclose(np.sort(branch), np.sort(np.linalg.eigvalsh(symbol_values(spec, xi))), atol=1e-12)
 
 
 def test_critical_value_table():
