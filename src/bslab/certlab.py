@@ -11,6 +11,12 @@ not explicit stays REPORT-ONLY, with the measured constant recorded.
 Certificates serialize to a fixed JSON schema
 ``{theorem, inputs, lhs, rhs, constant, verdict, seed, runtime_s, grid}`` so
 that a rerun with the same config and seed reproduces the file byte for byte.
+
+The verifiers that classify spectra (main, individual-bounds, imaginary,
+weighted-sums) each run inside a :func:`spectra.spectrum_memo` scope, so a
+call solves every coupling it probes once.  The scope is re-entrant: the CLI
+opens one around a whole run, and then its verifiers and ``spectra.csv``
+share one memo, which is dropped when the run ends.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from .spectra import (
     classified_spectrum,
     dist_to_spectrum,
     eigensolve,
+    fine_grid,
+    spectrum_memo,
 )
 from .symbols import SymbolKind, SymbolSpec, critical_values
 
@@ -103,8 +111,8 @@ class RegimeError(ValueError):
     """An argument outside the regime a verifier covers.
 
     ``param`` names the offending argument (``kind``, ``s``, ``q``, ``p``,
-    ``alpha``, ``eps``, ``variant``, ``ray``, ``region`` or ``potential``) so
-    that callers can point at it without parsing the message.
+    ``alpha``, ``eps``, ``variant``, ``ray``, ``region``, ``potential`` or
+    ``grid``) so that callers can point at it without parsing the message.
     """
 
     def __init__(self, param: str, message: str):
@@ -398,26 +406,16 @@ def _certifier(theorem: str, grid: TorusGrid, seed: int) -> Callable[..., BoundC
 
 
 def discrete_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> list[SpectralPoint]:
-    """Discrete-labeled points of :func:`classified_spectrum`."""
+    """Discrete-labeled points of :func:`classified_spectrum` (memoized inside a scope)."""
     return [p for p in classified_spectrum(spec, grid, V) if p.label is SpectralLabel.DISCRETE]
 
 
-def _coupling_memo(
-    spec: SymbolSpec, grid: TorusGrid, V: PotentialField
-) -> Callable[[float], list[SpectralPoint]]:
-    """t -> discrete_spectrum(spec, grid, V.scaled(t)), solved once per coupling.
-
-    The memo lives as long as the callable, so one verifier call solves each
-    coupling it probes once and the next call starts empty.
-    """
-    solved: dict[float, list[SpectralPoint]] = {}
-
-    def at(t: float) -> list[SpectralPoint]:
-        if t not in solved:
-            solved[t] = discrete_spectrum(spec, grid, V.scaled(t))
-        return solved[t]
-
-    return at
+def _check_fine_pair(spec: SymbolSpec, grid: TorusGrid) -> None:
+    """Classifying verifiers refine N -> 2N whatever grid.refine says."""
+    try:
+        fine_grid(spec, grid)
+    except ValueError as err:
+        raise RegimeError("grid", f"no N -> 2N refinement pair to classify on: {err}") from err
 
 
 def sum_space_norm(f: GridFunction, r_lo: float, r_hi: float, thresholds: int = 65) -> float:
@@ -559,12 +557,14 @@ def uniform_p_window(spec: SymbolSpec, p: Optional[float]) -> None:
 # verifier: eigenvalue sums over a window and the coupling threshold
 
 
-def preflight_main(spec: SymbolSpec, K: Region, q: float) -> None:
+def preflight_main(spec: SymbolSpec, grid: TorusGrid, K: Region, q: float) -> None:
     """Argument checks of :func:`verify_main`; raises RegimeError."""
+    _check_fine_pair(spec, grid)
     _check_q_window(spec, q)
     K.validate_for(spec)
 
 
+@spectrum_memo()
 def verify_main(
     spec: SymbolSpec,
     grid: TorusGrid,
@@ -584,12 +584,10 @@ def verify_main(
     point solves the BS equation to residual < 1e-6 with sigma_1 >= 1.
     """
     certify = _certifier("main", grid, seed)
-    preflight_main(spec, K, q)
-
-    discrete_at = _coupling_memo(spec, grid, V)
+    preflight_main(spec, grid, K, q)
 
     def discrete_in(t: float) -> list[SpectralPoint]:
-        return [p for p in discrete_at(t) if K.contains(p.z)]
+        return [p for p in discrete_spectrum(spec, grid, V.scaled(t)) if K.contains(p.z)]
 
     pts_unit = discrete_in(1.0)
     lhs = weighted_blaschke_sum(pts_unit, "plain") if pts_unit else 0.0
@@ -883,8 +881,9 @@ def verify_schatten_scaling(
 # verifier: bounds on individual eigenvalues
 
 
-def preflight_individual_bounds(spec: SymbolSpec, q: float) -> None:
+def preflight_individual_bounds(spec: SymbolSpec, grid: TorusGrid, q: float) -> None:
     """Argument checks of :func:`verify_individual_bounds`; raises RegimeError."""
+    _check_fine_pair(spec, grid)
     d, s = spec.d, spec.s
     if not 0.0 < s < d:
         raise RegimeError("s", f"the sectorial bound regime needs 0 < s < d, got s={s}, d={d}")
@@ -892,6 +891,7 @@ def preflight_individual_bounds(spec: SymbolSpec, q: float) -> None:
         raise RegimeError("q", f"q={q} below the exponent floor d/s = {d / s:.6g}")
 
 
+@spectrum_memo()
 def verify_individual_bounds(
     spec: SymbolSpec,
     grid: TorusGrid,
@@ -911,7 +911,7 @@ def verify_individual_bounds(
     constants.
     """
     certify = _certifier("individual-bounds", grid, seed)
-    preflight_individual_bounds(spec, q)
+    preflight_individual_bounds(spec, grid, q)
     d, s = spec.d, spec.s
 
     points = classified_spectrum(spec, grid, V)
@@ -979,6 +979,7 @@ def verify_individual_bounds(
 
 def preflight_imaginary(spec: SymbolSpec, W: PotentialField, q: float) -> None:
     """Argument checks of :func:`verify_imaginary`; raises RegimeError."""
+    _check_fine_pair(spec, W.grid)
     imaginary_q_window(spec, q)
     try:
         imaginary_potential(W)
@@ -986,6 +987,7 @@ def preflight_imaginary(spec: SymbolSpec, W: PotentialField, q: float) -> None:
         raise RegimeError("potential", str(err)) from err
 
 
+@spectrum_memo()
 def verify_imaginary(
     spec: SymbolSpec,
     W: PotentialField,
@@ -1061,9 +1063,9 @@ def _threshold_bracket(
 ) -> Optional[float]:
     """Smallest probed coupling with a Discrete point, scanning powers of two.
 
-    discrete_at maps a coupling t to the Discrete points of t*V, as
-    :func:`_coupling_memo` builds it; every t probed here is a power of two,
-    so a caller's ladder through t_entry * 2**k reuses these solves.
+    discrete_at maps a coupling t to the Discrete points of t*V.  Every t
+    probed here is a power of two, so inside the spectrum memo's scope a
+    caller's ladder through t_entry * 2**k reuses these solves.
     """
     t = 1.0
     if discrete_at(t):
@@ -1085,9 +1087,15 @@ _ALPHA_WEIGHTS = {
 
 
 def preflight_weighted_sums(
-    spec: SymbolSpec, q: float, alpha: Optional[float], eps: float, variant: str = "auto"
+    spec: SymbolSpec,
+    grid: TorusGrid,
+    q: float,
+    alpha: Optional[float],
+    eps: float,
+    variant: str = "auto",
 ) -> None:
     """Argument checks of :func:`verify_weighted_sums`; raises RegimeError."""
+    _check_fine_pair(spec, grid)
     d, kind = spec.d, spec.kind
     if eps <= 0.0:
         raise RegimeError("eps", "eps must be positive")
@@ -1111,6 +1119,7 @@ def preflight_weighted_sums(
         raise RegimeError("alpha", f"alpha must exceed d = {d}, got {alpha}")
 
 
+@spectrum_memo()
 def verify_weighted_sums(
     spec: SymbolSpec,
     grid: TorusGrid,
@@ -1136,7 +1145,7 @@ def verify_weighted_sums(
     report the measured series.
     """
     certify = _certifier("weighted-sums", grid, seed)
-    preflight_weighted_sums(spec, q, alpha, eps, variant)
+    preflight_weighted_sums(spec, grid, q, alpha, eps, variant)
     d, s, kind = spec.d, spec.s, spec.kind
     fit_budget = None
     if kind is SymbolKind.FRACTIONAL_LAPLACIAN:
@@ -1149,7 +1158,9 @@ def verify_weighted_sums(
         weight = _ALPHA_WEIGHTS[kind]
     inputs = _inputs_head(spec, q, V, alpha=alpha, eps=eps) | {"weight": weight, "variant": variant}
 
-    discrete_at = _coupling_memo(spec, grid, V)
+    def discrete_at(t: float) -> list[SpectralPoint]:
+        return discrete_spectrum(spec, grid, V.scaled(t))
+
     t_entry = _threshold_bracket(discrete_at, t_floor=2.0**-12, t_cap=64.0)
     if t_entry is None:
         inputs["note"] = "no Discrete eigenvalues at any probed coupling"

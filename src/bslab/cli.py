@@ -6,7 +6,8 @@ experiment, and no command-line flag can override physics parameters -- only
 output paths and the report format.  Certificates written by a run therefore
 fully describe it, and a rerun of the same config and seed reproduces them
 byte for byte (with ``--deterministic`` zeroing wall-clock fields).  The
-verifiers of a run execute one after another in this process.
+verifiers of a run execute one after another in this process, inside one
+:func:`spectra.spectrum_memo` scope that ``spectra.csv`` shares.
 
 Exit codes: 0 when every certificate is PASS or REPORT-ONLY, 1 when some
 certificate FAILs, 2 for configuration or validation errors (the message
@@ -74,6 +75,7 @@ from .spectra import (
     eigensolve,
     fine_grid,
     spectrum_csv,
+    spectrum_memo,
 )
 from .symbols import SymbolKind, SymbolSpec, critical_values
 
@@ -347,7 +349,7 @@ class Verifier:
 VERIFIERS = {
     "main": Verifier(
         keys=("q", "region", "t_max"),
-        preflight=lambda a: preflight_main(a.spec, a.region, a.q),
+        preflight=lambda a: preflight_main(a.spec, a.grid, a.region, a.q),
         run=lambda a: verify_main(a.spec, a.grid, a.V, a.region, a.q, t_max=a.t_max, seed=a.seed),
     ),
     "uniform-resolvent": Verifier(
@@ -364,7 +366,7 @@ VERIFIERS = {
     ),
     "individual-bounds": Verifier(
         keys=("q",),
-        preflight=lambda a: preflight_individual_bounds(a.spec, a.q),
+        preflight=lambda a: preflight_individual_bounds(a.spec, a.grid, a.q),
         run=lambda a: verify_individual_bounds(a.spec, a.grid, a.V, a.q, seed=a.seed),
     ),
     "imaginary": Verifier(
@@ -374,7 +376,9 @@ VERIFIERS = {
     ),
     "weighted-sums": Verifier(
         keys=("q", "eps", "alpha", "z0", "variant"),
-        preflight=lambda a: preflight_weighted_sums(a.spec, a.q, a.alpha, a.eps, a.variant),
+        preflight=lambda a: preflight_weighted_sums(
+            a.spec, a.grid, a.q, a.alpha, a.eps, a.variant
+        ),
         run=lambda a: verify_weighted_sums(
             a.spec, a.grid, a.V, a.q, a.alpha, a.eps, a.z0, variant=a.variant, seed=a.seed
         ),
@@ -383,7 +387,7 @@ VERIFIERS = {
 }
 
 # RegimeError.param -> config path, where it is not the run-block key of that name
-_PARAM_PATHS = {"kind": "operator.kind", "s": "operator.s", "potential": "potential"}
+_PARAM_PATHS = {"kind": "operator.kind", "s": "operator.s", "potential": "potential", "grid": "grid"}
 
 
 def _prepare_job(cfg: ExperimentConfig, thm: str) -> VerifyJob:
@@ -553,7 +557,10 @@ def _cmd_bs(cfg: ExperimentConfig, args) -> int:
 
 def _run_verifiers(cfg: ExperimentConfig, theorems: list[str], args, with_spectra: bool) -> int:
     jobs = [_prepare_job(cfg, thm) for thm in theorems]
-    certs = run_jobs(jobs)
+    # one memo for the run: the verifiers and spectra.csv solve each coupling once
+    with spectrum_memo():
+        certs = run_jobs(jobs)
+        points = _classified_points(cfg) if with_spectra else None
     dest = _artifact_dir(args.out)
     for cert in certs:
         doc = certificate_json(cert, deterministic=args.deterministic)
@@ -562,8 +569,8 @@ def _run_verifiers(cfg: ExperimentConfig, theorems: list[str], args, with_spectr
     (dest / "summary.csv").write_text(
         summary_csv(certs, deterministic=args.deterministic), encoding="utf-8"
     )
-    if with_spectra:
-        spectrum_csv(_classified_points(cfg), dest / "spectra.csv")
+    if points is not None:
+        spectrum_csv(points, dest / "spectra.csv")
     curves = plot_data_csv(certs)
     if curves is not None:
         (dest / "plot-data.csv").write_text(curves, encoding="utf-8")

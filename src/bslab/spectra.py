@@ -14,6 +14,12 @@ H_2N - z and a short Arnoldi run on the inverse, and H_2N is assembled only
 if some point needs a partner.  The dense T(D) is built once per (symbol,
 grid) and cached read-only; every Hamiltonian is a fresh copy of it plus
 the site diagonal of V.
+
+Inside a :func:`spectrum_memo` scope, :func:`classified_spectrum` solves
+each (symbol, grid, potential samples) once and serves repeats from a memo
+keyed by that content.  The scope is re-entrant and lives in a context
+variable: the memo is dropped when the outermost scope closes, so nothing
+it held outlives one run.  Outside any scope every call solves.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
@@ -46,6 +54,7 @@ __all__ = [
     "eigensolve",
     "classify",
     "classified_spectrum",
+    "spectrum_memo",
     "fine_grid",
     "nearest_in",
     "spectrum_csv",
@@ -304,6 +313,42 @@ def fine_grid(spec: SymbolSpec, grid: TorusGrid) -> TorusGrid:
     return fine
 
 
+def _solve_classified(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> list[SpectralPoint]:
+    """The solve beneath :func:`classified_spectrum`'s memo."""
+    fine = fine_grid(spec, grid)
+    coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
+    return classify(coarse, _FinePartner(spec, fine, V), spec, grid)
+
+
+@dataclass
+class _Memo:
+    points: dict[tuple, tuple[SpectralPoint, ...]] = field(default_factory=dict)  # by content
+    served: int = 0  # requests answered from points
+
+
+_memo: ContextVar[Optional[_Memo]] = ContextVar("bslab_spectrum_memo", default=None)
+
+
+@contextmanager
+def spectrum_memo():
+    """Scope in which :func:`classified_spectrum` solves each input once.
+
+    Re-entrant: a scope opened inside another joins it.  When the outermost
+    scope closes, the memo is dropped and one DEBUG record on the ``bslab``
+    logger counts the solves and the requests served from the memo.
+    """
+    if _memo.get() is not None:
+        yield
+        return
+    memo = _Memo()
+    token = _memo.set(memo)
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+        _log.debug("%d couplings solved, %d served from the memo", len(memo.points), memo.served)
+
+
 def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> list[SpectralPoint]:
     """Every eigenvalue of H0 + V on grid, in eigensolve order, labeled by classify.
 
@@ -313,10 +358,20 @@ def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) ->
     as the fallback when that does not converge).  A call whose points are
     all ContinuumArtifact assembles no fine matrix.  A grid without a
     :func:`fine_grid` partner raises ValueError before any eigensolve.
+    Inside a :func:`spectrum_memo` scope, a repeat of (spec, grid, V.grid
+    and the shape, dtype and bytes of V.values) is served from the memo;
+    each call returns its own list.
     """
-    fine = fine_grid(spec, grid)
-    coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
-    return classify(coarse, _FinePartner(spec, fine, V), spec, grid)
+    memo = _memo.get()
+    if memo is None:
+        return _solve_classified(spec, grid, V)
+    v = V.values
+    key = (spec, grid, V.grid, v.shape, v.dtype.str, v.tobytes())
+    if key in memo.points:
+        memo.served += 1
+    else:
+        memo.points[key] = tuple(_solve_classified(spec, grid, V))
+    return list(memo.points[key])
 
 
 def spectrum_csv(points, path) -> None:

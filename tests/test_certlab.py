@@ -2,16 +2,17 @@
 
 import cmath
 import json
+import logging
 import math
 import threading
 import time
-import traceback
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bslab import certlab
+from bslab import certlab, cli, spectra
 from bslab.certlab import (
     BoundCertificate,
     JobError,
@@ -34,7 +35,7 @@ from bslab.certlab import (
     verify_uniform_resolvent,
     verify_weighted_sums,
 )
-from bslab.cli import main as cli_main
+from bslab.cli import load_config, main as cli_main
 from bslab.conformal import weighted_blaschke_sum
 from bslab.lattice import GridFunction, TorusGrid
 from bslab.potentials import PotentialField, PotentialSpec, sample_potential
@@ -471,33 +472,41 @@ def test_verify_weighted_sums_policing():
 
 
 def _coupling_calls(monkeypatch):
-    """Coupling t of every certlab.discrete_spectrum call, read off V.scaled(t)."""
-    made, calls = {}, []
-    scaled, solve = PotentialField.scaled, certlab.discrete_spectrum
+    """Coupling t of every discrete_spectrum request and of every solve beneath
+    the spectrum memo, read off V.scaled(t)."""
+    made, calls = {}, {"requested": [], "solved": []}
+    scaled, request, solve = PotentialField.scaled, certlab.discrete_spectrum, spectra._solve_classified
 
     def scaled_spy(self, c):
         out = scaled(self, c)
         made[id(out)] = (out, c)  # holding out keeps its id unique
         return out
 
+    def request_spy(spec, grid, V):
+        calls["requested"].append(made[id(V)][1])
+        return request(spec, grid, V)
+
     def solve_spy(spec, grid, V):
-        calls.append(made[id(V)][1])
+        calls["solved"].append(made[id(V)][1])
         return solve(spec, grid, V)
 
     monkeypatch.setattr(PotentialField, "scaled", scaled_spy)
-    monkeypatch.setattr(certlab, "discrete_spectrum", solve_spy)
+    monkeypatch.setattr(certlab, "discrete_spectrum", request_spy)
+    monkeypatch.setattr(spectra, "_solve_classified", solve_spy)
     return calls
 
 
 def test_verify_weighted_sums_zero_potential_reports_only(monkeypatch):
-    # no coupling binds: the bracket doubles t from 1 up to its cap 64, once each
+    # no coupling binds: the bracket doubles t from 1 up to its cap 64, once
+    # each; t * 0 is one potential, so the memo solves it once
     calls = _coupling_calls(monkeypatch)
     grid = TorusGrid(d=1, N=64, L=30.0)
     V = PotentialField(grid, np.zeros(grid.shape))
     cert = verify_weighted_sums(FRAC15, grid, V, q=1.0, alpha=None, eps=0.5)
     assert cert.verdict == "REPORT-ONLY"
     assert cert.inputs["note"] == "no Discrete eigenvalues at any probed coupling"
-    assert calls == [2.0**k for k in range(7)]
+    assert calls["requested"] == [2.0**k for k in range(7)]
+    assert calls["solved"] == [1.0]
 
 
 def test_verify_weighted_sums_shallow_well_enters_above_unit_coupling(monkeypatch):
@@ -509,27 +518,82 @@ def test_verify_weighted_sums_shallow_well_enters_above_unit_coupling(monkeypatc
     ladder, counts = cert.inputs["ladder"], cert.inputs["counts"]
     assert ladder[2] == 4.0  # t_entry
     assert counts[0] == 0 and counts[2] >= 1
-    assert len(calls) == len(set(calls)) == 14
-    assert set(calls) == {1.0, *ladder}
+    assert len(calls["solved"]) == len(set(calls["solved"])) == 14
+    assert set(calls["solved"]) == {1.0, *ladder}
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "configs" / "golden.json"
+
+
+def _golden_scan(out):
+    assert cli_main(["scan", "--config", str(GOLDEN), "--out", str(out), "--deterministic"]) == 0
+
+
+def _solver_calls(monkeypatch):
+    """V bytes of every solve beneath the spectrum memo, the dimension of every
+    eigensolve, and the count of shift-invert partner solves."""
+    seen = {"solves": [], "dims": Counter(), "partners": 0}
+    solve, eig, nearest = spectra._solve_classified, spectra.eigensolve, spectra._shift_invert_nearest
+
+    def solve_spy(spec, grid, V):
+        seen["solves"].append(V.values.tobytes())
+        return solve(spec, grid, V)
+
+    def eig_spy(H):
+        seen["dims"][H.shape[0]] += 1
+        return eig(H)
+
+    def nearest_spy(H, z):
+        seen["partners"] += 1
+        return nearest(H, z)
+
+    monkeypatch.setattr(spectra, "_solve_classified", solve_spy)
+    monkeypatch.setattr(spectra, "eigensolve", eig_spy)
+    monkeypatch.setattr(spectra, "_shift_invert_nearest", nearest_spy)
+    return seen
 
 
 def test_golden_verifiers_solve_each_coupling_once(tmp_path, monkeypatch):
-    # The bracket, bisection and ladder revisit couplings; each verifier call
-    # solves every distinct t*V once.
-    solved = {"verify_main": [], "verify_weighted_sums": []}
-    original = certlab.discrete_spectrum
+    # main bisects from [0, 1] and weighted-sums halves from t = 1: both probe
+    # t = 1, 1/2, ..., 1/32, and spectra.csv reads t = 1 again.  One memo for
+    # the scan solves every distinct t*V once, and spectra.csv solves nothing.
+    seen = _solver_calls(monkeypatch)
+    csv_eigensolves = []
+    classified_points = cli._classified_points
 
-    def recording(spec, grid, V):
-        for frame in traceback.extract_stack():
-            if frame.name in solved:
-                solved[frame.name].append(V.values.tobytes())
-        return original(spec, grid, V)
+    def csv_spy(cfg):
+        before = sum(seen["dims"].values())
+        points = classified_points(cfg)
+        csv_eigensolves.append(sum(seen["dims"].values()) - before)
+        return points
 
-    monkeypatch.setattr(certlab, "discrete_spectrum", recording)
-    config = Path(__file__).resolve().parent.parent / "configs" / "golden.json"
-    assert cli_main(["scan", "--config", str(config), "--out", str(tmp_path), "--deterministic"]) == 0
-    assert {name: len(vs) for name, vs in solved.items()} == {"verify_main": 15, "verify_weighted_sums": 13}
-    assert all(len(set(vs)) == len(vs) for vs in solved.values())
+    monkeypatch.setattr(cli, "_classified_points", csv_spy)
+    _golden_scan(tmp_path)
+    assert len(seen["solves"]) == len(set(seen["solves"])) == 22
+    assert seen["dims"] == {64: 22}
+    assert seen["partners"] == 73
+    assert csv_eigensolves == [0]
+
+
+def test_spectrum_memo_ends_with_each_scan(tmp_path, monkeypatch):
+    # nothing a scan solved is served to the next scan or to a library call
+    seen = _solver_calls(monkeypatch)
+    _golden_scan(tmp_path / "first")
+    _golden_scan(tmp_path / "second")
+    assert seen["dims"] == {64: 2 * 22}
+    cfg = load_config(GOLDEN)
+    K = Region(shape="rectangle", bounds=(-6.0, -0.05, -0.4, 0.4), clearance=0.04)
+    verify_main(cfg.spec, cfg.grid, cfg.potential, K, q=1.0)
+    assert seen["dims"] == {64: 2 * 22 + 15}
+    assert len(set(seen["solves"][-15:])) == 15
+
+
+def test_scan_logs_its_memo_once(tmp_path, caplog):
+    # the verifiers' own scopes join the scan's: one record when the scan ends
+    caplog.set_level(logging.DEBUG, logger="bslab")
+    _golden_scan(tmp_path)
+    records = [r.getMessage() for r in caplog.records if "memo" in r.getMessage()]
+    assert records == ["22 couplings solved, 14 served from the memo"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,22 @@ import csv
 import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bslab.birman_schwinger import bs_det_evaluator
-from bslab.certlab import BoundCertificate, certificate_json, summary_csv
+from bslab.certlab import (
+    BoundCertificate,
+    Region,
+    certificate_json,
+    summary_csv,
+    verify_main,
+    verify_weighted_sums,
+)
 from bslab.cli import ConfigError, emit_report, load_config, main as cli_main
 from bslab.lattice import TorusGrid
 from bslab.potentials import PotentialSpec, write_potential_file
@@ -468,29 +477,38 @@ def test_config_numbers_are_finite_and_not_bools(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+_FRAC_D2 = {"kind": "fractional_laplacian", "d": 2, "s": 1.5}
+_SPECTRUM_AND_SCAN = (["spectrum"], ["scan"])
+_CLASSIFYING = tuple(["verify", thm] for thm in ("main", "individual-bounds", "imaginary", "weighted-sums"))
+
+
 @pytest.mark.parametrize(
-    "operator, N",
+    "operator, N, refine, commands, path",
     [
-        ({"kind": "fractional_laplacian", "d": 2, "s": 1.5}, 64),  # 2N = 128 > the d=2 cap 64
-        ({"kind": "dirac_massive", "d": 3}, 8),  # 2N = 16: dense size 16^3 * 4 = 16384 > 8192
+        # 2N = 128 > the d=2 cap 64
+        (_FRAC_D2, 64, True, _SPECTRUM_AND_SCAN, "grid.refine"),
+        # 2N = 16: dense size 16^3 * 4 = 16384 > 8192
+        ({"kind": "dirac_massive", "d": 3}, 8, True, _SPECTRUM_AND_SCAN, "grid.refine"),
+        # the classifying verifiers refine N -> 2N whatever grid.refine says
+        (_FRAC_D2, 64, False, _CLASSIFYING, "grid"),
     ],
-    ids=["grid-cap", "dense-cap"],
+    ids=["grid-cap", "dense-cap", "verify-without-refine"],
 )
 def test_refinement_pair_that_cannot_be_built_exits_2_before_compute(
-    tmp_path, capsys, monkeypatch, operator, N
+    tmp_path, capsys, monkeypatch, operator, N, refine, commands, path
 ):
     def no_compute(*a, **k):
         raise AssertionError("compute started despite a config error")
 
     for name in ("run_jobs", "classified_spectrum", "eigensolve"):
         monkeypatch.setattr(f"bslab.cli.{name}", no_compute)
-    doc = base_config(grid={"N": N, "L": 6.0, "refine": True}, run={"theorems": ["uniform-resolvent"]})
+    doc = base_config(grid={"N": N, "L": 6.0, "refine": refine}, run={"theorems": ["uniform-resolvent"]})
     doc["operator"] = operator
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    for cmd in ("spectrum", "scan"):
-        assert cli_main([cmd, "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error at grid.refine:")
+    for cmd in commands:
+        assert cli_main([*cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error at {path}:")
     assert not out.exists()
 
 
@@ -670,3 +688,46 @@ def test_emit_report_input_errors(tmp_path):
         emit_report([], "json", tmp_path)
     with pytest.raises(ValueError):
         emit_report(_two_certs(), "yaml", tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# one spectrum memo per run: the shared path against standalone solves
+
+
+@settings(max_examples=16)
+@given(
+    kind=st.sampled_from(["fractional_laplacian", "relativistic"]),
+    depth=st.floats(0.3, 6.0),
+    phase=st.floats(-0.6, 0.6),
+    width=st.floats(0.5, 2.0),
+)
+def test_scan_sharing_one_memo_matches_standalone_calls(kind, depth, phase, width):
+    amplitude = -depth * np.exp(1j * phase)
+    doc = base_config(
+        grid={"N": 64, "L": 30.0},
+        potential={
+            "family": "gaussian",
+            "params": {"amplitude": [amplitude.real, amplitude.imag], "width": width},
+        },
+        run={"alpha": 2.0, "theorems": ["main", "weighted-sums"]},
+    )
+    doc["operator"] = {"kind": kind, "d": 1} | ({"s": 1.5} if kind == "fractional_laplacian" else {})
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg_path = write_config(tmp, doc)
+        scan = ["scan", "--config", cfg_path, "--out", str(tmp / "scan"), "--deterministic"]
+        assert cli_main(scan) in (0, 1)
+        assert cli_main(["spectrum", "--config", cfg_path, "--out", str(tmp / "spectrum")]) == 0
+        [scan_dir] = run_dirs(tmp / "scan")
+        [spectrum_dir] = run_dirs(tmp / "spectrum")
+        cfg = load_config(cfg_path)
+        K = Region(shape="rectangle", bounds=(-6.0, -0.05, -0.4, 0.4), clearance=0.04)
+        standalone = {
+            "main": verify_main(cfg.spec, cfg.grid, cfg.potential, K, 1.0),
+            "weighted-sums": verify_weighted_sums(cfg.spec, cfg.grid, cfg.potential, 1.0, 2.0, 0.5),
+        }
+        for theorem, cert in standalone.items():
+            text = json.dumps(certificate_json(cert, deterministic=True), indent=2, sort_keys=True) + "\n"
+            assert (scan_dir / f"certificate-{theorem}.json").read_text(encoding="utf-8") == text
+        scanned = (scan_dir / "spectra.csv").read_bytes()
+        assert scanned == (spectrum_dir / "spectra.csv").read_bytes()
