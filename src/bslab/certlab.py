@@ -927,14 +927,13 @@ def verify_individual_bounds(
     spectrum_drift = 0.0
     for t in _SCALING_TS:
         Vt = scaled_field(V, t, s)
-        eigs_t = eigensolve(assemble_hamiltonian(spec, grid.rescaled(t), Vt))
+        eigs_t = base_eigs if t == 1.0 else eigensolve(assemble_hamiltonian(spec, grid.rescaled(t), Vt))
         scale = t**s
         spectrum_drift = max(
             spectrum_drift,
             float(np.max(np.abs(eigs_t - scale * base_eigs)) / (scale * np.abs(base_eigs).max())),
         )
-        z_t = scale * anchor.z
-        ratios[t] = abs(z_t) ** (q - d / s) / potential_norm(Vt, q) ** q
+        ratios[t] = abs(scale * anchor.z) ** (q - d / s) / potential_norm(Vt, q) ** q
     ratio_drift = max(abs(ratios[t] / ratios[1.0] - 1.0) for t in _SCALING_TS)
 
     # empirical constants over a seeded family of rescaled copies

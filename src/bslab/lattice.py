@@ -15,7 +15,8 @@ Parseval then reads (L/N)^d sum|f|^2 = L^{-d} sum|fhat|^2.
 
 Only this module knows the field layout: samples of shape grid.shape
 (scalar), grid.shape + (n,) (spinor) or grid.shape + (n, n) (site block), and
-the site-major, spinor-minor index of dense operators (:func:`multiplier_matrix`).
+the site-major, spinor-minor index of dense operators: :func:`multiplier_matrix`
+transforms the site identity once and fills block (i, a) from it and m_ia.
 """
 
 from __future__ import annotations
@@ -225,33 +226,33 @@ def dense_dim(grid: TorusGrid, n: int) -> int:
 def multiplier_matrix(m: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Dense matrix of a Fourier multiplier on coefficient vectors.
 
-    m is a scalar multiplier (shape grid.shape) or an (n, n) block
-    multiplier (grid.shape + (n, n)) acting on n-component spinors.  Index
-    layout is site-major, spinor-minor (row-major sites); the matrix acts on
-    f.values.reshape(-1). Assembly is capped by :func:`dense_dim`.
+    m is a scalar multiplier (shape grid.shape) or an (n, n) block multiplier
+    (grid.shape + (n, n)) acting on n-component spinors.  Index layout is
+    site-major, spinor-minor (row-major sites); the matrix acts on
+    f.values.reshape(-1), capped by :func:`dense_dim`.  The site identity is
+    transformed once per call; block (i, a) is the scalar multiplier matrix
+    of m[..., i, a].
     """
     mvals = np.asarray(m, dtype=complex)
-    scalar = mvals.shape == grid.shape
-    n = 1 if scalar else mvals.shape[-1]
-    if not scalar and mvals.shape != grid.shape + (n, n):
+    blocks = mvals[..., None, None] if mvals.shape == grid.shape else mvals
+    n = blocks.shape[-1]
+    if blocks.shape != grid.shape + (n, n):
         raise ValueError(f"multiplier shape {mvals.shape} does not match grid/spinor")
     dim = dense_dim(grid, n)
+    size = grid.size
     axes = tuple(range(1, grid.d + 1))
-    out = np.empty((dim, dim), dtype=complex)
-    chunk = max(1, min(dim, (1 << 23) // dim))
-    for lo in range(0, dim, chunk):
-        hi = min(lo + chunk, dim)
-        block = np.zeros((hi - lo, dim), dtype=complex)
-        block[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        fields = block.reshape((hi - lo,) + grid.field_shape(n))
+    out = np.empty((size, n, size, n), dtype=complex)
+    chunk = max(1, min(size, (1 << 23) // size))
+    for lo in range(0, size, chunk):
+        hi = min(lo + chunk, size)
+        cols = np.eye(hi - lo, size, k=lo, dtype=complex)
+        fields = cols.reshape((hi - lo,) + grid.shape)
         spec = np.fft.fftn(fields, axes=axes)
-        if scalar:
-            spec = spec * mvals[None]
-        else:
-            spec = np.einsum("...ij,b...j->b...i", mvals, spec)
-        cols = np.fft.ifftn(spec, axes=axes).reshape(hi - lo, dim)
-        out[:, lo:hi] = cols.T
-    return out
+        for i, a in np.ndindex(n, n):  # the spent identity rows hold each block in turn
+            np.multiply(spec, blocks[..., i, a], out=fields)
+            np.fft.ifftn(fields, axes=axes, out=fields)
+            out[:, i, lo:hi, a] = cols.T
+    return out.reshape(dim, dim)
 
 
 def site_diagonal_sandwich(
@@ -266,9 +267,9 @@ def site_diagonal_sandwich(
     size = grid.size
     n = mat.shape[0] // size
     if left.ndim == grid.d:
-        lvec = np.repeat(left.ravel(), n)
-        rvec = np.repeat(right.ravel(), n)
-        return lvec[:, None] * mat * rvec[None, :]
+        out = np.repeat(left.ravel(), n)[:, None] * mat
+        out *= np.repeat(right.ravel(), n)[None, :]
+        return out
     lb = left.reshape(size, n, n)
     rb = right.reshape(size, n, n)
     m = mat.reshape(size, n, size, n)

@@ -38,7 +38,7 @@ from bslab.certlab import (
 from bslab.cli import load_config, main as cli_main
 from bslab.conformal import weighted_blaschke_sum
 from bslab.lattice import GridFunction, TorusGrid
-from bslab.potentials import PotentialField, PotentialSpec, sample_potential
+from bslab.potentials import PotentialField, PotentialSpec, potential_norm, sample_potential, scaled_field
 from bslab.resolvent import resolvent_multiplier
 from bslab.symbols import SymbolKind, SymbolSpec
 
@@ -329,6 +329,49 @@ def test_verify_individual_bounds_exact_invariance():
     assert cert.inputs["spectrum_drift"] <= 1e-10
     assert cert.constant > 0.0
     assert cert.inputs["sup_sectorial"] >= 0.0
+
+
+def _explicit_scaling_drifts(spec, grid, V, q):
+    """spectrum_drift and ratio_drift with every t in the scaling family solved, t = 1 too."""
+    points = spectra.classified_spectrum(spec, grid, V)
+    anchor = max(
+        (p for p in points if p.label is spectra.SpectralLabel.DISCRETE), key=lambda p: p.dist_sigma
+    )
+    base_eigs = np.array([p.z for p in points])
+    ratios, spectrum_drift = {}, 0.0
+    for t in certlab._SCALING_TS:
+        Vt = scaled_field(V, t, spec.s)
+        eigs_t = spectra.eigensolve(spectra.assemble_hamiltonian(spec, grid.rescaled(t), Vt))
+        scale = t**spec.s
+        drift = np.max(np.abs(eigs_t - scale * base_eigs)) / (scale * np.abs(base_eigs).max())
+        spectrum_drift = max(spectrum_drift, float(drift))
+        ratios[t] = abs(scale * anchor.z) ** (q - spec.d / spec.s) / potential_norm(Vt, q) ** q
+    return spectrum_drift, max(abs(ratios[t] / ratios[1.0] - 1.0) for t in certlab._SCALING_TS)
+
+
+def test_verify_individual_bounds_solves_the_base_hamiltonian_once(monkeypatch):
+    spec = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=0.6)
+    grid = TorusGrid(d=1, N=64, L=16.0)
+    V = gaussian(grid, -2.0)
+    solved = []
+    real_eigensolve = spectra.eigensolve
+
+    def spy(H):
+        solved.append(np.asarray(H).tobytes())
+        return real_eigensolve(H)
+
+    monkeypatch.setattr(spectra, "eigensolve", spy)
+    monkeypatch.setattr(certlab, "eigensolve", spy)
+    cert = verify_individual_bounds(spec, grid, V, q=2.0, family_size=2)
+    base = spectra.assemble_hamiltonian(spec, grid, V).tobytes()
+    # t = 1 of the scaling family reads the base spectrum: no matrix is solved twice
+    assert solved.count(base) == 1
+    assert len(set(solved)) == len(solved)
+    monkeypatch.undo()
+    assert (cert.inputs["spectrum_drift"], cert.inputs["ratio_drift"]) == _explicit_scaling_drifts(
+        spec, grid, V, 2.0
+    )
+    assert cert.inputs["spectrum_drift"] > 0.0
 
 
 def test_verify_individual_bounds_stable_under_refinement():

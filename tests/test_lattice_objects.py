@@ -1,6 +1,6 @@
 """Property tests of the lattice objects: T(xi), its level set, the local spacing,
-the field layout (site magnitudes, weighted L^p norms, site-diagonal embedding)
-and the cached dense T(D) under every Hamiltonian."""
+the field layout (site magnitudes, weighted L^p norms, site-diagonal embedding),
+the dense multiplier assembly and the cached dense T(D) under every Hamiltonian."""
 
 import bisect
 import math
@@ -15,6 +15,7 @@ from bslab.lattice import (
     GridFunction,
     TorusGrid,
     add_site_diagonal,
+    apply_multiplier,
     lp_norm,
     multiplier_matrix,
     per_site,
@@ -30,9 +31,9 @@ _HALF_N = {1: 32, 2: 8, 3: 4}  # small grids: N <= 64, 16, 8 for d = 1, 2, 3
 
 
 @st.composite
-def lattices(draw):
-    """A symbol of any kind with d in {1, 2, 3}, on a small grid."""
-    kind = draw(st.sampled_from(list(SymbolKind)))
+def lattices(draw, kinds=tuple(SymbolKind)):
+    """A symbol of one of kinds (default: any) with d in {1, 2, 3}, on a small grid."""
+    kind = draw(st.sampled_from(kinds))
     d = draw(st.integers(1, 3))
     spec = SymbolSpec(kind, d)
     if not spec.is_dirac:
@@ -182,7 +183,75 @@ def test_site_diagonal_embedding_is_the_block_diagonal_product(field, n_scalar, 
     got = site_diagonal_sandwich(left, mat, right, grid)
     scale = np.abs(mat).max() * max(1.0, np.abs(left).max() * np.abs(right).max())
     assert np.max(np.abs(got - L @ mat @ R)) <= 1e-12 * n * scale
+    if layout == "scalar":  # one temporary, the same products as the two-temporary expression
+        lvec, rvec = np.repeat(left.ravel(), n), np.repeat(right.ravel(), n)
+        assert np.array_equal(got, lvec[:, None] * mat * rvec[None, :])
     assert np.array_equal(add_site_diagonal(mat.copy(), left, grid), mat + L)
+
+
+# ---------------------------------------------------------------------------
+# dense multiplier assembly
+
+_DIRAC_KINDS = tuple(k for k in SymbolKind if SymbolSpec(k, 1).is_dirac)
+
+
+def _identity_fft_matrix(mvals, grid):
+    """Reference scalar assembly: FFT the identity rows chunk by chunk, times m, FFT back."""
+    dim = grid.size
+    axes = tuple(range(1, grid.d + 1))
+    out = np.empty((dim, dim), dtype=complex)
+    chunk = max(1, min(dim, (1 << 23) // dim))
+    for lo in range(0, dim, chunk):
+        hi = min(lo + chunk, dim)
+        block = np.zeros((hi - lo, dim), dtype=complex)
+        block[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+        spec = np.fft.fftn(block.reshape((hi - lo,) + grid.shape), axes=axes) * mvals[None]
+        out[:, lo:hi] = np.fft.ifftn(spec, axes=axes).reshape(hi - lo, dim).T
+    return out
+
+
+def _multiplier(spec, grid, seed):
+    """The symbol T(xi) of spec on grid plus random complex noise of its shape."""
+    T = symbol_values(spec, grid.xi())
+    rng = np.random.default_rng(seed)
+    return T + rng.standard_normal(T.shape) + 1j * rng.standard_normal(T.shape)
+
+
+@given(lattices(_DIRAC_KINDS), st.integers(0, 2**32 - 1))
+def test_spinor_multiplier_blocks_are_the_scalar_multiplier_matrices(lattice, seed):
+    spec, grid = lattice
+    m = _multiplier(spec, grid, seed)
+    blocks = multiplier_matrix(m, grid).reshape(grid.size, spec.n, grid.size, spec.n)
+    for i, a in np.ndindex(spec.n, spec.n):
+        assert np.array_equal(blocks[:, i, :, a], multiplier_matrix(m[..., i, a], grid))
+
+
+@given(lattices(), st.integers(0, 2**32 - 1))
+def test_multiplier_matrix_applies_the_multiplier(lattice, seed):
+    spec, grid = lattice
+    m = _multiplier(spec, grid, seed)
+    rng = np.random.default_rng(seed + 1)
+    shape = grid.field_shape(spec.n)
+    f = GridFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    direct = apply_multiplier(m, f).values.reshape(-1)
+    got = multiplier_matrix(m, grid) @ f.values.reshape(-1)
+    scale = max(1.0, np.abs(m).max()) * np.abs(f.values).max()
+    assert np.max(np.abs(got - direct)) <= 1e-12 * scale
+
+
+@given(lattices(), st.integers(0, 2**32 - 1))
+def test_scalar_multiplier_matrix_is_the_identity_fft_assembly(lattice, seed):
+    spec, grid = lattice
+    m = _multiplier(spec, grid, seed)
+    if spec.is_dirac:
+        m = m[..., -1, 0]  # an off-diagonal block: a strided scalar multiplier
+    assert np.array_equal(multiplier_matrix(m, grid), _identity_fft_matrix(m, grid))
+
+
+def test_chunked_scalar_multiplier_matrix_is_the_identity_fft_assembly():
+    grid = TorusGrid(1, 3000, 60.0)  # 2^23 // 3000 = 2796 rows per chunk: two chunks
+    m = _multiplier(SymbolSpec(SymbolKind.FRACTIONAL_LAPLACIAN, 1, 1.5), grid, 0)
+    assert np.array_equal(multiplier_matrix(m, grid), _identity_fft_matrix(m, grid))
 
 
 @given(lattices(), st.sampled_from(_POTENTIALS), st.integers(0, 2**32 - 1))
