@@ -8,7 +8,8 @@ powers of M, and locates determinant zeros inside rectangles of the complex
 plane by an argument-principle bisection with secant polishing.  For z off
 the dispersion levels of T, the finite model makes the eigenvalue
 correspondence exact: z is an eigenvalue of H_0 + V iff -1 is an eigenvalue
-of M(z), which :func:`bs_residual` measures.
+of M(z), which :func:`bs_residual` measures.  The singular values, the LU
+determinant and the eigenvalues of M come from :mod:`bslab.dense`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import dense
 from .lattice import TorusGrid, multiplier_matrix, site_diagonal_sandwich
 from .potentials import PotentialField
 from .resolvent import resolvent_multiplier
@@ -103,7 +105,7 @@ def assemble_bs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """M(z) from :func:`bs_matrix` and its singular values, nonincreasing."""
     M = bs_matrix(spec, grid, V, z)
-    return M, np.linalg.svd(M, compute_uv=False)
+    return M, dense.svdvals(M)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ class DetValue:
 def regularized_det(M: np.ndarray, order: int) -> DetValue:
     """Regularized determinant det_n(I+M) = det(I+M) exp(sum_{k=1}^{n-1} (-1)^k tr(M^k) / k).
 
-    det(I+M) comes from one LU factorization (slogdet); the regularizing
+    det(I+M) comes from one LU factorization (dense.logdet); the regularizing
     factor from traces of powers of M, so order 2 costs only tr M and each
     higher order one more matrix product.  Magnitude and phase are combined
     in log form.  A singular I+M gives log_abs = -inf and value 0.  M is not
@@ -168,15 +170,15 @@ def regularized_det(M: np.ndarray, order: int) -> DetValue:
     if order < 1:
         raise ValueError(f"determinant regularization order must be >= 1, got {order}")
     mat = np.asarray(M, dtype=complex)
-    sign, log_abs = np.linalg.slogdet(mat + np.eye(mat.shape[0]))
+    log_abs, angle = dense.logdet(mat + np.eye(mat.shape[0]))
     reg = 0j
     power = mat
     for k in range(1, order):
         if k > 1:
             power = power @ mat
         reg += (-1) ** k * complex(np.trace(power)) / k
-    log_abs = float(log_abs) + reg.real
-    phase = math.remainder(cmath.phase(sign) + reg.imag, _TWO_PI)
+    log_abs += reg.real
+    phase = math.remainder(angle + reg.imag, _TWO_PI)
 
     if log_abs == -math.inf:
         value = 0j
@@ -203,7 +205,7 @@ def det_bound_constant(order: int) -> float:
 
 def bs_residual(M: np.ndarray) -> float:
     """min_j |mu_j + 1| over the eigenvalues mu_j of a BS matrix M."""
-    mu = np.linalg.eigvals(M)
+    mu = dense.eigvals(M)
     return float(np.min(np.abs(mu + 1.0)))
 
 

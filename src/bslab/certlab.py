@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import dense
 from .birman_schwinger import assemble_bs, bs_matrix, bs_residual, schatten_norm, schatten_order
 from .conformal import weighted_blaschke_sum
 from .lattice import GridFunction, TorusGrid, lp_norm, multiplier_matrix, per_site, site_magnitudes
@@ -1030,7 +1031,7 @@ def verify_imaginary(
                 continue
             n_eigs += 1
             M = bs_matrix(spec, grid, Vt, z)
-            mu, vecs = np.linalg.eig(M)
+            mu, vecs = dense.eig(M)
             g = vecs[:, int(np.argmin(np.abs(mu + 1.0)))]
             ratio = np.vdot(g, -(M @ g)) / np.vdot(g, g)
             dev_max = max(dev_max, abs(ratio.real - 1.0))

@@ -12,7 +12,7 @@ verifiers of a run execute one after another in this process, inside one
 Exit codes: 0 when every certificate is PASS or REPORT-ONLY, 1 when some
 certificate FAILs, 2 for configuration or validation errors (the message
 names the offending config field path), 3 for compute failures (the message
-names the failing job id).  Each verifier's preflight runs on every listed
+names the command and job).  Each verifier's preflight runs on every listed
 theorem before the first job starts, so regime errors never reach exit 3.
 """
 
@@ -34,7 +34,6 @@ import numpy as np
 from .birman_schwinger import assemble_bs, regularized_det, schatten_norm
 from .certlab import (
     BoundCertificate,
-    JobError,
     RegimeError,
     Region,
     VerifyJob,
@@ -641,15 +640,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as err:
         print(f"config error at {err}", file=sys.stderr)
         return 2
+    except (np.linalg.LinAlgError, RuntimeError, OSError) as err:  # LinAlgError is a ValueError
+        print(f"compute failure in {args.command}: {err}", file=sys.stderr)
+        return 3
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except JobError as err:
-        print(f"compute failure: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
-        print(f"compute failure: {err}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

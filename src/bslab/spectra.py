@@ -9,9 +9,11 @@ two: points close to the essential intervals are artifacts, distant points
 that barely move across the refinement are discrete.
 :func:`classified_spectrum` is that pipeline: dense at N, shift-invert
 partners at 2N.  It runs the full eigensolve at N only; a point beyond eta
-of the essential spectrum gets its nearest 2N eigenvalue from one LU of
-H_2N - z and a short Arnoldi run on the inverse, and H_2N is assembled only
-if some point needs a partner.  The dense T(D) is built once per (symbol,
+of the essential spectrum gets its nearest 2N eigenvalue from
+:func:`dense.nearest_eigenvalue` (one LU of H_2N - z and a short Arnoldi
+run on the inverse), and H_2N is assembled only if some point needs a
+partner.  Both eigensolves run in :mod:`bslab.dense`; this module only
+assembles, sorts and labels.  The dense T(D) is built once per (symbol,
 grid) and cached read-only; every Hamiltonian is a fresh copy of it plus
 the site diagonal of V.
 
@@ -35,10 +37,8 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import zgemv
-from scipy.linalg.lapack import zgeev, zgeev_lwork, zgetrf, zgetrs
 
+from . import dense
 from .lattice import TorusGrid, add_site_diagonal, dense_dim, multiplier_matrix
 from .potentials import PotentialField, resample
 from .resolvent import local_spacings
@@ -125,13 +125,7 @@ def eigensolve(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"need a square matrix, got shape {H.shape}")
-    try:
-        w = scipy.linalg.eig(H, right=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:  # pragma: no cover
-        raise RuntimeError(
-            f"dense eigensolver failed on a {H.shape[0]}x{H.shape[0]} matrix "
-            f"with 1-norm {np.linalg.norm(H, 1):.3e}: {err}"
-        ) from err
+    w = dense.eigvals(H)
     return w[np.lexsort((w.imag, w.real))]
 
 
@@ -211,79 +205,11 @@ def classify(
 # fine partners by shift-invert
 
 
-_ARNOLDI_STEPS = 20
-_CHECK_EVERY = 4
-_RESIDUAL_TOLERANCE = 1e-13  # backward error ||H x - lam x|| / ||H||_1 of an accepted pair
-
-
-@lru_cache(maxsize=None)
-def _geev_lwork(m: int) -> int:
-    """Optimal zgeev workspace for an m x m matrix, as scipy.linalg.eig queries it."""
-    work, _ = zgeev_lwork(m, compute_vl=0, compute_vr=1)
-    return int(work.real)
-
-
-def _shift_invert_nearest(H: np.ndarray, z: complex) -> Optional[complex]:
-    """Eigenvalue of H nearest z by Arnoldi on (H - z)^{-1}, or None if unconverged.
-
-    One LU of H - z, then up to _ARNOLDI_STEPS Arnoldi steps (Gram-Schmidt
-    twice per step) from a fixed pseudo-random unit vector.  Every
-    _CHECK_EVERY steps, the Ritz value theta of largest modulus maps back to
-    lam = z + 1/theta, and the pair is accepted when its Ritz vector x is an
-    eigenvector of H itself to within _RESIDUAL_TOLERANCE * ||H||_1 (a small
-    residual on the inverse alone also passes pseudo-eigenvalues of a
-    far-from-normal H).  An exactly singular H - z also returns None.
-
-    Every call goes straight to scipy's LAPACK and BLAS (getrf, getrs and
-    geev are what lu_factor, lu_solve and eig run, minus their per-call
-    argument checks).  numpy links its own BLAS, and on a few cores the idle
-    workers of one threaded BLAS stall the threads of the other.
-    """
-    n = H.shape[0]
-    H = np.asfortranarray(H)
-    tolerance = _RESIDUAL_TOLERANCE * np.linalg.norm(H, 1)
-    shifted = H.copy(order="F")
-    shifted.flat[:: n + 1] -= z
-    lu, piv, info = zgetrf(shifted, overwrite_a=True)
-    if info > 0:  # z is an eigenvalue to working precision: the dense fallback answers
-        return None
-    rng = np.random.default_rng(0)
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    steps = min(_ARNOLDI_STEPS, n)
-    Q = np.zeros((n, steps + 1), dtype=complex, order="F")
-    h = np.zeros((steps + 1, steps), dtype=complex)
-    Q[:, 0] = start / np.linalg.norm(start)
-    for j in range(steps):
-        w, _ = zgetrs(lu, piv, Q[:, j])
-        for _ in range(2):
-            c = zgemv(1.0, Q[:, : j + 1], w, trans=2)
-            w = zgemv(-1.0, Q[:, : j + 1], c, beta=1.0, y=w, overwrite_y=True)
-            h[: j + 1, j] += c
-        h[j + 1, j] = np.linalg.norm(w)
-        if not np.isfinite(h[j + 1, j]):
-            return None
-        exhausted = h[j + 1, j] <= np.finfo(float).eps * np.abs(h[: j + 2, : j + 1]).max()
-        if exhausted or (j + 1) % _CHECK_EVERY == 0 or j + 1 == steps:
-            m = j + 1
-            theta, _, Y, info = zgeev(h[:m, :m], compute_vl=0, compute_vr=1, lwork=_geev_lwork(m))
-            if info != 0:  # QR iteration on the Hessenberg matrix did not converge
-                return None
-            k = int(np.argmax(np.abs(theta)))
-            lam = z + 1.0 / theta[k]
-            x = zgemv(1.0, Q[:, :m], Y[:, k] / np.linalg.norm(Y[:, k]))
-            if np.linalg.norm(zgemv(1.0, H, x) - lam * x) < tolerance:
-                return lam
-            if exhausted:  # invariant subspace: its Ritz values are all there is
-                return None
-        Q[:, j + 1] = w / h[j + 1, j]
-    return None
-
-
 class _FinePartner:
     """z -> nearest eigenvalue of H_2N = T(D) + V on the fine grid.
 
     H_2N is assembled on the first call.  Each z is answered by
-    :func:`_shift_invert_nearest`; the first time its check fails, the
+    :func:`dense.nearest_eigenvalue`; the first time its check fails, the
     dense spectrum of H_2N is computed (one DEBUG record on the ``bslab``
     logger) and answers that z and every later one.
     """
@@ -291,19 +217,19 @@ class _FinePartner:
     def __init__(self, spec: SymbolSpec, fine: TorusGrid, V: PotentialField):
         self.spec, self.fine, self.V = spec, fine, V
         self.H: Optional[np.ndarray] = None
-        self.dense: Optional[Callable[[complex], complex]] = None
+        self.fallback: Optional[Callable[[complex], complex]] = None
 
     def __call__(self, z: complex) -> complex:
         if self.H is None:
             H = assemble_hamiltonian(self.spec, self.fine, resample(self.V, self.fine))
             self.H = np.asfortranarray(H)
-        if self.dense is None:
-            w = _shift_invert_nearest(self.H, z)
+        if self.fallback is None:
+            w = dense.nearest_eigenvalue(self.H, z)
             if w is not None:
                 return w
             _log.debug("dense %d-dim fine solve: no shift-invert partner at z=%s", self.H.shape[0], z)
-            self.dense = nearest_in(eigensolve(self.H))
-        return self.dense(z)
+            self.fallback = nearest_in(eigensolve(self.H))
+        return self.fallback(z)
 
 
 def fine_grid(spec: SymbolSpec, grid: TorusGrid) -> TorusGrid:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bslab import certlab, cli, spectra
+from bslab import certlab, cli, dense, spectra
 from bslab.certlab import (
     BoundCertificate,
     JobError,
@@ -576,7 +576,7 @@ def _solver_calls(monkeypatch):
     """V bytes of every solve beneath the spectrum memo, the dimension of every
     eigensolve, and the count of shift-invert partner solves."""
     seen = {"solves": [], "dims": Counter(), "partners": 0}
-    solve, eig, nearest = spectra._solve_classified, spectra.eigensolve, spectra._shift_invert_nearest
+    solve, eig, nearest = spectra._solve_classified, spectra.eigensolve, dense.nearest_eigenvalue
 
     def solve_spy(spec, grid, V):
         seen["solves"].append(V.values.tobytes())
@@ -592,7 +592,7 @@ def _solver_calls(monkeypatch):
 
     monkeypatch.setattr(spectra, "_solve_classified", solve_spy)
     monkeypatch.setattr(spectra, "eigensolve", eig_spy)
-    monkeypatch.setattr(spectra, "_shift_invert_nearest", nearest_spy)
+    monkeypatch.setattr(dense, "nearest_eigenvalue", nearest_spy)
     return seen
 
 

@@ -595,6 +595,18 @@ def test_exit_3_on_unwritable_destination(tmp_path, capsys):
     assert "compute failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError, RuntimeError])
+@pytest.mark.parametrize("command, solver", [("spectrum", "eigvals"), ("bs", "svdvals")])
+def test_exit_3_when_a_dense_factorization_fails(tmp_path, monkeypatch, capsys, command, solver, exc):
+    def fail(*a, **k):
+        raise exc("did not converge")
+
+    monkeypatch.setattr(f"bslab.dense.{solver}", fail)
+    rc = cli_main([command, "--config", write_config(tmp_path, base_config()), "--out", str(tmp_path / "runs")])
+    assert rc == 3
+    assert f"compute failure in {command}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

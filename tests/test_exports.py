@@ -1,5 +1,7 @@
-"""Public surface: every exported name resolves, and the CLI drives every verifier."""
+"""Public surface: every exported name resolves, the CLI drives every verifier,
+and every dense factorization stays behind bslab.dense."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -38,3 +40,46 @@ def test_bench_tracer_layers_resolve(monkeypatch):
     ]
     assert tracer.LAYERS
     assert missing == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bslab"
+# the batched (n, n) site-block calls; np.linalg.norm is allowed everywhere
+SITE_BLOCK_CALLS = {
+    ("birman_schwinger", "half_potentials", "svd"),
+    ("resolvent", "resolvent_multiplier", "inv"),
+    ("potentials", "imaginary_potential", "eigvalsh"),
+}
+
+
+def _linalg_boundary_breaches(module: str, tree: ast.Module) -> list[str]:
+    enclosing = {}  # node -> innermost enclosing function (ast.walk visits outer ones first)
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing.update((node, fn.name) for node in ast.walk(fn))
+    breaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            names = [prefix + a.name for a in node.names]
+            breaches += [f"imports {n}" for n in names if n.startswith(("scipy.linalg", "numpy.linalg"))]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner, name = ast.unparse(node.func.value), node.func.attr
+            where = enclosing.get(node, "<module>")
+            if owner.startswith("scipy.linalg") or (
+                owner in ("np.linalg", "numpy.linalg")
+                and name != "norm"
+                and (module, where, name) not in SITE_BLOCK_CALLS
+            ):
+                breaches.append(f"{where} calls {owner}.{name}")
+    return breaches
+
+
+def test_dense_factorizations_live_only_in_dense():
+    # every dense factorization runs on scipy's LAPACK, behind bslab.dense
+    breaches = {
+        path.stem: found
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "dense"
+        and (found := _linalg_boundary_breaches(path.stem, ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert breaches == {}

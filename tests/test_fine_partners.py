@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bslab import spectra
+from bslab import dense, spectra
 from bslab.lattice import TorusGrid
 from bslab.potentials import PotentialField, PotentialSpec, resample, sample_potential
 from bslab.spectra import (
@@ -118,7 +118,7 @@ def test_failed_residual_check_falls_back_to_one_dense_solve(monkeypatch, caplog
     V = gaussian_well(grid, -3.0 + 0.8j, 1.0, [6.0])
     oracle = dense_oracle(spec, grid, V)
     assert any(p.label is not _ARTIFACT for p in oracle)
-    monkeypatch.setattr(spectra, "_RESIDUAL_TOLERANCE", 0.0)
+    monkeypatch.setattr(dense, "_RESIDUAL_TOLERANCE", 0.0)
     solved = counting(monkeypatch, "eigensolve")
     with caplog.at_level(logging.DEBUG, logger="bslab"):
         points = classified_spectrum(spec, grid, V)
@@ -144,7 +144,7 @@ def test_pseudo_eigenvalues_of_a_far_from_normal_hamiltonian_are_refused():
     nearest = nearest_in(eigensolve(H))
     off = [p.z for p in dense_oracle(spec, grid, V) if p.label is not _ARTIFACT and -4.5 < p.z.real < -4.0]
     assert off
-    answers = [(z, spectra._shift_invert_nearest(H, z)) for z in off]
+    answers = [(z, dense.nearest_eigenvalue(H, z)) for z in off]
     assert any(w is None for _, w in answers)
     for z, w in answers:
         assert w is None or abs(w - nearest(z)) <= 1e-8 * abs(z)
