@@ -151,7 +151,6 @@ class DetValue:
     principal value (math.remainder by 2 pi, so |phase| <= pi).
     """
 
-    order: int
     value: complex
     log_abs: float
     phase: float
@@ -187,7 +186,7 @@ def regularized_det(M: np.ndarray, order: int) -> DetValue:
             value = cmath.rect(math.exp(log_abs), phase)
         except OverflowError:
             value = cmath.rect(math.inf, phase)
-    return DetValue(order=order, value=value, log_abs=log_abs, phase=phase)
+    return DetValue(value=value, log_abs=log_abs, phase=phase)
 
 
 def det_bound_constant(order: int) -> float:

@@ -112,8 +112,9 @@ class RegimeError(ValueError):
     """An argument outside the regime a verifier covers.
 
     ``param`` names the offending argument (``kind``, ``s``, ``q``, ``p``,
-    ``alpha``, ``eps``, ``variant``, ``ray``, ``region``, ``potential`` or
-    ``grid``) so that callers can point at it without parsing the message.
+    ``alpha``, ``eps``, ``variant``, ``t_max``, ``ray``, ``region``,
+    ``potential`` or ``grid``) so that callers can point at it without
+    parsing the message.
     """
 
     def __init__(self, param: str, message: str):
@@ -219,25 +220,20 @@ def _point_segment_distance(w: complex, a: complex, b: complex) -> float:
 class ScalingLaw:
     """Power-law fit of a measured quantity against a predicted exponent."""
 
-    quantity: str
     predicted: float
     fitted: float
     residual: float
-    sample_range: tuple[float, float]
     samples: int
 
     def __post_init__(self):
         if self.samples < 8:
             raise ValueError(f"scaling fits need at least 8 samples, got {self.samples}")
-        object.__setattr__(self, "sample_range", tuple(float(v) for v in self.sample_range))
 
 
 def fit_scaling_law(
     xs: Sequence[float],
     ys: Sequence[float],
     predicted: float,
-    quantity: str,
-    sample_range: Optional[tuple[float, float]] = None,
 ) -> tuple[ScalingLaw, float]:
     """Least-squares slope of ys against xs (both already logarithmic).
 
@@ -257,15 +253,7 @@ def fit_scaling_law(
         raise ValueError("samples must be close to logarithmically spaced (step ratio > 3)")
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((slope * xs + intercept - ys) ** 2)))
-    rng = sample_range if sample_range is not None else (float(xs[0]), float(xs[-1]))
-    law = ScalingLaw(
-        quantity=quantity,
-        predicted=float(predicted),
-        fitted=float(slope),
-        residual=resid,
-        sample_range=rng,
-        samples=int(xs.size),
-    )
+    law = ScalingLaw(predicted=float(predicted), fitted=float(slope), residual=resid, samples=int(xs.size))
     return law, float(intercept)
 
 
@@ -419,6 +407,29 @@ def _check_fine_pair(spec: SymbolSpec, grid: TorusGrid) -> None:
         raise RegimeError("grid", f"no N -> 2N refinement pair to classify on: {err}") from err
 
 
+def _threshold_bracket(
+    discrete_at: Callable[[float], list[SpectralPoint]], t_floor: float, t_cap: float
+) -> Optional[float]:
+    """Smallest probed coupling with a Discrete point, scanning powers of two.
+
+    discrete_at maps a coupling t to the Discrete points of t*V (the main
+    verifier keeps only those in K).  Upward, the last probe is the first
+    power of two >= t_cap.  Every t probed here is a power of two, so inside
+    the spectrum memo's scope a caller's ladder through t_entry * 2**k
+    reuses these solves.
+    """
+    t = 1.0
+    if discrete_at(t):
+        while t > t_floor and discrete_at(t / 2.0):
+            t /= 2.0
+        return t
+    while t < t_cap:
+        t *= 2.0
+        if discrete_at(t):
+            return t
+    return None
+
+
 def sum_space_norm(f: GridFunction, r_lo: float, r_hi: float, thresholds: int = 65) -> float:
     """Norm of f in L^{r_lo} + L^{r_hi} via optimized magnitude-threshold splits.
 
@@ -558,11 +569,13 @@ def uniform_p_window(spec: SymbolSpec, p: Optional[float]) -> None:
 # verifier: eigenvalue sums over a window and the coupling threshold
 
 
-def preflight_main(spec: SymbolSpec, grid: TorusGrid, K: Region, q: float) -> None:
+def preflight_main(spec: SymbolSpec, grid: TorusGrid, K: Region, q: float, t_max: float) -> None:
     """Argument checks of :func:`verify_main`; raises RegimeError."""
     _check_fine_pair(spec, grid)
     _check_q_window(spec, q)
     K.validate_for(spec)
+    if not t_max > 0.0:
+        raise RegimeError("t_max", f"the coupling search needs t_max > 0, got {t_max}")
 
 
 @spectrum_memo()
@@ -585,7 +598,7 @@ def verify_main(
     point solves the BS equation to residual < 1e-6 with sigma_1 >= 1.
     """
     certify = _certifier("main", grid, seed)
-    preflight_main(spec, grid, K, q)
+    preflight_main(spec, grid, K, q, t_max)
 
     def discrete_in(t: float) -> list[SpectralPoint]:
         return [p for p in discrete_spectrum(spec, grid, V.scaled(t)) if K.contains(p.z)]
@@ -601,11 +614,11 @@ def verify_main(
     # bracket the threshold, then bisect
     t_lo, t_hi = 0.0, 1.0
     if not pts_unit:
-        while t_hi < t_max and not discrete_in(t_hi):
-            t_lo, t_hi = t_hi, 2.0 * t_hi
-        if t_hi >= t_max and not discrete_in(t_hi):
+        t_hi = _threshold_bracket(discrete_in, t_floor=1.0, t_cap=t_max)
+        if t_hi is None:
             inputs["threshold"] = f"no eigenvalue up to t_max={t_max}"
             return certify(inputs, 0.0, verdict=REPORT_ONLY)
+        t_lo = t_hi / 2.0
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (t_lo + t_hi)
         if discrete_in(mid):
@@ -845,13 +858,7 @@ def verify_schatten_scaling(
     else:
         for z in zs:
             measured.append(schatten_norm(assemble_bs(spec, grid, V, z)[1], alpha) / vnorm)
-    law, intercept = fit_scaling_law(
-        xs,
-        np.log(measured),
-        predicted,
-        quantity=f"schatten[{alpha:g}] of the sandwiched resolvent, {kind.value}",
-        sample_range=(float(moduli[0]), float(moduli[-1])),
-    )
+    law, intercept = fit_scaling_law(xs, np.log(measured), predicted)
 
     if law.residual > 0.05:
         verdict = REPORT_ONLY
@@ -1056,27 +1063,6 @@ def verify_imaginary(
 
 # ---------------------------------------------------------------------------
 # verifier: weighted eigenvalue sums over a coupling ladder
-
-
-def _threshold_bracket(
-    discrete_at: Callable[[float], list[SpectralPoint]], t_floor: float, t_cap: float
-) -> Optional[float]:
-    """Smallest probed coupling with a Discrete point, scanning powers of two.
-
-    discrete_at maps a coupling t to the Discrete points of t*V.  Every t
-    probed here is a power of two, so inside the spectrum memo's scope a
-    caller's ladder through t_entry * 2**k reuses these solves.
-    """
-    t = 1.0
-    if discrete_at(t):
-        while t > t_floor and discrete_at(t / 2.0):
-            t /= 2.0
-        return t
-    while t < t_cap:
-        t *= 2.0
-        if discrete_at(t):
-            return t
-    return None
 
 
 _ALPHA_WEIGHTS = {

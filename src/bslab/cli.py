@@ -2,8 +2,8 @@
 
 The CLI is a thin layer over the library: a single JSON config file with
 ``operator`` / ``grid`` / ``potential`` / ``run`` blocks describes the whole
-experiment, and no command-line flag can override physics parameters -- only
-output paths and the report format.  Certificates written by a run therefore
+experiment, and no command-line flag can override physics parameters -- flags
+choose only output paths.  Certificates written by a run therefore
 fully describe it, and a rerun of the same config and seed reproduces them
 byte for byte (with ``--deterministic`` zeroing wall-clock fields).  The
 verifiers of a run execute one after another in this process, inside one
@@ -81,7 +81,6 @@ from .symbols import SymbolKind, SymbolSpec, critical_values
 __all__ = ["ConfigError", "ExperimentConfig", "VERIFIERS", "load_config", "emit_report", "main"]
 
 OUTPUT_DIR_ENV = "BSLAB_OUTPUT_DIR"
-REPORT_FORMATS = ("json", "csv", "markdown-summary")
 
 
 class ConfigError(Exception):
@@ -348,7 +347,7 @@ class Verifier:
 VERIFIERS = {
     "main": Verifier(
         keys=("q", "region", "t_max"),
-        preflight=lambda a: preflight_main(a.spec, a.grid, a.region, a.q),
+        preflight=lambda a: preflight_main(a.spec, a.grid, a.region, a.q, a.t_max),
         run=lambda a: verify_main(a.spec, a.grid, a.V, a.region, a.q, t_max=a.t_max, seed=a.seed),
     ),
     "uniform-resolvent": Verifier(
@@ -434,41 +433,26 @@ def plot_data_csv(certs: Sequence[BoundCertificate]) -> Optional[str]:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(
-    certs: Sequence[BoundCertificate],
-    fmt: str,
-    dest: Path,
-    deterministic: bool = False,
-) -> Path:
-    """Write the run report in the requested format; returns the file path."""
+def emit_report(certs: Sequence[BoundCertificate], dest: Path) -> Path:
+    """Write the markdown summary ``report.md`` of a run; returns its path."""
     if not certs:
         raise ValueError("cannot report on an empty certificate list")
-    if fmt not in REPORT_FORMATS:
-        raise ValueError(f"unknown report format {fmt!r}; options: {REPORT_FORMATS}")
-    if fmt == "json":
-        path = dest / "report.json"
-        docs = [certificate_json(c, deterministic=deterministic) for c in certs]
-        path.write_text(json.dumps(docs, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    elif fmt == "csv":
-        path = dest / "report.csv"
-        path.write_text(summary_csv(certs, deterministic=deterministic), encoding="utf-8")
-    else:
-        path = dest / "report.md"
-        lines = [
-            "| theorem | verdict | lhs | rhs | constant |",
-            "| --- | --- | --- | --- | --- |",
-        ]
-        for c in certs:
-            rhs = "" if c.rhs is None else f"{c.rhs:.6g}"
-            const = "" if c.constant is None else f"{c.constant:.6g}"
-            lines.append(f"| {c.theorem} | {c.verdict} | {c.lhs:.6g} | {rhs} | {const} |")
-        counts = {v: sum(1 for c in certs if c.verdict == v) for v in ("PASS", "FAIL", "REPORT-ONLY")}
-        lines.append("")
-        lines.append(
-            f"{len(certs)} certificates: {counts['PASS']} PASS, {counts['FAIL']} FAIL, "
-            f"{counts['REPORT-ONLY']} REPORT-ONLY"
-        )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = dest / "report.md"
+    lines = [
+        "| theorem | verdict | lhs | rhs | constant |",
+        "| --- | --- | --- | --- | --- |",
+    ]
+    for c in certs:
+        rhs = "" if c.rhs is None else f"{c.rhs:.6g}"
+        const = "" if c.constant is None else f"{c.constant:.6g}"
+        lines.append(f"| {c.theorem} | {c.verdict} | {c.lhs:.6g} | {rhs} | {const} |")
+    counts = {v: sum(1 for c in certs if c.verdict == v) for v in ("PASS", "FAIL", "REPORT-ONLY")}
+    lines.append("")
+    lines.append(
+        f"{len(certs)} certificates: {counts['PASS']} PASS, {counts['FAIL']} FAIL, "
+        f"{counts['REPORT-ONLY']} REPORT-ONLY"
+    )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -538,6 +522,8 @@ def _cmd_bs(cfg: ExperimentConfig, args) -> int:
     if alpha is None:
         q = cfg.run.get("q")
         alpha = 2.0 if q is None else sandwich_schatten_order(cfg.spec, _as_number("q", q))
+    elif alpha < 1.0:
+        raise ConfigError("run.alpha", f"Schatten exponent must be >= 1, got {alpha:g}")
     order = max(2, math.ceil(alpha))
     lines = ["re,im,sigma1,schatten,det_log_abs,det_phase"]
     for z in ray:
@@ -573,7 +559,7 @@ def _run_verifiers(cfg: ExperimentConfig, theorems: list[str], args, with_spectr
     curves = plot_data_csv(certs)
     if curves is not None:
         (dest / "plot-data.csv").write_text(curves, encoding="utf-8")
-    emit_report(certs, args.format, dest, deterministic=args.deterministic)
+    emit_report(certs, dest)
     for cert in certs:
         print(f"{cert.theorem}: {cert.verdict} (lhs={cert.lhs:.6g})")
     print(f"wrote {dest}")
@@ -606,7 +592,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=None, help=f"output root (default ${OUTPUT_DIR_ENV} or ./runs)")
         if reports:
-            p.add_argument("--format", choices=REPORT_FORMATS, default="json")
             p.add_argument("--deterministic", action="store_true",
                            help="zero wall-clock fields so reruns compare byte for byte")
 
@@ -631,9 +616,6 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if not hasattr(args, "format"):
-        args.format = "json"
-        args.deterministic = False
     try:
         cfg = load_config(args.config)
         return _HANDLERS[args.command](cfg, args)

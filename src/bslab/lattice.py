@@ -148,14 +148,6 @@ class GridFunction:
                 f"values shape {sh} incompatible with grid shape {self.grid.shape}"
             )
 
-    @property
-    def spinor_dim(self) -> int:
-        sh = self.values.shape
-        return 1 if len(sh) == self.grid.d else sh[-1]
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
 
 def site_magnitudes(values: np.ndarray, d: int) -> np.ndarray:
     """Per-site magnitude of samples on a d-dimensional grid.

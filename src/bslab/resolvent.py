@@ -187,8 +187,6 @@ class OpNormEstimate:
     """Lower-bound estimate with its monotone iteration trace."""
 
     value: float
-    p: float
-    r: float
     trace: list
     converged: bool
 
@@ -250,7 +248,7 @@ def empirical_opnorm(
     if not (1.0 <= p <= 2.0 <= r):
         raise ValueError(f"need 1 <= p <= 2 <= r, got p={p}, r={r}")
     grid = op.grid
-    shape = grid.field_shape(getattr(op, "spinor_dim", 1))
+    shape = grid.field_shape(op.spinor_dim)
     rng = np.random.default_rng(seed)
     best, best_trace, any_conv = 0.0, [], False
     for _ in range(restarts):
@@ -273,4 +271,4 @@ def empirical_opnorm(
         if trace and trace[-1] > best:
             best, best_trace = trace[-1], trace
         any_conv = any_conv or conv
-    return OpNormEstimate(best, float(p), float(r), best_trace, any_conv)
+    return OpNormEstimate(best, best_trace, any_conv)

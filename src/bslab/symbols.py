@@ -34,7 +34,6 @@ __all__ = [
     "clifford_generators",
     "critical_values",
     "dispersion_values",
-    "spinor_dim",
     "symbol_values",
 ]
 
@@ -81,13 +80,6 @@ def clifford_generators(d: int) -> tuple[list[np.ndarray], np.ndarray]:
     raise ValueError(f"no Clifford family shipped for d={d}; supported d: 1, 2, 3")
 
 
-def spinor_dim(kind: SymbolKind, d: int) -> int:
-    """Spinor dimension n: 1 for scalar kinds, 2 for Dirac in d <= 2, 4 in d = 3."""
-    if kind in _DIRAC_KINDS:
-        return 4 if d == 3 else 2
-    return 1
-
-
 @dataclass(frozen=True)
 class SymbolSpec:
     """Validated description of a kinetic symbol.
@@ -122,7 +114,10 @@ class SymbolSpec:
 
     @property
     def n(self) -> int:
-        return spinor_dim(self.kind, self.d)
+        """Spinor dimension: 1 for scalar kinds, 2 for Dirac in d <= 2, 4 in d = 3."""
+        if self.kind in _DIRAC_KINDS:
+            return 4 if self.d == 3 else 2
+        return 1
 
     @property
     def is_dirac(self) -> bool:

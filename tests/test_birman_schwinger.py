@@ -334,7 +334,7 @@ def poly_det(roots):
         val = complex(1.0)
         for r in roots:
             val *= z - r
-        return DetValue(order=1, value=val, log_abs=math.log(abs(val)) if val != 0 else -math.inf, phase=cmath.phase(val))
+        return DetValue(value=val, log_abs=math.log(abs(val)) if val != 0 else -math.inf, phase=cmath.phase(val))
 
     return fn
 

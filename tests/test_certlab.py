@@ -108,12 +108,12 @@ def test_region_clearance_against_critical_values():
 
 def test_scaling_law_needs_eight_samples():
     with pytest.raises(ValueError, match="8 samples"):
-        ScalingLaw("x", 1.0, 1.0, 0.0, (1.0, 2.0), samples=7)
+        ScalingLaw(1.0, 1.0, 0.0, samples=7)
 
 
 def test_fit_scaling_law_recovers_exact_slope():
     xs = np.linspace(0.0, 2.0, 9)
-    law, intercept = fit_scaling_law(xs, 2.5 * xs + 1.0, predicted=2.5, quantity="synthetic")
+    law, intercept = fit_scaling_law(xs, 2.5 * xs + 1.0, predicted=2.5)
     assert abs(law.fitted - 2.5) < 1e-12
     assert law.residual < 1e-12
     assert abs(intercept - 1.0) < 1e-12
@@ -123,9 +123,9 @@ def test_fit_scaling_law_recovers_exact_slope():
 def test_fit_scaling_law_rejects_uneven_spacing():
     xs = np.array([0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 1.0])
     with pytest.raises(ValueError, match="spaced"):
-        fit_scaling_law(xs, xs, 1.0, "synthetic")
+        fit_scaling_law(xs, xs, 1.0)
     with pytest.raises(ValueError, match="increasing"):
-        fit_scaling_law(xs[::-1], xs, 1.0, "synthetic")
+        fit_scaling_law(xs[::-1], xs, 1.0)
 
 
 def test_ray_builders():
@@ -205,6 +205,21 @@ def test_verify_main_threshold_and_bs_checks():
     assert all(z.real < 0 for z in cert.inputs["entering_points"])
 
 
+def test_verify_main_brackets_a_threshold_above_unit_coupling():
+    # a shallow well: no point in K at t = 1, so the bracket doubles upward
+    grid = TorusGrid(d=1, N=64, L=30.0)
+    K = Region("rectangle", (-6.0, -0.05, -0.4, 0.4), clearance=0.04)
+    cert = verify_main(FRAC15, grid, gaussian(grid, -0.05), K, q=1.0)
+    assert cert.verdict == "PASS"
+    assert cert.inputs["points_in_window"] == []
+    t_lo, t_hi = cert.inputs["t_lo"], cert.inputs["t_hi"]
+    # bisection halves [2^(k-1), 2^k] a fixed number of times
+    t_start = (t_hi - t_lo) * 2**certlab._BISECT_STEPS
+    assert t_start >= 1.0 and math.frexp(t_start)[0] == 0.5
+    assert t_start <= t_lo < t_hi <= 2.0 * t_start
+    assert cert.constant == t_hi
+
+
 def test_verify_main_zero_potential_reports_only():
     grid = TorusGrid(d=1, N=48, L=24.0)
     V = PotentialField(grid, np.zeros(grid.shape))
@@ -222,6 +237,15 @@ def test_verify_main_rejects_bad_exponent():
     K = Region("rectangle", (-2.0, -0.5, -0.2, 0.2))
     with pytest.raises(ValueError, match="exponent window"):
         verify_main(FRAC15, grid, V, K, q=3.0)
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0])
+def test_verify_main_rejects_non_positive_t_max(t_max):
+    grid = TorusGrid(d=1, N=32, L=16.0)
+    K = Region("rectangle", (-2.0, -0.5, -0.2, 0.2))
+    with pytest.raises(certlab.RegimeError, match="t_max") as err:
+        verify_main(FRAC15, grid, gaussian(grid, -2.5), K, q=1.0, t_max=t_max)
+    assert err.value.param == "t_max"
 
 
 # ---------------------------------------------------------------------------

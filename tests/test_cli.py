@@ -16,7 +16,6 @@ from bslab.certlab import (
     BoundCertificate,
     Region,
     certificate_json,
-    summary_csv,
     verify_main,
     verify_weighted_sums,
 )
@@ -261,6 +260,17 @@ def test_bs_scan_names_a_malformed_alpha(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error at run.alpha:")
 
 
+def test_bs_scan_rejects_alpha_below_one_before_compute(tmp_path, capsys, monkeypatch):
+    def no_compute(*a, **k):
+        raise AssertionError("the scan computed despite a config error")
+
+    monkeypatch.setattr("bslab.cli.assemble_bs", no_compute)
+    doc = base_config(run={"alpha": 0.5})
+    rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error at run.alpha:")
+
+
 def test_verify_writes_certificate_and_report(tmp_path):
     out = tmp_path / "runs"
     rc = cli_main([
@@ -274,7 +284,7 @@ def test_verify_writes_certificate_and_report(tmp_path):
     assert cert["verdict"] == "PASS"
     assert abs(cert["lhs"] + 1.0 / 3.0) <= 0.1
     assert cert["runtime_s"] == 0.0
-    assert (run_dir / "report.json").exists()
+    assert (run_dir / "report.md").exists()
     assert (run_dir / "summary.csv").exists()
 
 
@@ -282,7 +292,7 @@ def test_scan_writes_all_artifacts(tmp_path):
     out = tmp_path / "runs"
     rc = cli_main([
         "scan", "--config", write_config(tmp_path, base_config()),
-        "--out", str(out), "--deterministic", "--format", "markdown-summary",
+        "--out", str(out), "--deterministic",
     ])
     assert rc == 0
     (run_dir,) = run_dirs(out)
@@ -300,6 +310,15 @@ def test_scan_writes_all_artifacts(tmp_path):
     report = (run_dir / "report.md").read_text()
     assert "| schatten-scaling | PASS |" in report
     assert "2 certificates" in report
+
+
+def test_scan_rejects_the_removed_format_flag(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["scan", "--config", path, "--out", str(tmp_path / "runs"), "--format", "json"])
+    assert exit_.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_scan_requires_theorem_list(tmp_path, capsys):
@@ -406,6 +425,8 @@ def test_unknown_ray_type_is_named(tmp_path, capsys):
             {"p": 1.0, "region": {"shape": "rectangle", "bounds": [0.1, 300.0, 0.01, 0.6], "clearance": 0.04}},
             "region",
         ),
+        ("main", None, {"t_max": 0.0}, "t_max"),
+        ("main", None, {"t_max": -1.0}, "t_max"),
     ],
     ids=[
         "inverse-sqrt-variant-on-fractional",
@@ -413,6 +434,8 @@ def test_unknown_ray_type_is_named(tmp_path, capsys):
         "relativistic-ray-across-unit-modulus",
         "ray-with-five-points",
         "region-beyond-dispersion-range",
+        "zero-t-max",
+        "negative-t-max",
     ],
 )
 def test_verifier_argument_errors_exit_2_before_compute(
@@ -674,21 +697,8 @@ def _two_certs():
     return [a, b]
 
 
-def test_emit_report_json_reparses_to_memory_fields(tmp_path):
-    certs = _two_certs()
-    path = emit_report(certs, "json", tmp_path, deterministic=True)
-    reparsed = json.loads(path.read_text())
-    assert reparsed == [certificate_json(c, deterministic=True) for c in certs]
-
-
-def test_emit_report_csv_matches_summary(tmp_path):
-    certs = _two_certs()
-    path = emit_report(certs, "csv", tmp_path)
-    assert path.read_text() == summary_csv(certs)
-
-
 def test_emit_report_markdown_tabulates_and_totals(tmp_path):
-    path = emit_report(_two_certs(), "markdown-summary", tmp_path)
+    path = emit_report(_two_certs(), tmp_path)
     text = path.read_text()
     assert "| theorem | verdict | lhs | rhs | constant |" in text
     assert "| weighted-sums | REPORT-ONLY | 0 |  |  |" in text
@@ -697,9 +707,7 @@ def test_emit_report_markdown_tabulates_and_totals(tmp_path):
 
 def test_emit_report_input_errors(tmp_path):
     with pytest.raises(ValueError):
-        emit_report([], "json", tmp_path)
-    with pytest.raises(ValueError):
-        emit_report(_two_certs(), "yaml", tmp_path)
+        emit_report([], tmp_path)
 
 
 # ---------------------------------------------------------------------------

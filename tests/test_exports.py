@@ -83,3 +83,58 @@ def test_dense_factorizations_live_only_in_dense():
         and (found := _linalg_boundary_breaches(path.stem, ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert breaches == {}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _dataclass_fields(tree: ast.Module) -> list[str]:
+    fields = []
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+            ast.unparse(d).split("(")[0] in ("dataclass", "dataclasses.dataclass") for d in cls.decorator_list
+        ):
+            fields += [
+                f"{cls.name}.{node.target.id}"
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            ]
+    return fields
+
+
+def test_every_dataclass_field_has_a_reader():
+    # matched by attribute name only: a field whose name is read elsewhere slips through
+    readers = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    read = {
+        node.attr
+        for path in readers
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [f for path in sorted(SRC.glob("*.py")) for f in _dataclass_fields(_parse(path))]
+    assert fields
+    assert [f for f in fields if f.split(".")[1] not in read] == []
+
+
+def test_bench_workload_names_resolve():
+    # bench/workloads.py calls bslab through module attributes (certlab.verify_main, ...)
+    tree = _parse(ROOT / "bench" / "workloads.py")
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "bslab"
+        for alias in node.names
+    }
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    assert len(used) >= 13
+    missing = [f"{mod}.{name}" for mod, name in sorted(used)
+               if not hasattr(importlib.import_module(f"bslab.{mod}"), name)]
+    assert missing == []
