@@ -55,6 +55,7 @@ _TWO_PI = 2.0 * math.pi
 _BASE_SEGMENTS = 8
 _MIN_BOX_REL = 1e-9
 _POLISH_REL = 5e-13
+_MAX_EVALS = 40000  # determinant evaluations one search may spend
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +382,6 @@ def det_contour_roots(
     det_fn: Callable[[complex], DetValue],
     lo: complex,
     hi: complex,
-    *,
-    max_evals: int = 40000,
 ) -> list[complex]:
     """Zeros of det_fn inside the open rectangle with corners lo, hi.
 
@@ -401,7 +400,7 @@ def det_contour_roots(
     min_len = 1e-12 * scale
     min_box = _MIN_BOX_REL * scale
     polish_tol = _POLISH_REL * scale
-    sampler = _DetSampler(det_fn, max_evals)
+    sampler = _DetSampler(det_fn, _MAX_EVALS)
 
     roots: list[complex] = []
 

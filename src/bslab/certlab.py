@@ -99,7 +99,9 @@ THEOREM_IDS = (
 _BISECT_STEPS = 14  # main: bisection steps on t* after the power-of-two bracket
 _SWEEP_SHAPE = (6, 4)  # main: K-grid of the eigenvalue-free sweep just below t*
 _SUM_SPACE_PROBES = 4  # uniform-resolvent: random fields per point below s = 2d/(d+1)
+_SUM_SPACE_THRESHOLDS = 65  # uniform-resolvent: split thresholds of sum_space_norm's tau ladder
 _SCALING_TS = (0.25, 0.5, 1.0, 2.0, 4.0)  # individual-bounds: co-rescalings, against t = 1
+_FAMILY_SIZE = 6  # individual-bounds: seeded rescaled copies of V behind the empirical constants
 _IMAGINARY_LADDER = (1.0, math.sqrt(2.0), 2.0, 2.0 * math.sqrt(2.0), 4.0)  # imaginary: couplings
 _IDENTITY_POINTS = (0.7 + 0.4j, -1.3 + 0.9j, 2.1 + 0.05j)  # imaginary: Im R0 identity points
 
@@ -400,7 +402,7 @@ def discrete_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> l
 
 
 def _check_fine_pair(spec: SymbolSpec, grid: TorusGrid) -> None:
-    """Classifying verifiers refine N -> 2N whatever grid.refine says."""
+    """Classifying verifiers need the N -> 2N pair of :func:`fine_grid`."""
     try:
         fine_grid(spec, grid)
     except ValueError as err:
@@ -430,7 +432,7 @@ def _threshold_bracket(
     return None
 
 
-def sum_space_norm(f: GridFunction, r_lo: float, r_hi: float, thresholds: int = 65) -> float:
+def sum_space_norm(f: GridFunction, r_lo: float, r_hi: float) -> float:
     """Norm of f in L^{r_lo} + L^{r_hi} via optimized magnitude-threshold splits.
 
     Scans the split f = f*1{|f|>tau} + f*1{|f|<=tau} over a logarithmic tau
@@ -447,7 +449,7 @@ def sum_space_norm(f: GridFunction, r_lo: float, r_hi: float, thresholds: int = 
         return 0.0
     positive = mags[mags > 0]
     taus = np.concatenate(
-        ([0.0], np.geomspace(max(float(positive.min()), 1e-300 * top), top, thresholds))
+        ([0.0], np.geomspace(max(float(positive.min()), 1e-300 * top), top, _SUM_SPACE_THRESHOLDS))
     )
     best = math.inf
     for tau in taus:
@@ -906,7 +908,6 @@ def verify_individual_bounds(
     V: PotentialField,
     q: float,
     *,
-    family_size: int = 6,
     seed: int = 0,
 ) -> BoundCertificate:
     """Exact-scaling invariance of |z|^{q-d/s}/||V||_q^q plus empirical constants.
@@ -924,7 +925,7 @@ def verify_individual_bounds(
 
     points = classified_spectrum(spec, grid, V)
     base_pts = [p for p in points if p.label is SpectralLabel.DISCRETE]
-    inputs = _inputs_head(spec, q, V) | {"ts": list(_SCALING_TS), "family_size": family_size}
+    inputs = _inputs_head(spec, q, V) | {"ts": list(_SCALING_TS), "family_size": _FAMILY_SIZE}
     if not base_pts:
         inputs["note"] = "no Discrete eigenvalues for the base potential"
         return certify(inputs, 0.0, verdict=REPORT_ONLY)
@@ -949,7 +950,7 @@ def verify_individual_bounds(
     sup_radial = 0.0
     sup_sectorial = 0.0
     n_eigs = 0
-    for _ in range(family_size):
+    for _ in range(_FAMILY_SIZE):
         c = (0.5 + 2.5 * rng.random()) * cmath.exp(1j * (rng.random() - 0.5))
         Vj = V.scaled(c)
         vq = potential_norm(Vj, q) ** q
@@ -1113,7 +1114,6 @@ def verify_weighted_sums(
     q: float,
     alpha: Optional[float],
     eps: float,
-    z0: Optional[complex] = None,
     *,
     variant: str = "auto",
     seed: int = 0,
@@ -1165,19 +1165,18 @@ def verify_weighted_sums(
             max_abs_z = max(max_abs_z, max(abs(p.z) for p in pts))
 
     # base-point rule: explicit formula when sq > d, truncation fallback otherwise
-    if z0 is None:
-        if s * q > d:
-            v_pow = potential_norm(V, q) ** (s * q / (s * q - d))
-            c_emp = 2.0 * (max_abs_z + 1.0) / v_pow
-            z0 = complex(-c_emp * v_pow, 0.0)
-            inputs["c_emp"] = c_emp
-        else:
-            # The tail of V below rho = max site magnitude has sigma_1(M(z0)) < 1/2:
-            # H0 is self-adjoint with its levels in sigma_ess, so ||R0(z0)|| <= 1/(2 rho)
-            # (massive gap, 2 rho < 1: z0 = 0, ||R0(0)|| <= 1 and sigma_1 < rho < 1/2).
-            rho = float(site_magnitudes(V.values, grid.d).max())
-            z0 = _point_at_distance(kind, 2.0 * rho)
-            inputs["rho"] = rho
+    if s * q > d:
+        v_pow = potential_norm(V, q) ** (s * q / (s * q - d))
+        c_emp = 2.0 * (max_abs_z + 1.0) / v_pow
+        z0 = complex(-c_emp * v_pow, 0.0)
+        inputs["c_emp"] = c_emp
+    else:
+        # The tail of V below rho = max site magnitude has sigma_1(M(z0)) < 1/2:
+        # H0 is self-adjoint with its levels in sigma_ess, so ||R0(z0)|| <= 1/(2 rho)
+        # (massive gap, 2 rho < 1: z0 = 0, ||R0(0)|| <= 1 and sigma_1 < rho < 1/2).
+        rho = float(site_magnitudes(V.values, grid.d).max())
+        z0 = _point_at_distance(kind, 2.0 * rho)
+        inputs["rho"] = rho
     inputs["z0"] = complex(z0)
     inputs["ladder"] = ladder
     inputs["sums"] = sums

@@ -64,7 +64,7 @@ from .potentials import (
     resample,
     sample_potential,
 )
-from .resolvent import lattice_levels
+from .resolvent import ResolventPoleError, lattice_levels
 from .spectra import (
     SpectralLabel,
     SpectralPoint,
@@ -98,7 +98,6 @@ class ExperimentConfig:
 
     spec: SymbolSpec
     grid: TorusGrid
-    refine: bool
     potential: PotentialField
     run: dict
     seed: int
@@ -138,8 +137,12 @@ def _coerce_param(key: str, value):
     for v in np.asarray(value, dtype=object).ravel():  # the numbers of nested lists
         _number(f"potential.params.{key}", v)
     # [re, im] pairs denote complex numbers everywhere except center points
-    if key != "center" and np.shape(value) == (2,):
+    shape = np.shape(value)
+    if key != "center" and shape == (2,):
         return complex(value[0], value[1])
+    if key == "values" and len(shape) > 1 and shape[-1] == 2:  # a table of pairs
+        pairs = np.asarray(value, dtype=float)
+        return pairs[..., 0] + 1j * pairs[..., 1]
     return value
 
 
@@ -163,16 +166,12 @@ def _load_operator(doc: dict) -> SymbolSpec:
         raise ConfigError("operator", str(err))
 
 
-def _load_grid(doc: dict, d: int) -> tuple[TorusGrid, bool]:
+def _load_grid(doc: dict, d: int) -> TorusGrid:
     block = _get_block(doc, "grid")
     try:
-        grid = TorusGrid(d=d, N=block.get("N"), L=block.get("L"))
+        return TorusGrid(d=d, N=block.get("N"), L=block.get("L"))
     except (TypeError, ValueError) as err:
         raise ConfigError("grid", str(err))
-    refine = block.get("refine", True)
-    if not isinstance(refine, bool):
-        raise ConfigError("grid.refine", "must be true or false")
-    return grid, refine
 
 
 def _load_potential(doc: dict, grid: TorusGrid, config_dir: Path) -> PotentialField:
@@ -214,7 +213,7 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "top level must be a JSON object")
     spec = _load_operator(doc)
-    grid, refine = _load_grid(doc, spec.d)
+    grid = _load_grid(doc, spec.d)
     potential = _load_potential(doc, grid, path.parent)
     run = _get_block(doc, "run", required=False)
     seed = run.get("seed", 0)
@@ -231,7 +230,6 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         spec=spec,
         grid=grid,
-        refine=refine,
         potential=potential,
         run=run,
         seed=seed,
@@ -245,11 +243,6 @@ def load_config(path) -> ExperimentConfig:
 
 def _as_number(key: str, val) -> float:
     return _number(f"run.{key}", val)
-
-
-def _as_complex(key: str, val) -> complex:
-    parts = val if isinstance(val, list) and len(val) == 2 else [val]
-    return complex(*(_number(f"run.{key}", v) for v in parts))
 
 
 def _as_region(key: str, block) -> Region:
@@ -303,7 +296,6 @@ _RUN_KEYS = {
     "p": (_as_number, None),
     "alpha": (_as_number, None),
     "t_max": (_as_number, 32.0),
-    "z0": (_as_complex, None),
     "variant": (lambda key, val: val, "auto"),
 }
 
@@ -316,15 +308,6 @@ def _run_value(cfg: ExperimentConfig, key: str, user: str):
             raise ConfigError(f"run.{key}", f"required by verifier {user!r}")
         return default
     return reader(key, val)
-
-
-def _imaginary_weight(a: SimpleNamespace) -> PotentialField:
-    """W for the imaginary verifier, read from the potential block (V = iW)."""
-    if a.V.is_matrix or np.any(np.abs(a.V.values.imag) > 0):
-        raise ConfigError(
-            "potential", "the imaginary verifier reads W from this block: need real scalar samples"
-        )
-    return PotentialField(a.grid, a.V.values.real.copy())
 
 
 @dataclass(frozen=True)
@@ -369,16 +352,17 @@ VERIFIERS = {
     ),
     "imaginary": Verifier(
         keys=("q",),
-        preflight=lambda a: preflight_imaginary(a.spec, _imaginary_weight(a), a.q),
-        run=lambda a: verify_imaginary(a.spec, _imaginary_weight(a), a.q, seed=a.seed),
+        # the potential block is W, and the verifier runs V = iW
+        preflight=lambda a: preflight_imaginary(a.spec, a.V, a.q),
+        run=lambda a: verify_imaginary(a.spec, a.V, a.q, seed=a.seed),
     ),
     "weighted-sums": Verifier(
-        keys=("q", "eps", "alpha", "z0", "variant"),
+        keys=("q", "eps", "alpha", "variant"),
         preflight=lambda a: preflight_weighted_sums(
             a.spec, a.grid, a.q, a.alpha, a.eps, a.variant
         ),
         run=lambda a: verify_weighted_sums(
-            a.spec, a.grid, a.V, a.q, a.alpha, a.eps, a.z0, variant=a.variant, seed=a.seed
+            a.spec, a.grid, a.V, a.q, a.alpha, a.eps, variant=a.variant, seed=a.seed
         ),
         series=("weighted-sum", "vnorms", "sums"),
     ),
@@ -457,19 +441,22 @@ def emit_report(certs: Sequence[BoundCertificate], dest: Path) -> Path:
 
 
 def _classified_points(cfg: ExperimentConfig) -> list[SpectralPoint]:
-    if cfg.refine:
-        return classified_spectrum(cfg.spec, cfg.grid, cfg.potential)
-    # no refinement pair -> drift is unknowable, leave every point Undecided
-    eigs = eigensolve(assemble_hamiltonian(cfg.spec, cfg.grid, cfg.potential))
-    return [
-        SpectralPoint(
-            z=complex(z),
-            dist_sigma=dist_to_spectrum(cfg.spec, z),
-            refinement_drift=math.nan,
-            label=SpectralLabel.UNDECIDED,
-        )
-        for z in eigs
-    ]
+    """Classified spectrum of the config, all Undecided when no N -> 2N pair exists."""
+    try:
+        fine_grid(cfg.spec, cfg.grid)
+    except ValueError as err:
+        # no refinement pair -> drift is unknowable, leave every point Undecided
+        print(f"no N -> 2N refinement pair ({err}): every spectral point is Undecided")
+        return [
+            SpectralPoint(
+                z=complex(z),
+                dist_sigma=dist_to_spectrum(cfg.spec, z),
+                refinement_drift=math.nan,
+                label=SpectralLabel.UNDECIDED,
+            )
+            for z in eigensolve(assemble_hamiltonian(cfg.spec, cfg.grid, cfg.potential))
+        ]
+    return classified_spectrum(cfg.spec, cfg.grid, cfg.potential)
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +479,7 @@ def _cmd_symbols(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _check_refinement(cfg: ExperimentConfig) -> None:
-    """Under grid.refine, the N -> 2N pair of classified_spectrum must exist."""
-    if cfg.refine:
-        try:
-            fine_grid(cfg.spec, cfg.grid)
-        except ValueError as err:
-            raise ConfigError("grid.refine", f"no N -> 2N refinement pair: {err}; lower N or set false")
-
-
 def _cmd_spectrum(cfg: ExperimentConfig, args) -> int:
-    _check_refinement(cfg)
     points = _classified_points(cfg)
     dest = _artifact_dir(args.out)
     path = dest / "spectra.csv"
@@ -521,17 +498,23 @@ def _cmd_bs(cfg: ExperimentConfig, args) -> int:
     alpha = _run_value(cfg, "alpha", "bs scan")
     if alpha is None:
         q = cfg.run.get("q")
-        alpha = 2.0 if q is None else sandwich_schatten_order(cfg.spec, _as_number("q", q))
+        try:
+            alpha = 2.0 if q is None else sandwich_schatten_order(cfg.spec, _as_number("q", q))
+        except ValueError as err:  # a ConfigError is not a ValueError
+            raise ConfigError("run.q", str(err))
     elif alpha < 1.0:
         raise ConfigError("run.alpha", f"Schatten exponent must be >= 1, got {alpha:g}")
     order = max(2, math.ceil(alpha))
     lines = ["re,im,sigma1,schatten,det_log_abs,det_phase"]
-    for z in ray:
-        M, sv = assemble_bs(cfg.spec, cfg.grid, cfg.potential, z)
-        sig1 = float(sv[0])
-        snorm = schatten_norm(sv, alpha)
-        dv = regularized_det(M, order)
-        lines.append(f"{z.real!r},{z.imag!r},{sig1!r},{snorm!r},{dv.log_abs!r},{dv.phase!r}")
+    try:
+        for z in ray:
+            M, sv = assemble_bs(cfg.spec, cfg.grid, cfg.potential, z)
+            sig1 = float(sv[0])
+            snorm = schatten_norm(sv, alpha)
+            dv = regularized_det(M, order)
+            lines.append(f"{z.real!r},{z.imag!r},{sig1!r},{snorm!r},{dv.log_abs!r},{dv.phase!r}")
+    except ResolventPoleError as err:
+        raise ConfigError("run.ray", str(err))
     dest = _artifact_dir(args.out)
     path = dest / "bs-scan.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -573,7 +556,6 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
 def _cmd_scan(cfg: ExperimentConfig, args) -> int:
     if not cfg.theorems:
         raise ConfigError("run.theorems", "a scan needs at least one theorem id")
-    _check_refinement(cfg)
     return _run_verifiers(cfg, cfg.theorems, args, with_spectra=True)
 
 

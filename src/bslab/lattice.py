@@ -111,9 +111,9 @@ class TorusGrid:
         disp = self.x() - c
         return (disp + self.L / 2.0) % self.L - self.L / 2.0
 
-    def refined(self, factor: int = 2) -> "TorusGrid":
-        """Same box with factor*N points per axis."""
-        return TorusGrid(self.d, self.N * factor, self.L)
+    def refined(self) -> "TorusGrid":
+        """Same box with 2N points per axis."""
+        return TorusGrid(self.d, 2 * self.N, self.L)
 
     def rescaled(self, t: float) -> "TorusGrid":
         """Same N on the box of side L/t (frequencies stretch by t)."""

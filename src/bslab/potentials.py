@@ -28,8 +28,7 @@ with N >= modes agree (refinement-stable), and table(values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -221,14 +220,9 @@ def scaled_field(fld: PotentialField, t: float, s: float) -> PotentialField:
     return PotentialField(fld.grid.rescaled(t), (t**s) * fld.values, fld.imaginary_nonneg)
 
 
-def imaginary_potential(w: PotentialField | np.ndarray, grid: Optional[TorusGrid] = None) -> PotentialField:
-    """Build V = iW from W >= 0 (Hermitian PSD site-wise if matrix); raw arrays need grid."""
-    if isinstance(w, PotentialField):
-        grid, wvals = w.grid, w.values
-    elif grid is None:
-        raise ValueError("a raw W array needs grid")
-    else:
-        wvals = np.asarray(w, dtype=complex)
+def imaginary_potential(w: PotentialField) -> PotentialField:
+    """Build V = iW from W >= 0 (Hermitian PSD site-wise if matrix)."""
+    grid, wvals = w.grid, w.values
     if np.abs(wvals.imag).max(initial=0.0) > 1e-14 * max(1.0, np.abs(wvals).max()):
         raise ValueError("W must be real (Hermitian in the matrix case)")
     if wvals.ndim == grid.d + 2:

@@ -38,7 +38,10 @@ __all__ = [
 ]
 
 _BOUNDARY_SPACINGS = 4.0  # boundary offset in local level spacings
+_SPACING_WINDOW = 8  # levels on each side of a point that its local spacing reads
 _OPNORM_TOL = 1e-10  # relative per-sweep gain at which a norm iteration has converged
+_OPNORM_ITERS = 60  # duality-map sweeps per start of a norm iteration
+_OPNORM_RESTARTS = 3  # random starts of a norm iteration
 
 
 class ResolventPoleError(ValueError):
@@ -139,12 +142,12 @@ def kernel_array(handle: ResolventHandle) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _spacing_table(spec: SymbolSpec, grid: TorusGrid, window: int) -> np.ndarray:
+def _spacing_table(spec: SymbolSpec, grid: TorusGrid) -> np.ndarray:
     """Local spacing for each insertion index 0..size into :func:`lattice_levels`.
 
-    Entry idx is the median gap among the levels[idx - window : idx + window]
-    (clipped to the level set), or the median of all gaps when that window
-    holds a single level.  Cached per (spec, grid, window) and read-only.
+    Entry idx is the median gap among the levels[idx - w : idx + w], w =
+    _SPACING_WINDOW, clipped to the level set; with at least 2 levels every
+    clipped window holds at least one gap.  Cached per (spec, grid) and read-only.
     """
     levels = lattice_levels(spec, grid)
     if levels.size < 2:
@@ -152,25 +155,25 @@ def _spacing_table(spec: SymbolSpec, grid: TorusGrid, window: int) -> np.ndarray
     gaps = np.diff(levels)  # levels are np.unique output, so every gap is positive
     table = np.empty(levels.size + 1)
     for idx in range(levels.size + 1):
-        lo, hi = max(0, idx - window), min(levels.size, idx + window)
-        table[idx] = np.median(gaps[lo:hi - 1] if hi - lo > 1 else gaps)
+        lo, hi = max(0, idx - _SPACING_WINDOW), min(levels.size, idx + _SPACING_WINDOW)
+        table[idx] = np.median(gaps[lo:hi - 1])
     table.setflags(write=False)
     return table
 
 
-def local_spacings(spec: SymbolSpec, grid: TorusGrid, at, window: int = 8) -> np.ndarray:
+def local_spacings(spec: SymbolSpec, grid: TorusGrid, at) -> np.ndarray:
     """Median spacing of the lattice dispersion levels nearest to each of `at`.
 
     One ``searchsorted`` places every point in the level set; the spacing
     depends only on that insertion index.
     """
-    table = _spacing_table(spec, grid, window)
+    table = _spacing_table(spec, grid)
     return table[np.searchsorted(lattice_levels(spec, grid), at)]
 
 
-def local_spacing(spec: SymbolSpec, grid: TorusGrid, at: float, window: int = 8) -> float:
+def local_spacing(spec: SymbolSpec, grid: TorusGrid, at: float) -> float:
     """Median spacing of the lattice dispersion levels nearest to `at`."""
-    return float(local_spacings(spec, grid, at, window))
+    return float(local_spacings(spec, grid, at))
 
 
 def boundary_epsilon(spec: SymbolSpec, grid: TorusGrid, lam: float) -> float:
@@ -231,8 +234,6 @@ def empirical_opnorm(
     p: float,
     r: float | None = None,
     *,
-    iters: int = 60,
-    restarts: int = 3,
     seed: int = 7,
 ) -> OpNormEstimate:
     """Lower bound for ||op||_{L^p -> L^r} by alternating duality-map iteration.
@@ -251,11 +252,11 @@ def empirical_opnorm(
     shape = grid.field_shape(op.spinor_dim)
     rng = np.random.default_rng(seed)
     best, best_trace, any_conv = 0.0, [], False
-    for _ in range(restarts):
+    for _ in range(_OPNORM_RESTARTS):
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         x = x / lp_norm(GridFunction(grid, x), p)
         trace, prev, conv = [], 0.0, False
-        for _ in range(iters):
+        for _ in range(_OPNORM_ITERS):
             y = op.apply(GridFunction(grid, x)).values
             est = lp_norm(GridFunction(grid, y), r)
             trace.append(float(est))

@@ -173,7 +173,7 @@ def classify(
 
     eigs_coarse are eigenvalues of H0 + V on grid, and nearest_fine maps z
     to the eigenvalue nearest z of the same potential sampled on
-    grid.refined(2) (the caller's contract).  A point is ContinuumArtifact
+    grid.refined() (the caller's contract).  A point is ContinuumArtifact
     if its distance to the essential spectrum is at most eta, 5x the local
     dispersion spacing near Re z; it gets no partner and its drift is nan.
     Every other point asks nearest_fine for its partner and is Discrete if
@@ -233,8 +233,8 @@ class _FinePartner:
 
 
 def fine_grid(spec: SymbolSpec, grid: TorusGrid) -> TorusGrid:
-    """grid.refined(2), the one N -> 2N rule; ValueError past the grid or dense cap."""
-    fine = grid.refined(2)
+    """grid.refined(), the one N -> 2N rule; ValueError past the grid or dense cap."""
+    fine = grid.refined()
     dense_dim(fine, spec.n)
     return fine
 
@@ -280,7 +280,7 @@ def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) ->
 
     Dense at N, shift-invert partners at 2N: the full eigensolve runs on
     grid only, and each point beyond eta gets its nearest eigenvalue on
-    grid.refined(2) from one LU and a short Arnoldi run (dense 2N eigensolve
+    grid.refined() from one LU and a short Arnoldi run (dense 2N eigensolve
     as the fallback when that does not converge).  A call whose points are
     all ContinuumArtifact assembles no fine matrix.  A grid without a
     :func:`fine_grid` partner raises ValueError before any eigensolve.

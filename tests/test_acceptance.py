@@ -56,7 +56,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 def discrete_points(spec, grid, V):
     coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
-    fine = grid.refined(2)
+    fine = grid.refined()
     refined = eigensolve(assemble_hamiltonian(spec, fine, resample(V, fine)))
     pts = classify(coarse, nearest_in(refined), spec, grid)
     return [p for p in pts if p.label is SpectralLabel.DISCRETE], coarse

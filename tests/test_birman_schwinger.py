@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from bslab import birman_schwinger
 from bslab.birman_schwinger import (
     ContourBoundaryError,
     DetValue,
@@ -360,9 +361,10 @@ def test_contour_double_root_multiplicity():
     assert all(abs(f - r) < 1e-6 for f in found)
 
 
-def test_contour_budget_guard():
+def test_contour_budget_guard(monkeypatch):
+    monkeypatch.setattr(birman_schwinger, "_MAX_EVALS", 3)
     with pytest.raises(RuntimeError, match="budget"):
-        det_contour_roots(poly_det([0.0]), -1.0 - 1.0j, 1.0 + 1.0j, max_evals=3)
+        det_contour_roots(poly_det([0.0]), -1.0 - 1.0j, 1.0 + 1.0j)
 
 
 def test_contour_zero_on_outer_boundary_is_typed():

@@ -90,7 +90,6 @@ def test_load_config_field_errors(tmp_path):
         (base_config(run={"seed": True}), "run.seed"),
         (base_config(grid={"L": True}), "grid"),
         (base_config(operator={"kind": "fractional_laplacian", "d": True, "s": 1.5}), "operator.d"),
-        (base_config(grid={"refine": "yes"}), "grid.refine"),
         (base_config(grid={"N": 32.0}), "grid"),
         (base_config(operator={"kind": "fractional_laplacian", "d": 1, "s": "1.5"}), "operator"),
         (base_config(operator={"kind": "fractional_laplacian", "d": 1, "s": True}), "operator"),
@@ -114,6 +113,21 @@ def test_potential_file_reference_resolves_relative(tmp_path):
     doc["potential"].pop("params", None)
     cfg = load_config(write_config(tmp_path, doc))
     assert cfg.potential.values.min().real < -3.9
+
+
+def test_table_values_as_re_im_pairs_load_like_a_values_file(tmp_path):
+    grid = TorusGrid(1, 8, 4.0)
+    values = np.array([-1.0 + 0.5j, 0.0, 0.25j, 2.0, -0.5 - 0.5j, 0.0, 1.0, 0.0])
+    write_potential_file(
+        tmp_path / "table.pot", grid, PotentialSpec("table", {"d": 1, "N": 8, "L": 4.0, "values": values})
+    )
+    doc = base_config(grid={"N": 8, "L": 4.0}, potential={"file": "table.pot"})
+    from_file = load_config(write_config(tmp_path, doc))
+    params = {"d": 1, "N": 8, "L": 4.0, "values": [[v.real, v.imag] for v in values]}
+    doc = base_config(grid={"N": 8, "L": 4.0}, potential={"family": "table", "params": params})
+    from_pairs = load_config(write_config(tmp_path, doc, name="pairs.json"))
+    assert np.array_equal(from_pairs.potential.values, from_file.potential.values)
+    assert np.array_equal(from_pairs.potential.values, values)
 
 
 def test_potential_file_grid_mismatch_is_config_error(tmp_path):
@@ -200,11 +214,13 @@ def test_spectrum_drift_is_nan_for_artifacts_and_small_for_discrete(tmp_path):
     assert discrete and all(math.isfinite(x) and x < 0.1 for x in discrete)
 
 
-def test_spectrum_without_refinement_leaves_points_undecided(tmp_path):
-    doc = base_config(grid={"N": 32, "L": 20.0, "refine": False})
+def test_spectrum_without_refinement_leaves_points_undecided(tmp_path, capsys):
+    # 2N = 20 exceeds the d=3 cap 16: no refinement pair, so no drift to classify by
+    doc = base_config(operator={"kind": "fractional_laplacian", "d": 3, "s": 1.5}, grid={"N": 10, "L": 8.0})
     out = tmp_path / "runs"
     rc = cli_main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out)])
     assert rc == 0
+    assert "no N -> 2N refinement pair (" in capsys.readouterr().out
     (run_dir,) = run_dirs(out)
     rows = (run_dir / "spectra.csv").read_text().strip().splitlines()[1:]
     assert {row.split(",")[4] for row in rows} == {"Undecided"}
@@ -258,6 +274,30 @@ def test_bs_scan_names_a_malformed_alpha(tmp_path, capsys):
     rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "runs")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error at run.alpha:")
+
+
+def test_bs_scan_names_run_q_outside_the_schatten_range(tmp_path, capsys):
+    # no alpha: the exponent comes from q, and schatten_order needs 1 <= q < d
+    doc = base_config(operator={"kind": "fractional_laplacian", "d": 2, "s": 1.5}, run={"q": 2.5})
+    out = tmp_path / "runs"
+    rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error at run.q:")
+    assert not out.exists()
+
+
+def test_bs_scan_names_a_ray_point_on_a_lattice_level(tmp_path, capsys):
+    # s = 2 on L = 1 has a level at 1; the first boundary point is 1 + 1e-20j
+    doc = base_config(
+        operator={"kind": "fractional_laplacian", "d": 1, "s": 2.0},
+        grid={"N": 16, "L": 1.0},
+        run={"ray": {"type": "boundary", "re_lo": 1.0, "re_hi": 4.0, "height": 1e-20}},
+    )
+    out = tmp_path / "runs"
+    rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error at run.ray:")
+    assert not out.exists()
 
 
 def test_bs_scan_rejects_alpha_below_one_before_compute(tmp_path, capsys, monkeypatch):
@@ -360,7 +400,7 @@ def test_imaginary_rejects_complex_potential_block(tmp_path, capsys):
     )
     rc = cli_main(["verify", "imaginary", "--config", write_config(tmp_path, doc)])
     assert rc == 2
-    assert "config error at potential:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("config error at potential: W must be real")
 
 
 def test_imaginary_verifier_through_cli(tmp_path):
@@ -469,8 +509,6 @@ def _set(block, key, value, *path):
         ("main", _set("run", "q", math.nan), "run.q"),
         ("weighted-sums", _set("run", "eps", math.nan), "run.eps"),
         ("main", _set("run", "t_max", math.inf), "run.t_max"),
-        ("weighted-sums", _set("run", "z0", True), "run.z0"),
-        ("weighted-sums", _set("run", "z0", [-1.0, math.nan]), "run.z0"),
         ("schatten-scaling", _set("run", "theta", True, "ray"), "run.ray.theta"),
         ("schatten-scaling", _set("run", "r_hi", math.inf, "ray"), "run.ray.r_hi"),
         ("schatten-scaling", _set("run", "count", True, "ray"), "run.ray.count"),
@@ -481,7 +519,7 @@ def _set(block, key, value, *path):
         ("main", _set("grid", "L", math.inf), "grid"),
     ],
     ids=[
-        "q-nan", "eps-nan", "t-max-infinity", "z0-bool", "z0-nan-pair",
+        "q-nan", "eps-nan", "t-max-infinity",
         "ray-theta-bool", "ray-r-hi-infinity", "ray-count-bool", "region-bound-bool",
         "region-clearance-nan", "param-width-bool", "param-amplitude-nan", "grid-l-infinity",
     ],
@@ -500,38 +538,33 @@ def test_config_numbers_are_finite_and_not_bools(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
-_FRAC_D2 = {"kind": "fractional_laplacian", "d": 2, "s": 1.5}
-_SPECTRUM_AND_SCAN = (["spectrum"], ["scan"])
-_CLASSIFYING = tuple(["verify", thm] for thm in ("main", "individual-bounds", "imaginary", "weighted-sums"))
+_CLASSIFYING = ("main", "individual-bounds", "imaginary", "weighted-sums")
 
 
 @pytest.mark.parametrize(
-    "operator, N, refine, commands, path",
+    "operator, N",
     [
         # 2N = 128 > the d=2 cap 64
-        (_FRAC_D2, 64, True, _SPECTRUM_AND_SCAN, "grid.refine"),
+        ({"kind": "fractional_laplacian", "d": 2, "s": 1.5}, 64),
         # 2N = 16: dense size 16^3 * 4 = 16384 > 8192
-        ({"kind": "dirac_massive", "d": 3}, 8, True, _SPECTRUM_AND_SCAN, "grid.refine"),
-        # the classifying verifiers refine N -> 2N whatever grid.refine says
-        (_FRAC_D2, 64, False, _CLASSIFYING, "grid"),
+        ({"kind": "dirac_massive", "d": 3}, 8),
     ],
-    ids=["grid-cap", "dense-cap", "verify-without-refine"],
+    ids=["grid-cap", "dense-cap"],
 )
-def test_refinement_pair_that_cannot_be_built_exits_2_before_compute(
-    tmp_path, capsys, monkeypatch, operator, N, refine, commands, path
-):
+def test_refinement_pair_that_cannot_be_built_exits_2_before_compute(tmp_path, capsys, monkeypatch, operator, N):
+    # the classifying verifiers refine N -> 2N; their preflights check the pair
     def no_compute(*a, **k):
         raise AssertionError("compute started despite a config error")
 
     for name in ("run_jobs", "classified_spectrum", "eigensolve"):
         monkeypatch.setattr(f"bslab.cli.{name}", no_compute)
-    doc = base_config(grid={"N": N, "L": 6.0, "refine": refine}, run={"theorems": ["uniform-resolvent"]})
+    doc = base_config(grid={"N": N, "L": 6.0})
     doc["operator"] = operator
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    for cmd in commands:
-        assert cli_main([*cmd, "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"config error at {path}:")
+    for thm in _CLASSIFYING:
+        assert cli_main(["verify", thm, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error at grid:")
     assert not out.exists()
 
 

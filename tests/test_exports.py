@@ -138,3 +138,28 @@ def test_bench_workload_names_resolve():
     missing = [f"{mod}.{name}" for mod, name in sorted(used)
                if not hasattr(importlib.import_module(f"bslab.{mod}"), name)]
     assert missing == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+    return sorted(bound - used - exported)
+
+
+def test_every_import_is_used_or_exported():
+    # an import that no expression reads and __all__ does not list is dead
+    unused = {
+        path.stem: found for path in sorted(SRC.glob("*.py")) if (found := _unused_imports(_parse(path)))
+    }
+    assert unused == {}

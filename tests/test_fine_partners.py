@@ -25,7 +25,7 @@ _ARTIFACT = SpectralLabel.CONTINUUM_ARTIFACT
 
 
 def dense_oracle(spec, grid, V):
-    fine = grid.refined(2)
+    fine = grid.refined()
     coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
     refined = eigensolve(assemble_hamiltonian(spec, fine, resample(V, fine)))
     return classify(coarse, nearest_in(refined), spec, grid)
@@ -139,7 +139,7 @@ def test_pseudo_eigenvalues_of_a_far_from_normal_hamiltonian_are_refused():
     spec = SymbolSpec(SymbolKind.DIRAC_MASSLESS, 1)
     grid = TorusGrid(1, 124, 12.25)
     V = gaussian_well(grid, -4.8 - 3.0j, 1.43, [7.73])
-    fine = grid.refined(2)
+    fine = grid.refined()
     H = assemble_hamiltonian(spec, fine, resample(V, fine))
     nearest = nearest_in(eigensolve(H))
     off = [p.z for p in dense_oracle(spec, grid, V) if p.label is not _ARTIFACT and -4.5 < p.z.real < -4.0]

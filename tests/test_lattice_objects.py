@@ -23,7 +23,7 @@ from bslab.lattice import (
     site_magnitudes,
 )
 from bslab.potentials import PotentialField, potential_norm
-from bslab.resolvent import lattice_levels, local_spacing, local_spacings
+from bslab.resolvent import _SPACING_WINDOW, lattice_levels, local_spacing, local_spacings
 from bslab.spectra import assemble_hamiltonian
 from bslab.symbols import SymbolKind, SymbolSpec, dispersion_values, symbol_values
 
@@ -67,31 +67,29 @@ def test_lattice_levels_are_the_cached_read_only_level_set(lattice):
     assert again is levels
 
 
-@given(lattices(), st.floats(-0.2, 1.2), st.integers(1, 12))
-def test_local_spacing_matches_a_brute_force_recount(lattice, frac, window):
+@given(lattices(), st.floats(-0.2, 1.2))
+def test_local_spacing_matches_a_brute_force_recount(lattice, frac):
     spec, grid = lattice
     levels = sorted(set(dispersion_values(spec, grid.xi()).ravel().tolist()))
     at = levels[0] + frac * (levels[-1] - levels[0])
     idx = bisect.bisect_left(levels, at)
-    near = levels[max(0, idx - window):idx + window]
-    gaps = [b - a for a, b in zip(near, near[1:])] or [b - a for a, b in zip(levels, levels[1:])]
-    expected = statistics.median(gaps)
-    assert local_spacing(spec, grid, at, window) == pytest.approx(expected, rel=1e-12)
+    near = levels[max(0, idx - _SPACING_WINDOW):idx + _SPACING_WINDOW]
+    expected = statistics.median(b - a for a, b in zip(near, near[1:]))
+    assert local_spacing(spec, grid, at) == pytest.approx(expected, rel=1e-12)
 
 
-@given(lattices(), st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=40), st.integers(1, 12))
-def test_local_spacings_equal_local_spacing_bit_for_bit(lattice, fracs, window):
+@given(lattices(), st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=40))
+def test_local_spacings_equal_local_spacing_bit_for_bit(lattice, fracs):
     spec, grid = lattice
     levels = lattice_levels(spec, grid)
     ats = np.concatenate([levels[0] + np.array(fracs) * (levels[-1] - levels[0]), levels[:3], levels[-3:]])
-    got = local_spacings(spec, grid, ats, window)
+    got = local_spacings(spec, grid, ats)
     assert got.shape == ats.shape
     for at, spacing in zip(ats, got):
         # the per-point rule: median gap in a window of levels around the insertion index
         idx = int(np.searchsorted(levels, at))
-        gaps = np.diff(levels[max(0, idx - window):min(levels.size, idx + window)])
-        expected = np.median(gaps if gaps.size else np.diff(levels))
-        assert spacing == expected == local_spacing(spec, grid, float(at), window)
+        expected = np.median(np.diff(levels[max(0, idx - _SPACING_WINDOW):idx + _SPACING_WINDOW]))
+        assert spacing == expected == local_spacing(spec, grid, float(at))
 
 
 # ---------------------------------------------------------------------------

@@ -82,11 +82,11 @@ def test_scaled_field_exact_family():
 def test_imaginary_potential_flag_and_validation():
     grid = TorusGrid(1, 16, 4.0)
     w = np.abs(np.random.default_rng(0).standard_normal(grid.shape))
-    fld = imaginary_potential(w, grid)
+    fld = imaginary_potential(PotentialField(grid, w))
     assert fld.imaginary_nonneg
     assert np.allclose(fld.values, 1j * w)
     with pytest.raises(ValueError):
-        imaginary_potential(-w, grid)
+        imaginary_potential(PotentialField(grid, -w))
     psd = np.zeros(grid.shape + (2, 2), dtype=complex)
     psd[..., 0, 0] = w
     psd[..., 1, 1] = 2 * w
@@ -97,14 +97,9 @@ def test_imaginary_potential_flag_and_validation():
         imaginary_potential(PotentialField(grid, bad))
 
 
-def test_imaginary_potential_raw_array_needs_grid():
-    with pytest.raises(ValueError, match="needs grid"):
-        imaginary_potential(np.ones(8))
-
-
 def test_scaled_keeps_imaginary_flag_only_for_nonneg_real_factor():
     grid = TorusGrid(1, 16, 4.0)
-    fld = imaginary_potential(np.ones(grid.shape), grid)
+    fld = imaginary_potential(PotentialField(grid, np.ones(grid.shape)))
     assert fld.scaled(2.0).imaginary_nonneg
     assert not fld.scaled(-2.0).imaginary_nonneg
     assert not fld.scaled(1j).imaginary_nonneg

@@ -146,7 +146,7 @@ def test_essential_spectrum_intervals():
 
 def refinement_pair(spec, amp):
     g1 = TorusGrid(d=1, N=48, L=12.0)
-    g2 = g1.refined(2)
+    g2 = g1.refined()
     e1 = eigensolve(assemble_hamiltonian(spec, g1, well(g1, amp)))
     e2 = eigensolve(assemble_hamiltonian(spec, g2, well(g2, amp)))
     return g1, g2, e1, e2
@@ -154,7 +154,7 @@ def refinement_pair(spec, amp):
 
 def test_classify_zero_potential_all_artifacts():
     g1 = TorusGrid(d=1, N=32, L=8.0)
-    g2 = g1.refined(2)
+    g2 = g1.refined()
     e1 = eigensolve(assemble_hamiltonian(FRAC, g1, PotentialField(g1, np.zeros(g1.shape))))
     e2 = eigensolve(assemble_hamiltonian(FRAC, g2, PotentialField(g2, np.zeros(g2.shape))))
     points = classify(e1, nearest_in(e2), FRAC, g1)
