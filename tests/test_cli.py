@@ -541,24 +541,31 @@ def test_config_numbers_are_finite_and_not_bools(tmp_path, capsys, monkeypatch, 
 _CLASSIFYING = ("main", "individual-bounds", "imaginary", "weighted-sums")
 
 
+_FRAC_D2 = {"kind": "fractional_laplacian", "d": 2, "s": 1.5}
+
+
 @pytest.mark.parametrize(
-    "operator, N",
+    "operator, N, legacy",
     [
         # 2N = 128 > the d=2 cap 64
-        ({"kind": "fractional_laplacian", "d": 2, "s": 1.5}, 64),
+        (_FRAC_D2, 64, {}),
         # 2N = 16: dense size 16^3 * 4 = 16384 > 8192
-        ({"kind": "dirac_massive", "d": 3}, 8),
+        ({"kind": "dirac_massive", "d": 3}, 8, {}),
+        # an older config's `refine: false` is ignored and switches off no preflight
+        (_FRAC_D2, 64, {"refine": False}),
     ],
-    ids=["grid-cap", "dense-cap"],
+    ids=["grid-cap", "dense-cap", "verify-without-refine"],
 )
-def test_refinement_pair_that_cannot_be_built_exits_2_before_compute(tmp_path, capsys, monkeypatch, operator, N):
+def test_refinement_pair_that_cannot_be_built_exits_2_before_compute(
+    tmp_path, capsys, monkeypatch, operator, N, legacy
+):
     # the classifying verifiers refine N -> 2N; their preflights check the pair
     def no_compute(*a, **k):
         raise AssertionError("compute started despite a config error")
 
     for name in ("run_jobs", "classified_spectrum", "eigensolve"):
         monkeypatch.setattr(f"bslab.cli.{name}", no_compute)
-    doc = base_config(grid={"N": N, "L": 6.0})
+    doc = base_config(grid={"N": N, "L": 6.0, **legacy})
     doc["operator"] = operator
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
