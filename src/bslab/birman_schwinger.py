@@ -5,7 +5,11 @@ half-potential split and the dense sandwiched resolvent.  On top of it
 this module computes Schatten norms from singular values and regularized
 Fredholm determinants det_n(I + M) from one LU factorization plus traces of
 powers of M, and locates determinant zeros inside rectangles of the complex
-plane by an argument-principle bisection with secant polishing.  For z off
+plane by an argument-principle bisection with secant polishing.  The
+determinants along a search need no M(z): det_n(I + AB) = det_n(I + BA)
+and det_n is invariant under similarity, so :func:`bs_det_evaluator` builds
+the potential's matrix on Fourier modes once and multiplies it by the
+block-diagonal resolvent multiplier at each point.  For z off
 the dispersion levels of T, the finite model makes the eigenvalue
 correspondence exact: z is an eigenvalue of H_0 + V iff -1 is an eigenvalue
 of M(z), which :func:`bs_residual` measures.  The singular values, the LU
@@ -170,7 +174,9 @@ def regularized_det(M: np.ndarray, order: int) -> DetValue:
     if order < 1:
         raise ValueError(f"determinant regularization order must be >= 1, got {order}")
     mat = np.asarray(M, dtype=complex)
-    log_abs, angle = dense.logdet(mat + np.eye(mat.shape[0]))
+    shifted = mat.copy()
+    shifted.flat[:: mat.shape[0] + 1] += 1.0
+    log_abs, angle = dense.logdet(shifted)
     reg = 0j
     power = mat
     for k in range(1, order):
@@ -225,8 +231,29 @@ def bs_det_evaluator(
     V: PotentialField,
     order: int,
 ) -> Callable[[complex], DetValue]:
-    """z -> det_order(I + M(z)) on bs_matrix, skipping the SVD that assemble_bs would do."""
-    return lambda z: regularized_det(bs_matrix(spec, grid, V, z), order)
+    """z -> det_order(I + M(z)), without assembling M(z).
+
+    M(z) = |V|^{1/2} R0(z) V^{1/2} has the traces of powers of R0(z) V, and
+    on Fourier modes that is P(z) = R0^(z) G^ with R0^(z) block diagonal
+    (the resolvent multiplier) and G^ = F V F^{-1} the potential's matrix on
+    modes.  P is similar to R0(z) V, so det_n(I + P) = det_n(I + M(z)) for
+    every order n.  The potential's grid is checked and G^ is built once,
+    here; each point costs one block-diagonal product and one LU.
+    """
+    V.check_fits(grid, spec.n)
+    n, size = spec.n, grid.size
+    blocks = V.values if V.is_matrix else V.values[..., None, None] * np.eye(n)
+    # conj(F^{-1} conj(v) F) = F v F^{-1}: the site samples, read as a multiplier
+    G = multiplier_matrix(np.conj(blocks), grid)
+    np.conj(G, out=G)
+    dim = size * n
+    G = G.reshape(size, n, dim)
+
+    def det(z: complex) -> DetValue:
+        r = resolvent_multiplier(spec, grid, z).reshape(size, n, n)
+        return regularized_det((r @ G).reshape(dim, dim), order)
+
+    return det
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,15 @@ from .birman_schwinger import assemble_bs, bs_matrix, bs_residual, schatten_norm
 from .conformal import weighted_blaschke_sum
 from .lattice import GridFunction, TorusGrid, lp_norm, multiplier_matrix, per_site, site_magnitudes
 from .potentials import PotentialField, imaginary_potential, potential_norm, scaled_field
-from .resolvent import ResolventHandle, boundary_epsilon, empirical_opnorm, lattice_levels, resolvent_multiplier
+from .resolvent import (
+    ResolventHandle,
+    ResolventPoleError,
+    _check_off_dispersion,
+    boundary_epsilon,
+    empirical_opnorm,
+    lattice_levels,
+    resolvent_multiplier,
+)
 from .spectra import (
     SpectralLabel,
     SpectralPoint,
@@ -774,8 +782,26 @@ def verify_uniform_resolvent(
 # verifier: Schatten-norm scaling laws
 
 
-def preflight_schatten_scaling(spec: SymbolSpec, q: float, ray: Sequence[complex]) -> None:
-    """Argument checks of :func:`verify_schatten_scaling`; raises RegimeError."""
+def _ray_rescalings(spec: SymbolSpec, zs: np.ndarray) -> list[Optional[float]]:
+    """Per ray point, the grid rescaling t of a co-rescaled fit, or None on a fixed grid.
+
+    Scale-homogeneous configurations (fractional Laplacian in case A) put
+    the point z on grid.rescaled(t) with t = (|z| / |z_0|)^{1/s}.
+    """
+    if spec.kind is not SymbolKind.FRACTIONAL_LAPLACIAN or not _case_a(spec):
+        return [None] * zs.size
+    moduli = np.abs(zs)
+    return [(abs(z) / moduli[0]) ** (1.0 / spec.s) for z in zs]
+
+
+def preflight_schatten_scaling(
+    spec: SymbolSpec, grid: TorusGrid, q: float, ray: Sequence[complex]
+) -> None:
+    """Argument checks of :func:`verify_schatten_scaling`; raises RegimeError.
+
+    Each ray point must miss the lattice levels of the grid it is measured
+    on: grid.rescaled(t) in co-rescaled fits, grid otherwise.
+    """
     zs = np.asarray([complex(z) for z in ray])
     if zs.size < 8:
         raise RegimeError("ray", f"rays need at least 8 points, got {zs.size}")
@@ -802,6 +828,11 @@ def preflight_schatten_scaling(spec: SymbolSpec, q: float, ray: Sequence[complex
             )
     elif spec.kind is SymbolKind.DIRAC_MASSIVE and np.any(np.abs(zs * zs - 1.0) < 1.0):
         raise RegimeError("ray", "the massive growth fit needs |z^2 - 1| >= 1 along the ray")
+    for z, t in zip(zs, _ray_rescalings(spec, zs)):
+        try:
+            _check_off_dispersion(spec, grid if t is None else grid.rescaled(t), z)
+        except ResolventPoleError as err:
+            raise RegimeError("ray", str(err))
 
 
 def verify_schatten_scaling(
@@ -823,7 +854,7 @@ def verify_schatten_scaling(
     a log-space fit residual above 0.05 downgrades to REPORT-ONLY.
     """
     certify = _certifier("schatten-scaling", grid, seed)
-    preflight_schatten_scaling(spec, q, ray)
+    preflight_schatten_scaling(spec, grid, q, ray)
     zs = np.asarray([complex(z) for z in ray])
     moduli = np.abs(zs)
     d, s, kind = spec.d, spec.s, spec.kind
@@ -834,11 +865,9 @@ def verify_schatten_scaling(
     else:
         vnorm = max(potential_norm(V, d / s), potential_norm(V, (d + 1) / 2.0))
 
-    co_rescaled = False
     if kind is SymbolKind.FRACTIONAL_LAPLACIAN:
         predicted = d / (s * q) - 1.0 if case_a else 2.0 * d / (s * (d + 1)) - 1.0
         xs = np.log(moduli) if case_a else np.log1p(moduli)
-        co_rescaled = case_a
     elif kind is SymbolKind.RELATIVISTIC:
         small = bool(np.all(moduli < 1.0))
         if case_a:
@@ -851,15 +880,14 @@ def verify_schatten_scaling(
         xs = np.log1p(moduli)
 
     measured = []
-    if co_rescaled:
-        for z in zs:
-            t = (abs(z) / moduli[0]) ** (1.0 / s)
+    ts = _ray_rescalings(spec, zs)
+    for z, t in zip(zs, ts):
+        if t is None:
+            measured.append(schatten_norm(assemble_bs(spec, grid, V, z)[1], alpha) / vnorm)
+        else:
             Vt = scaled_field(V, t, s)
             norm_t = schatten_norm(assemble_bs(spec, grid.rescaled(t), Vt, z)[1], alpha)
             measured.append(norm_t / potential_norm(Vt, q))
-    else:
-        for z in zs:
-            measured.append(schatten_norm(assemble_bs(spec, grid, V, z)[1], alpha) / vnorm)
     law, intercept = fit_scaling_law(xs, np.log(measured), predicted)
 
     if law.residual > 0.05:
@@ -871,7 +899,7 @@ def verify_schatten_scaling(
     inputs = _inputs_head(spec, q, V, alpha=alpha) | {
         "ray": [complex(z) for z in zs],
         "measured": [float(v) for v in measured],
-        "co_rescaled": co_rescaled,
+        "co_rescaled": ts[0] is not None,
         "predicted": law.predicted,
         "fitted": law.fitted,
         "residual": law.residual,

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .birman_schwinger import assemble_bs, regularized_det, schatten_norm
+from .birman_schwinger import assemble_bs, bs_det_evaluator, schatten_norm
 from .certlab import (
     BoundCertificate,
     RegimeError,
@@ -341,7 +341,7 @@ VERIFIERS = {
     ),
     "schatten-scaling": Verifier(
         keys=("q", "ray"),
-        preflight=lambda a: preflight_schatten_scaling(a.spec, a.q, a.ray),
+        preflight=lambda a: preflight_schatten_scaling(a.spec, a.grid, a.q, a.ray),
         run=lambda a: verify_schatten_scaling(a.spec, a.grid, a.q, a.ray, a.V, seed=a.seed),
         series=("schatten-norm", "ray", "measured"),
     ),
@@ -505,13 +505,14 @@ def _cmd_bs(cfg: ExperimentConfig, args) -> int:
     elif alpha < 1.0:
         raise ConfigError("run.alpha", f"Schatten exponent must be >= 1, got {alpha:g}")
     order = max(2, math.ceil(alpha))
+    det = bs_det_evaluator(cfg.spec, cfg.grid, cfg.potential, order)
     lines = ["re,im,sigma1,schatten,det_log_abs,det_phase"]
     try:
         for z in ray:
-            M, sv = assemble_bs(cfg.spec, cfg.grid, cfg.potential, z)
+            sv = assemble_bs(cfg.spec, cfg.grid, cfg.potential, z)[1]
             sig1 = float(sv[0])
             snorm = schatten_norm(sv, alpha)
-            dv = regularized_det(M, order)
+            dv = det(z)
             lines.append(f"{z.real!r},{z.imag!r},{sig1!r},{snorm!r},{dv.log_abs!r},{dv.phase!r}")
     except ResolventPoleError as err:
         raise ConfigError("run.ray", str(err))

@@ -38,11 +38,13 @@ def svdvals(A: np.ndarray) -> np.ndarray:
 def logdet(A: np.ndarray) -> tuple[float, float]:
     """(log|det A|, arg det A) of a square matrix from one LU factorization.
 
-    The diagonal of U gives the log and the angle, and an odd pivot
-    permutation adds pi; the angle is reduced to its principal value.  An
-    exactly singular A gives (-inf, 0.0).
+    The factorization is of A.T, which has A's determinant and, for a
+    C-ordered A, is already in LAPACK's column-major order, so zgetrf copies
+    it without transposing; A is not modified.  The diagonal of U gives the
+    log and the angle, and an odd pivot permutation adds pi; the angle is
+    reduced to its principal value.  An exactly singular A gives (-inf, 0.0).
     """
-    lu, piv, info = zgetrf(A)
+    lu, piv, info = zgetrf(A.T)
     if info > 0:
         return -math.inf, 0.0
     u = np.diagonal(lu)

@@ -223,8 +223,6 @@ def scaled_field(fld: PotentialField, t: float, s: float) -> PotentialField:
 def imaginary_potential(w: PotentialField) -> PotentialField:
     """Build V = iW from W >= 0 (Hermitian PSD site-wise if matrix)."""
     grid, wvals = w.grid, w.values
-    if np.abs(wvals.imag).max(initial=0.0) > 1e-14 * max(1.0, np.abs(wvals).max()):
-        raise ValueError("W must be real (Hermitian in the matrix case)")
     if wvals.ndim == grid.d + 2:
         herm = np.abs(wvals - np.conj(np.swapaxes(wvals, -1, -2))).max()
         if herm > 1e-12 * max(1.0, np.abs(wvals).max()):
@@ -232,6 +230,8 @@ def imaginary_potential(w: PotentialField) -> PotentialField:
         eigs = np.linalg.eigvalsh(wvals)
         if eigs.min() < -1e-12 * max(1.0, eigs.max(initial=0.0)):
             raise ValueError("matrix W must be PSD site-wise")
+    elif np.abs(wvals.imag).max(initial=0.0) > 1e-14 * max(1.0, np.abs(wvals).max()):
+        raise ValueError("W must be real")
     elif wvals.real.min() < 0:
         raise ValueError("W must be nonnegative")
     return PotentialField(grid, 1j * wvals.real if wvals.ndim == grid.d else 1j * wvals,

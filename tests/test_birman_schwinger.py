@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from bslab import birman_schwinger
+from bslab import birman_schwinger, dense
 from bslab.birman_schwinger import (
     ContourBoundaryError,
     DetValue,
@@ -309,21 +309,66 @@ def test_bs_residual_dirac_spinor_case():
         assert bs_principle_check(spec, grid, V, z) < 1e-8
 
 
-def test_det_evaluator_matches_assembled_determinant():
-    grid = TorusGrid(d=1, N=24, L=8.0)
-    V = gaussian_well(grid, -1.2 + 0.7j)
-    z = -0.9 - 0.35j
-    fast = bs_det_evaluator(FRAC, grid, V, order=2)(z)
-    slow = regularized_det(assemble_bs(FRAC, grid, V, z)[0], 2)
+@st.composite
+def bs_models(draw):
+    """Any kind in d = 1, 2, 3, a scalar or (n, n) site-block well, and z off the levels.
+
+    One draw in eight is d = 3 (N = 8: a 2048-dim matrix for Dirac kinds).
+    """
+    kind = draw(st.sampled_from(list(SymbolKind)))
+    d = draw(st.sampled_from([1, 1, 1, 1, 1, 2, 2, 3]))
+    s = 1.0 if kind in (SymbolKind.DIRAC_MASSLESS, SymbolKind.DIRAC_MASSIVE) else draw(st.floats(0.5, 2.0))
+    spec = SymbolSpec(kind=kind, d=d, s=s)
+    N = 2 * draw(st.integers(4, 16)) if d == 1 else 8
+    grid = TorusGrid(d=d, N=N, L=draw(st.floats(2.0, 20.0)))
+    amp = complex(draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0)))
+    well = PotentialSpec("gaussian", {"amplitude": amp, "width": draw(st.floats(0.3, 2.0)), "center": 0.0})
+    vals = sample_potential(well, grid).values
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = spec.n
+        mix = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2 * n)
+        vals = vals[..., None, None] * mix
+    z = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-2.0, 2.0)))
+    assume(np.min(np.abs(lattice_levels(spec, grid) - z)) >= 0.1)
+    return spec, grid, PotentialField(grid, vals), z
+
+
+@given(bs_models(), st.integers(1, 3))
+def test_det_evaluator_matches_assembled_determinant(model, order):
+    spec, grid, V, z = model
+    fast = bs_det_evaluator(spec, grid, V, order)(z)
+    slow = regularized_det(bs_matrix(spec, grid, V, z), order)
     assert abs(fast.log_abs - slow.log_abs) < 1e-10 * max(1.0, abs(slow.log_abs))
     assert abs(cmath.exp(1j * (fast.phase - slow.phase)) - 1.0) < 1e-10
 
 
+def test_det_evaluator_builds_the_potential_matrix_once(monkeypatch):
+    grid = TorusGrid(d=1, N=24, L=8.0)
+    V = gaussian_well(grid, -1.2 + 0.7j)
+    calls = {"multiplier_matrix": 0, "logdet": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(birman_schwinger, "multiplier_matrix")
+    spy(dense, "logdet")
+    det = bs_det_evaluator(FRAC, grid, V, order=2)
+    for z in (-0.9 - 0.35j, -0.5 + 0.2j, 0.3 + 0.6j, -1.7 - 0.1j):
+        det(z)
+    assert calls == {"multiplier_matrix": 1, "logdet": 4}
+
+
 def test_det_evaluator_checks_the_potential_grid():
     V = gaussian_well(TorusGrid(d=1, N=32, L=20.0), -1.0)
-    det = bs_det_evaluator(FRAC, TorusGrid(d=1, N=32, L=10.0), V, order=2)
     with pytest.raises(ValueError, match="potential grid does not match"):
-        det(-1.0 + 0.5j)
+        bs_det_evaluator(FRAC, TorusGrid(d=1, N=32, L=10.0), V, order=2)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +537,10 @@ def test_det1_is_the_ratio_of_hamiltonian_determinants(model):
     eye = np.eye(H.shape[0])
     sign, log_h = np.linalg.slogdet(H - z * eye)
     sign0, log_h0 = np.linalg.slogdet(H0 - z * eye)
-    dv = regularized_det(bs_matrix(spec, grid, V, z), 1)
     expected = log_h - log_h0
-    assert abs(dv.log_abs - expected) <= 1e-9 * max(1.0, abs(expected))
-    assert same_phase(dv.phase, cmath.phase(sign) - cmath.phase(sign0), 1e-9)
+    for dv in (regularized_det(bs_matrix(spec, grid, V, z), 1), bs_det_evaluator(spec, grid, V, 1)(z)):
+        assert abs(dv.log_abs - expected) <= 1e-9 * max(1.0, abs(expected))
+        assert same_phase(dv.phase, cmath.phase(sign) - cmath.phase(sign0), 1e-9)
 
 
 @given(finite_models())

@@ -17,6 +17,7 @@ from bslab.certlab import (
     BoundCertificate,
     JobError,
     Region,
+    RegimeError,
     ScalingLaw,
     THEOREM_IDS,
     VerifyJob,
@@ -25,6 +26,7 @@ from bslab.certlab import (
     discrete_spectrum,
     fit_scaling_law,
     fixed_argument_ray,
+    preflight_schatten_scaling,
     run_jobs,
     sum_space_norm,
     summary_csv,
@@ -318,6 +320,21 @@ def test_verify_schatten_scaling_corescaled_is_exact():
     assert cert.law.residual < 1e-10
     assert cert.inputs["co_rescaled"] is True
     assert cert.constant > 0.0
+
+
+def test_schatten_scaling_preflight_checks_each_point_on_its_own_grid():
+    # L = 1 puts the levels of |xi|^1.5 at k^1.5: 1, 2.83, 5.20, 8, ...
+    grid = TorusGrid(d=1, N=64, L=1.0)
+    on_level = fixed_argument_ray(1e-20, 1.0, 8.0, 9)
+    with pytest.raises(RegimeError, match="within roundoff of lattice level 1") as err:
+        preflight_schatten_scaling(FRAC15, grid, 1.0, on_level)
+    assert err.value.param == "ray"
+    # the last point sits on the level 8 of grid, but is measured on grid.rescaled(t),
+    # where it sits where the first point does on grid
+    ray = fixed_argument_ray(1e-20, 0.5, 8.0, 9)
+    preflight_schatten_scaling(FRAC15, grid, 1.0, ray)
+    cert = verify_schatten_scaling(FRAC15, grid, 1.0, ray, gaussian(grid, -1.0))
+    assert cert.inputs["co_rescaled"] is True
 
 
 def test_verify_schatten_scaling_massless_growth():

@@ -300,6 +300,20 @@ def test_bs_scan_names_a_ray_point_on_a_lattice_level(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_schatten_scaling_names_a_ray_point_on_a_lattice_level(tmp_path, capsys):
+    # the same ray as the bs scan above: the verifier's preflight stops it, not its compute
+    doc = base_config(
+        operator={"kind": "fractional_laplacian", "d": 1, "s": 2.0},
+        grid={"N": 16, "L": 1.0},
+        run={"ray": {"type": "boundary", "re_lo": 1.0, "re_hi": 4.0, "height": 1e-20}},
+    )
+    out = tmp_path / "runs"
+    rc = cli_main(["verify", "schatten-scaling", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error at run.ray: z=(1+1e-20j) within roundoff")
+    assert not out.exists()
+
+
 def test_bs_scan_rejects_alpha_below_one_before_compute(tmp_path, capsys, monkeypatch):
     def no_compute(*a, **k):
         raise AssertionError("the scan computed despite a config error")

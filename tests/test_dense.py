@@ -31,6 +31,14 @@ def test_logdet_matches_slogdet(n, seed):
     assert_matches_slogdet(random_complex(n, seed))
 
 
+@given(sizes, seeds)
+def test_logdet_leaves_c_and_f_ordered_inputs_unchanged(n, seed):
+    for A in (random_complex(n, seed), np.asfortranarray(random_complex(n, seed))):
+        before = A.copy(order="K")
+        assert_matches_slogdet(A)
+        assert np.array_equal(A, before)
+
+
 @given(st.integers(min_value=2, max_value=40), seeds, st.integers(min_value=0, max_value=7))
 def test_each_row_swap_adds_pi(n, seed, swaps):
     rng = np.random.default_rng(seed)

@@ -97,6 +97,19 @@ def test_imaginary_potential_flag_and_validation():
         imaginary_potential(PotentialField(grid, bad))
 
 
+def test_imaginary_potential_takes_a_hermitian_psd_block_with_complex_entries():
+    grid = TorusGrid(1, 16, 4.0)
+    block = np.array([[1.0, 0.5j], [-0.5j, 1.0]])  # eigenvalues 0.5 and 1.5
+    herm = np.broadcast_to(block, grid.shape + (2, 2))
+    fld = imaginary_potential(PotentialField(grid, herm))
+    assert fld.imaginary_nonneg
+    assert np.array_equal(fld.values, 1j * herm)
+    with pytest.raises(ValueError, match="W must be real"):
+        imaginary_potential(PotentialField(grid, np.full(grid.shape, 1.0 + 0.5j)))
+    with pytest.raises(ValueError, match="Hermitian"):
+        imaginary_potential(PotentialField(grid, np.broadcast_to(np.array([[1.0, 0.5j], [0.5j, 1.0]]), herm.shape)))
+
+
 def test_scaled_keeps_imaginary_flag_only_for_nonneg_real_factor():
     grid = TorusGrid(1, 16, 4.0)
     fld = imaginary_potential(PotentialField(grid, np.ones(grid.shape)))
