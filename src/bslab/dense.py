@@ -17,7 +17,7 @@ import scipy.linalg
 from scipy.linalg.blas import zgemv
 from scipy.linalg.lapack import zgeev, zgeev_lwork, zgetrf, zgetrs
 
-__all__ = ["eigvals", "eig", "svdvals", "logdet", "nearest_eigenvalue"]
+__all__ = ["eigvals", "eig", "svdvals", "logdet", "nearest_eigenpair"]
 
 
 def eigvals(A: np.ndarray) -> np.ndarray:
@@ -64,16 +64,17 @@ def _geev_lwork(m: int) -> int:
     return int(work.real)
 
 
-def nearest_eigenvalue(H: np.ndarray, z: complex) -> Optional[complex]:
-    """Eigenvalue of H nearest z by Arnoldi on (H - z)^{-1}, or None if unconverged.
+def nearest_eigenpair(H: np.ndarray, z: complex) -> Optional[tuple[complex, np.ndarray]]:
+    """Eigenpair (lam, x) of H nearest z by Arnoldi on (H - z)^{-1}, or None if unconverged.
 
     One LU of H - z, then up to _ARNOLDI_STEPS Arnoldi steps (Gram-Schmidt
     twice per step) from a fixed pseudo-random unit vector.  Every
     _CHECK_EVERY steps, the Ritz value theta of largest modulus maps back to
-    lam = z + 1/theta, and the pair is accepted when its Ritz vector x is an
-    eigenvector of H itself to within _RESIDUAL_TOLERANCE * ||H||_1 (a small
-    residual on the inverse alone also passes pseudo-eigenvalues of a
-    far-from-normal H).  An exactly singular H - z also returns None.
+    lam = z + 1/theta, and the pair is accepted when its unit Ritz vector x
+    is an eigenvector of H itself to within _RESIDUAL_TOLERANCE * ||H||_1 (a
+    small residual on the inverse alone also passes pseudo-eigenvalues of a
+    far-from-normal H).  An exactly singular H - z also returns None, and so
+    does H = 0, whose tolerance is 0.
     getrf, getrs and geev are what lu_factor, lu_solve and eig run, minus
     their per-call argument checks.
     """
@@ -110,7 +111,7 @@ def nearest_eigenvalue(H: np.ndarray, z: complex) -> Optional[complex]:
             lam = z + 1.0 / theta[k]
             x = zgemv(1.0, Q[:, :m], Y[:, k] / np.linalg.norm(Y[:, k]))
             if np.linalg.norm(zgemv(1.0, H, x) - lam * x) < tolerance:
-                return lam
+                return lam, x
             if exhausted:  # invariant subspace: its Ritz values are all there is
                 return None
         Q[:, j + 1] = w / h[j + 1, j]

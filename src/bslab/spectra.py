@@ -10,7 +10,7 @@ that barely move across the refinement are discrete.
 :func:`classified_spectrum` is that pipeline: dense at N, shift-invert
 partners at 2N.  It runs the full eigensolve at N only; a point beyond eta
 of the essential spectrum gets its nearest 2N eigenvalue from
-:func:`dense.nearest_eigenvalue` (one LU of H_2N - z and a short Arnoldi
+:func:`dense.nearest_eigenpair` (one LU of H_2N - z and a short Arnoldi
 run on the inverse), and H_2N is assembled only if some point needs a
 partner.  Both eigensolves run in :mod:`bslab.dense`; this module only
 assembles, sorts and labels.  The dense T(D) is built once per (symbol,
@@ -209,7 +209,7 @@ class _FinePartner:
     """z -> nearest eigenvalue of H_2N = T(D) + V on the fine grid.
 
     H_2N is assembled on the first call.  Each z is answered by
-    :func:`dense.nearest_eigenvalue`; the first time its check fails, the
+    :func:`dense.nearest_eigenpair`; the first time its check fails, the
     dense spectrum of H_2N is computed (one DEBUG record on the ``bslab``
     logger) and answers that z and every later one.
     """
@@ -224,9 +224,9 @@ class _FinePartner:
             H = assemble_hamiltonian(self.spec, self.fine, resample(self.V, self.fine))
             self.H = np.asfortranarray(H)
         if self.fallback is None:
-            w = dense.nearest_eigenvalue(self.H, z)
-            if w is not None:
-                return w
+            pair = dense.nearest_eigenpair(self.H, z)
+            if pair is not None:
+                return pair[0]
             _log.debug("dense %d-dim fine solve: no shift-invert partner at z=%s", self.H.shape[0], z)
             self.fallback = nearest_in(eigensolve(self.H))
         return self.fallback(z)

@@ -13,8 +13,10 @@ from bslab.birman_schwinger import (
     DetValue,
     assemble_bs,
     bs_det_evaluator,
+    bs_eigenpair_near,
     bs_matrix,
     bs_principle_check,
+    bs_residual,
     det_bound_constant,
     det_contour_roots,
     half_potentials,
@@ -25,6 +27,7 @@ from bslab.birman_schwinger import (
 from bslab.lattice import TorusGrid, multiplier_matrix, site_diagonal_sandwich
 from bslab.potentials import PotentialField, PotentialSpec, sample_potential
 from bslab.resolvent import ResolventHandle, kernel_array, lattice_levels, resolvent_multiplier
+from bslab.spectra import assemble_hamiltonian, eigensolve
 from bslab.symbols import SymbolKind, SymbolSpec
 
 FRAC = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=1.5)
@@ -307,6 +310,97 @@ def test_bs_residual_dirac_spinor_case():
     assert picked, "expected non-real eigenvalues for a complex potential"
     for z in picked:
         assert bs_principle_check(spec, grid, V, z) < 1e-8
+        assert_matches_full_spectrum(bs_matrix(spec, grid, V, z))
+
+
+def assert_matches_full_spectrum(M):
+    """bs_eigenpair_near against the full spectrum: bs_residual's value and
+    dense.eig's eigenvector for the eigenvalue of M nearest -1.
+
+    An accepted pair is exact for a matrix within its backward error of M,
+    and that error moves the eigenvalue and turns the eigenvector by about
+    itself over the gap between the eigenvalue nearest -1 and the next one
+    (Ipsen, SIAM Review 39, 1997).  So the tolerance grows as the gap closes,
+    and in a tie either eigenvalue is the right answer.
+    """
+    residual, g = bs_eigenpair_near(M)
+    norm = np.linalg.norm(M, 1)
+    mu = np.vdot(g, M @ g)  # g is a unit vector
+    assert abs(np.linalg.norm(g) - 1.0) <= 1e-13
+    assert np.linalg.norm(M @ g - mu * g) <= 1e-13 * norm
+    w, vecs = dense.eig(M)
+    dist = np.abs(w + 1.0)
+    nearest, *rest = np.argsort(dist)
+    gap = dist[rest[0]] - dist[nearest] if rest else math.inf
+    tol = 1e-11 * norm * (1.0 + norm / gap)
+    assert abs(residual - bs_residual(M)) <= tol
+    v = vecs[:, nearest]
+    assert np.linalg.norm(g - v * np.vdot(v, g)) <= tol
+
+
+def random_complex(n, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(n)
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0))
+def test_bs_eigenpair_matches_the_full_spectrum_on_random_matrices(n, seed, log_scale):
+    assert_matches_full_spectrum(random_complex(n, seed, 10.0**log_scale))
+
+
+@given(st.integers(2, 3), st.integers(4, 30), st.integers(0, 2**32 - 1))
+def test_bs_eigenpair_matches_the_full_spectrum_near_a_defective_matrix(k, n, seed):
+    # a k x k Jordan block within 1 of -1 and a random diagonal, in a random
+    # unitary basis, plus a 1e-8 perturbation: k eigenvalues about 1e-8^(1/k) apart
+    rng = np.random.default_rng(seed)
+    lam = -1.0 + complex(*rng.uniform(-1.0, 1.0, 2))
+    A = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    A[:k, :k] = lam * np.eye(k) + np.eye(k, k=1)
+    Q, _ = np.linalg.qr(random_complex(n, seed + 1))
+    assert_matches_full_spectrum(Q @ A @ Q.conj().T + 1e-8 * random_complex(n, seed + 2))
+
+
+@st.composite
+def bs_at_eigenvalues(draw):
+    """(spec, grid, V, z): a random d = 1 well of any kind and an eigenvalue z
+    of H = T(D) + V at least 0.1 off the levels of T, where -1 is an eigenvalue of M(z)."""
+    kind = draw(st.sampled_from(list(SymbolKind)))
+    s = 1.0 if kind in (SymbolKind.DIRAC_MASSLESS, SymbolKind.DIRAC_MASSIVE) else draw(st.floats(0.75, 2.0))
+    spec = SymbolSpec(kind=kind, d=1, s=s)
+    grid = TorusGrid(d=1, N=2 * draw(st.integers(8, 32)), L=draw(st.floats(4.0, 20.0)))
+    amplitude = complex(draw(st.floats(-6.0, 0.0)), draw(st.floats(-3.0, 3.0)))
+    V = gaussian_well(grid, amplitude, draw(st.floats(0.3, 2.0)))
+    levels = lattice_levels(spec, grid)
+    off = [z for z in eigensolve(assemble_hamiltonian(spec, grid, V)) if np.min(np.abs(levels - z)) >= 0.1]
+    assume(off)
+    return spec, grid, V, draw(st.sampled_from(off))
+
+
+@given(bs_at_eigenvalues())
+def test_bs_eigenpair_matches_the_full_spectrum_at_hamiltonian_eigenvalues(model):
+    spec, grid, V, z = model
+    M = bs_matrix(spec, grid, V, z)
+    assert_matches_full_spectrum(M)
+    assert bs_eigenpair_near(M)[0] < 1e-8
+
+
+def test_bs_principle_check_falls_back_to_the_full_eigendecomposition(monkeypatch):
+    # a zero tolerance refuses every shift-invert pair, so dense.eig answers
+    grid = TorusGrid(d=1, N=48, L=12.0)
+    V = gaussian_well(grid, -3.0 - 1.0j)
+    points = [*discrete_candidates(FRAC, grid, V), -0.5 + 0.5j]
+    eig_calls = []
+    eig = dense.eig
+
+    def eig_spy(A):
+        eig_calls.append(A.shape)
+        return eig(A)
+
+    monkeypatch.setattr(dense, "_RESIDUAL_TOLERANCE", 0.0)
+    monkeypatch.setattr(dense, "eig", eig_spy)
+    for z in points:
+        assert abs(bs_principle_check(FRAC, grid, V, z) - bs_residual(bs_matrix(FRAC, grid, V, z))) <= 1e-12
+    assert eig_calls == [(48, 48)] * len(points)
 
 
 @st.composite

@@ -469,6 +469,20 @@ def test_verify_imaginary_passes_for_nonneg_w():
     assert cert.constant > 0.0
 
 
+def test_verify_imaginary_gives_the_same_verdict_from_full_eigendecompositions(monkeypatch):
+    # a zero tolerance refuses every shift-invert pair, so the BS eigenvectors
+    # and the fine partners come from the full eigendecompositions
+    spec = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=1.0)
+    grid = TorusGrid(d=1, N=96, L=24.0)
+    W = gaussian(grid, 2.0)
+    cert = verify_imaginary(spec, W, q=1.0)
+    monkeypatch.setattr(dense, "_RESIDUAL_TOLERANCE", 0.0)
+    fallback = verify_imaginary(spec, W, q=1.0)
+    assert cert.verdict == fallback.verdict == "PASS"
+    assert fallback.inputs["eigenvalues_checked"] == cert.inputs["eigenvalues_checked"] > 0
+    assert fallback.inputs["re_q_deviation"] <= 1e-6
+
+
 def test_verify_imaginary_zero_w_is_vacuous_pass():
     spec = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=1.0)
     grid = TorusGrid(d=1, N=48, L=16.0)
@@ -621,7 +635,7 @@ def _solver_calls(monkeypatch):
     """V bytes of every solve beneath the spectrum memo, the dimension of every
     eigensolve, and the count of shift-invert partner solves."""
     seen = {"solves": [], "dims": Counter(), "partners": 0}
-    solve, eig, nearest = spectra._solve_classified, spectra.eigensolve, dense.nearest_eigenvalue
+    solve, eig, nearest = spectra._solve_classified, spectra.eigensolve, dense.nearest_eigenpair
 
     def solve_spy(spec, grid, V):
         seen["solves"].append(V.values.tobytes())
@@ -637,7 +651,7 @@ def _solver_calls(monkeypatch):
 
     monkeypatch.setattr(spectra, "_solve_classified", solve_spy)
     monkeypatch.setattr(spectra, "eigensolve", eig_spy)
-    monkeypatch.setattr(dense, "nearest_eigenvalue", nearest_spy)
+    monkeypatch.setattr(dense, "nearest_eigenpair", nearest_spy)
     return seen
 
 

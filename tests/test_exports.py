@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bslab
-from bslab import certlab, cli
+from bslab import certlab, cli, dense
 
 MODULES = ["bslab"] + [f"bslab.{m.name}" for m in pkgutil.iter_modules(bslab.__path__)]
 
@@ -83,6 +83,41 @@ def test_dense_factorizations_live_only_in_dense():
         and (found := _linalg_boundary_breaches(path.stem, ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert breaches == {}
+
+
+# the only callers of each bslab.dense function, by module and top-level def or
+# class: a full decomposition added to a per-point path has to be listed here
+DENSE_CALLERS = {
+    "eigvals": {"spectra.eigensolve", "birman_schwinger.bs_residual"},
+    "eig": {"birman_schwinger.bs_eigenpair_near"},
+    "nearest_eigenpair": {"spectra._FinePartner", "birman_schwinger.bs_eigenpair_near"},
+    "logdet": {"birman_schwinger.regularized_det"},
+    "svdvals": {"birman_schwinger.assemble_bs"},
+}
+
+
+def _dense_callers(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    """(dense function, caller) for each ``dense.<name>`` reference in a module,
+    plus ("<import>", ...) for every import of names out of bslab.dense."""
+    found = []
+    for top in tree.body:
+        caller = f"{module}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "dense":
+                found.append((node.attr, caller))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "dense":
+                found.append(("<import>", caller))
+    return found
+
+
+def test_dense_functions_have_only_their_listed_callers():
+    callers = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "dense":
+            for name, caller in _dense_callers(path.stem, ast.parse(path.read_text(encoding="utf-8"))):
+                callers.setdefault(name, set()).add(caller)
+    assert callers == DENSE_CALLERS
+    assert set(DENSE_CALLERS) == set(dense.__all__)
 
 
 ROOT = Path(__file__).resolve().parents[1]
