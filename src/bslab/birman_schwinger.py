@@ -1,15 +1,20 @@
 """Birman-Schwinger operators M(z) = |V|^{1/2} (T(D) - z)^{-1} V^{1/2}.
 
 :func:`bs_matrix` is the one place M(z) is built -- potential check,
-half-potential split and the dense sandwiched resolvent.  On top of it
-this module computes Schatten norms from singular values and regularized
-Fredholm determinants det_n(I + M) from one LU factorization plus traces of
-powers of M, and locates determinant zeros inside rectangles of the complex
+half-potential split and the dense sandwiched resolvent, multiplied in place
+on the column-major R0(z), so M is the one operator-sized array it makes.
+:func:`assemble_bs` hands that M to an SVD that overwrites it and returns
+the singular values; callers that need M itself call :func:`bs_matrix`.
+On top of it this module computes Schatten norms from singular values and
+regularized Fredholm determinants det_n(I + M) from one LU factorization plus
+traces of powers of M, and locates determinant zeros inside rectangles of the complex
 plane by an argument-principle bisection with secant polishing.  The
 determinants along a search need no M(z): det_n(I + AB) = det_n(I + BA)
 and det_n is invariant under similarity, so :func:`bs_det_evaluator` builds
 the potential's matrix on Fourier modes once and multiplies it by the
-block-diagonal resolvent multiplier at each point.  For z off
+block-diagonal resolvent multiplier at each point, in one work matrix per
+search.  The search samples rectangle edges at exact fractions of their
+length, so refinement levels share their common points.  For z off
 the dispersion levels of T, the finite model makes the eigenvalue
 correspondence exact: z is an eigenvalue of H_0 + V iff -1 is an eigenvalue
 of M(z).  :func:`bs_eigenpair_near` measures it from one LU of I + M(z) and
@@ -24,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -102,19 +108,25 @@ def half_potentials(V: PotentialField) -> tuple[PotentialField, PotentialField]:
 
 
 def bs_matrix(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex) -> np.ndarray:
-    """Dense M(z) = |V|^{1/2} R0(z) V^{1/2}."""
+    """Dense M(z) = |V|^{1/2} R0(z) V^{1/2}, column-major.
+
+    The half potentials multiply the freshly assembled R0(z) in place, so M
+    is the only operator-sized array the call leaves behind; the caller owns it.
+    """
     V.check_fits(grid, spec.n)
     left, right = half_potentials(V)  # |V|^{1/2}, V^{1/2}
     rmat = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid)
     return site_diagonal_sandwich(left.values, rmat, right.values, grid)
 
 
-def assemble_bs(
-    spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex
-) -> tuple[np.ndarray, np.ndarray]:
-    """M(z) from :func:`bs_matrix` and its singular values, nonincreasing."""
-    M = bs_matrix(spec, grid, V, z)
-    return M, dense.svdvals(M)
+def assemble_bs(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex) -> np.ndarray:
+    """Singular values of M(z), nonincreasing.
+
+    The SVD overwrites the M that :func:`bs_matrix` builds, so one
+    operator-sized array serves the whole call; a caller that needs M itself
+    builds it with :func:`bs_matrix`.
+    """
+    return dense.svdvals(bs_matrix(spec, grid, V, z))
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +183,26 @@ def regularized_det(M: np.ndarray, order: int) -> DetValue:
     det(I+M) comes from one LU factorization (dense.logdet); the regularizing
     factor from traces of powers of M, so order 2 costs only tr M and each
     higher order one more matrix product.  Magnitude and phase are combined
-    in log form.  A singular I+M gives log_abs = -inf and value 0.  M is not
-    modified.
+    in log form.  A singular I+M gives log_abs = -inf and value 0.  The LU
+    sees I + M through M's own diagonal, shifted by one and then restored
+    bit for bit, so M must be writable and is unchanged on return.
     """
     order = int(order)
     if order < 1:
         raise ValueError(f"determinant regularization order must be >= 1, got {order}")
     mat = np.asarray(M, dtype=complex)
-    shifted = mat.copy()
-    shifted.flat[:: mat.shape[0] + 1] += 1.0
-    log_abs, angle = dense.logdet(shifted)
     reg = 0j
     power = mat
     for k in range(1, order):
         if k > 1:
             power = power @ mat
         reg += (-1) ** k * complex(np.trace(power)) / k
+    diagonal = mat.diagonal().copy()
+    mat.flat[:: mat.shape[0] + 1] += 1.0  # I + M for the factorization, then M again
+    try:
+        log_abs, angle = dense.logdet(mat)
+    finally:
+        mat.flat[:: mat.shape[0] + 1] = diagonal
     log_abs += reg.real
     phase = math.remainder(angle + reg.imag, _TWO_PI)
 
@@ -264,20 +280,22 @@ def bs_det_evaluator(
     (the resolvent multiplier) and G^ = F V F^{-1} the potential's matrix on
     modes.  P is similar to R0(z) V, so det_n(I + P) = det_n(I + M(z)) for
     every order n.  The potential's grid is checked and G^ is built once,
-    here; each point costs one block-diagonal product and one LU.
+    here, with the one work matrix of the search; each point writes
+    P(z) into that matrix by a block-diagonal product and takes one LU of it.
     """
     V.check_fits(grid, spec.n)
     n, size = spec.n, grid.size
     blocks = V.values if V.is_matrix else V.values[..., None, None] * np.eye(n)
-    # conj(F^{-1} conj(v) F) = F v F^{-1}: the site samples, read as a multiplier
-    G = multiplier_matrix(np.conj(blocks), grid)
-    np.conj(G, out=G)
+    # conj(F^{-1} conj(v) F) = F v F^{-1}: the site samples, read as a multiplier;
+    # row-major, so that block row x of the product is r(x) times block row x of G^
     dim = size * n
-    G = G.reshape(size, n, dim)
+    G = np.conj(multiplier_matrix(np.conj(blocks), grid), order="C").reshape(size, n, dim)
+    work = np.empty((dim, dim), dtype=complex)
 
     def det(z: complex) -> DetValue:
         r = resolvent_multiplier(spec, grid, z).reshape(size, n, n)
-        return regularized_det((r @ G).reshape(dim, dim), order)
+        np.matmul(r, G, out=work.reshape(size, n, dim))
+        return regularized_det(work, order)
 
     return det
 
@@ -318,8 +336,18 @@ class _DetSampler:
         return val
 
 
-def _phase_change(sampler: _DetSampler, a: complex, b: complex, min_len: float):
-    """Continuous phase increment of det along [a, b]; None if a zero sits on it.
+def _edge_point(edge: tuple[complex, complex], t: Fraction) -> complex:
+    """The point at exact fraction t of the way along edge = (a, b).
+
+    Every sample of an edge comes from its fraction, so one fraction reached
+    at two refinement levels is one point and one cached determinant.
+    """
+    a, b = edge
+    return b if t == 1 else a + (b - a) * float(t)
+
+
+def _phase_change(sampler: _DetSampler, edge, t0: Fraction, t1: Fraction, min_len: float):
+    """Continuous phase increment of det along an edge, fractions t0 to t1; None if a zero sits on it.
 
     Every interval is verified against its own midpoint: the direct step and
     the two half steps are congruent mod 2 pi by construction, so any
@@ -327,6 +355,7 @@ def _phase_change(sampler: _DetSampler, a: complex, b: complex, min_len: float):
     Tameness of each half (phase step <= pi/2, log-magnitude step <= 1)
     guards against a whirl aligned so the midpoint fails to reveal it.
     """
+    a, b = _edge_point(edge, t0), _edge_point(edge, t1)
     la, pa = sampler(a)
     lb, pb = sampler(b)
     direct = math.remainder(pb - pa, _TWO_PI)
@@ -334,8 +363,8 @@ def _phase_change(sampler: _DetSampler, a: complex, b: complex, min_len: float):
         if math.isfinite(la) and math.isfinite(lb) and abs(direct) <= 0.5 * math.pi and abs(lb - la) <= 1.0:
             return direct
         return None
-    mid = 0.5 * (a + b)
-    lm, pm = sampler(mid)
+    mid = (t0 + t1) / 2
+    lm, pm = sampler(_edge_point(edge, mid))
     s1 = math.remainder(pm - pa, _TWO_PI)
     s2 = math.remainder(pb - pm, _TWO_PI)
     if (
@@ -349,10 +378,10 @@ def _phase_change(sampler: _DetSampler, a: complex, b: complex, min_len: float):
         and abs(direct - (s1 + s2)) < 1e-6
     ):
         return s1 + s2
-    left = _phase_change(sampler, a, mid, min_len)
+    left = _phase_change(sampler, edge, t0, mid, min_len)
     if left is None:
         return None
-    right = _phase_change(sampler, mid, b, min_len)
+    right = _phase_change(sampler, edge, mid, t1, min_len)
     if right is None:
         return None
     return left + right
@@ -366,11 +395,9 @@ def _winding_at(sampler: _DetSampler, x0, x1, y0, y1, min_len, segments):
         complex(x0, y1),
     ]
     total = 0.0
-    for a, b in zip(corners, corners[1:] + corners[:1]):
+    for edge in zip(corners, corners[1:] + corners[:1]):
         for k in range(segments):
-            p = a + (b - a) * (k / segments)
-            qq = a + (b - a) * ((k + 1) / segments) if k < segments - 1 else b
-            step = _phase_change(sampler, p, qq, min_len)
+            step = _phase_change(sampler, edge, Fraction(k, segments), Fraction(k + 1, segments), min_len)
             if step is None:
                 return None
             total += step

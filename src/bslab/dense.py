@@ -4,6 +4,9 @@ Every eigendecomposition, SVD and determinant of a Hamiltonian or
 Birman-Schwinger matrix runs here.  numpy links its own BLAS, and on a few
 cores the idle workers of one threaded BLAS stall the threads of the other,
 so nothing here runs on numpy's.  Inputs are not checked for finiteness.
+Operators arrive column-major (:mod:`bslab.lattice`), LAPACK's own order.
+:func:`svdvals` overwrites the matrix it is given, so its caller passes one
+it owns; the other functions leave their argument as it was.
 """
 
 from __future__ import annotations
@@ -31,8 +34,12 @@ def eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def svdvals(A: np.ndarray) -> np.ndarray:
-    """Singular values of A, nonincreasing."""
-    return scipy.linalg.svdvals(A, check_finite=False)
+    """Singular values of A, nonincreasing; A is overwritten.
+
+    zgesdd reduces an F-contiguous complex A in place, so a column-major
+    operator costs no copy; any other A is copied first and left as it was.
+    """
+    return scipy.linalg.svdvals(A, overwrite_a=True, check_finite=False)
 
 
 def logdet(A: np.ndarray) -> tuple[float, float]:

@@ -15,8 +15,11 @@ Parseval then reads (L/N)^d sum|f|^2 = L^{-d} sum|fhat|^2.
 
 Only this module knows the field layout: samples of shape grid.shape
 (scalar), grid.shape + (n,) (spinor) or grid.shape + (n, n) (site block), and
-the site-major, spinor-minor index of dense operators: :func:`multiplier_matrix`
-transforms the site identity once and fills block (i, a) from it and m_ia.
+the site-major, spinor-minor index of dense operators.  Dense operators are
+column-major (F-contiguous), LAPACK's order: :func:`multiplier_matrix`
+transforms the site identity in small chunks and writes each column of block
+(i, a) in place; :func:`site_diagonal_sandwich` and :func:`add_site_diagonal`
+modify the matrix they are given, so no second operator-sized array exists.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
 
 _N_CAP = {1: 4096, 2: 64, 3: 16}
 _DENSE_CAP = 8192  # hard cap on N^d * n for dense operator assembly
+_SCRATCH = 1 << 16  # complex elements per scratch buffer of a chunked dense assembly
 
 
 @dataclass(frozen=True)
@@ -216,14 +220,16 @@ def dense_dim(grid: TorusGrid, n: int) -> int:
 
 
 def multiplier_matrix(m: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Dense matrix of a Fourier multiplier on coefficient vectors.
+    """Dense matrix of a Fourier multiplier on coefficient vectors, column-major.
 
     m is a scalar multiplier (shape grid.shape) or an (n, n) block multiplier
     (grid.shape + (n, n)) acting on n-component spinors.  Index layout is
     site-major, spinor-minor (row-major sites); the matrix acts on
-    f.values.reshape(-1), capped by :func:`dense_dim`.  The site identity is
-    transformed once per call; block (i, a) is the scalar multiplier matrix
-    of m[..., i, a].
+    f.values.reshape(-1), capped by :func:`dense_dim`.  The result is
+    F-contiguous, LAPACK's order, so a factorization may take it without a
+    copy.  The site identity is transformed in chunks of at most _SCRATCH
+    elements; column j of block (i, a) is the inverse transform of m[..., i, a]
+    times the transformed site j, written straight into its column.
     """
     mvals = np.asarray(m, dtype=complex)
     blocks = mvals[..., None, None] if mvals.shape == grid.shape else mvals
@@ -233,8 +239,9 @@ def multiplier_matrix(m: np.ndarray, grid: TorusGrid) -> np.ndarray:
     dim = dense_dim(grid, n)
     size = grid.size
     axes = tuple(range(1, grid.d + 1))
-    out = np.empty((size, n, size, n), dtype=complex)
-    chunk = max(1, min(size, (1 << 23) // size))
+    out = np.empty((dim, dim), dtype=complex, order="F")
+    columns = out.T.reshape(size, n, size, n)  # [y, a, x, i] is out[x*n + i, y*n + a]
+    chunk = max(1, min(size, _SCRATCH // size))
     for lo in range(0, size, chunk):
         hi = min(lo + chunk, size)
         cols = np.eye(hi - lo, size, k=lo, dtype=complex)
@@ -243,30 +250,37 @@ def multiplier_matrix(m: np.ndarray, grid: TorusGrid) -> np.ndarray:
         for i, a in np.ndindex(n, n):  # the spent identity rows hold each block in turn
             np.multiply(spec, blocks[..., i, a], out=fields)
             np.fft.ifftn(fields, axes=axes, out=fields)
-            out[:, i, lo:hi, a] = cols.T
-    return out.reshape(dim, dim)
+            columns[lo:hi, a, :, i] = cols
+    return out
 
 
 def site_diagonal_sandwich(
     left: np.ndarray, mat: np.ndarray, right: np.ndarray, grid: TorusGrid
 ) -> np.ndarray:
-    """diag(left) @ mat @ diag(right) in the layout of multiplier_matrix.
+    """mat <- diag(left) @ mat @ diag(right) in place, in the layout of multiplier_matrix.
 
     left and right are site-local: scalar samples (grid.shape, acting on
     each of the n spinor components) or (n, n) site blocks; n is
-    mat.shape[0] // grid.size.
+    mat.shape[0] // grid.size.  Returns mat.  Scalar factors scale rows,
+    then columns.  Site blocks are applied to the columns of a few sites at a
+    time (about _SCRATCH elements), left factor first, by the same einsum as
+    over the whole matrix.
     """
     size = grid.size
     n = mat.shape[0] // size
     if left.ndim == grid.d:
-        out = np.repeat(left.ravel(), n)[:, None] * mat
-        out *= np.repeat(right.ravel(), n)[None, :]
-        return out
+        np.multiply(np.repeat(left.ravel(), n)[:, None], mat, out=mat)
+        mat *= np.repeat(right.ravel(), n)[None, :]
+        return mat
     lb = left.reshape(size, n, n)
     rb = right.reshape(size, n, n)
-    m = mat.reshape(size, n, size, n)
-    out = np.einsum("xab,xbyc,ycd->xayd", lb, m, rb, optimize=True)
-    return out.reshape(size * n, size * n)
+    step = max(1, _SCRATCH // (mat.shape[0] * n))
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        cols = mat[:, lo * n : hi * n]
+        block = cols.reshape(size, n, hi - lo, n)
+        cols[...] = np.einsum("xab,xbyc,ycd->xayd", lb, block, rb[lo:hi], optimize=True).reshape(cols.shape)
+    return mat
 
 
 def add_site_diagonal(mat: np.ndarray, values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -276,6 +290,7 @@ def add_site_diagonal(mat: np.ndarray, values: np.ndarray, grid: TorusGrid) -> n
     if values.ndim == grid.d:
         mat[np.diag_indices_from(mat)] += np.repeat(values.ravel(), n)
     else:
-        idx = np.arange(size)
-        mat.reshape(size, n, size, n)[idx, :, idx, :] += values.reshape(size, n, n)
+        first = np.arange(size)[:, None, None] * n  # entry (x, i, a) sits at (first + i, first + a)
+        spin = np.arange(n)
+        mat[first + spin[:, None], first + spin[None, :]] += values.reshape(size, n, n)
     return mat

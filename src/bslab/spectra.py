@@ -117,7 +117,7 @@ def assemble_hamiltonian(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -
     A fresh writable copy of the cached T(D) with the site diagonal added.
     """
     V.check_fits(grid, spec.n)
-    return add_site_diagonal(_kinetic_matrix(spec, grid).copy(), V.values, grid)
+    return add_site_diagonal(_kinetic_matrix(spec, grid).copy(order="F"), V.values, grid)
 
 
 def eigensolve(H: np.ndarray) -> np.ndarray:

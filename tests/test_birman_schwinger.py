@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,10 @@ FRAC = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=1.5)
 def gaussian_well(grid, amplitude, width=1.0):
     spec = PotentialSpec("gaussian", {"amplitude": 1.0, "width": width, "center": [grid.L / 2]})
     return sample_potential(spec, grid).scaled(amplitude)
+
+
+def _gaussian_2d(grid, amplitude, width):
+    return sample_potential(PotentialSpec("gaussian", {"amplitude": amplitude, "width": width}), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +90,8 @@ def test_half_potentials_matrix_case():
 def test_assemble_zero_potential():
     grid = TorusGrid(d=1, N=16, L=8.0)
     V = PotentialField(grid, np.zeros(grid.shape))
-    M, sv = assemble_bs(FRAC, grid, V, z=-1.0 + 0.5j)
+    M = bs_matrix(FRAC, grid, V, z=-1.0 + 0.5j)
+    sv = assemble_bs(FRAC, grid, V, z=-1.0 + 0.5j)
     assert np.all(M == 0)
     assert np.all(sv == 0)
     assert schatten_norm(sv, 2.0) == 0.0
@@ -95,7 +101,7 @@ def test_single_site_potential_rank_one():
     grid = TorusGrid(d=1, N=32, L=8.0)
     vals = np.zeros(grid.shape, dtype=complex)
     vals[7] = -2.0 + 1.0j
-    _, sv = assemble_bs(FRAC, grid, PotentialField(grid, vals), z=-0.8 + 0.3j)
+    sv = assemble_bs(FRAC, grid, PotentialField(grid, vals), z=-0.8 + 0.3j)
     assert sv[0] > 0
     assert sv[1] < 1e-12 * sv[0]
 
@@ -104,7 +110,7 @@ def test_hs_norm_matches_kernel_double_sum():
     grid = TorusGrid(d=1, N=64, L=16.0)
     z = -0.7 + 0.4j
     V = gaussian_well(grid, -1.5 - 0.8j)
-    _, sv = assemble_bs(FRAC, grid, V, z)
+    sv = assemble_bs(FRAC, grid, V, z)
     hs = schatten_norm(sv, 2.0)
 
     kern = kernel_array(ResolventHandle(FRAC, grid, z))
@@ -123,7 +129,7 @@ def test_order_variants_share_nonzero_spectra():
     abs_half, signed_half = half_potentials(V)
     rmat = multiplier_matrix(resolvent_multiplier(FRAC, grid, z), grid)
     swapped = site_diagonal_sandwich(signed_half.values, rmat, abs_half.values, grid)
-    mu_a = np.linalg.eigvals(assemble_bs(FRAC, grid, V, z)[0])
+    mu_a = np.linalg.eigvals(bs_matrix(FRAC, grid, V, z))
     mu_b = np.linalg.eigvals(swapped)
     big_a = sorted((m for m in mu_a if abs(m) > 1e-9), key=abs, reverse=True)
     big_b = list(m for m in mu_b if abs(m) > 1e-9)
@@ -138,7 +144,7 @@ def test_operator_norm_below_hilbert_schmidt():
     grid = TorusGrid(d=1, N=40, L=10.0)
     V = gaussian_well(grid, 2.0 - 0.5j)
     for z in (-0.5 + 0.2j, 1.3 + 0.9j):
-        _, sv = assemble_bs(FRAC, grid, V, z)
+        sv = assemble_bs(FRAC, grid, V, z)
         assert sv[0] <= schatten_norm(sv, 2.0) + 1e-14
 
 
@@ -149,8 +155,8 @@ def test_matrix_potential_reduces_to_scalar():
     scalar = PotentialField(grid, v)
     matrix = PotentialField(grid, v[..., None, None] * np.eye(2))
     z = 0.3 + 0.5j
-    M_s, _ = assemble_bs(spec, grid, scalar, z)
-    M_m, _ = assemble_bs(spec, grid, matrix, z)
+    M_s = bs_matrix(spec, grid, scalar, z)
+    M_m = bs_matrix(spec, grid, matrix, z)
     assert np.max(np.abs(M_s - M_m)) < 1e-12
 
 
@@ -162,12 +168,37 @@ def test_assemble_validations():
         assemble_bs(FRAC, other, V, -1.0)
 
 
+DIRAC2 = SymbolSpec(kind=SymbolKind.DIRAC_MASSLESS, d=2)
+
+
 def test_assemble_bs_wraps_bs_matrix():
-    grid = TorusGrid(d=1, N=16, L=8.0)
-    V = gaussian_well(grid, -1.3 + 0.4j)
-    M, sv = assemble_bs(FRAC, grid, V, -0.6 + 0.3j)
-    assert np.array_equal(M, bs_matrix(FRAC, grid, V, -0.6 + 0.3j))
-    assert np.all(sv >= 0) and np.all(np.diff(sv) <= 0)
+    # bit for bit the SVD of a copy of the column-major M, for a scalar and a spinor case
+    z = -0.6 + 0.3j
+    line, plane = TorusGrid(d=1, N=16, L=8.0), TorusGrid(d=2, N=8, L=4.8)
+    for spec, grid, V in (
+        (FRAC, line, gaussian_well(line, -1.3 + 0.4j)),
+        (DIRAC2, plane, _gaussian_2d(plane, 1.0, 0.9)),
+    ):
+        M = bs_matrix(spec, grid, V, z)
+        sv = assemble_bs(spec, grid, V, z)
+        assert M.flags.f_contiguous
+        assert np.array_equal(M, bs_matrix(spec, grid, V, z))
+        assert np.array_equal(sv, dense.svdvals(M.copy()))
+        assert np.all(sv >= 0) and np.all(np.diff(sv) <= 0)
+
+
+def test_assemble_bs_peak_memory_is_one_matrix():
+    # the SVD overwrites the one M that the sandwich built in place on R0
+    grid = TorusGrid(d=2, N=20, L=4.8)
+    V = _gaussian_2d(grid, 1.0, 0.9)
+    matrix_bytes = (grid.size * DIRAC2.n) ** 2 * 16
+    tracemalloc.start()
+    try:
+        assemble_bs(DIRAC2, grid, V, 1.0 + 0.2j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * matrix_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +315,7 @@ def test_subcritical_potential_keeps_margin():
     grid = TorusGrid(d=1, N=32, L=8.0)
     V = gaussian_well(grid, -0.05 - 0.02j)
     z = -0.4 + 0.3j
-    _, sv = assemble_bs(FRAC, grid, V, z)
+    sv = assemble_bs(FRAC, grid, V, z)
     sigma1 = sv[0]
     assert sigma1 < 1.0
     residual = bs_principle_check(FRAC, grid, V, z)

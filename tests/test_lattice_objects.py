@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bslab import spectra
+from bslab import lattice, spectra
 from bslab.lattice import (
     GridFunction,
     TorusGrid,
@@ -178,13 +178,16 @@ def test_site_diagonal_embedding_is_the_block_diagonal_product(field, n_scalar, 
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     L, R = _block_diagonal(left, grid, n), _block_diagonal(right, grid, n)
-    got = site_diagonal_sandwich(left, mat, right, grid)
+    work = mat.copy(order="F")  # the sandwich overwrites its matrix
+    got = site_diagonal_sandwich(left, work, right, grid)
+    assert got is work
     scale = np.abs(mat).max() * max(1.0, np.abs(left).max() * np.abs(right).max())
     assert np.max(np.abs(got - L @ mat @ R)) <= 1e-12 * n * scale
     if layout == "scalar":  # one temporary, the same products as the two-temporary expression
         lvec, rvec = np.repeat(left.ravel(), n), np.repeat(right.ravel(), n)
         assert np.array_equal(got, lvec[:, None] * mat * rvec[None, :])
-    assert np.array_equal(add_site_diagonal(mat.copy(), left, grid), mat + L)
+    for order in "CF":
+        assert np.array_equal(add_site_diagonal(mat.copy(order=order), left, grid), mat + L)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +250,14 @@ def test_scalar_multiplier_matrix_is_the_identity_fft_assembly(lattice, seed):
 
 
 def test_chunked_scalar_multiplier_matrix_is_the_identity_fft_assembly():
-    grid = TorusGrid(1, 3000, 60.0)  # 2^23 // 3000 = 2796 rows per chunk: two chunks
+    # the reference takes 2796 columns per chunk (two chunks), multiplier_matrix
+    # 2^16 // 3000 = 21 (143 chunks): a column's transform does not see its chunk
+    grid = TorusGrid(1, 3000, 60.0)
+    assert grid.size // (lattice._SCRATCH // grid.size) >= 3
     m = _multiplier(SymbolSpec(SymbolKind.FRACTIONAL_LAPLACIAN, 1, 1.5), grid, 0)
-    assert np.array_equal(multiplier_matrix(m, grid), _identity_fft_matrix(m, grid))
+    got = multiplier_matrix(m, grid)
+    assert got.flags.f_contiguous
+    assert np.array_equal(got, _identity_fft_matrix(m, grid))
 
 
 @given(lattices(), st.sampled_from(_POTENTIALS), st.integers(0, 2**32 - 1))
