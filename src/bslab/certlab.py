@@ -39,7 +39,7 @@ from .birman_schwinger import (
     schatten_order,
 )
 from .conformal import weighted_blaschke_sum
-from .lattice import GridFunction, TorusGrid, lp_norm, multiplier_matrix, per_site, site_magnitudes
+from .lattice import GridFunction, TorusGrid, lp_norm, site_magnitudes
 from .potentials import PotentialField, imaginary_potential, potential_norm, scaled_field
 from .resolvent import (
     ResolventHandle,
@@ -113,7 +113,6 @@ THEOREM_IDS = (
 _BISECT_STEPS = 14  # main: bisection steps on t* after the power-of-two bracket
 _SWEEP_SHAPE = (6, 4)  # main: K-grid of the eigenvalue-free sweep just below t*
 _SUM_SPACE_PROBES = 4  # uniform-resolvent: random fields per point below s = 2d/(d+1)
-_SUM_SPACE_THRESHOLDS = 65  # uniform-resolvent: split thresholds of sum_space_norm's tau ladder
 _SCALING_TS = (0.25, 0.5, 1.0, 2.0, 4.0)  # individual-bounds: co-rescalings, against t = 1
 _FAMILY_SIZE = 6  # individual-bounds: seeded rescaled copies of V behind the empirical constants
 _IMAGINARY_LADDER = (1.0, math.sqrt(2.0), 2.0, 2.0 * math.sqrt(2.0), 4.0)  # imaginary: couplings
@@ -140,79 +139,49 @@ class RegimeError(ValueError):
 
 @dataclass(frozen=True)
 class Region:
-    """Compact window K in the complex plane, kept away from critical values.
+    """Compact rectangular window K in the complex plane, kept away from critical values.
 
-    shape "rectangle": bounds = (re_lo, re_hi, im_lo, im_hi).
-    shape "annulus_sector": bounds = (r_lo, r_hi, arg_lo, arg_hi), centered
-    at the origin with the angular interval in radians (span below 2*pi).
-
-    ``clearance`` declares a minimum distance to the critical values of the
-    symbol; ``validate_for`` checks the declaration against an actual symbol.
+    bounds = (re_lo, re_hi, im_lo, im_hi), a closed rectangle.  ``clearance``
+    declares a minimum distance to the critical values of the symbol;
+    ``validate_for`` checks the declaration against an actual symbol.
     """
 
-    shape: str
     bounds: tuple
     clearance: float = 0.1
 
     def __post_init__(self):
-        if self.shape not in ("rectangle", "annulus_sector"):
-            raise ValueError(f"unknown region shape {self.shape!r}")
         b = tuple(float(v) for v in self.bounds)
         if len(b) != 4:
             raise ValueError("region bounds need exactly four numbers")
         object.__setattr__(self, "bounds", b)
-        if self.shape == "rectangle":
-            if not (b[0] < b[1] and b[2] < b[3]):
-                raise ValueError(f"degenerate rectangle bounds {b}")
-        else:
-            if not (0.0 <= b[0] < b[1]):
-                raise ValueError(f"annulus radii must satisfy 0 <= r_lo < r_hi, got {b[:2]}")
-            if not (b[2] < b[3] and b[3] - b[2] < 2.0 * math.pi):
-                raise ValueError(f"angular interval {b[2:]} must be increasing with span < 2*pi")
+        if not (b[0] < b[1] and b[2] < b[3]):
+            raise ValueError(f"degenerate rectangle bounds {b}")
         if self.clearance <= 0.0:
             raise ValueError("clearance must be positive")
-
-    def _fold_angle(self, theta: float) -> float:
-        lo = self.bounds[2]
-        return lo + (theta - lo) % (2.0 * math.pi)
 
     def contains(self, z: complex) -> bool:
         z = complex(z)
         b = self.bounds
-        if self.shape == "rectangle":
-            return b[0] <= z.real <= b[1] and b[2] <= z.imag <= b[3]
-        r = abs(z)
-        if not b[0] <= r <= b[1]:
-            return False
-        return self._fold_angle(cmath.phase(z)) <= b[3]
+        return b[0] <= z.real <= b[1] and b[2] <= z.imag <= b[3]
 
     def sample_grid(self, nx: int = 7, ny: int = 5) -> np.ndarray:
         """Deterministic nx-by-ny sampling of K, flattened to a complex vector."""
         b = self.bounds
-        if self.shape == "rectangle":
-            re = np.linspace(b[0], b[1], nx)
-            im = np.linspace(b[2], b[3], ny)
-            return (re[:, None] + 1j * im[None, :]).reshape(-1)
-        r = np.linspace(b[0], b[1], nx)
-        th = np.linspace(b[2], b[3], ny)
-        return (r[:, None] * np.exp(1j * th[None, :])).reshape(-1)
+        re = np.linspace(b[0], b[1], nx)
+        im = np.linspace(b[2], b[3], ny)
+        return (re[:, None] + 1j * im[None, :]).reshape(-1)
 
     def distance_to(self, w: complex) -> float:
         """Euclidean distance from the point w to the closed region."""
         w = complex(w)
         b = self.bounds
-        if self.shape == "rectangle":
-            dx = max(b[0] - w.real, 0.0, w.real - b[1])
-            dy = max(b[2] - w.imag, 0.0, w.imag - b[3])
-            return math.hypot(dx, dy)
-        r, theta = abs(w), self._fold_angle(cmath.phase(w))
-        if theta <= b[3]:
-            return max(b[0] - r, r - b[1], 0.0)
-        # nearest point lies on one of the two radial edge segments
-        return min(
-            _point_segment_distance(w, b[0] * cmath.exp(1j * b[2]), b[1] * cmath.exp(1j * b[2])),
-            _point_segment_distance(w, b[0] * cmath.exp(1j * b[3]), b[1] * cmath.exp(1j * b[3])),
-        )
+        dx = max(b[0] - w.real, 0.0, w.real - b[1])
+        dy = max(b[2] - w.imag, 0.0, w.imag - b[3])
+        return math.hypot(dx, dy)
+
+    def record(self) -> dict:
+        """Certificate entry of K; the schema keeps its ``"shape": "rectangle"`` key."""
+        return {"shape": "rectangle", "bounds": list(self.bounds), "clearance": self.clearance}
 
     def validate_for(self, spec: SymbolSpec) -> None:
         for c in critical_values(spec):
@@ -223,13 +192,6 @@ class Region:
                     f"region comes within {gap:.3g} of the critical value {c}, "
                     f"closer than its declared clearance {self.clearance}"
                 )
-
-
-def _point_segment_distance(w: complex, a: complex, b: complex) -> float:
-    u = b - a
-    t = ((w - a).real * u.real + (w - a).imag * u.imag) / max(abs(u) ** 2, 1e-300)
-    t = min(1.0, max(0.0, t))
-    return abs(w - (a + t * u))
 
 
 @dataclass(frozen=True)
@@ -447,31 +409,28 @@ def _threshold_bracket(
 
 
 def sum_space_norm(f: GridFunction, r_lo: float, r_hi: float) -> float:
-    """Norm of f in L^{r_lo} + L^{r_hi} via optimized magnitude-threshold splits.
+    """Norm of f in L^{r_lo} + L^{r_hi}: the exact minimum over magnitude-threshold splits.
 
-    Scans the split f = f*1{|f|>tau} + f*1{|f|<=tau} over a logarithmic tau
-    ladder and returns the smallest ||f1||_{r_lo} + ||f2||_{r_hi}; the large
-    values go into the lower-exponent space.  Threshold splits realize the
-    infimum for rearrangement-invariant pairs up to the ladder resolution.
+    The split f = f*1{|f|>tau} + f*1{|f|<=tau} sends the large values to the
+    lower-exponent space.  With the site magnitudes sorted in decreasing
+    order, the k largest go to L^{r_lo} and the rest to L^{r_hi}; one sort and
+    a cumulative sum from each end price every k at once, and k stops only
+    between distinct magnitudes, so equal magnitudes stay on one side.
+    Threshold splits realize the infimum for rearrangement-invariant pairs.
     """
     if not 1.0 <= r_lo <= r_hi:
         raise ValueError(f"need 1 <= r_lo <= r_hi, got {r_lo}, {r_hi}")
-    vals = np.asarray(f.values)
-    mags = site_magnitudes(vals, f.grid.d)
-    top = float(mags.max())
-    if top == 0.0:
-        return 0.0
-    positive = mags[mags > 0]
-    taus = np.concatenate(
-        ([0.0], np.geomspace(max(float(positive.min()), 1e-300 * top), top, _SUM_SPACE_THRESHOLDS))
-    )
-    best = math.inf
-    for tau in taus:
-        mask = per_site(mags > tau, vals, f.grid.d)
-        f1 = GridFunction(f.grid, np.where(mask, vals, 0.0))
-        f2 = GridFunction(f.grid, np.where(mask, 0.0, vals))
-        best = min(best, lp_norm(f1, r_lo) + lp_norm(f2, r_hi))
-    return best
+    mags = np.sort(site_magnitudes(np.asarray(f.values), f.grid.d).ravel())[::-1]
+
+    def prefix_norms(m: np.ndarray, p: float) -> np.ndarray:
+        # entry k is the L^p norm of the first k magnitudes of m, for k = 0..len(m)
+        if math.isinf(p):
+            return np.concatenate(([0.0], np.maximum.accumulate(m)))
+        return (f.grid.weight * np.concatenate(([0.0], np.cumsum(m**p)))) ** (1.0 / p)
+
+    costs = prefix_norms(mags, r_lo) + prefix_norms(mags[::-1], r_hi)[::-1]
+    splits = np.concatenate(([True], mags[:-1] > mags[1:], [True]))
+    return float(costs[splits].min())
 
 
 def fixed_argument_ray(theta: float, r_lo: float, r_hi: float, count: int = 9) -> list[complex]:
@@ -622,7 +581,7 @@ def verify_main(
     pts_unit = discrete_in(1.0)
     lhs = weighted_blaschke_sum(pts_unit, "plain") if pts_unit else 0.0
     inputs = _inputs_head(spec, q, V) | {
-        "region": {"shape": K.shape, "bounds": list(K.bounds), "clearance": K.clearance},
+        "region": K.record(),
         "points_in_window": [complex(p.z) for p in pts_unit],
         "t_max": t_max,
     }
@@ -737,7 +696,7 @@ def verify_uniform_resolvent(
             zs.append(lifted)
     inputs = _inputs_head(spec, None) | {
         "p": p,
-        "region": {"shape": K.shape, "bounds": list(K.bounds), "clearance": K.clearance},
+        "region": K.record(),
         "n_scan_points": len(zs),
     }
     if len(zs) < 8:
@@ -1038,8 +997,9 @@ def verify_imaginary(
 ) -> BoundCertificate:
     """Checks specific to V = iW with W >= 0.
 
-    (i) the resolvent identity Im R0(z) = (Im z) R0(z) R0(conj z) as dense
-    matrices, to 1e-10; (ii) at every Discrete eigenvalue of H0 + itW the
+    (i) the resolvent identity Im R0(z) = (Im z) R0(z) R0(conj z), checked
+    per Fourier mode on the (n, n) multiplier blocks (T is Hermitian), to
+    1e-10 in relative Frobenius norm; (ii) at every Discrete eigenvalue of H0 + itW the
     unit BS eigenvector g satisfies Re<Qg, g>/<g, g> = 1 within 1e-6, where
     Q(z) = -i sqrt(W) R0(z) sqrt(W); (iii) reports the supremum of
     |z|^{2q-d/s} |Im z|^{-q} / ||V||_q^q over the eigenvalue family.
@@ -1050,13 +1010,17 @@ def verify_imaginary(
     preflight_imaginary(spec, W, q)
     Vi = imaginary_potential(W)
 
-    # (i) resolvent identity as dense matrices
+    # (i) resolvent identity per Fourier mode: R0 is unitarily block-diagonal
+    # there, so the dense matrices' Frobenius residual is the modes' one
+    def mode_blocks(w: complex) -> np.ndarray:
+        r = resolvent_multiplier(spec, grid, w)
+        return r if spec.is_dirac else r[..., None, None]
+
     resid_identity = 0.0
     for z in _IDENTITY_POINTS:
-        R = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid)
-        Rc = multiplier_matrix(resolvent_multiplier(spec, grid, z.conjugate()), grid)
-        im_part = (R - R.conj().T) / 2j
-        resid = np.linalg.norm(im_part - z.imag * (R @ Rc)) / np.linalg.norm(im_part)
+        r, rc = mode_blocks(z), mode_blocks(z.conjugate())
+        im_part = (r - np.conj(np.swapaxes(r, -1, -2))) / 2j
+        resid = np.linalg.norm(im_part - z.imag * (r @ rc)) / np.linalg.norm(im_part)
         resid_identity = max(resid_identity, float(resid))
 
     # (ii) + (iii) over the coupling ladder

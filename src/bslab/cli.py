@@ -217,8 +217,8 @@ def load_config(path) -> ExperimentConfig:
     potential = _load_potential(doc, grid, path.parent)
     run = _get_block(doc, "run", required=False)
     seed = run.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("run.seed", "must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("run.seed", "must be a nonnegative integer")
     theorems = run.get("theorems", [])
     if not isinstance(theorems, list) or not all(isinstance(t, str) for t in theorems):
         raise ConfigError("run.theorems", "must be a list of theorem ids")
@@ -248,13 +248,16 @@ def _as_number(key: str, val) -> float:
 def _as_region(key: str, block) -> Region:
     if not isinstance(block, dict):
         raise ConfigError(f"run.{key}", "must be a JSON object")
+    shape = block.get("shape", "rectangle")
+    if shape != "rectangle":
+        raise ConfigError(f"run.{key}.shape", f"unknown region shape {shape!r}; K is a rectangle")
     bounds = block.get("bounds", [])
     for v in np.asarray(bounds, dtype=object).ravel():
         _number(f"run.{key}.bounds", v)
     clearance = block.get("clearance", 0.1)
     _number(f"run.{key}.clearance", clearance)
     try:
-        return Region(shape=block.get("shape", "rectangle"), bounds=tuple(bounds), clearance=clearance)
+        return Region(bounds=tuple(bounds), clearance=clearance)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"run.{key}", str(err))
 

@@ -234,7 +234,7 @@ def test_criterion_5_resolvent_uniformity_contrast():
     t_start = time.perf_counter()
     spec = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=1.5)
     grid = TorusGrid(d=1, N=256, L=40.0)
-    K = Region("rectangle", (0.5, 3.0, 0.01, 0.6))
+    K = Region((0.5, 3.0, 0.01, 0.6))
     cert = verify_uniform_resolvent(spec, grid, K, p=1.0)
     assert cert.verdict == "PASS"
     assert cert.lhs <= 4.0, f"max/median ratio {cert.lhs}"
@@ -252,15 +252,15 @@ def test_criterion_6_conformal_atlas_roundtrips_and_distortion():
     t_start = time.perf_counter()
     cases = [
         ("scalar", ConformalAtlas(SymbolKind.FRACTIONAL_LAPLACIAN, complex(-1.2, 0.3)),
-         Region("rectangle", (-3.0, -0.3, -1.0, 1.0), clearance=0.2)),
+         Region((-3.0, -0.3, -1.0, 1.0), clearance=0.2)),
         ("relativistic", ConformalAtlas(SymbolKind.RELATIVISTIC, complex(-0.8, 0.2)),
-         Region("rectangle", (-2.5, -0.4, -0.8, 0.8), clearance=0.2)),
+         Region((-2.5, -0.4, -0.8, 0.8), clearance=0.2)),
         ("massless upper", ConformalAtlas(SymbolKind.DIRAC_MASSLESS, complex(0.4, 1.1)),
-         Region("rectangle", (-2.0, 2.0, 0.3, 1.8), clearance=0.2)),
+         Region((-2.0, 2.0, 0.3, 1.8), clearance=0.2)),
         ("massless lower", ConformalAtlas(SymbolKind.DIRAC_MASSLESS, complex(-0.3, -0.9), chart="lower"),
-         Region("rectangle", (-2.0, 2.0, -1.8, -0.3), clearance=0.2)),
+         Region((-2.0, 2.0, -1.8, -0.3), clearance=0.2)),
         ("massive", ConformalAtlas(SymbolKind.DIRAC_MASSIVE, complex(0.1, 0.4)),
-         Region("rectangle", (-0.55, 0.55, 0.15, 0.8), clearance=0.1)),
+         Region((-0.55, 0.55, 0.15, 0.8), clearance=0.1)),
     ]
     rng = np.random.default_rng(11)
     worst_round = 0.0

@@ -88,6 +88,7 @@ def test_load_config_field_errors(tmp_path):
         (base_config(run={"theorems": ["schatten-scaling", "nope"]}), "run.theorems"),
         (base_config(run={"seed": 0.5}), "run.seed"),
         (base_config(run={"seed": True}), "run.seed"),
+        (base_config(run={"seed": -1}), "run.seed"),
         (base_config(grid={"L": True}), "grid"),
         (base_config(operator={"kind": "fractional_laplacian", "d": True, "s": 1.5}), "operator.d"),
         (base_config(grid={"N": 32.0}), "grid"),
@@ -552,6 +553,21 @@ def test_config_numbers_are_finite_and_not_bools(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+def test_region_shape_other_than_rectangle_exits_2_before_compute(tmp_path, capsys, monkeypatch):
+    # K is a rectangle; an older annulus-sector window is refused, not read as one
+    def no_compute(*a, **k):
+        raise AssertionError("a job started despite a config error")
+
+    monkeypatch.setattr("bslab.cli.run_jobs", no_compute)
+    region = {"shape": "annulus_sector", "bounds": [0.5, 6.0, 2.8, 3.5], "clearance": 0.04}
+    doc = base_config(run={"theorems": ["main"], "region": region})
+    out = tmp_path / "out"
+    rc = cli_main(["verify", "main", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error at run.region.shape:")
+    assert not out.exists()
+
+
 _CLASSIFYING = ("main", "individual-bounds", "imaginary", "weighted-sums")
 
 
@@ -795,7 +811,7 @@ def test_scan_sharing_one_memo_matches_standalone_calls(kind, depth, phase, widt
         [scan_dir] = run_dirs(tmp / "scan")
         [spectrum_dir] = run_dirs(tmp / "spectrum")
         cfg = load_config(cfg_path)
-        K = Region(shape="rectangle", bounds=(-6.0, -0.05, -0.4, 0.4), clearance=0.04)
+        K = Region(bounds=(-6.0, -0.05, -0.4, 0.4), clearance=0.04)
         standalone = {
             "main": verify_main(cfg.spec, cfg.grid, cfg.potential, K, 1.0),
             "weighted-sums": verify_weighted_sums(cfg.spec, cfg.grid, cfg.potential, 1.0, 2.0, 0.5),

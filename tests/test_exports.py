@@ -120,6 +120,28 @@ def test_dense_functions_have_only_their_listed_callers():
     assert set(DENSE_CALLERS) == set(dense.__all__)
 
 
+# the only callers of lattice.multiplier_matrix: a dense operator is built only
+# where a factorization takes it
+MULTIPLIER_MATRIX_CALLERS = {
+    "birman_schwinger.bs_matrix",
+    "birman_schwinger.bs_det_evaluator",
+    "spectra._kinetic_matrix",
+}
+
+
+def test_multiplier_matrix_has_only_its_listed_callers():
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(
+                getattr(node, "id", None) == "multiplier_matrix" or getattr(node, "attr", None) == "multiplier_matrix"
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            ):
+                callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == MULTIPLIER_MATRIX_CALLERS
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
