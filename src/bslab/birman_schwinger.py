@@ -3,8 +3,10 @@
 :func:`bs_matrix` is the one place M(z) is built -- potential check,
 half-potential split and the dense sandwiched resolvent, multiplied in place
 on the column-major R0(z), so M is the one operator-sized array it makes.
-:func:`assemble_bs` hands that M to an SVD that overwrites it and returns
-the singular values; callers that need M itself call :func:`bs_matrix`.
+:func:`assemble_bs` returns the singular values of that M for a Schatten
+exponent alpha and overwrites M on the way: for 2 < alpha < inf from the
+eigenvalues of M^H M formed in M's own storage, otherwise from zgesdd.
+Callers that need M itself call :func:`bs_matrix`.
 On top of it this module computes Schatten norms from singular values and
 regularized Fredholm determinants det_n(I + M) from one LU factorization plus
 traces of powers of M, and locates determinant zeros inside rectangles of the complex
@@ -119,14 +121,24 @@ def bs_matrix(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex) 
     return site_diagonal_sandwich(left.values, rmat, right.values, grid)
 
 
-def assemble_bs(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex) -> np.ndarray:
-    """Singular values of M(z), nonincreasing.
+def assemble_bs(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex, alpha: float) -> np.ndarray:
+    """Singular values of M(z), nonincreasing, for the Schatten alpha-norm.
 
-    The SVD overwrites the M that :func:`bs_matrix` builds, so one
+    This is the one place that picks how they are computed.  For 2 < alpha
+    < inf they come from the eigenvalues of M^H M (:func:`dense.gram_svdvals`):
+    the singular values below sqrt(eps) sigma_1 that squaring blurs weigh
+    less than eps in S^alpha.  Every other alpha takes zgesdd
+    (:func:`dense.svdvals`): alpha = inf needs sigma_1 to full precision,
+    alpha < 2 weighs the small singular values at more than their square,
+    and alpha = 2 keeps zgesdd's values in the certificates that pin them.
+    Either route overwrites the M that :func:`bs_matrix` builds, so one
     operator-sized array serves the whole call; a caller that needs M itself
     builds it with :func:`bs_matrix`.
     """
-    return dense.svdvals(bs_matrix(spec, grid, V, z))
+    M = bs_matrix(spec, grid, V, z)
+    if 2.0 < alpha < math.inf:
+        return dense.gram_svdvals(M)
+    return dense.svdvals(M)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +244,11 @@ def det_bound_constant(order: int) -> float:
 def bs_residual(M: np.ndarray) -> float:
     """min_j |mu_j + 1| over the eigenvalues mu_j of a BS matrix M, from the full spectrum.
 
-    The oracle for :func:`bs_eigenpair_near`.  ``verify_main`` records these
-    values in its certificates, whose bytes the golden references pin, so it
-    keeps this full ``eigvals`` until those references are next recaptured.
+    zgeev overwrites M (:func:`dense.eigvals`), so the caller passes an M it
+    does not read again.  The oracle for :func:`bs_eigenpair_near`.
+    ``verify_main`` records these values in its certificates, whose bytes
+    the golden references pin, so it keeps this full ``eigvals`` until those
+    references are next recaptured.
     """
     mu = dense.eigvals(M)
     return float(np.min(np.abs(mu + 1.0)))

@@ -604,13 +604,13 @@ def verify_main(
     new_pts = discrete_in(t_hi)
     V_hi = V.scaled(t_hi)
     bs_residuals = [bs_residual(bs_matrix(spec, grid, V_hi, p.z)) for p in new_pts]
-    sigma1 = [float(assemble_bs(spec, grid, V_hi, p.z)[0]) for p in new_pts]
+    sigma1 = [float(assemble_bs(spec, grid, V_hi, p.z, math.inf)[0]) for p in new_pts]
     sweep_max = 0.0
     if t_lo > 0.0:
         for z in K.sample_grid(*_SWEEP_SHAPE):
             if dist_to_spectrum(spec, z) <= 0.0:
                 continue
-            sweep_max = max(sweep_max, float(assemble_bs(spec, grid, V.scaled(t_lo), z)[0]))
+            sweep_max = max(sweep_max, float(assemble_bs(spec, grid, V.scaled(t_lo), z, math.inf)[0]))
 
     ok = (
         bool(new_pts)
@@ -847,10 +847,10 @@ def verify_schatten_scaling(
     ts = _ray_rescalings(spec, zs)
     for z, t in zip(zs, ts):
         if t is None:
-            measured.append(schatten_norm(assemble_bs(spec, grid, V, z), alpha) / vnorm)
+            measured.append(schatten_norm(assemble_bs(spec, grid, V, z, alpha), alpha) / vnorm)
         else:
             Vt = scaled_field(V, t, s)
-            norm_t = schatten_norm(assemble_bs(spec, grid.rescaled(t), Vt, z), alpha)
+            norm_t = schatten_norm(assemble_bs(spec, grid.rescaled(t), Vt, z, alpha), alpha)
             measured.append(norm_t / potential_norm(Vt, q))
     law, intercept = fit_scaling_law(xs, np.log(measured), predicted)
 

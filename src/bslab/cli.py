@@ -512,7 +512,7 @@ def _cmd_bs(cfg: ExperimentConfig, args) -> int:
     lines = ["re,im,sigma1,schatten,det_log_abs,det_phase"]
     try:
         for z in ray:
-            sv = assemble_bs(cfg.spec, cfg.grid, cfg.potential, z)
+            sv = assemble_bs(cfg.spec, cfg.grid, cfg.potential, z, alpha)
             sig1 = float(sv[0])
             snorm = schatten_norm(sv, alpha)
             dv = det(z)

@@ -121,7 +121,12 @@ def assemble_hamiltonian(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -
 
 
 def eigensolve(H: np.ndarray) -> np.ndarray:
-    """Every eigenvalue of the dense matrix H, sorted by (Re, Im)."""
+    """Every eigenvalue of the dense matrix H, sorted by (Re, Im); H is overwritten.
+
+    zgeev reduces a column-major complex H in place (:func:`dense.eigvals`),
+    so the solve holds no second operator-sized array; the caller passes an
+    H it owns and does not read it afterwards.
+    """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"need a square matrix, got shape {H.shape}")
@@ -210,8 +215,8 @@ class _FinePartner:
 
     H_2N is assembled on the first call.  Each z is answered by
     :func:`dense.nearest_eigenpair`; the first time its check fails, the
-    dense spectrum of H_2N is computed (one DEBUG record on the ``bslab``
-    logger) and answers that z and every later one.
+    dense spectrum of H_2N is computed in H_2N's own storage (one DEBUG
+    record on the ``bslab`` logger) and answers that z and every later one.
     """
 
     def __init__(self, spec: SymbolSpec, fine: TorusGrid, V: PotentialField):
@@ -220,15 +225,16 @@ class _FinePartner:
         self.fallback: Optional[Callable[[complex], complex]] = None
 
     def __call__(self, z: complex) -> complex:
-        if self.H is None:
-            H = assemble_hamiltonian(self.spec, self.fine, resample(self.V, self.fine))
-            self.H = np.asfortranarray(H)
         if self.fallback is None:
+            if self.H is None:
+                H = assemble_hamiltonian(self.spec, self.fine, resample(self.V, self.fine))
+                self.H = np.asfortranarray(H)
             pair = dense.nearest_eigenpair(self.H, z)
             if pair is not None:
                 return pair[0]
             _log.debug("dense %d-dim fine solve: no shift-invert partner at z=%s", self.H.shape[0], z)
-            self.fallback = nearest_in(eigensolve(self.H))
+            H, self.H = self.H, None  # the dense solve overwrites H, and nothing reads it again
+            self.fallback = nearest_in(eigensolve(H))
         return self.fallback(z)
 
 

@@ -91,7 +91,7 @@ def test_assemble_zero_potential():
     grid = TorusGrid(d=1, N=16, L=8.0)
     V = PotentialField(grid, np.zeros(grid.shape))
     M = bs_matrix(FRAC, grid, V, z=-1.0 + 0.5j)
-    sv = assemble_bs(FRAC, grid, V, z=-1.0 + 0.5j)
+    sv = assemble_bs(FRAC, grid, V, z=-1.0 + 0.5j, alpha=2.0)
     assert np.all(M == 0)
     assert np.all(sv == 0)
     assert schatten_norm(sv, 2.0) == 0.0
@@ -101,7 +101,7 @@ def test_single_site_potential_rank_one():
     grid = TorusGrid(d=1, N=32, L=8.0)
     vals = np.zeros(grid.shape, dtype=complex)
     vals[7] = -2.0 + 1.0j
-    sv = assemble_bs(FRAC, grid, PotentialField(grid, vals), z=-0.8 + 0.3j)
+    sv = assemble_bs(FRAC, grid, PotentialField(grid, vals), z=-0.8 + 0.3j, alpha=math.inf)
     assert sv[0] > 0
     assert sv[1] < 1e-12 * sv[0]
 
@@ -110,7 +110,7 @@ def test_hs_norm_matches_kernel_double_sum():
     grid = TorusGrid(d=1, N=64, L=16.0)
     z = -0.7 + 0.4j
     V = gaussian_well(grid, -1.5 - 0.8j)
-    sv = assemble_bs(FRAC, grid, V, z)
+    sv = assemble_bs(FRAC, grid, V, z, 2.0)
     hs = schatten_norm(sv, 2.0)
 
     kern = kernel_array(ResolventHandle(FRAC, grid, z))
@@ -144,7 +144,7 @@ def test_operator_norm_below_hilbert_schmidt():
     grid = TorusGrid(d=1, N=40, L=10.0)
     V = gaussian_well(grid, 2.0 - 0.5j)
     for z in (-0.5 + 0.2j, 1.3 + 0.9j):
-        sv = assemble_bs(FRAC, grid, V, z)
+        sv = assemble_bs(FRAC, grid, V, z, 2.0)
         assert sv[0] <= schatten_norm(sv, 2.0) + 1e-14
 
 
@@ -165,14 +165,15 @@ def test_assemble_validations():
     other = TorusGrid(d=1, N=32, L=8.0)
     V = PotentialField(grid, np.zeros(grid.shape))
     with pytest.raises(ValueError, match="grid"):
-        assemble_bs(FRAC, other, V, -1.0)
+        assemble_bs(FRAC, other, V, -1.0, 2.0)
 
 
 DIRAC2 = SymbolSpec(kind=SymbolKind.DIRAC_MASSLESS, d=2)
 
 
 def test_assemble_bs_wraps_bs_matrix():
-    # bit for bit the SVD of a copy of the column-major M, for a scalar and a spinor case
+    # bit for bit the singular values of a copy of the column-major M, by the
+    # route its alpha takes, for a scalar and a spinor case
     z = -0.6 + 0.3j
     line, plane = TorusGrid(d=1, N=16, L=8.0), TorusGrid(d=2, N=8, L=4.8)
     for spec, grid, V in (
@@ -180,25 +181,51 @@ def test_assemble_bs_wraps_bs_matrix():
         (DIRAC2, plane, _gaussian_2d(plane, 1.0, 0.9)),
     ):
         M = bs_matrix(spec, grid, V, z)
-        sv = assemble_bs(spec, grid, V, z)
         assert M.flags.f_contiguous
-        assert np.array_equal(M, bs_matrix(spec, grid, V, z))
-        assert np.array_equal(sv, dense.svdvals(M.copy()))
-        assert np.all(sv >= 0) and np.all(np.diff(sv) <= 0)
+        for alpha, route in ((2.0, dense.svdvals), (3.0, dense.gram_svdvals)):
+            sv = assemble_bs(spec, grid, V, z, alpha)
+            assert np.array_equal(M, bs_matrix(spec, grid, V, z))
+            assert np.array_equal(sv, route(M.copy(order="F")))
+            assert np.all(sv >= 0) and np.all(np.diff(sv) <= 0)
 
 
 def test_assemble_bs_peak_memory_is_one_matrix():
-    # the SVD overwrites the one M that the sandwich built in place on R0
+    # zgesdd, or the Gram matrix and its eigenvalues, overwrite the one M that
+    # the sandwich built in place on R0
     grid = TorusGrid(d=2, N=20, L=4.8)
     V = _gaussian_2d(grid, 1.0, 0.9)
     matrix_bytes = (grid.size * DIRAC2.n) ** 2 * 16
-    tracemalloc.start()
-    try:
-        assemble_bs(DIRAC2, grid, V, 1.0 + 0.2j)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.6 * matrix_bytes
+    for alpha in (2.0, 3.0):
+        tracemalloc.start()
+        try:
+            assemble_bs(DIRAC2, grid, V, 1.0 + 0.2j, alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * matrix_bytes
+
+
+@pytest.mark.parametrize(
+    "alpha, route",
+    [(1.0, "svdvals"), (1.5, "svdvals"), (2.0, "svdvals"), (math.inf, "svdvals"), (3.0, "gram_svdvals")],
+)
+def test_assemble_bs_takes_zgesdd_unless_two_below_alpha_below_inf(monkeypatch, alpha, route):
+    calls = []
+
+    def spy(name):
+        real = getattr(dense, name)
+
+        def call(A):
+            calls.append(name)
+            return real(A)
+
+        return call
+
+    for name in ("svdvals", "gram_svdvals"):
+        monkeypatch.setattr(dense, name, spy(name))
+    grid = TorusGrid(d=1, N=16, L=8.0)
+    assemble_bs(FRAC, grid, gaussian_well(grid, -1.3 + 0.4j), -0.6 + 0.3j, alpha)
+    assert calls == [route]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +342,7 @@ def test_subcritical_potential_keeps_margin():
     grid = TorusGrid(d=1, N=32, L=8.0)
     V = gaussian_well(grid, -0.05 - 0.02j)
     z = -0.4 + 0.3j
-    sv = assemble_bs(FRAC, grid, V, z)
+    sv = assemble_bs(FRAC, grid, V, z, math.inf)
     sigma1 = sv[0]
     assert sigma1 < 1.0
     residual = bs_principle_check(FRAC, grid, V, z)
@@ -364,7 +391,7 @@ def assert_matches_full_spectrum(M):
     nearest, *rest = np.argsort(dist)
     gap = dist[rest[0]] - dist[nearest] if rest else math.inf
     tol = 1e-11 * norm * (1.0 + norm / gap)
-    assert abs(residual - bs_residual(M)) <= tol
+    assert abs(residual - bs_residual(M.copy(order="F"))) <= tol
     v = vecs[:, nearest]
     assert np.linalg.norm(g - v * np.vdot(v, g)) <= tol
 
@@ -466,6 +493,22 @@ def test_det_evaluator_matches_assembled_determinant(model, order):
     slow = regularized_det(bs_matrix(spec, grid, V, z), order)
     assert abs(fast.log_abs - slow.log_abs) < 1e-10 * max(1.0, abs(slow.log_abs))
     assert abs(cmath.exp(1j * (fast.phase - slow.phase)) - 1.0) < 1e-10
+
+
+@given(bs_models(), st.floats(2.0, 8.0, exclude_min=True), st.integers(1, 2**16))
+def test_gram_route_matches_zgesdd(model, alpha, scratch):
+    spec, grid, V, z = model
+    M = bs_matrix(spec, grid, V, z)
+    ref = schatten_norm(dense.svdvals(M.copy(order="F")), alpha)
+    assert abs(schatten_norm(assemble_bs(spec, grid, V, z, alpha), alpha) - ref) <= 1e-12 * ref
+    # the in-place Gram matrix, with panels as narrow as one column
+    A = M.copy(order="F")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "_SCRATCH", scratch)
+        dense._gram_in_place(A)
+    G = M.conj().T @ M
+    upper = np.triu_indices(M.shape[0])
+    assert np.abs(A[upper] - G[upper]).max() <= 1e-13 * np.abs(G).max()
 
 
 def test_det_evaluator_builds_the_potential_matrix_once(monkeypatch):

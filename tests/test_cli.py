@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bslab.birman_schwinger import bs_det_evaluator
+from bslab import dense
+from bslab.birman_schwinger import bs_det_evaluator, bs_matrix, schatten_norm
 from bslab.certlab import (
     BoundCertificate,
     Region,
@@ -256,6 +257,20 @@ def test_bs_scan_det_columns_match_the_evaluator(tmp_path, alpha, order):
         dv = det(complex(re_, im))
         assert log_abs == dv.log_abs
         assert abs(math.remainder(phase - dv.phase, 2.0 * math.pi)) <= 1e-12
+
+
+def test_bs_scan_schatten_column_above_two_matches_zgesdd(tmp_path):
+    # alpha = 3 takes the Gram route; zgesdd's singular values are the oracle
+    path = write_config(tmp_path, base_config(run={"alpha": 3.0}))
+    out = tmp_path / "runs"
+    assert cli_main(["bs", "--config", path, "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    cfg = load_config(path)
+    for row in (run_dir / "bs-scan.csv").read_text().strip().splitlines()[1:]:
+        re_, im, _, snorm, _, _ = map(float, row.split(","))
+        M = bs_matrix(cfg.spec, cfg.grid, cfg.potential, complex(re_, im))
+        ref = schatten_norm(dense.svdvals(M), 3.0)
+        assert abs(snorm - ref) <= 1e-12 * ref
 
 
 def test_bs_scan_uses_the_verifier_schatten_order(tmp_path, capsys):

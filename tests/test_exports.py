@@ -93,6 +93,7 @@ DENSE_CALLERS = {
     "nearest_eigenpair": {"spectra._FinePartner", "birman_schwinger.bs_eigenpair_near"},
     "logdet": {"birman_schwinger.regularized_det"},
     "svdvals": {"birman_schwinger.assemble_bs"},
+    "gram_svdvals": {"birman_schwinger.assemble_bs"},
 }
 
 

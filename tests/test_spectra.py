@@ -2,9 +2,11 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bslab.birman_schwinger import bs_principle_check
 from bslab.lattice import GridFunction, TorusGrid, apply_multiplier
@@ -102,8 +104,8 @@ def test_eigensolve_companion_matrix():
 def test_eigensolve_upper_triangular():
     rng = np.random.default_rng(9)
     A = np.triu(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    eigs = eigensolve(A)
     expected = sorted(np.diag(A), key=lambda z: (z.real, z.imag))
+    eigs = eigensolve(A)
     assert np.max(np.abs(eigs - np.array(expected))) < 1e-12
 
 
@@ -113,6 +115,23 @@ def test_eigensolve_sorted_and_conditioned():
     A = A + A.T  # symmetric: perfectly conditioned eigenvalues
     eigs = eigensolve(A)
     assert np.all(np.diff(eigs.real) >= -1e-12)
+
+
+def test_eigensolve_overwrites_h_instead_of_copying_it():
+    # zgeev sees the same input as on a copy, so the eigenvalues are bit-identical
+    spec = SymbolSpec(kind=SymbolKind.DIRAC_MASSLESS, d=2)
+    grid = TorusGrid(d=2, N=24, L=4.8)
+    H = assemble_hamiltonian(spec, grid, well(grid, 1.0 - 0.5j))
+    w = scipy.linalg.eigvals(H, overwrite_a=False, check_finite=False)
+    expected = w[np.lexsort((w.imag, w.real))]
+    tracemalloc.start()
+    try:
+        eigs = eigensolve(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(eigs, expected)
+    assert peak < 0.1 * H.nbytes
 
 
 def test_eigensolve_rejects_nonsquare():
