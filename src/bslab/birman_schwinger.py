@@ -296,6 +296,8 @@ def bs_det_evaluator(
     every order n.  The potential's grid is checked and G^ is built once,
     here, with the one work matrix of the search; each point writes
     P(z) into that matrix by a block-diagonal product and takes one LU of it.
+    A contour search builds one evaluator, and ``bslab bs`` one per sample
+    grid of the Schatten-scaling fit it tabulates.
     """
     V.check_fits(grid, spec.n)
     n, size = spec.n, grid.size

@@ -39,7 +39,7 @@ from .birman_schwinger import (
     schatten_order,
 )
 from .conformal import weighted_blaschke_sum
-from .lattice import GridFunction, TorusGrid, lp_norm, site_magnitudes
+from .lattice import GridFunction, TorusGrid, dense_dim, lp_norm, site_magnitudes
 from .potentials import PotentialField, imaginary_potential, potential_norm, scaled_field
 from .resolvent import (
     ResolventHandle,
@@ -75,6 +75,7 @@ __all__ = [
     "boundary_ray",
     "fit_scaling_law",
     "sandwich_schatten_order",
+    "schatten_ray_samples",
     "imaginary_q_window",
     "uniform_p_window",
     "preflight_main",
@@ -746,16 +747,29 @@ def verify_uniform_resolvent(
 # verifier: Schatten-norm scaling laws
 
 
-def _ray_rescalings(spec: SymbolSpec, zs: np.ndarray) -> list[Optional[float]]:
-    """Per ray point, the grid rescaling t of a co-rescaled fit, or None on a fixed grid.
+def _co_rescaled(spec: SymbolSpec) -> bool:
+    """Scale-homogeneous configurations (fractional Laplacian in case A) co-rescale the fit."""
+    return spec.kind is SymbolKind.FRACTIONAL_LAPLACIAN and _case_a(spec)
 
-    Scale-homogeneous configurations (fractional Laplacian in case A) put
-    the point z on grid.rescaled(t) with t = (|z| / |z_0|)^{1/s}.
+
+def _ray_rescalings(spec: SymbolSpec, zs: Sequence[complex]) -> list[Optional[float]]:
+    """Per ray point, the rescaling t = (|z| / |z_0|)^{1/s} of a co-rescaled fit, else None."""
+    if not _co_rescaled(spec):
+        return [None] * len(zs)
+    return [(abs(z) / abs(zs[0])) ** (1.0 / spec.s) for z in zs]
+
+
+def schatten_ray_samples(
+    spec: SymbolSpec, grid: TorusGrid, q: float, ray: Sequence[complex], V: PotentialField
+) -> tuple[float, list[tuple[complex, TorusGrid, PotentialField]]]:
+    """The exponent alpha of :func:`verify_schatten_scaling` and, per ray point, the
+    (z, grid, V) it measures M(z) on: grid.rescaled(t) and scaled_field(V, t, s) in
+    co-rescaled fits, grid and V otherwise.  ``bslab bs`` tabulates the same samples.
     """
-    if spec.kind is not SymbolKind.FRACTIONAL_LAPLACIAN or not _case_a(spec):
-        return [None] * zs.size
-    moduli = np.abs(zs)
-    return [(abs(z) / moduli[0]) ** (1.0 / spec.s) for z in zs]
+    zs = [complex(z) for z in ray]
+    samples = [(z, grid, V) if t is None else (z, grid.rescaled(t), scaled_field(V, t, spec.s))
+               for z, t in zip(zs, _ray_rescalings(spec, zs))]
+    return sandwich_schatten_order(spec, q), samples
 
 
 def preflight_schatten_scaling(
@@ -764,7 +778,8 @@ def preflight_schatten_scaling(
     """Argument checks of :func:`verify_schatten_scaling`; raises RegimeError.
 
     Each ray point must miss the lattice levels of the grid it is measured
-    on: grid.rescaled(t) in co-rescaled fits, grid otherwise.
+    on, grid.rescaled(t) in co-rescaled fits and grid otherwise, and that
+    grid must fit the dense cap.
     """
     zs = np.asarray([complex(z) for z in ray])
     if zs.size < 8:
@@ -778,10 +793,9 @@ def preflight_schatten_scaling(
         for c in critical_values(spec):
             if abs(z - c) < 1e-9:
                 raise RegimeError("ray", f"ray point {z} coincides with the critical value {c}")
-    case_a = _case_a(spec)
-    if case_a:
+    if _case_a(spec):
         _check_q_window(spec, q)
-    if spec.kind is SymbolKind.FRACTIONAL_LAPLACIAN and case_a:
+    if _co_rescaled(spec):
         args = np.angle(zs)
         if np.max(np.abs(args - args[0])) > 1e-9:
             raise RegimeError("ray", "co-rescaled fits need a fixed-argument ray")
@@ -793,8 +807,13 @@ def preflight_schatten_scaling(
     elif spec.kind is SymbolKind.DIRAC_MASSIVE and np.any(np.abs(zs * zs - 1.0) < 1.0):
         raise RegimeError("ray", "the massive growth fit needs |z^2 - 1| >= 1 along the ray")
     for z, t in zip(zs, _ray_rescalings(spec, zs)):
+        sample_grid = grid if t is None else grid.rescaled(t)
         try:
-            _check_off_dispersion(spec, grid if t is None else grid.rescaled(t), z)
+            dense_dim(sample_grid, spec.n)
+        except ValueError as err:
+            raise RegimeError("grid", f"M(z) is assembled densely: {err}")
+        try:
+            _check_off_dispersion(spec, sample_grid, z)
         except ResolventPoleError as err:
             raise RegimeError("ray", str(err))
 
@@ -810,12 +829,12 @@ def verify_schatten_scaling(
 ) -> BoundCertificate:
     """Fit the sandwiched-resolvent Schatten norm against its predicted power law.
 
-    The measured quantity is ||BS(z)||_alpha divided by the potential norm.
-    Scale-homogeneous configurations (fractional Laplacian, s above the
-    admissible threshold) co-rescale the grid per sample so the law is exact
-    by construction; the inhomogeneous kinds are measured on a fixed grid
-    along the supplied sample line.  PASS needs |fitted - predicted| <= 0.1;
-    a log-space fit residual above 0.05 downgrades to REPORT-ONLY.
+    The measured quantity is ||BS(z)||_alpha over the potential norm on each
+    :func:`schatten_ray_samples` sample.  Scale-homogeneous configurations
+    (fractional Laplacian, s above the admissible threshold) co-rescale the grid
+    per sample so the law is exact by construction; the inhomogeneous kinds are
+    measured on a fixed grid along the supplied sample line.  PASS needs |fitted
+    - predicted| <= 0.1; a log-space fit residual above 0.05 downgrades to REPORT-ONLY.
     """
     certify = _certifier("schatten-scaling", grid, seed)
     preflight_schatten_scaling(spec, grid, q, ray)
@@ -823,11 +842,12 @@ def verify_schatten_scaling(
     moduli = np.abs(zs)
     d, s, kind = spec.d, spec.s, spec.kind
     case_a = _case_a(spec)
-    alpha = sandwich_schatten_order(spec, q)
-    if case_a:
-        vnorm = potential_norm(V, q)
-    else:
-        vnorm = max(potential_norm(V, d / s), potential_norm(V, (d + 1) / 2.0))
+    alpha, samples = schatten_ray_samples(spec, grid, q, ray, V)
+
+    def vnorm(W: PotentialField) -> float:  # a co-rescaled sample is case A: its own q-norm
+        if case_a:
+            return potential_norm(W, q)
+        return max(potential_norm(W, d / s), potential_norm(W, (d + 1) / 2.0))
 
     if kind is SymbolKind.FRACTIONAL_LAPLACIAN:
         predicted = d / (s * q) - 1.0 if case_a else 2.0 * d / (s * (d + 1)) - 1.0
@@ -843,15 +863,7 @@ def verify_schatten_scaling(
         predicted = (d - 1.0) / (d + 1.0)
         xs = np.log1p(moduli)
 
-    measured = []
-    ts = _ray_rescalings(spec, zs)
-    for z, t in zip(zs, ts):
-        if t is None:
-            measured.append(schatten_norm(assemble_bs(spec, grid, V, z, alpha), alpha) / vnorm)
-        else:
-            Vt = scaled_field(V, t, s)
-            norm_t = schatten_norm(assemble_bs(spec, grid.rescaled(t), Vt, z, alpha), alpha)
-            measured.append(norm_t / potential_norm(Vt, q))
+    measured = [schatten_norm(assemble_bs(spec, g, W, z, alpha), alpha) / vnorm(W) for z, g, W in samples]
     law, intercept = fit_scaling_law(xs, np.log(measured), predicted)
 
     if law.residual > 0.05:
@@ -863,7 +875,7 @@ def verify_schatten_scaling(
     inputs = _inputs_head(spec, q, V, alpha=alpha) | {
         "ray": [complex(z) for z in zs],
         "measured": [float(v) for v in measured],
-        "co_rescaled": ts[0] is not None,
+        "co_rescaled": _co_rescaled(spec),
         "predicted": law.predicted,
         "fitted": law.fitted,
         "residual": law.residual,

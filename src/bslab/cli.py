@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
@@ -47,7 +48,7 @@ from .certlab import (
     preflight_uniform_resolvent,
     preflight_weighted_sums,
     run_jobs,
-    sandwich_schatten_order,
+    schatten_ray_samples,
     summary_csv,
     verify_imaginary,
     verify_individual_bounds,
@@ -56,7 +57,7 @@ from .certlab import (
     verify_uniform_resolvent,
     verify_weighted_sums,
 )
-from .lattice import TorusGrid
+from .lattice import TorusGrid, dense_dim
 from .potentials import (
     PotentialField,
     PotentialSpec,
@@ -64,7 +65,7 @@ from .potentials import (
     resample,
     sample_potential,
 )
-from .resolvent import ResolventPoleError, lattice_levels
+from .resolvent import lattice_levels
 from .spectra import (
     SpectralLabel,
     SpectralPoint,
@@ -375,7 +376,7 @@ VERIFIERS = {
 _PARAM_PATHS = {"kind": "operator.kind", "s": "operator.s", "potential": "potential", "grid": "grid"}
 
 
-def _prepare_job(cfg: ExperimentConfig, thm: str) -> VerifyJob:
+def _verifier_args(cfg: ExperimentConfig, thm: str) -> SimpleNamespace:
     """Read the verifier's run keys and preflight them; raises ConfigError."""
     entry = VERIFIERS[thm]
     a = SimpleNamespace(spec=cfg.spec, grid=cfg.grid, V=cfg.potential, seed=cfg.seed)
@@ -385,7 +386,7 @@ def _prepare_job(cfg: ExperimentConfig, thm: str) -> VerifyJob:
         entry.preflight(a)
     except RegimeError as err:
         raise ConfigError(_PARAM_PATHS.get(err.param, f"run.{err.param}"), str(err))
-    return VerifyJob(job_id=thm, fn=lambda: entry.run(a))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +444,14 @@ def emit_report(certs: Sequence[BoundCertificate], dest: Path) -> Path:
     return path
 
 
+def _check_dense_grid(cfg: ExperimentConfig) -> None:
+    """spectra.csv solves H densely on the configured grid: exit 2 at grid before any compute."""
+    try:
+        dense_dim(cfg.grid, cfg.spec.n)
+    except ValueError as err:
+        raise ConfigError("grid", str(err))
+
+
 def _classified_points(cfg: ExperimentConfig) -> list[SpectralPoint]:
     """Classified spectrum of the config, all Undecided when no N -> 2N pair exists."""
     try:
@@ -483,6 +492,7 @@ def _cmd_symbols(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_spectrum(cfg: ExperimentConfig, args) -> int:
+    _check_dense_grid(cfg)
     points = _classified_points(cfg)
     dest = _artifact_dir(args.out)
     path = dest / "spectra.csv"
@@ -497,38 +507,29 @@ def _cmd_spectrum(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_bs(cfg: ExperimentConfig, args) -> int:
-    ray = _run_value(cfg, "ray", "bs scan")
-    alpha = _run_value(cfg, "alpha", "bs scan")
-    if alpha is None:
-        q = cfg.run.get("q")
-        try:
-            alpha = 2.0 if q is None else sandwich_schatten_order(cfg.spec, _as_number("q", q))
-        except ValueError as err:  # a ConfigError is not a ValueError
-            raise ConfigError("run.q", str(err))
-    elif alpha < 1.0:
-        raise ConfigError("run.alpha", f"Schatten exponent must be >= 1, got {alpha:g}")
+    """Per-point table of the schatten-scaling fit: its run keys, preflight and samples."""
+    a = _verifier_args(cfg, "schatten-scaling")
+    alpha, samples = schatten_ray_samples(cfg.spec, cfg.grid, a.q, a.ray, cfg.potential)
     order = max(2, math.ceil(alpha))
-    det = bs_det_evaluator(cfg.spec, cfg.grid, cfg.potential, order)
+    dets = {}  # one evaluator per sample grid: a co-rescaled fit has one grid per point
     lines = ["re,im,sigma1,schatten,det_log_abs,det_phase"]
-    try:
-        for z in ray:
-            sv = assemble_bs(cfg.spec, cfg.grid, cfg.potential, z, alpha)
-            sig1 = float(sv[0])
-            snorm = schatten_norm(sv, alpha)
-            dv = det(z)
-            lines.append(f"{z.real!r},{z.imag!r},{sig1!r},{snorm!r},{dv.log_abs!r},{dv.phase!r}")
-    except ResolventPoleError as err:
-        raise ConfigError("run.ray", str(err))
+    for z, grid, V in samples:
+        if grid not in dets:
+            dets[grid] = bs_det_evaluator(cfg.spec, grid, V, order)
+        sv = assemble_bs(cfg.spec, grid, V, z, alpha)
+        dv = dets[grid](z)
+        row = (z.real, z.imag, float(sv[0]), schatten_norm(sv, alpha), dv.log_abs, dv.phase)
+        lines.append(",".join(map(repr, row)))
     dest = _artifact_dir(args.out)
     path = dest / "bs-scan.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"scanned {len(ray)} contour points (Schatten order {alpha:g}, det order {order})")
+    print(f"scanned {len(samples)} contour points (Schatten order {alpha:g}, det order {order})")
     print(f"wrote {path}")
     return 0
 
 
 def _run_verifiers(cfg: ExperimentConfig, theorems: list[str], args, with_spectra: bool) -> int:
-    jobs = [_prepare_job(cfg, thm) for thm in theorems]
+    jobs = [VerifyJob(thm, partial(VERIFIERS[thm].run, _verifier_args(cfg, thm))) for thm in theorems]
     # one memo for the run: the verifiers and spectra.csv solve each coupling once
     with spectrum_memo():
         certs = run_jobs(jobs)
@@ -560,6 +561,7 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
 def _cmd_scan(cfg: ExperimentConfig, args) -> int:
     if not cfg.theorems:
         raise ConfigError("run.theorems", "a scan needs at least one theorem id")
+    _check_dense_grid(cfg)
     return _run_verifiers(cfg, cfg.theorems, args, with_spectra=True)
 
 
@@ -583,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("symbols", help="print the symbol and critical-value table"))
     common(sub.add_parser("spectrum", help="eigensolve, classify, and write spectra CSV"))
-    common(sub.add_parser("bs", help="Schatten/determinant scan along the configured contour"))
+    common(sub.add_parser("bs", help="per-point sigma_1, Schatten and det table of the schatten-scaling fit"))
     p_verify = sub.add_parser("verify", help="run one verifier and write its certificate")
     p_verify.add_argument("theorem", choices=tuple(VERIFIERS))
     common(p_verify, reports=True)

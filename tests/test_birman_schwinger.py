@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from bslab import birman_schwinger, dense
 from bslab.birman_schwinger import (
@@ -462,10 +462,11 @@ def test_bs_principle_check_falls_back_to_the_full_eigendecomposition(monkeypatc
 
 
 @st.composite
-def bs_models(draw):
+def bs_models(draw, max_dim=2048):
     """Any kind in d = 1, 2, 3, a scalar or (n, n) site-block well, and z off the levels.
 
-    One draw in eight is d = 3 (N = 8: a 2048-dim matrix for Dirac kinds).
+    One draw in eight is d = 3 (N = 8: a 2048-dim matrix for Dirac kinds);
+    draws whose M is larger than max_dim are rejected.
     """
     kind = draw(st.sampled_from(list(SymbolKind)))
     d = draw(st.sampled_from([1, 1, 1, 1, 1, 2, 2, 3]))
@@ -482,8 +483,19 @@ def bs_models(draw):
         mix = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2 * n)
         vals = vals[..., None, None] * mix
     z = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-2.0, 2.0)))
+    assume(grid.size * spec.n <= max_dim)
     assume(np.min(np.abs(lattice_levels(spec, grid) - z)) >= 0.1)
     return spec, grid, PotentialField(grid, vals), z
+
+
+def dirac3_model():
+    """A d = 3 massless Dirac (n, n) site-block well: a 2048-dim M."""
+    spec = SymbolSpec(kind=SymbolKind.DIRAC_MASSLESS, d=3)
+    grid = TorusGrid(d=3, N=8, L=6.0)
+    well = PotentialSpec("gaussian", {"amplitude": -1.5 + 0.8j, "width": 1.1, "center": 0.0})
+    rng = np.random.default_rng(3)
+    mix = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / math.sqrt(8)
+    return spec, grid, PotentialField(grid, sample_potential(well, grid).values[..., None, None] * mix), 0.4 + 0.7j
 
 
 @given(bs_models(), st.integers(1, 3))
@@ -495,16 +507,20 @@ def test_det_evaluator_matches_assembled_determinant(model, order):
     assert abs(cmath.exp(1j * (fast.phase - slow.phase)) - 1.0) < 1e-10
 
 
-@given(bs_models(), st.floats(2.0, 8.0, exclude_min=True), st.integers(1, 2**16))
-def test_gram_route_matches_zgesdd(model, alpha, scratch):
+# Random draws stop at dim 512, where one-column panels are cheap; the one
+# 2048-dim shape, d = 3 Dirac, runs once per run as the explicit example.
+@given(bs_models(max_dim=512), st.floats(2.0, 8.0, exclude_min=True), st.integers(1, 512))
+@example(dirac3_model(), 3.0, 100)
+def test_gram_route_matches_zgesdd(model, alpha, panels):
     spec, grid, V, z = model
     M = bs_matrix(spec, grid, V, z)
     ref = schatten_norm(dense.svdvals(M.copy(order="F")), alpha)
     assert abs(schatten_norm(assemble_bs(spec, grid, V, z, alpha), alpha) - ref) <= 1e-12 * ref
-    # the in-place Gram matrix, with panels as narrow as one column
+    # the in-place Gram matrix in up to `panels` panels: one column wide where dim <= 512
     A = M.copy(order="F")
+    n = M.shape[0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dense, "_SCRATCH", scratch)
+        mp.setattr(dense, "_SCRATCH", n * -(-n // panels))
         dense._gram_in_place(A)
     G = M.conj().T @ M
     upper = np.triu_indices(M.shape[0])

@@ -27,6 +27,7 @@ from bslab.certlab import (
     fit_scaling_law,
     fixed_argument_ray,
     preflight_schatten_scaling,
+    preflight_uniform_resolvent,
     run_jobs,
     sum_space_norm,
     summary_csv,
@@ -316,6 +317,17 @@ def test_schatten_scaling_preflight_checks_each_point_on_its_own_grid():
     preflight_schatten_scaling(FRAC15, grid, 1.0, ray)
     cert = verify_schatten_scaling(FRAC15, grid, 1.0, ray, gaussian(grid, -1.0))
     assert cert.inputs["co_rescaled"] is True
+
+
+def test_schatten_scaling_preflight_checks_the_dense_cap():
+    # M(z) is dense: 16^3 sites times 4 spinor components is past the cap 8192;
+    # the FFT-only uniform-resolvent scan takes the same grid
+    spec = SymbolSpec(kind=SymbolKind.DIRAC_MASSLESS, d=3)
+    grid = TorusGrid(d=3, N=16, L=8.0)
+    with pytest.raises(RegimeError, match="exceeds the cap 8192") as err:
+        preflight_schatten_scaling(spec, grid, 1.0, boundary_ray(1.0, 3.0, 0.2, 9))
+    assert err.value.param == "grid"
+    preflight_uniform_resolvent(spec, grid, Region(bounds=(0.5, 1.5, 0.1, 0.3)), None)
 
 
 def test_verify_schatten_scaling_massless_growth():

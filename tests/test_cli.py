@@ -11,18 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bslab import dense
+from bslab import cli, dense
 from bslab.birman_schwinger import bs_det_evaluator, bs_matrix, schatten_norm
 from bslab.certlab import (
     BoundCertificate,
     Region,
     certificate_json,
+    schatten_ray_samples,
     verify_main,
     verify_weighted_sums,
 )
 from bslab.cli import ConfigError, emit_report, load_config, main as cli_main
 from bslab.lattice import TorusGrid
-from bslab.potentials import PotentialSpec, write_potential_file
+from bslab.potentials import PotentialSpec, potential_norm, write_potential_file
 
 
 def base_config(**overrides):
@@ -229,71 +230,124 @@ def test_spectrum_without_refinement_leaves_points_undecided(tmp_path, capsys):
     assert all(row.split(",")[3] == "nan" for row in rows)
 
 
-def test_bs_scan_writes_contour_csv(tmp_path):
-    out = tmp_path / "runs"
-    rc = cli_main([
-        "bs", "--config", write_config(tmp_path, base_config()), "--out", str(out),
-    ])
-    assert rc == 0
-    (run_dir,) = run_dirs(out)
-    lines = (run_dir / "bs-scan.csv").read_text().strip().splitlines()
-    assert lines[0] == "re,im,sigma1,schatten,det_log_abs,det_phase"
-    assert len(lines) == 1 + 9
-    sig1 = [float(row.split(",")[2]) for row in lines[1:]]
-    assert sig1[0] > sig1[-1] > 0.0  # norms decay along the outgoing ray
+def dirac2d_config():
+    """Massless Dirac in d=2 (dim 128): s = 1 < 2d/(d+1), so a fixed-grid fit at order 3."""
+    doc = base_config(
+        grid={"N": 8, "L": 4.8},
+        run={"ray": {"type": "boundary", "re_lo": 1.0, "re_hi": 3.0, "height": 0.2, "count": 9}},
+    )
+    doc["operator"] = {"kind": "dirac_massless", "d": 2}
+    return doc
 
 
-@pytest.mark.parametrize("alpha, order", [(None, 2), (2.5, 3)])
-def test_bs_scan_det_columns_match_the_evaluator(tmp_path, alpha, order):
-    doc = base_config() if alpha is None else base_config(run={"alpha": alpha})
+# the co-rescaled fit (fractional d=1, order 2) and a fixed-grid fit (Dirac d=2, order 3)
+BS_FITS = pytest.mark.parametrize(
+    "doc, order", [(base_config(), 2), (dirac2d_config(), 3)], ids=["co-rescaled", "fixed-grid"]
+)
+
+
+def fit_samples(path):
+    """The config at path and the (z, grid, V) samples of its schatten-scaling fit."""
+    cfg = load_config(path)
+    a = cli._verifier_args(cfg, "schatten-scaling")
+    return cfg, schatten_ray_samples(cfg.spec, cfg.grid, a.q, a.ray, cfg.potential)[1]
+
+
+def bs_scan_rows(tmp_path, doc):
+    """Run ``bslab bs`` on doc; returns its config path and the float rows of bs-scan.csv."""
     path = write_config(tmp_path, doc)
     out = tmp_path / "runs"
     assert cli_main(["bs", "--config", path, "--out", str(out)]) == 0
     (run_dir,) = run_dirs(out)
-    cfg = load_config(path)
-    det = bs_det_evaluator(cfg.spec, cfg.grid, cfg.potential, order)
-    for row in (run_dir / "bs-scan.csv").read_text().strip().splitlines()[1:]:
-        re_, im, _, _, log_abs, phase = map(float, row.split(","))
-        dv = det(complex(re_, im))
+    lines = (run_dir / "bs-scan.csv").read_text().strip().splitlines()
+    assert lines[0] == "re,im,sigma1,schatten,det_log_abs,det_phase"
+    return path, [tuple(map(float, row.split(","))) for row in lines[1:]]
+
+
+def test_bs_scan_writes_contour_csv(tmp_path):
+    _, rows = bs_scan_rows(tmp_path, base_config())
+    assert len(rows) == 9
+    # co-rescaling makes M(z) on each sample unitarily equivalent to M at the first point
+    sig1 = [row[2] for row in rows]
+    assert max(abs(v - sig1[0]) for v in sig1) <= 1e-12 * sig1[0]
+
+
+@BS_FITS
+def test_bs_scan_det_columns_match_the_evaluator(tmp_path, doc, order):
+    path, rows = bs_scan_rows(tmp_path, doc)
+    cfg, samples = fit_samples(path)
+    for (z, grid, V), (re_, im, _, _, log_abs, phase) in zip(samples, rows, strict=True):
+        assert complex(re_, im) == z
+        dv = bs_det_evaluator(cfg.spec, grid, V, order)(z)
         assert log_abs == dv.log_abs
         assert abs(math.remainder(phase - dv.phase, 2.0 * math.pi)) <= 1e-12
 
 
 def test_bs_scan_schatten_column_above_two_matches_zgesdd(tmp_path):
     # alpha = 3 takes the Gram route; zgesdd's singular values are the oracle
-    path = write_config(tmp_path, base_config(run={"alpha": 3.0}))
-    out = tmp_path / "runs"
-    assert cli_main(["bs", "--config", path, "--out", str(out)]) == 0
-    (run_dir,) = run_dirs(out)
+    path, rows = bs_scan_rows(tmp_path, dirac2d_config())
     cfg = load_config(path)
-    for row in (run_dir / "bs-scan.csv").read_text().strip().splitlines()[1:]:
-        re_, im, _, snorm, _, _ = map(float, row.split(","))
+    for re_, im, _, snorm, _, _ in rows:
         M = bs_matrix(cfg.spec, cfg.grid, cfg.potential, complex(re_, im))
         ref = schatten_norm(dense.svdvals(M), 3.0)
         assert abs(snorm - ref) <= 1e-12 * ref
 
 
+@BS_FITS
+def test_bs_scan_schatten_over_the_potential_norm_is_the_fit_measure(tmp_path, doc, order):
+    path, rows = bs_scan_rows(tmp_path, doc)
+    out = tmp_path / "verify"
+    assert cli_main(["verify", "schatten-scaling", "--config", path, "--out", str(out)]) == 0
+    (run_dir,) = run_dirs(out)
+    inputs = json.loads((run_dir / "certificate-schatten-scaling.json").read_text())["inputs"]
+    cfg, samples = fit_samples(path)
+    d, s, q = cfg.spec.d, cfg.spec.s, inputs["q"]
+    for (_, _, V), row, want in zip(samples, rows, inputs["measured"], strict=True):
+        if inputs["co_rescaled"]:
+            vnorm = potential_norm(V, q)
+        else:
+            vnorm = max(potential_norm(V, d / s), potential_norm(V, (d + 1) / 2.0))
+        assert row[3] / vnorm == want
+
+
+def test_bs_scan_ignores_run_alpha(tmp_path):
+    # run.alpha is the weighted-sums weight exponent; the scan's order is the fit's
+    scans = []
+    for k, doc in enumerate([base_config(), base_config(run={"alpha": 3.0})]):
+        out = tmp_path / f"runs-{k}"
+        assert cli_main(["bs", "--config", write_config(tmp_path, doc, f"c{k}.json"), "--out", str(out)]) == 0
+        (run_dir,) = run_dirs(out)
+        scans.append((run_dir / "bs-scan.csv").read_bytes())
+    assert scans[0] == scans[1]
+
+
 def test_bs_scan_uses_the_verifier_schatten_order(tmp_path, capsys):
     # massless Dirac in d=2 has s = 1 < 2d/(d+1): the scaling verifier fits order 3
-    doc = base_config(
-        grid={"N": 8, "L": 4.8},
-        run={"ray": {"type": "boundary", "re_lo": 1.0, "re_hi": 3.0, "height": 0.2, "count": 9}},
-    )
-    doc["operator"] = {"kind": "dirac_massless", "d": 2}
-    rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "runs")])
+    rc = cli_main(["bs", "--config", write_config(tmp_path, dirac2d_config()), "--out", str(tmp_path / "runs")])
     assert rc == 0
     assert "(Schatten order 3, det order 3)" in capsys.readouterr().out
 
 
-def test_bs_scan_names_a_malformed_alpha(tmp_path, capsys):
-    doc = base_config(run={"alpha": [2.0, 3.0]})
+def test_bs_scan_applies_the_verifier_ray_rules(tmp_path, capsys):
+    # a 3-point ray: the fit needs 8, so the scan that tabulates it does too
+    doc = base_config(run={"ray": {"type": "fixed_argument", "theta": math.pi, "r_lo": 0.5, "r_hi": 8.0, "count": 3}})
+    out = tmp_path / "runs"
+    rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error at run.ray: rays need at least 8 points")
+    assert not out.exists()
+
+
+def test_bs_scan_needs_run_q(tmp_path, capsys):
+    doc = base_config()
+    del doc["run"]["q"]
     rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "runs")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("config error at run.alpha:")
+    assert capsys.readouterr().err.startswith("config error at run.q: required by verifier 'schatten-scaling'")
 
 
 def test_bs_scan_names_run_q_outside_the_schatten_range(tmp_path, capsys):
-    # no alpha: the exponent comes from q, and schatten_order needs 1 <= q < d
+    # the fit's preflight holds q to its window d/s <= q <= (d+1)/2
     doc = base_config(operator={"kind": "fractional_laplacian", "d": 2, "s": 1.5}, run={"q": 2.5})
     out = tmp_path / "runs"
     rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(out)])
@@ -316,6 +370,20 @@ def test_bs_scan_names_a_ray_point_on_a_lattice_level(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["spectrum"], ["bs"], ["verify", "schatten-scaling"]])
+def test_a_grid_past_the_dense_cap_exits_2_at_grid(tmp_path, capsys, command):
+    # massless Dirac in d=3 at N=16 is a 16384-dim dense operator, past the cap 8192
+    doc = dirac2d_config() | {"operator": {"kind": "dirac_massless", "d": 3}, "grid": {"N": 16, "L": 8.0}}
+    out = tmp_path / "runs"
+    rc = cli_main(command + ["--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error at grid:")
+    assert "exceeds the cap 8192" in captured.err
+    assert "refinement pair" not in captured.out
+    assert not out.exists()
+
+
 def test_schatten_scaling_names_a_ray_point_on_a_lattice_level(tmp_path, capsys):
     # the same ray as the bs scan above: the verifier's preflight stops it, not its compute
     doc = base_config(
@@ -328,17 +396,6 @@ def test_schatten_scaling_names_a_ray_point_on_a_lattice_level(tmp_path, capsys)
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error at run.ray: z=(1+1e-20j) within roundoff")
     assert not out.exists()
-
-
-def test_bs_scan_rejects_alpha_below_one_before_compute(tmp_path, capsys, monkeypatch):
-    def no_compute(*a, **k):
-        raise AssertionError("the scan computed despite a config error")
-
-    monkeypatch.setattr("bslab.cli.assemble_bs", no_compute)
-    doc = base_config(run={"alpha": 0.5})
-    rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "runs")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("config error at run.alpha:")
 
 
 def test_verify_writes_certificate_and_report(tmp_path):
