@@ -8,22 +8,24 @@ exponent alpha and overwrites M on the way: for 2 < alpha < inf from the
 eigenvalues of M^H M formed in M's own storage, otherwise from zgesdd.
 Callers that need M itself call :func:`bs_matrix`.
 On top of it this module computes Schatten norms from singular values and
-regularized Fredholm determinants det_n(I + M) from one LU factorization plus
-traces of powers of M, and locates determinant zeros inside rectangles of the complex
-plane by an argument-principle bisection with secant polishing.  The
-determinants along a search need no M(z): det_n(I + AB) = det_n(I + BA)
-and det_n is invariant under similarity, so :func:`bs_det_evaluator` builds
-the potential's matrix on Fourier modes once and multiplies it by the
-block-diagonal resolvent multiplier at each point, in one work matrix per
-search.  The search samples rectangle edges at exact fractions of their
+regularized Fredholm determinants det_n(I + M), and locates determinant zeros
+inside rectangles of the complex plane by an argument-principle bisection
+with secant polishing.  :func:`regularized_det` takes det_n(I + M) of a given
+M from one LU factorization plus traces of powers of M; it is the oracle.
+The determinants along a search need neither M(z) nor an LU:
+det(I + M(z)) = det(H - z) / det(H0 - z), so :func:`bs_det_evaluator`
+reduces H = H0 + V to Hessenberg form once and takes each det(H - z) in
+O(dim^2) by Hyman's method (:func:`dense.hessenberg_logdet`), det(H0 - z)
+from the dispersion levels, and the order-2 counterterm tr M(z) in O(dim).
+The search samples rectangle edges at exact fractions of their
 length, so refinement levels share their common points.  For z off
 the dispersion levels of T, the finite model makes the eigenvalue
 correspondence exact: z is an eigenvalue of H_0 + V iff -1 is an eigenvalue
 of M(z).  :func:`bs_eigenpair_near` measures it from one LU of I + M(z) and
 a short Arnoldi run on the inverse (:func:`dense.nearest_eigenpair`), with
 the full eigendecomposition as its fallback; :func:`bs_residual` measures it
-from the full spectrum and is the oracle.  The singular values, the LU
-determinants and the eigenvalues of M come from :mod:`bslab.dense`.
+from the full spectrum and is the oracle.  The singular values, the
+determinants and the eigenvalues come from :mod:`bslab.dense`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from . import dense
 from .lattice import TorusGrid, multiplier_matrix, site_diagonal_sandwich
 from .potentials import PotentialField
 from .resolvent import resolvent_multiplier
-from .symbols import SymbolSpec
+from .spectra import assemble_hamiltonian
+from .symbols import SymbolSpec, dispersion_values
 
 __all__ = [
     "DetValue",
@@ -189,35 +192,33 @@ class DetValue:
     phase: float
 
 
-def regularized_det(M: np.ndarray, order: int) -> DetValue:
-    """Regularized determinant det_n(I+M) = det(I+M) exp(sum_{k=1}^{n-1} (-1)^k tr(M^k) / k).
-
-    det(I+M) comes from one LU factorization (dense.logdet); the regularizing
-    factor from traces of powers of M, so order 2 costs only tr M and each
-    higher order one more matrix product.  Magnitude and phase are combined
-    in log form.  A singular I+M gives log_abs = -inf and value 0.  The LU
-    sees I + M through M's own diagonal, shifted by one and then restored
-    bit for bit, so M must be writable and is unchanged on return.
-    """
+def _check_order(order: int) -> int:
+    """The regularization order as an int; below 1 is a ValueError."""
     order = int(order)
     if order < 1:
         raise ValueError(f"determinant regularization order must be >= 1, got {order}")
-    mat = np.asarray(M, dtype=complex)
-    reg = 0j
+    return order
+
+
+def _power_traces(mat: np.ndarray, order: int) -> list[complex]:
+    """tr(mat^k) for k = 1 .. order - 1, one matrix product per power above the first."""
+    traces = []
     power = mat
     for k in range(1, order):
         if k > 1:
             power = power @ mat
-        reg += (-1) ** k * complex(np.trace(power)) / k
-    diagonal = mat.diagonal().copy()
-    mat.flat[:: mat.shape[0] + 1] += 1.0  # I + M for the factorization, then M again
-    try:
-        log_abs, angle = dense.logdet(mat)
-    finally:
-        mat.flat[:: mat.shape[0] + 1] = diagonal
+        traces.append(complex(np.trace(power)))
+    return traces
+
+
+def _det_value(log_abs: float, angle: float, traces: list[complex]) -> DetValue:
+    """det_n(I + M) from log|det(I + M)|, arg det(I + M) and traces[k-1] = tr(M^k), k < n.
+
+    The regularizing factor exp(sum_k (-1)^k tr(M^k) / k) joins in log form.
+    """
+    reg = sum(((-1) ** k * t / k for k, t in enumerate(traces, 1)), 0j)
     log_abs += reg.real
     phase = math.remainder(angle + reg.imag, _TWO_PI)
-
     if log_abs == -math.inf:
         value = 0j
     else:
@@ -226,6 +227,29 @@ def regularized_det(M: np.ndarray, order: int) -> DetValue:
         except OverflowError:
             value = cmath.rect(math.inf, phase)
     return DetValue(value=value, log_abs=log_abs, phase=phase)
+
+
+def regularized_det(M: np.ndarray, order: int) -> DetValue:
+    """Regularized determinant det_n(I+M) = det(I+M) exp(sum_{k=1}^{n-1} (-1)^k tr(M^k) / k).
+
+    det(I+M) comes from one LU factorization (dense.logdet); the regularizing
+    factor from traces of powers of M, so order 2 costs only tr M and each
+    higher order one more matrix product.  Magnitude and phase are combined
+    in log form.  A singular I+M gives log_abs = -inf and value 0.  The LU
+    sees I + M through M's own diagonal, shifted by one and then restored
+    bit for bit, so M must be writable and is unchanged on return.  The
+    oracle for :func:`bs_det_evaluator`.
+    """
+    order = _check_order(order)
+    mat = np.asarray(M, dtype=complex)
+    traces = _power_traces(mat, order)
+    diagonal = mat.diagonal().copy()
+    mat.flat[:: mat.shape[0] + 1] += 1.0  # I + M for the factorization, then M again
+    try:
+        log_abs, angle = dense.logdet(mat)
+    finally:
+        mat.flat[:: mat.shape[0] + 1] = diagonal
+    return _det_value(log_abs, angle, traces)
 
 
 def det_bound_constant(order: int) -> float:
@@ -289,29 +313,45 @@ def bs_det_evaluator(
 ) -> Callable[[complex], DetValue]:
     """z -> det_order(I + M(z)), without assembling M(z).
 
-    M(z) = |V|^{1/2} R0(z) V^{1/2} has the traces of powers of R0(z) V, and
-    on Fourier modes that is P(z) = R0^(z) G^ with R0^(z) block diagonal
-    (the resolvent multiplier) and G^ = F V F^{-1} the potential's matrix on
-    modes.  P is similar to R0(z) V, so det_n(I + P) = det_n(I + M(z)) for
-    every order n.  The potential's grid is checked and G^ is built once,
-    here, with the one work matrix of the search; each point writes
-    P(z) into that matrix by a block-diagonal product and takes one LU of it.
-    A contour search builds one evaluator, and ``bslab bs`` one per sample
-    grid of the Schatten-scaling fit it tabulates.
+    det(I + M(z)) = det(H - z) / det(H0 - z) for H = H0 + V.  H is
+    assembled and reduced to Hessenberg form once, here; each point takes
+    det(H - z) from one scaled back-substitution on that form
+    (:func:`dense.hessenberg_logdet`) and det(H0 - z) from the dispersion
+    levels.  The regularizing traces are those of P(z) = R0^(z) G^, with
+    R0^(z) the block-diagonal resolvent multiplier and G^ = F V F^{-1} the
+    potential's matrix on Fourier modes: P is similar to R0(z) V, which has
+    M(z)'s traces of powers.  Every diagonal block of G^ is mean_x V(x), so
+    tr P is the trace of (sum_k r_k(z)) mean_x V(x), and orders 1 and 2 cost
+    O(dim) beyond the back-substitution.  Only order 3 and up build G^, and
+    each point writes P(z) into one work matrix for tr(P^k).  A contour
+    search builds one evaluator, and ``bslab bs`` one per sample grid of the
+    Schatten-scaling fit it tabulates.
     """
-    V.check_fits(grid, spec.n)
+    order = _check_order(order)
     n, size = spec.n, grid.size
+    logdet_h = dense.hessenberg_logdet(assemble_hamiltonian(spec, grid, V))
+    levels = dispersion_values(spec, grid.xi()).ravel()  # the eigenvalues of H0
     blocks = V.values if V.is_matrix else V.values[..., None, None] * np.eye(n)
-    # conj(F^{-1} conj(v) F) = F v F^{-1}: the site samples, read as a multiplier;
-    # row-major, so that block row x of the product is r(x) times block row x of G^
-    dim = size * n
-    G = np.conj(multiplier_matrix(np.conj(blocks), grid), order="C").reshape(size, n, dim)
-    work = np.empty((dim, dim), dtype=complex)
+    mean_v = blocks.reshape(size, n, n).mean(axis=0)
+    if order >= 3:
+        # conj(F^{-1} conj(v) F) = F v F^{-1}: the site samples, read as a multiplier;
+        # row-major, so that block row x of the product is r(x) times block row x of G^
+        dim = size * n
+        G = np.conj(multiplier_matrix(np.conj(blocks), grid), order="C").reshape(size, n, dim)
+        work = np.empty((dim, dim), dtype=complex)
 
     def det(z: complex) -> DetValue:
-        r = resolvent_multiplier(spec, grid, z).reshape(size, n, n)
-        np.matmul(r, G, out=work.reshape(size, n, dim))
-        return regularized_det(work, order)
+        r = resolvent_multiplier(spec, grid, z).reshape(size, n, n)  # raises on a level of H0
+        log_h, angle_h = logdet_h(z)
+        log_h0 = complex(np.sum(np.log(levels - z)))
+        if order >= 3:
+            np.matmul(r, G, out=work.reshape(size, n, dim))
+            traces = _power_traces(work, order)
+        elif order == 2:
+            traces = [complex(np.sum(r.sum(axis=0) * mean_v.T))]
+        else:
+            traces = []
+        return _det_value(log_h - log_h0.real, angle_h - log_h0.imag, traces)
 
     return det
 

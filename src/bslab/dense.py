@@ -5,9 +5,16 @@ Birman-Schwinger matrix runs here.  numpy links its own BLAS, and on a few
 cores the idle workers of one threaded BLAS stall the threads of the other,
 so nothing here runs on numpy's.  Inputs are not checked for finiteness.
 Operators arrive column-major (:mod:`bslab.lattice`), LAPACK's own order.
-:func:`eigvals`, :func:`svdvals` and :func:`gram_svdvals` overwrite the
-matrix they are given, so their callers pass one they own; the other
-functions leave their argument as it was.
+:func:`eigvals`, :func:`svdvals`, :func:`gram_svdvals` and
+:func:`hessenberg_logdet` overwrite the matrix they are given, so their
+callers pass one they own; the other functions leave their argument as it
+was.
+
+Determinants come two ways.  :func:`logdet` is one LU of the matrix itself.
+:func:`hessenberg_logdet` reduces H to Hessenberg form once and then gives
+det(H - z) for any z in O(n^2), by Hyman's method with a scaled
+back-substitution; a contour search that needs det(H - z) at a few hundred
+points pays one reduction instead of one LU per point.
 
 Singular values come two ways.  :func:`svdvals` is zgesdd.
 :func:`gram_svdvals` takes the eigenvalues of the Hermitian Gram matrix
@@ -19,18 +26,19 @@ the route (:func:`bslab.birman_schwinger.assemble_bs`).
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import izamax, zgemm, zgemv
-from scipy.linalg.lapack import zgeev, zgeev_lwork, zgetrf, zgetrs, zheevd, zheevd_lwork
+from scipy.linalg.blas import izamax, zdotu, zgemm, zgemv, ztrsv
+from scipy.linalg.lapack import zgeev, zgeev_lwork, zgehrd, zgehrd_lwork, zgetrf, zgetrs, zheevd, zheevd_lwork
 
 from .lattice import _SCRATCH
 
-__all__ = ["eigvals", "eig", "svdvals", "gram_svdvals", "logdet", "nearest_eigenpair"]
+__all__ = ["eigvals", "eig", "svdvals", "gram_svdvals", "logdet", "hessenberg_logdet", "nearest_eigenpair"]
 
 
 def eigvals(A: np.ndarray) -> np.ndarray:
@@ -125,6 +133,135 @@ def logdet(A: np.ndarray) -> tuple[float, float]:
     u = np.diagonal(lu)
     angle = float(np.sum(np.angle(u))) + math.pi * (np.count_nonzero(piv != np.arange(piv.size)) % 2)
     return float(np.sum(np.log(np.abs(u)))), math.remainder(angle, 2.0 * math.pi)
+
+
+_HYMAN_ROWS = 64  # rows per step of the scaled back-substitution
+
+
+@lru_cache(maxsize=None)
+def _gehrd_lwork(n: int) -> int:
+    """Optimal zgehrd workspace for an n x n matrix; the wrapper's default runs unblocked."""
+    work, _ = zgehrd_lwork(n)
+    return int(work.real)
+
+
+def _scale_below_one(x: np.ndarray, big: float) -> int:
+    """Scale x by the power of two 2^-e that brings big below one, exactly; returns e >= 0."""
+    if big <= 1.0:
+        return 0
+    _, e = math.frexp(big)
+    x *= math.ldexp(1.0, -e)
+    return e
+
+
+def _scaled_solve(D: np.ndarray, x: np.ndarray, lo: int) -> int:
+    """x[lo:lo+b] <- 2^-e D^{-1} x[lo:lo+b] for upper triangular D, column by column; returns e.
+
+    Before its column is eliminated, each solved entry is brought to modulus
+    at most one by scaling all of x, so no partial sum exceeds the
+    right-hand side plus D's row sums, and no quotient by D's diagonal (at
+    least eps ||H||_1 after deflation) overflows.  It is ztrsv's loop with
+    scaling added, and runs only where ztrsv overflowed.
+    """
+    e = 0
+    for j in range(D.shape[0] - 1, -1, -1):
+        x[lo + j] /= D[j, j]
+        e += _scale_below_one(x, abs(x[lo + j]))
+        x[lo : lo + j] -= x[lo + j] * D[:j, j]
+    return e
+
+
+def _hyman(A: np.ndarray) -> Callable[[complex], tuple[float, float]]:
+    """z -> (log|det(A - z)|, arg det(A - z)) for an unreduced upper Hessenberg A.
+
+    Hyman's method (Wilkinson, The Algebraic Eigenvalue Problem, 1965, ch. 7):
+    with a = row 0 of A - z, c its last column below row 0 and T the upper
+    triangle below row 0 (A's subdiagonal on its diagonal, A - z's diagonal
+    on its superdiagonal), det(A - z) = (-1)^(m-1) det T (a_last - a_head
+    T^{-1} c).  det T is z-free.  T^{-1} c is one back-substitution in
+    blocks of _HYMAN_ROWS rows from the bottom, after each of which the
+    solution so far is scaled by a power of two (exactly) and the exponent
+    carried, as LAPACK's zlatrs does: unscaled, products of small
+    subdiagonals overflow.  A block on which ztrsv itself overflows (tens of
+    subdiagonals near the deflation tolerance, as a zero well on a
+    degenerate T(D) gives) is solved again by :func:`_scaled_solve`, which
+    scales after every entry.  Each block's triangle and the panel to its
+    right are laid out once, here; per z only a block's superdiagonal is
+    shifted, and then restored from its saved copy, bit for bit.  The
+    panel's one diagonal entry of A, its bottom-left corner, is shifted in
+    the right-hand side instead.
+    """
+    m = A.shape[0]
+    if m == 1:
+        h = complex(A[0, 0])
+        return lambda z: (math.log(abs(h - z)) if h != z else -math.inf, cmath.phase(h - z))
+    t = m - 1
+    row, col, sub = A[0].copy(), A[1:, t].copy(), A.diagonal(-1)
+    log_t = float(np.sum(np.log(np.abs(sub))))
+    angle_t = float(np.sum(np.angle(sub))) + math.pi * (t % 2)
+    steps = []
+    for lo in range((t - 1) // _HYMAN_ROWS * _HYMAN_ROWS, -1, -_HYMAN_ROWS):
+        hi = min(lo + _HYMAN_ROWS, t)
+        D = np.array(A[1 + lo : 1 + hi, lo:hi], order="F")
+        k = np.arange(hi - lo - 1)
+        steps.append((lo, hi, D, k, D[k, k + 1].copy(), np.array(A[1 + lo : 1 + hi, hi:t], order="F")))
+
+    def logdet(z: complex) -> tuple[float, float]:
+        x = col.copy()  # c, then T^{-1} c scaled by 2^-e
+        x[-1] -= z
+        e = 0
+        for lo, hi, D, k, sup, P in steps:
+            if hi < t:
+                x = zgemv(-1.0, P, x, beta=1.0, y=x, offx=hi, offy=lo, overwrite_y=1)
+                x[hi - 1] += z * x[hi]
+            rhs = x[lo:hi].copy()
+            D[k, k + 1] = sup - z
+            try:
+                x = ztrsv(D, x, offx=lo, overwrite_x=1)
+                if not np.isfinite(x[lo:hi]).all():
+                    x[lo:hi] = rhs
+                    e += _scaled_solve(D, x, lo)
+            finally:
+                D[k, k + 1] = sup
+            e += _scale_below_one(x, abs(x[lo + izamax(x, n=hi - lo, offx=lo)]))
+        q = math.ldexp(1.0, -e) * row[t] - (zdotu(row[:t], x) - z * x[0])
+        if q == 0:
+            return -math.inf, 0.0
+        return log_t + math.log(abs(q)) + e * math.log(2.0), angle_t + cmath.phase(q)
+
+    return logdet
+
+
+def hessenberg_logdet(H: np.ndarray) -> Callable[[complex], tuple[float, float]]:
+    """z -> (log|det(H - z)|, arg det(H - z)) from one Hessenberg reduction; H is overwritten.
+
+    zgehrd reduces an F-contiguous complex H in place (any other H is
+    copied first).  Subdiagonal entries at or below eps ||H||_1, the
+    reduction's own backward error, are taken as zero; det(H - z) is then
+    the product over the unreduced diagonal blocks, each by :func:`_hyman`
+    in O(m^2) per z.  The angle is reduced to its principal value, and an
+    exactly singular H - z gives (-inf, 0.0).
+    """
+    n = H.shape[0]
+    H = np.asfortranarray(H, dtype=complex)
+    tolerance = np.finfo(float).eps * np.linalg.norm(H, 1)
+    A, _, info = zgehrd(H, lwork=_gehrd_lwork(n), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgehrd failed with info={info}")
+    cuts = [0, *(np.flatnonzero(np.abs(A.diagonal(-1)) <= tolerance) + 1).tolist(), n]
+    blocks = [_hyman(A[p:q, p:q]) for p, q in zip(cuts, cuts[1:])]
+
+    def logdet(z: complex) -> tuple[float, float]:
+        log_abs = angle = 0.0
+        for block in blocks:
+            part_log, part_angle = block(z)
+            log_abs += part_log
+            angle += part_angle
+        if log_abs == -math.inf:
+            return -math.inf, 0.0
+        return log_abs, math.remainder(angle, 2.0 * math.pi)
+
+    return logdet
 
 
 _ARNOLDI_STEPS = 20

@@ -498,7 +498,31 @@ def dirac3_model():
     return spec, grid, PotentialField(grid, sample_potential(well, grid).values[..., None, None] * mix), 0.4 + 0.7j
 
 
-@given(bs_models(), st.integers(1, 3))
+def free_model(kind, d, N, L):
+    """V = 0, where det_n = 1 and zgehrd's subdiagonal collapses on the degenerate
+    levels of T(D): in d = 2 to about 1e-17 ||H||_1, once for the fractional N = 16
+    grid and three times for the massless Dirac N = 12 one; for the d = 3 massless
+    Dirac N = 8 grid, dozens of subdiagonals near 1e-15 ||H||_1 overflow ztrsv."""
+    grid = TorusGrid(d=d, N=N, L=L)
+    return SymbolSpec(kind=kind, d=d, s=1.0), grid, PotentialField(grid, np.zeros(grid.shape)), -0.5 + 0.3j
+
+
+def stiff_model(L):
+    """A fractional s = 2 well at N = 256 in d = 1: ||H||_1, about (N / 2L)^2, is 41 at
+    L = 20 and 4.1e3 at L = 2, and Hessenberg's backward error scales with it."""
+    grid = TorusGrid(d=1, N=256, L=L)
+    return SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=2.0), grid, gaussian_well(grid, -3.0 + 1.0j), -1.0 + 0.5j
+
+
+# Random draws stop at dim 512: one Hessenberg reduction at dim 2048 takes
+# seconds, so the two 2048-dim shapes, d = 3 Dirac, run once per run as examples.
+@given(bs_models(max_dim=512), st.integers(1, 3))
+@example(dirac3_model(), 2)  # 2047 subdiagonals down to 4.5e-4 ||H||_1: unscaled, Hyman overflows
+@example(free_model(SymbolKind.FRACTIONAL_LAPLACIAN, 2, 16, 6.0), 2)
+@example(free_model(SymbolKind.DIRAC_MASSLESS, 2, 12, 4.0), 2)
+@example(free_model(SymbolKind.DIRAC_MASSLESS, 3, 8, 9.0), 1)
+@example(stiff_model(20.0), 2)
+@example(stiff_model(2.0), 2)
 def test_det_evaluator_matches_assembled_determinant(model, order):
     spec, grid, V, z = model
     fast = bs_det_evaluator(spec, grid, V, order)(z)
@@ -527,10 +551,10 @@ def test_gram_route_matches_zgesdd(model, alpha, panels):
     assert np.abs(A[upper] - G[upper]).max() <= 1e-13 * np.abs(G).max()
 
 
-def test_det_evaluator_builds_the_potential_matrix_once(monkeypatch):
+def test_det_evaluator_reduces_the_hamiltonian_once(monkeypatch):
     grid = TorusGrid(d=1, N=24, L=8.0)
     V = gaussian_well(grid, -1.2 + 0.7j)
-    calls = {"multiplier_matrix": 0, "logdet": 0}
+    calls = {"hessenberg_logdet": 0, "logdet": 0, "multiplier_matrix": 0, "_power_traces": 0}
 
     def spy(module, name):
         real = getattr(module, name)
@@ -541,12 +565,21 @@ def test_det_evaluator_builds_the_potential_matrix_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    spy(birman_schwinger, "multiplier_matrix")
+    spy(dense, "hessenberg_logdet")
     spy(dense, "logdet")
+    spy(birman_schwinger, "multiplier_matrix")
+    spy(birman_schwinger, "_power_traces")
+    points = (-0.9 - 0.35j, -0.5 + 0.2j, 0.3 + 0.6j, -1.7 - 0.1j)
+    # order 2: no LU, no potential matrix and no matrix power at any point
     det = bs_det_evaluator(FRAC, grid, V, order=2)
-    for z in (-0.9 - 0.35j, -0.5 + 0.2j, 0.3 + 0.6j, -1.7 - 0.1j):
+    for z in points:
         det(z)
-    assert calls == {"multiplier_matrix": 1, "logdet": 4}
+    assert calls == {"hessenberg_logdet": 1, "logdet": 0, "multiplier_matrix": 0, "_power_traces": 0}
+    # order 3 builds G^ once and takes the powers of P(z) at each point
+    det = bs_det_evaluator(FRAC, grid, V, order=3)
+    for z in points:
+        det(z)
+    assert calls == {"hessenberg_logdet": 2, "logdet": 0, "multiplier_matrix": 1, "_power_traces": 4}
 
 
 def test_det_evaluator_checks_the_potential_grid():

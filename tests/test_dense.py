@@ -74,6 +74,32 @@ def test_exactly_singular_matrix_gives_minus_inf_and_zero(n, seed, data):
         assert dv.log_abs == -math.inf and dv.value == 0
 
 
+@given(st.integers(min_value=1, max_value=200), seeds, st.integers(min_value=0, max_value=3), st.sampled_from([1.0, 1e-4, 1e-12]))
+def test_hessenberg_logdet_matches_slogdet(n, seed, cuts, small):
+    # zeros below the diagonal blocks make the Hessenberg form reducible; a
+    # small subdiagonal overflows an unscaled back-substitution at n = 200,
+    # and 1e-12 overflows ztrsv within one block of rows
+    rng = np.random.default_rng([seed, 1])  # a stream apart from random_complex's
+    A = np.triu(random_complex(n, seed), -1)
+    A[np.arange(1, n), np.arange(n - 1)] *= small
+    for cut in rng.integers(1, max(n, 2), size=cuts if n > 1 else 0):
+        A[cut, cut - 1] = 0.0
+    z = complex(*rng.standard_normal(2))
+    logdet = dense.hessenberg_logdet(A.copy(order="F"))
+    log_abs, angle = logdet(z)
+    sign, ref = np.linalg.slogdet(A - z * np.eye(n))
+    assert abs(log_abs - ref) <= 1e-12 * n * max(1.0, abs(ref))
+    assert abs(angle) <= math.pi
+    assert abs(np.exp(1j * angle) - sign) <= 1e-12 * n
+    assert logdet(z) == (log_abs, angle)  # the shifted superdiagonals were restored bit for bit
+
+
+def test_hessenberg_logdet_at_an_eigenvalue_gives_minus_inf_and_zero():
+    logdet = dense.hessenberg_logdet(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    assert logdet(2.0) == (-math.inf, 0.0)
+    assert logdet(2.5)[0] == math.log(0.5 * 0.5 * 1.5)
+
+
 def assert_same_multiset(w, ref, tol):
     # LAPACK order can differ between BLAS builds; match each value to its nearest
     assert w.shape == ref.shape

@@ -92,6 +92,7 @@ DENSE_CALLERS = {
     "eig": {"birman_schwinger.bs_eigenpair_near"},
     "nearest_eigenpair": {"spectra._FinePartner", "birman_schwinger.bs_eigenpair_near"},
     "logdet": {"birman_schwinger.regularized_det"},
+    "hessenberg_logdet": {"birman_schwinger.bs_det_evaluator"},
     "svdvals": {"birman_schwinger.assemble_bs"},
     "gram_svdvals": {"birman_schwinger.assemble_bs"},
 }
