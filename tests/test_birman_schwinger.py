@@ -514,9 +514,7 @@ def stiff_model(L):
     return SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=2.0), grid, gaussian_well(grid, -3.0 + 1.0j), -1.0 + 0.5j
 
 
-# Random draws stop at dim 512: one Hessenberg reduction at dim 2048 takes
-# seconds, so the two 2048-dim shapes, d = 3 Dirac, run once per run as examples.
-@given(bs_models(max_dim=512), st.integers(1, 3))
+@given(bs_models(), st.integers(1, 3))
 @example(dirac3_model(), 2)  # 2047 subdiagonals down to 4.5e-4 ||H||_1: unscaled, Hyman overflows
 @example(free_model(SymbolKind.FRACTIONAL_LAPLACIAN, 2, 16, 6.0), 2)
 @example(free_model(SymbolKind.DIRAC_MASSLESS, 2, 12, 4.0), 2)
