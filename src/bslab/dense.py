@@ -5,10 +5,16 @@ Birman-Schwinger matrix runs here.  numpy links its own BLAS, and on a few
 cores the idle workers of one threaded BLAS stall the threads of the other,
 so nothing here runs on numpy's.  Inputs are not checked for finiteness.
 Operators arrive column-major (:mod:`bslab.lattice`), LAPACK's own order.
-:func:`eigvals`, :func:`svdvals`, :func:`gram_svdvals` and
-:func:`hessenberg_logdet` overwrite the matrix they are given, so their
+:func:`eigvals`, :func:`eigvalsh`, :func:`svdvals`, :func:`gram_svdvals`
+and :func:`hessenberg_logdet` overwrite the matrix they are given, so their
 callers pass one they own; the other functions leave their argument as it
 was.
+
+Eigenvalues come two ways.  :func:`eigvals` is zgeev, for any square
+matrix.  :func:`eigvalsh` is zheevd on the upper triangle, for a matrix
+that is Hermitian up to rounding (a Hamiltonian with a self-adjoint
+potential); it gives the whole spectrum at about the cost of one
+shift-invert solve by :func:`nearest_eigenpair`.
 
 Determinants come two ways.  :func:`logdet` is one LU of the matrix itself.
 :func:`hessenberg_logdet` reduces H to Hessenberg form once and then gives
@@ -17,8 +23,9 @@ back-substitution; a contour search that needs det(H - z) at a few hundred
 points pays one reduction instead of one LU per point.
 
 Singular values come two ways.  :func:`svdvals` is zgesdd.
-:func:`gram_svdvals` takes the eigenvalues of the Hermitian Gram matrix
-A^H A, which it forms in A's own storage, and is about a quarter cheaper.
+:func:`gram_svdvals` takes the :func:`eigvalsh` eigenvalues of the Gram
+matrix A^H A, which it forms in A's own storage, and is about a quarter
+cheaper.
 Squaring costs the small singular values half their digits, so it serves
 only sums that weight them by sigma^alpha with alpha > 2; the caller picks
 the route (:func:`bslab.birman_schwinger.assemble_bs`).
@@ -38,7 +45,16 @@ from scipy.linalg.lapack import zgeev, zgeev_lwork, zgehrd, zgehrd_lwork, zgetrf
 
 from .lattice import _SCRATCH
 
-__all__ = ["eigvals", "eig", "svdvals", "gram_svdvals", "logdet", "hessenberg_logdet", "nearest_eigenpair"]
+__all__ = [
+    "eigvals",
+    "eigvalsh",
+    "eig",
+    "svdvals",
+    "gram_svdvals",
+    "logdet",
+    "hessenberg_logdet",
+    "nearest_eigenpair",
+]
 
 
 def eigvals(A: np.ndarray) -> np.ndarray:
@@ -93,14 +109,35 @@ def _heevd_lwork(n: int) -> tuple[int, int, int]:
     return int(work.real), int(rwork), int(iwork)
 
 
+def eigvalsh(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian matrix held in A's upper triangle, ascending; A is overwritten.
+
+    zheevd reads only the upper triangle and the real part of the diagonal,
+    so it solves the Hermitian E that they define.  For an A that is
+    Hermitian up to rounding, ||A - E||_2 <= ||A - A^H||_1, and by
+    Bauer-Fike (Numer. Math. 2, 1960; E is normal) every eigenvalue of A
+    lies within that distance of one of E's.  Where ||A - A^H||_1 is a few
+    eps ||A||_1, that is far inside the 1e-13 ||A||_1 backward error that
+    :func:`nearest_eigenpair` accepts.  An F-contiguous complex A is reduced
+    in place; any other A is copied first and left as it was.
+    """
+    lwork, lrwork, liwork = _heevd_lwork(A.shape[0])
+    lam, _, info = zheevd(A, compute_v=0, lower=0, lwork=lwork, lrwork=lrwork, liwork=liwork, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zheevd failed with info={info}")
+    return lam
+
+
 def gram_svdvals(A: np.ndarray) -> np.ndarray:
     """Singular values of the square matrix A, nonincreasing, from A^H A; A is overwritten.
 
     A is first scaled by the power of two 2^-k that brings its largest
     entry (by |Re| + |Im|, izamax) into [0.5, 2): exactly, and so that
-    squaring neither underflows nor overflows.  Its upper triangle then
-    becomes A^H A (:func:`_gram_in_place`), zheevd takes the eigenvalues lam
-    in place, and the singular values are 2^k sqrt(max(lam, 0)).  Each is
+    squaring neither underflows nor overflows.  The scale goes in two
+    halves, each a normal float even when the largest entry is subnormal
+    (k down to -1073).  Its upper triangle then becomes A^H A
+    (:func:`_gram_in_place`), :func:`eigvalsh` takes the eigenvalues lam in
+    place, and the singular values are 2^k sqrt(max(lam, 0)).  Each is
     accurate to about eps * sigma_1^2 / sigma, not eps * sigma_1 as from
     :func:`svdvals`, so sigma below sqrt(eps) * sigma_1 carries no digits.
     An F-contiguous complex A costs no copy; any other A is copied first
@@ -109,12 +146,10 @@ def gram_svdvals(A: np.ndarray) -> np.ndarray:
     A = np.asfortranarray(A, dtype=complex)
     flat = A.reshape(-1, order="F")
     _, k = math.frexp(abs(flat[izamax(flat)]))
-    A *= math.ldexp(1.0, -k)
+    for part in (k // 2, k - k // 2):
+        A *= math.ldexp(1.0, -part)
     _gram_in_place(A)
-    lwork, lrwork, liwork = _heevd_lwork(A.shape[0])
-    lam, _, info = zheevd(A, compute_v=0, lower=0, lwork=lwork, lrwork=lrwork, liwork=liwork, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zheevd failed with info={info}")
+    lam = eigvalsh(A)
     return np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), k)
 
 

@@ -7,12 +7,15 @@ site-diagonal potential).  Eigenvalues of the discretized continuum
 genuine discrete eigenvalues stay put, so refining N -> 2N separates the
 two: points close to the essential intervals are artifacts, distant points
 that barely move across the refinement are discrete.
-:func:`classified_spectrum` is that pipeline: dense at N, shift-invert
-partners at 2N.  It runs the full eigensolve at N only; a point beyond eta
-of the essential spectrum gets its nearest 2N eigenvalue from
+:func:`classified_spectrum` is that pipeline: dense at N, partners at
+2N.  It runs the full eigensolve at N only, and a point beyond eta of the
+essential spectrum gets its nearest 2N eigenvalue by one of two routes.
+For a self-adjoint potential H_2N is Hermitian up to rounding, and one
+:func:`dense.eigvalsh` gives all of its spectrum at about the cost of one
+partner solve.  Otherwise each point gets its partner from
 :func:`dense.nearest_eigenpair` (one LU of H_2N - z and a short Arnoldi
-run on the inverse), and H_2N is assembled only if some point needs a
-partner.  Both eigensolves run in :mod:`bslab.dense`; this module only
+run on the inverse).  H_2N is assembled only if some point needs a
+partner.  Every eigensolve runs in :mod:`bslab.dense`; this module only
 assembles, sorts and labels.  The dense T(D) is built once per (symbol,
 grid) and cached read-only; every Hamiltonian is a fresh copy of it plus
 the site diagonal of V.
@@ -186,9 +189,10 @@ def classify(
     """
     eigs_coarse = np.asarray(eigs_coarse, dtype=complex)
     thresholds = 5.0 * local_spacings(spec, grid, eigs_coarse.real)
+    essential = essential_spectrum(spec)
     points = []
     for z, threshold in zip(eigs_coarse, thresholds):
-        dist = dist_to_spectrum(spec, z)
+        dist = essential.distance(z)
         if dist <= threshold:
             drift = math.nan
             label = SpectralLabel.CONTINUUM_ARTIFACT
@@ -207,13 +211,25 @@ def classify(
 
 
 # ---------------------------------------------------------------------------
-# fine partners by shift-invert
+# fine partners: one Hermitian eigensolve, or shift-invert
+
+
+def _is_self_adjoint(V: PotentialField) -> bool:
+    """Whether V is self-adjoint: exactly real scalars, or each site block its own conjugate transpose."""
+    v = V.values
+    if V.is_matrix:
+        return bool(np.array_equal(v, np.conj(np.swapaxes(v, -1, -2))))
+    return not np.any(v.imag)
 
 
 class _FinePartner:
     """z -> nearest eigenvalue of H_2N = T(D) + V on the fine grid.
 
-    H_2N is assembled on the first call.  Each z is answered by
+    H_2N is assembled on the first call.  For a self-adjoint V (tested on
+    the coarse field the caller passed: resampling leaves rounding noise in
+    the imaginary part) H_2N is Hermitian up to rounding, and the first call
+    takes its whole spectrum from :func:`dense.eigvalsh`, which answers that
+    z and every later one.  Otherwise each z is answered by
     :func:`dense.nearest_eigenpair`; the first time its check fails, the
     dense spectrum of H_2N is computed in H_2N's own storage (one DEBUG
     record on the ``bslab`` logger) and answers that z and every later one.
@@ -221,6 +237,7 @@ class _FinePartner:
 
     def __init__(self, spec: SymbolSpec, fine: TorusGrid, V: PotentialField):
         self.spec, self.fine, self.V = spec, fine, V
+        self.hermitian = _is_self_adjoint(V)
         self.H: Optional[np.ndarray] = None
         self.fallback: Optional[Callable[[complex], complex]] = None
 
@@ -229,12 +246,13 @@ class _FinePartner:
             if self.H is None:
                 H = assemble_hamiltonian(self.spec, self.fine, resample(self.V, self.fine))
                 self.H = np.asfortranarray(H)
-            pair = dense.nearest_eigenpair(self.H, z)
-            if pair is not None:
-                return pair[0]
-            _log.debug("dense %d-dim fine solve: no shift-invert partner at z=%s", self.H.shape[0], z)
+            if not self.hermitian:
+                pair = dense.nearest_eigenpair(self.H, z)
+                if pair is not None:
+                    return pair[0]
+                _log.debug("dense %d-dim fine solve: no shift-invert partner at z=%s", self.H.shape[0], z)
             H, self.H = self.H, None  # the dense solve overwrites H, and nothing reads it again
-            self.fallback = nearest_in(eigensolve(H))
+            self.fallback = nearest_in(dense.eigvalsh(H) if self.hermitian else eigensolve(H))
         return self.fallback(z)
 
 
@@ -284,11 +302,13 @@ def spectrum_memo():
 def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> list[SpectralPoint]:
     """Every eigenvalue of H0 + V on grid, in eigensolve order, labeled by classify.
 
-    Dense at N, shift-invert partners at 2N: the full eigensolve runs on
-    grid only, and each point beyond eta gets its nearest eigenvalue on
-    grid.refined() from one LU and a short Arnoldi run (dense 2N eigensolve
-    as the fallback when that does not converge).  A call whose points are
-    all ContinuumArtifact assembles no fine matrix.  A grid without a
+    Dense at N, partners at 2N: the full eigensolve runs on grid only, and
+    each point beyond eta gets its nearest eigenvalue on grid.refined().
+    For a self-adjoint V (real scalars, or Hermitian site blocks) all of
+    them come from one Hermitian eigensolve of H_2N.  For any other V each
+    comes from one LU and a short Arnoldi run (dense 2N eigensolve as the
+    fallback when that does not converge).  A call whose points are all
+    ContinuumArtifact assembles no fine matrix.  A grid without a
     :func:`fine_grid` partner raises ValueError before any eigensolve.
     Inside a :func:`spectrum_memo` scope, a repeat of (spec, grid, V.grid
     and the shape, dtype and bytes of V.values) is served from the memo;

@@ -529,10 +529,19 @@ def test_det_evaluator_matches_assembled_determinant(model, order):
     assert abs(cmath.exp(1j * (fast.phase - slow.phase)) - 1.0) < 1e-10
 
 
+def subnormal_model():
+    """V = 5e-324i at every site: M's largest entry is subnormal, and scaling it to
+    unit size in one step needs 2^1073, which is not a float."""
+    grid = TorusGrid(d=1, N=8, L=2.0)
+    spec = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=1.0)
+    return spec, grid, PotentialField(grid, np.full(grid.shape, 5e-324j)), 1j
+
+
 # Random draws stop at dim 512, where one-column panels are cheap; the one
 # 2048-dim shape, d = 3 Dirac, runs once per run as the explicit example.
 @given(bs_models(max_dim=512), st.floats(2.0, 8.0, exclude_min=True), st.integers(1, 512))
 @example(dirac3_model(), 3.0, 100)
+@example(subnormal_model(), 3.0, 1)
 def test_gram_route_matches_zgesdd(model, alpha, panels):
     spec, grid, V, z = model
     M = bs_matrix(spec, grid, V, z)

@@ -626,9 +626,11 @@ def _golden_scan(out):
 
 def _solver_calls(monkeypatch):
     """V bytes of every solve beneath the spectrum memo, the dimension of every
-    eigensolve, and the count of shift-invert partner solves."""
-    seen = {"solves": [], "dims": Counter(), "partners": 0}
+    eigensolve and of every Hermitian eigensolve, and the count of shift-invert
+    partner solves."""
+    seen = {"solves": [], "dims": Counter(), "hermitian": Counter(), "partners": 0}
     solve, eig, nearest = spectra._solve_classified, spectra.eigensolve, dense.nearest_eigenpair
+    eigh = dense.eigvalsh
 
     def solve_spy(spec, grid, V):
         seen["solves"].append(V.values.tobytes())
@@ -638,12 +640,17 @@ def _solver_calls(monkeypatch):
         seen["dims"][H.shape[0]] += 1
         return eig(H)
 
+    def eigh_spy(A):
+        seen["hermitian"][A.shape[0]] += 1
+        return eigh(A)
+
     def nearest_spy(H, z):
         seen["partners"] += 1
         return nearest(H, z)
 
     monkeypatch.setattr(spectra, "_solve_classified", solve_spy)
     monkeypatch.setattr(spectra, "eigensolve", eig_spy)
+    monkeypatch.setattr(dense, "eigvalsh", eigh_spy)
     monkeypatch.setattr(dense, "nearest_eigenpair", nearest_spy)
     return seen
 
@@ -652,6 +659,8 @@ def test_golden_verifiers_solve_each_coupling_once(tmp_path, monkeypatch):
     # main bisects from [0, 1] and weighted-sums halves from t = 1: both probe
     # t = 1, 1/2, ..., 1/32, and spectra.csv reads t = 1 again.  One memo for
     # the scan solves every distinct t*V once, and spectra.csv solves nothing.
+    # The golden well is real, so each coupling that has a point beyond eta
+    # takes its 2N partners from one Hermitian eigensolve, never shift-invert.
     seen = _solver_calls(monkeypatch)
     csv_eigensolves = []
     classified_points = cli._classified_points
@@ -666,7 +675,8 @@ def test_golden_verifiers_solve_each_coupling_once(tmp_path, monkeypatch):
     _golden_scan(tmp_path)
     assert len(seen["solves"]) == len(set(seen["solves"])) == 22
     assert seen["dims"] == {64: 22}
-    assert seen["partners"] == 73
+    assert seen["hermitian"] == {128: 18}
+    assert seen["partners"] == 0
     assert csv_eigensolves == [0]
 
 

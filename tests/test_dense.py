@@ -125,6 +125,15 @@ def test_eig_matches_numpy(n, seed):
 
 
 @given(sizes, seeds)
+def test_eigvalsh_solves_the_hermitian_matrix_of_the_upper_triangle(n, seed):
+    A = random_complex(n, seed)  # its lower triangle is not the upper one's adjoint
+    H = np.triu(A, 1) + np.triu(A, 1).conj().T + np.diag(A.diagonal().real)
+    w = dense.eigvalsh(np.asfortranarray(A))
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(w - np.linalg.eigvalsh(H)).max() <= 1e-13 * n * np.linalg.norm(H, 1)
+
+
+@given(sizes, seeds)
 def test_svdvals_match_numpy(n, seed):
     A = random_complex(n, seed)
     sv, ref = dense.svdvals(A), np.linalg.svd(A, compute_uv=False)

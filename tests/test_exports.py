@@ -89,6 +89,7 @@ def test_dense_factorizations_live_only_in_dense():
 # class: a full decomposition added to a per-point path has to be listed here
 DENSE_CALLERS = {
     "eigvals": {"spectra.eigensolve", "birman_schwinger.bs_residual"},
+    "eigvalsh": {"spectra._FinePartner"},
     "eig": {"birman_schwinger.bs_eigenpair_near"},
     "nearest_eigenpair": {"spectra._FinePartner", "birman_schwinger.bs_eigenpair_near"},
     "logdet": {"birman_schwinger.regularized_det"},

@@ -1,12 +1,13 @@
-"""classified_spectrum (dense at N, shift-invert partners at 2N) against the
-dense oracle: classify fed every eigenvalue of H_2N."""
+"""classified_spectrum (dense at N; at 2N one Hermitian eigensolve for a
+self-adjoint potential, shift-invert partners otherwise) against the dense
+oracle: classify fed every eigenvalue of H_2N."""
 
 import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bslab import dense, spectra
 from bslab.lattice import TorusGrid
@@ -39,7 +40,8 @@ def gaussian_well(grid, amplitude, width, center):
 @st.composite
 def complex_wells(draw):
     """A random complex Gaussian well for one of the four kinds: d=1 with
-    N <= 64, or (one draw in eight) d=2 at N = 8."""
+    N <= 64, or (one draw in eight) d=2 at N = 8.  One draw in four has a
+    real amplitude: a self-adjoint potential."""
     kind = draw(st.sampled_from(list(SymbolKind)))
     d = 2 if draw(st.integers(0, 7)) == 0 else 1
     spec = SymbolSpec(kind, d)
@@ -47,7 +49,8 @@ def complex_wells(draw):
         spec = SymbolSpec(kind, d, draw(st.floats(0.75, 2.5)))
     N = 8 if d == 2 else 2 * draw(st.integers(8, 32))
     grid = TorusGrid(d, N, draw(st.floats(4.0, 30.0)))
-    amplitude = complex(draw(st.floats(-8.0, 0.0)), draw(st.floats(-3.0, 3.0)))
+    imag = 0.0 if draw(st.integers(0, 3)) == 0 else draw(st.floats(-3.0, 3.0))
+    amplitude = complex(draw(st.floats(-8.0, 0.0)), imag)
     center = [draw(st.floats(0.0, grid.L)) for _ in range(d)]
     return spec, grid, gaussian_well(grid, amplitude, draw(st.floats(0.3, 3.0)), center)
 
@@ -62,9 +65,23 @@ def assert_matches_oracle(points, oracle):
             assert abs(p.refinement_drift - q.refinement_drift) <= 1e-8
 
 
+def hermitian_block_well():
+    """Massive Dirac in d=1 with Hermitian 2x2 site blocks: self-adjoint, not scalar."""
+    spec = SymbolSpec(SymbolKind.DIRAC_MASSIVE, 1)
+    grid = TorusGrid(1, 40, 12.0)
+    block = np.array([[-2.5, 0.6 - 0.8j], [0.6 + 0.8j, -1.5]])
+    V = gaussian_well(grid, 1.0, 1.2, [5.0])
+    return spec, grid, PotentialField(grid, V.values[:, None, None] * block)
+
+
 @given(complex_wells())
+@example(hermitian_block_well())
 def test_shift_invert_partners_match_the_dense_oracle(well):
     spec, grid, V = well
+    if spectra._is_self_adjoint(V):  # the Hermitian route's premise: H_2N is Hermitian to rounding
+        fine = grid.refined()
+        H = assemble_hamiltonian(spec, fine, resample(V, fine))
+        assert np.linalg.norm(H - H.conj().T, 1) <= 1e-13 * np.linalg.norm(H, 1)
     assert_matches_oracle(classified_spectrum(spec, grid, V), dense_oracle(spec, grid, V))
 
 
