@@ -3,10 +3,11 @@
 :func:`bs_matrix` is the one place M(z) is built -- potential check,
 half-potential split and the dense sandwiched resolvent, multiplied in place
 on the column-major R0(z), so M is the one operator-sized array it makes.
-:func:`assemble_bs` returns the singular values of that M for a Schatten
-exponent alpha and overwrites M on the way: for 2 < alpha < inf from the
-eigenvalues of M^H M formed in M's own storage, otherwise from zgesdd.
-Callers that need M itself call :func:`bs_matrix`.
+:func:`assemble_bs` returns the singular values of M for a Schatten
+exponent alpha: for 2 < alpha < inf from the eigenvalues of M^H M, which
+:func:`lattice.sandwich_gram` builds on the Fourier side without M;
+otherwise from zgesdd of the M that :func:`bs_matrix` builds, overwritten on
+the way.  Callers that need M itself call :func:`bs_matrix`.
 On top of it this module computes Schatten norms from singular values and
 regularized Fredholm determinants det_n(I + M), and locates determinant zeros
 inside rectangles of the complex plane by an argument-principle bisection
@@ -39,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import dense
-from .lattice import TorusGrid, multiplier_matrix, site_diagonal_sandwich
+from .lattice import TorusGrid, multiplier_matrix, sandwich_gram, site_diagonal_sandwich
 from .potentials import PotentialField
 from .resolvent import resolvent_multiplier
 from .spectra import assemble_hamiltonian
@@ -128,20 +129,29 @@ def assemble_bs(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex
     """Singular values of M(z), nonincreasing, for the Schatten alpha-norm.
 
     This is the one place that picks how they are computed.  For 2 < alpha
-    < inf they come from the eigenvalues of M^H M (:func:`dense.gram_svdvals`):
-    the singular values below sqrt(eps) sigma_1 that squaring blurs weigh
-    less than eps in S^alpha.  Every other alpha takes zgesdd
-    (:func:`dense.svdvals`): alpha = inf needs sigma_1 to full precision,
-    alpha < 2 weighs the small singular values at more than their square,
-    and alpha = 2 keeps zgesdd's values in the certificates that pin them.
-    Either route overwrites the M that :func:`bs_matrix` builds, so one
-    operator-sized array serves the whole call; a caller that needs M itself
+    < inf they are the square roots of the eigenvalues of G = M^H M
+    (:func:`dense.eigvalsh`): the singular values below sqrt(eps) sigma_1
+    that squaring blurs weigh less than eps in S^alpha.  G is built on the
+    Fourier side from R0(z)'s multiplier and the half potentials
+    (:func:`lattice.sandwich_gram`), without M, in O(dim^2 log dim).  V is
+    first scaled by the power of two 2^-k that brings its largest real or
+    imaginary part into [0.5, 1), exactly and in two halves, each a normal
+    float even for a subnormal V; M is linear in V, so the singular values
+    are 2^k sqrt(max(lam, 0)).  Every other alpha takes zgesdd
+    (:func:`dense.svdvals`) of the M that :func:`bs_matrix` builds:
+    alpha = inf needs sigma_1 to full precision, alpha < 2 weighs the small
+    singular values at more than their square, and alpha = 2 keeps zgesdd's
+    values in the certificates that pin them.  Either route makes one
+    operator-sized array and overwrites it; a caller that needs M itself
     builds it with :func:`bs_matrix`.
     """
-    M = bs_matrix(spec, grid, V, z)
-    if 2.0 < alpha < math.inf:
-        return dense.gram_svdvals(M)
-    return dense.svdvals(M)
+    if not 2.0 < alpha < math.inf:
+        return dense.svdvals(bs_matrix(spec, grid, V, z))
+    V.check_fits(grid, spec.n)
+    _, k = math.frexp(max(np.abs(V.values.real).max(), np.abs(V.values.imag).max()))
+    left, right = half_potentials(V.scaled(math.ldexp(1.0, -(k // 2))).scaled(math.ldexp(1.0, k // 2 - k)))
+    G = sandwich_gram(left.values, resolvent_multiplier(spec, grid, z), right.values, grid)
+    return np.ldexp(np.sqrt(np.maximum(dense.eigvalsh(G)[::-1], 0.0)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +211,20 @@ def _check_order(order: int) -> int:
 
 
 def _power_traces(mat: np.ndarray, order: int) -> list[complex]:
-    """tr(mat^k) for k = 1 .. order - 1, one matrix product per power above the first."""
-    traces = []
-    power = mat
-    for k in range(1, order):
-        if k > 1:
-            power = power @ mat
-        traces.append(complex(np.trace(power)))
+    """tr(mat^k) for k = 1 .. order - 1.
+
+    tr(mat^k) is the sum of mat^a * (mat^b)^T over all entries, with a =
+    ceil(k/2) and b = floor(k/2), so only the powers up to
+    mat^ceil((order - 1)/2) are formed, one matrix product each above the
+    first: order 3 takes none.
+    """
+    powers = [mat]  # powers[p - 1] is mat^p
+    traces = [complex(np.trace(mat))] if order > 1 else []
+    for k in range(2, order):
+        a, b = (k + 1) // 2, k // 2
+        if a > len(powers):
+            powers.append(powers[-1] @ mat)
+        traces.append(complex(np.einsum("ij,ji->", powers[a - 1], powers[b - 1])))
     return traces
 
 
@@ -233,12 +250,12 @@ def regularized_det(M: np.ndarray, order: int) -> DetValue:
     """Regularized determinant det_n(I+M) = det(I+M) exp(sum_{k=1}^{n-1} (-1)^k tr(M^k) / k).
 
     det(I+M) comes from one LU factorization (dense.logdet); the regularizing
-    factor from traces of powers of M, so order 2 costs only tr M and each
-    higher order one more matrix product.  Magnitude and phase are combined
-    in log form.  A singular I+M gives log_abs = -inf and value 0.  The LU
-    sees I + M through M's own diagonal, shifted by one and then restored
-    bit for bit, so M must be writable and is unchanged on return.  The
-    oracle for :func:`bs_det_evaluator`.
+    factor from traces of powers of M, so orders 2 and 3 cost no matrix
+    product and every two orders above one more.  Magnitude and phase are
+    combined in log form.  A singular I+M gives log_abs = -inf and value 0.
+    The LU sees I + M through M's own diagonal, shifted by one and then
+    restored bit for bit, so M must be writable and is unchanged on return.
+    The oracle for :func:`bs_det_evaluator`.
     """
     order = _check_order(order)
     mat = np.asarray(M, dtype=complex)

@@ -773,14 +773,17 @@ def schatten_ray_samples(
 
 
 def preflight_schatten_scaling(
-    spec: SymbolSpec, grid: TorusGrid, q: float, ray: Sequence[complex]
+    spec: SymbolSpec, grid: TorusGrid, q: float, ray: Sequence[complex], V: PotentialField
 ) -> None:
     """Argument checks of :func:`verify_schatten_scaling`; raises RegimeError.
 
     Each ray point must miss the lattice levels of the grid it is measured
     on, grid.rescaled(t) in co-rescaled fits and grid otherwise, and that
-    grid must fit the dense cap.
+    grid must fit the dense cap.  V must not vanish: the fit divides each
+    Schatten norm by a norm of V.
     """
+    if not np.any(V.values):
+        raise RegimeError("potential", "V = 0: the fit divides each Schatten norm by the norm of V")
     zs = np.asarray([complex(z) for z in ray])
     if zs.size < 8:
         raise RegimeError("ray", f"rays need at least 8 points, got {zs.size}")
@@ -837,7 +840,7 @@ def verify_schatten_scaling(
     - predicted| <= 0.1; a log-space fit residual above 0.05 downgrades to REPORT-ONLY.
     """
     certify = _certifier("schatten-scaling", grid, seed)
-    preflight_schatten_scaling(spec, grid, q, ray)
+    preflight_schatten_scaling(spec, grid, q, ray, V)
     zs = np.asarray([complex(z) for z in ray])
     moduli = np.abs(zs)
     d, s, kind = spec.d, spec.s, spec.kind

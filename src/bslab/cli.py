@@ -345,7 +345,7 @@ VERIFIERS = {
     ),
     "schatten-scaling": Verifier(
         keys=("q", "ray"),
-        preflight=lambda a: preflight_schatten_scaling(a.spec, a.grid, a.q, a.ray),
+        preflight=lambda a: preflight_schatten_scaling(a.spec, a.grid, a.q, a.ray, a.V),
         run=lambda a: verify_schatten_scaling(a.spec, a.grid, a.q, a.ray, a.V, seed=a.seed),
         series=("schatten-norm", "ray", "measured"),
     ),

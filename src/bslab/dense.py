@@ -5,16 +5,16 @@ Birman-Schwinger matrix runs here.  numpy links its own BLAS, and on a few
 cores the idle workers of one threaded BLAS stall the threads of the other,
 so nothing here runs on numpy's.  Inputs are not checked for finiteness.
 Operators arrive column-major (:mod:`bslab.lattice`), LAPACK's own order.
-:func:`eigvals`, :func:`eigvalsh`, :func:`svdvals`, :func:`gram_svdvals`
-and :func:`hessenberg_logdet` overwrite the matrix they are given, so their
+:func:`eigvals`, :func:`eigvalsh`, :func:`svdvals` and
+:func:`hessenberg_logdet` overwrite the matrix they are given, so their
 callers pass one they own; the other functions leave their argument as it
 was.
 
 Eigenvalues come two ways.  :func:`eigvals` is zgeev, for any square
 matrix.  :func:`eigvalsh` is zheevd on the upper triangle, for a matrix
 that is Hermitian up to rounding (a Hamiltonian with a self-adjoint
-potential); it gives the whole spectrum at about the cost of one
-shift-invert solve by :func:`nearest_eigenpair`.
+potential, or a Gram matrix); it gives the whole spectrum at about the
+cost of one shift-invert solve by :func:`nearest_eigenpair`.
 
 Determinants come two ways.  :func:`logdet` is one LU of the matrix itself.
 :func:`hessenberg_logdet` reduces H to Hessenberg form once and then gives
@@ -22,13 +22,10 @@ det(H - z) for any z in O(n^2), by Hyman's method with a scaled
 back-substitution; a contour search that needs det(H - z) at a few hundred
 points pays one reduction instead of one LU per point.
 
-Singular values come two ways.  :func:`svdvals` is zgesdd.
-:func:`gram_svdvals` takes the :func:`eigvalsh` eigenvalues of the Gram
-matrix A^H A, which it forms in A's own storage, and is about a quarter
-cheaper.
-Squaring costs the small singular values half their digits, so it serves
-only sums that weight them by sigma^alpha with alpha > 2; the caller picks
-the route (:func:`bslab.birman_schwinger.assemble_bs`).
+Singular values come from :func:`svdvals`, zgesdd.  Where a Schatten sum
+weights them by sigma^alpha with alpha > 2, their squares may instead come
+from :func:`eigvalsh` of a Gram matrix built without the matrix itself; the
+caller picks the route (:func:`bslab.birman_schwinger.assemble_bs`).
 """
 
 from __future__ import annotations
@@ -40,17 +37,14 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import izamax, zdotu, zgemm, zgemv, ztrsv
+from scipy.linalg.blas import izamax, zdotu, zgemv, ztrsv
 from scipy.linalg.lapack import zgeev, zgeev_lwork, zgehrd, zgehrd_lwork, zgetrf, zgetrs, zheevd, zheevd_lwork
-
-from .lattice import _SCRATCH
 
 __all__ = [
     "eigvals",
     "eigvalsh",
     "eig",
     "svdvals",
-    "gram_svdvals",
     "logdet",
     "hessenberg_logdet",
     "nearest_eigenpair",
@@ -78,24 +72,6 @@ def svdvals(A: np.ndarray) -> np.ndarray:
     operator costs no copy; any other A is copied first and left as it was.
     """
     return scipy.linalg.svdvals(A, overwrite_a=True, check_finite=False)
-
-
-def _gram_in_place(A: np.ndarray) -> None:
-    """Overwrite the upper triangle of the square, F-contiguous A with A^H A.
-
-    Column panels J = [lo, hi) run from the last one down.  One zgemm puts
-    C[:hi, J] = A[:, :hi]^H A[:, J] in a scratch panel of at most _SCRATCH
-    elements, which then goes over A's columns J: no later panel reads
-    them, since every later panel ends at this one's lo.  Below the
-    diagonal blocks A keeps its own entries.
-    """
-    n = A.shape[0]
-    width = max(1, _SCRATCH // n)
-    panel = np.empty(n * min(width, n), dtype=complex)
-    for lo in range((n - 1) // width * width, -1, -width):
-        hi = min(lo + width, n)
-        C = panel[: hi * (hi - lo)].reshape((hi, hi - lo), order="F")
-        A[:hi, lo:hi] = zgemm(1.0, A[:, :hi], A[:, lo:hi], trans_a=2, c=C, overwrite_c=1)
 
 
 @lru_cache(maxsize=None)
@@ -126,31 +102,6 @@ def eigvalsh(A: np.ndarray) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"zheevd failed with info={info}")
     return lam
-
-
-def gram_svdvals(A: np.ndarray) -> np.ndarray:
-    """Singular values of the square matrix A, nonincreasing, from A^H A; A is overwritten.
-
-    A is first scaled by the power of two 2^-k that brings its largest
-    entry (by |Re| + |Im|, izamax) into [0.5, 2): exactly, and so that
-    squaring neither underflows nor overflows.  The scale goes in two
-    halves, each a normal float even when the largest entry is subnormal
-    (k down to -1073).  Its upper triangle then becomes A^H A
-    (:func:`_gram_in_place`), :func:`eigvalsh` takes the eigenvalues lam in
-    place, and the singular values are 2^k sqrt(max(lam, 0)).  Each is
-    accurate to about eps * sigma_1^2 / sigma, not eps * sigma_1 as from
-    :func:`svdvals`, so sigma below sqrt(eps) * sigma_1 carries no digits.
-    An F-contiguous complex A costs no copy; any other A is copied first
-    and left as it was.
-    """
-    A = np.asfortranarray(A, dtype=complex)
-    flat = A.reshape(-1, order="F")
-    _, k = math.frexp(abs(flat[izamax(flat)]))
-    for part in (k // 2, k - k // 2):
-        A *= math.ldexp(1.0, -part)
-    _gram_in_place(A)
-    lam = eigvalsh(A)
-    return np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), k)
 
 
 def logdet(A: np.ndarray) -> tuple[float, float]:

@@ -20,6 +20,9 @@ column-major (F-contiguous), LAPACK's order: :func:`multiplier_matrix`
 transforms the site identity in small chunks and writes each column of block
 (i, a) in place; :func:`site_diagonal_sandwich` and :func:`add_site_diagonal`
 modify the matrix they are given, so no second operator-sized array exists.
+:func:`sandwich_gram` writes the Gram matrix M^H M of such a sandwich M in
+the same layout, from transforms of the multiplier's Fourier-side product
+rather than from M.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GridFunction",
@@ -40,6 +44,7 @@ __all__ = [
     "lp_norm",
     "multiplier_matrix",
     "per_site",
+    "sandwich_gram",
     "site_diagonal_sandwich",
     "site_magnitudes",
     "weighted_lp",
@@ -281,6 +286,69 @@ def site_diagonal_sandwich(
         block = cols.reshape(size, n, hi - lo, n)
         cols[...] = np.einsum("xab,xbyc,ycd->xayd", lb, block, rb[lo:hi], optimize=True).reshape(cols.shape)
     return mat
+
+
+def sandwich_gram(left: np.ndarray, m: np.ndarray, right: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """M^H M for M = diag(left) R diag(right), R the matrix of the multiplier m, built without M.
+
+    left, m and right are as in :func:`site_diagonal_sandwich` and
+    :func:`multiplier_matrix`, and the result is column-major in their
+    layout.  With R = F^{-1} diag(r) F and W = left^H left site by site,
+    R^H W R = F^{-1} C^ F, where C^[k, k'] = r(k)^H w^(k - k') r(k') / N^d
+    and w^ is the transform of W: a site-diagonal W couples the modes
+    through its transform alone.  C^ is built a few column sites k' at a
+    time in two scratch buffers of _SCRATCH elements in all, its w^ factor
+    gathered from the transform tiled twice; each block is transformed over
+    k in the scratch and copied into its columns.  One in-place pass then
+    transforms every row over k', and :func:`site_diagonal_sandwich`
+    applies right^H and right.  O(dim^2 log dim) work and no matrix
+    product; the result is the only operator-sized array the call makes.
+    """
+    mvals = np.asarray(m, dtype=complex)
+    size, d, N = grid.size, grid.d, grid.N
+    r = mvals.reshape(size, *(mvals.shape[d:] or (1, 1)))  # (n, n) blocks; a scalar is n = 1
+    r_conj = np.conj(r)
+    n = r.shape[-1]
+    dim = dense_dim(grid, n)
+    scalar = left.ndim == d
+    if scalar:
+        w = np.abs(left) ** 2
+    else:
+        lb = left.reshape(grid.shape + (n, n))
+        w = np.einsum("...ba,...bc->...ac", np.conj(lb), lb)
+    w_hat = np.fft.fftn(w, axes=grid.axes()) / size
+    # shifted[N - k'][..., k] is w^(k - k'), axis by axis, from the transform tiled twice
+    shifted = sliding_window_view(np.tile(w_hat, (2,) * d + (1,) * (w.ndim - d)), grid.shape, axis=grid.axes())
+    far = N - np.indices(grid.shape).reshape(d, size)
+    r_rows = np.ascontiguousarray(np.swapaxes(r, 0, 1))  # [c, k', a]
+    terms = [(b, b) for b in range(n)] if scalar else list(np.ndindex(n, n))  # a scalar W is w times the identity
+    out = np.empty((dim, dim), dtype=complex, order="F")
+    blocks = out.T.reshape(size, n, size, n)  # [k', a, x, i] is out[x*n + i, k'*n + a]
+    chunk = max(1, _SCRATCH // (2 * n * dim))  # two scratch buffers share _SCRATCH elements
+    scratch = np.empty((2, chunk * n * dim), dtype=complex)
+    for lo in range(0, size, chunk):
+        hi = min(lo + chunk, size)
+        gathered = shifted[tuple(far[:, lo:hi])].reshape(hi - lo, *w.shape[d:], size)
+        table = np.repeat(np.moveaxis(gathered, -1, 0), n, axis=1)[:, None]  # [k, -, (j, a), ...]: w^(k - k'_j)
+        part, term = (buf[: (hi - lo) * n * dim].reshape(size, n, (hi - lo) * n) for buf in scratch)
+        for t, (b, c) in enumerate(terms):  # part[k, i, (j, a)] += conj(r(k)[b, i]) w^(k - k'_j)[b, c] r(k'_j)[c, a]
+            dst = term if t else part
+            np.multiply(r_conj[:, b, :, None], r_rows[c, lo:hi].reshape(-1), out=dst)
+            if not scalar:
+                dst *= table[..., b, c]
+            if t:
+                part += dst
+        if scalar:
+            part *= table
+        fields = part.reshape(grid.shape + (n, hi - lo, n))
+        np.fft.ifftn(fields, axes=grid.axes(), out=fields)
+        blocks[lo:hi] = part.reshape(size, n, hi - lo, n).transpose(2, 3, 0, 1)
+    rows = out.T.reshape(grid.shape + (n, dim))  # [k', a, row]
+    np.fft.fftn(rows, axes=grid.axes(), out=rows)
+    if scalar:
+        return site_diagonal_sandwich(np.conj(right), out, right, grid)
+    rb = right.reshape(grid.shape + (n, n))
+    return site_diagonal_sandwich(np.conj(np.swapaxes(rb, -1, -2)), out, rb, grid)
 
 
 def add_site_diagonal(mat: np.ndarray, values: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from bslab import birman_schwinger, dense
+from bslab import birman_schwinger, dense, lattice
 from bslab.birman_schwinger import (
     ContourBoundaryError,
     DetValue,
@@ -25,7 +25,7 @@ from bslab.birman_schwinger import (
     schatten_norm,
     schatten_order,
 )
-from bslab.lattice import TorusGrid, multiplier_matrix, site_diagonal_sandwich
+from bslab.lattice import TorusGrid, multiplier_matrix, sandwich_gram, site_diagonal_sandwich
 from bslab.potentials import PotentialField, PotentialSpec, sample_potential
 from bslab.resolvent import ResolventHandle, kernel_array, lattice_levels, resolvent_multiplier
 from bslab.spectra import assemble_hamiltonian, eigensolve
@@ -172,8 +172,8 @@ DIRAC2 = SymbolSpec(kind=SymbolKind.DIRAC_MASSLESS, d=2)
 
 
 def test_assemble_bs_wraps_bs_matrix():
-    # bit for bit the singular values of a copy of the column-major M, by the
-    # route its alpha takes, for a scalar and a spinor case
+    # alpha = 2: bit for bit zgesdd's singular values of a copy of the column-major M;
+    # alpha = 3 never sees M, so S^3 matches zgesdd's within rounding
     z = -0.6 + 0.3j
     line, plane = TorusGrid(d=1, N=16, L=8.0), TorusGrid(d=2, N=8, L=4.8)
     for spec, grid, V in (
@@ -182,50 +182,64 @@ def test_assemble_bs_wraps_bs_matrix():
     ):
         M = bs_matrix(spec, grid, V, z)
         assert M.flags.f_contiguous
-        for alpha, route in ((2.0, dense.svdvals), (3.0, dense.gram_svdvals)):
-            sv = assemble_bs(spec, grid, V, z, alpha)
-            assert np.array_equal(M, bs_matrix(spec, grid, V, z))
-            assert np.array_equal(sv, route(M.copy(order="F")))
-            assert np.all(sv >= 0) and np.all(np.diff(sv) <= 0)
+        ref = dense.svdvals(M.copy(order="F"))
+        sv2, sv3 = (assemble_bs(spec, grid, V, z, alpha) for alpha in (2.0, 3.0))
+        assert np.array_equal(M, bs_matrix(spec, grid, V, z))
+        assert all(np.all(sv >= 0) and np.all(np.diff(sv) <= 0) for sv in (sv2, sv3))
+        assert np.array_equal(sv2, ref)
+        assert abs(schatten_norm(sv3, 3.0) - schatten_norm(ref, 3.0)) <= 1e-12 * schatten_norm(ref, 3.0)
 
 
 def test_assemble_bs_peak_memory_is_one_matrix():
-    # zgesdd, or the Gram matrix and its eigenvalues, overwrite the one M that
-    # the sandwich built in place on R0
-    grid = TorusGrid(d=2, N=20, L=4.8)
-    V = _gaussian_2d(grid, 1.0, 0.9)
-    matrix_bytes = (grid.size * DIRAC2.n) ** 2 * 16
-    for alpha in (2.0, 3.0):
-        tracemalloc.start()
-        try:
-            assemble_bs(DIRAC2, grid, V, 1.0 + 0.2j, alpha)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.6 * matrix_bytes
+    # zgesdd overwrites the one M that the sandwich built in place on R0; the Gram
+    # route makes G alone.  In the scalar case a whole S x S table of the potential's
+    # transform would be one more matrix: the route gathers it a few rows at a time
+    plane = TorusGrid(d=2, N=20, L=4.8)
+    square = TorusGrid(d=2, N=32, L=4.8)
+    frac2 = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=2, s=1.0)
+    for spec, grid, alphas in (
+        (DIRAC2, plane, (2.0, 3.0)),
+        (frac2, square, (3.0,)),
+    ):
+        V = _gaussian_2d(grid, 1.0, 0.9)
+        matrix_bytes = (grid.size * spec.n) ** 2 * 16
+        for alpha in alphas:
+            tracemalloc.start()
+            try:
+                assemble_bs(spec, grid, V, 1.0 + 0.2j, alpha)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.6 * matrix_bytes
 
 
 @pytest.mark.parametrize(
     "alpha, route",
-    [(1.0, "svdvals"), (1.5, "svdvals"), (2.0, "svdvals"), (math.inf, "svdvals"), (3.0, "gram_svdvals")],
+    [(1.0, "svdvals"), (1.5, "svdvals"), (2.0, "svdvals"), (math.inf, "svdvals"), (3.0, "gram")],
 )
 def test_assemble_bs_takes_zgesdd_unless_two_below_alpha_below_inf(monkeypatch, alpha, route):
+    # the Gram route builds neither M nor any multiplier matrix, and solves once
     calls = []
 
-    def spy(name):
-        real = getattr(dense, name)
+    def spy(module, name):
+        real = getattr(module, name)
 
-        def call(A):
+        def call(*args):
             calls.append(name)
-            return real(A)
+            return real(*args)
 
-        return call
+        monkeypatch.setattr(module, name, call)
 
-    for name in ("svdvals", "gram_svdvals"):
-        monkeypatch.setattr(dense, name, spy(name))
+    for name in ("svdvals", "eigvalsh"):
+        spy(dense, name)
+    spy(birman_schwinger, "bs_matrix")
+    spy(birman_schwinger, "multiplier_matrix")
     grid = TorusGrid(d=1, N=16, L=8.0)
     assemble_bs(FRAC, grid, gaussian_well(grid, -1.3 + 0.4j), -0.6 + 0.3j, alpha)
-    assert calls == [route]
+    if route == "gram":
+        assert calls == ["eigvalsh"]
+    else:
+        assert calls == ["bs_matrix", "multiplier_matrix", "svdvals"]
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +317,18 @@ def test_det_log_bounds_on_random_matrices():
             assert dv.log_abs <= bound + 1e-10
     with pytest.raises(ValueError):
         det_bound_constant(3)
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_power_traces_match_the_traces_of_explicit_powers(n, seed, order):
+    rng = np.random.default_rng(seed)
+    M = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(n)
+    traces = birman_schwinger._power_traces(M, order)
+    assert len(traces) == order - 1
+    norm, power = np.linalg.norm(M, 2), np.eye(n)
+    for k, trace in enumerate(traces, 1):
+        power = power @ M
+        assert abs(trace - np.trace(power)) <= 1e-13 * n * norm**k
 
 
 def test_det_invalid_order():
@@ -537,8 +563,8 @@ def subnormal_model():
     return spec, grid, PotentialField(grid, np.full(grid.shape, 5e-324j)), 1j
 
 
-# Random draws stop at dim 512, where one-column panels are cheap; the one
-# 2048-dim shape, d = 3 Dirac, runs once per run as the explicit example.
+# Random draws stop at dim 512; the one 2048-dim shape, d = 3 Dirac, runs once per
+# run as the explicit example.
 @given(bs_models(max_dim=512), st.floats(2.0, 8.0, exclude_min=True), st.integers(1, 512))
 @example(dirac3_model(), 3.0, 100)
 @example(subnormal_model(), 3.0, 1)
@@ -547,15 +573,25 @@ def test_gram_route_matches_zgesdd(model, alpha, panels):
     M = bs_matrix(spec, grid, V, z)
     ref = schatten_norm(dense.svdvals(M.copy(order="F")), alpha)
     assert abs(schatten_norm(assemble_bs(spec, grid, V, z, alpha), alpha) - ref) <= 1e-12 * ref
-    # the in-place Gram matrix in up to `panels` panels: one column wide where dim <= 512
-    A = M.copy(order="F")
-    n = M.shape[0]
+    # the Fourier-side Gram matrix, built in up to `panels` chunks of column sites
+    # (two scratch buffers of chunk * n * dim elements share _SCRATCH)
+    left, right = half_potentials(V)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dense, "_SCRATCH", n * -(-n // panels))
-        dense._gram_in_place(A)
-    G = M.conj().T @ M
-    upper = np.triu_indices(M.shape[0])
-    assert np.abs(A[upper] - G[upper]).max() <= 1e-13 * np.abs(G).max()
+        mp.setattr(lattice, "_SCRATCH", 2 * spec.n * M.shape[0] * -(-grid.size // panels))
+        G = sandwich_gram(left.values, resolvent_multiplier(spec, grid, z), right.values, grid)
+    ref_G = M.conj().T @ M
+    assert G.flags.f_contiguous
+    assert np.abs(G - ref_G).max() <= 1e-13 * np.abs(ref_G).max()
+
+
+@given(bs_models(max_dim=256), st.integers(0, 2**32 - 1), st.integers(min_value=-1000, max_value=1000))
+def test_gram_route_is_exact_under_power_of_two_scaling(model, seed, e):
+    # assemble_bs scales V to unit size first, so V * 2^e gives exactly 2^e sigma
+    spec, grid, V, z = model
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(V.values.shape) + 1j * rng.standard_normal(V.values.shape)
+    sv = assemble_bs(spec, grid, PotentialField(grid, vals * 2.0**e), z, 3.0)
+    assert np.array_equal(sv, np.ldexp(assemble_bs(spec, grid, PotentialField(grid, vals), z, 3.0), e))
 
 
 def test_det_evaluator_reduces_the_hamiltonian_once(monkeypatch):

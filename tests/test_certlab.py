@@ -309,12 +309,12 @@ def test_schatten_scaling_preflight_checks_each_point_on_its_own_grid():
     grid = TorusGrid(d=1, N=64, L=1.0)
     on_level = fixed_argument_ray(1e-20, 1.0, 8.0, 9)
     with pytest.raises(RegimeError, match="within roundoff of lattice level 1") as err:
-        preflight_schatten_scaling(FRAC15, grid, 1.0, on_level)
+        preflight_schatten_scaling(FRAC15, grid, 1.0, on_level, gaussian(grid, -1.0))
     assert err.value.param == "ray"
     # the last point sits on the level 8 of grid, but is measured on grid.rescaled(t),
     # where it sits where the first point does on grid
     ray = fixed_argument_ray(1e-20, 0.5, 8.0, 9)
-    preflight_schatten_scaling(FRAC15, grid, 1.0, ray)
+    preflight_schatten_scaling(FRAC15, grid, 1.0, ray, gaussian(grid, -1.0))
     cert = verify_schatten_scaling(FRAC15, grid, 1.0, ray, gaussian(grid, -1.0))
     assert cert.inputs["co_rescaled"] is True
 
@@ -325,7 +325,7 @@ def test_schatten_scaling_preflight_checks_the_dense_cap():
     spec = SymbolSpec(kind=SymbolKind.DIRAC_MASSLESS, d=3)
     grid = TorusGrid(d=3, N=16, L=8.0)
     with pytest.raises(RegimeError, match="exceeds the cap 8192") as err:
-        preflight_schatten_scaling(spec, grid, 1.0, boundary_ray(1.0, 3.0, 0.2, 9))
+        preflight_schatten_scaling(spec, grid, 1.0, boundary_ray(1.0, 3.0, 0.2, 9), gaussian(grid, -1.0))
     assert err.value.param == "grid"
     preflight_uniform_resolvent(spec, grid, Region(bounds=(0.5, 1.5, 0.1, 0.3)), None)
 

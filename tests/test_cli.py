@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bslab import cli, dense
+from bslab import certlab, cli, dense
 from bslab.birman_schwinger import bs_det_evaluator, bs_matrix, schatten_norm
 from bslab.certlab import (
     BoundCertificate,
@@ -367,6 +367,30 @@ def test_bs_scan_names_a_ray_point_on_a_lattice_level(tmp_path, capsys):
     rc = cli_main(["bs", "--config", write_config(tmp_path, doc), "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error at run.ray:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["bs"], ["verify", "schatten-scaling"]], ids=["bs", "verify"])
+@pytest.mark.parametrize(
+    "potential",
+    [None, {"family": "gaussian", "params": {"amplitude": [0.0, 0.0], "width": 1.0}}],
+    ids=["no-potential-block", "zero-amplitude"],
+)
+def test_a_zero_potential_exits_2_at_potential_before_any_compute(tmp_path, capsys, monkeypatch, command, potential):
+    # the fit divides each Schatten norm by a norm of V, so V = 0 has no fit and no table
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed M(z) for V = 0")
+
+    monkeypatch.setattr(cli, "assemble_bs", no_compute)
+    monkeypatch.setattr(certlab, "assemble_bs", no_compute)
+    doc = base_config()
+    del doc["potential"]
+    if potential is not None:
+        doc["potential"] = potential
+    out = tmp_path / "runs"
+    rc = cli_main(command + ["--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error at potential: V = 0")
     assert not out.exists()
 
 

@@ -139,11 +139,3 @@ def test_svdvals_match_numpy(n, seed):
     sv, ref = dense.svdvals(A), np.linalg.svd(A, compute_uv=False)
     assert np.all(np.diff(sv) <= 0)
     assert np.abs(sv - ref).max() <= 1e-13 * n * ref[0]
-
-
-@given(sizes, seeds, st.integers(min_value=-1000, max_value=1000))
-def test_gram_svdvals_are_exact_under_power_of_two_scaling(n, seed, e):
-    # the route scales A to unit size first, so A^H A neither underflows nor overflows
-    A = np.asfortranarray(random_complex(n, seed))
-    sv = dense.gram_svdvals(A * 2.0**e)
-    assert np.array_equal(sv, np.ldexp(dense.gram_svdvals(A), e))

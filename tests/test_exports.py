@@ -89,13 +89,12 @@ def test_dense_factorizations_live_only_in_dense():
 # class: a full decomposition added to a per-point path has to be listed here
 DENSE_CALLERS = {
     "eigvals": {"spectra.eigensolve", "birman_schwinger.bs_residual"},
-    "eigvalsh": {"spectra._FinePartner"},
+    "eigvalsh": {"spectra._FinePartner", "birman_schwinger.assemble_bs"},
     "eig": {"birman_schwinger.bs_eigenpair_near"},
     "nearest_eigenpair": {"spectra._FinePartner", "birman_schwinger.bs_eigenpair_near"},
     "logdet": {"birman_schwinger.regularized_det"},
     "hessenberg_logdet": {"birman_schwinger.bs_det_evaluator"},
     "svdvals": {"birman_schwinger.assemble_bs"},
-    "gram_svdvals": {"birman_schwinger.assemble_bs"},
 }
 
 
@@ -132,17 +131,27 @@ MULTIPLIER_MATRIX_CALLERS = {
 }
 
 
-def test_multiplier_matrix_has_only_its_listed_callers():
-    callers = set()
+def _top_level_users(name: str) -> set[str]:
+    """module.def for every top-level def or class in src that names ``name``."""
+    users = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             if any(
-                getattr(node, "id", None) == "multiplier_matrix" or getattr(node, "attr", None) == "multiplier_matrix"
+                getattr(node, "id", None) == name or getattr(node, "attr", None) == name
                 for node in ast.walk(top)
                 if isinstance(node, (ast.Name, ast.Attribute))
             ):
-                callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == MULTIPLIER_MATRIX_CALLERS
+                users.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return users
+
+
+def test_multiplier_matrix_has_only_its_listed_callers():
+    assert _top_level_users("multiplier_matrix") == MULTIPLIER_MATRIX_CALLERS
+
+
+def test_sandwich_gram_has_only_assemble_bs_as_caller():
+    # the Fourier-side Gram matrix is the one route to M^H M: no second Gram path
+    assert _top_level_users("sandwich_gram") == {"birman_schwinger.assemble_bs"}
 
 
 ROOT = Path(__file__).resolve().parents[1]
