@@ -1,49 +1,22 @@
-"""Conformal charts from resolvent sets onto the unit disk, plus weighted
-eigenvalue sums evaluated through them.
+"""Weighted eigenvalue sums on the z side of the resolvent set.
 
-For every kinetic symbol the complement of the essential spectrum is an
-explicitly uniformizable domain: a slit plane C \\ [0, inf) for the scalar
-kinds, the upper/lower half-planes for the massless Dirac operator, and the
-two-slit plane C \\ ((-inf,-1] u [1,inf)) for the massive one.  Compositions
-of a square root (branch cut along [0, inf)) with the Cayley-type Moebius
-map (z - i)/(z + i) send each domain onto the open unit disk; a final disk
-automorphism moves a chosen base point z0 to the origin.
-
-The disk picture is what makes eigenvalue accumulation quantitative: a
-discrete eigenvalue z maps to a zero w of a bounded holomorphic function,
-and Blaschke-type sums of (1 - |w|) against boundary weights translate back
-to sums of dist(z, sigma) against explicit |z|-dependent weights.  The
-Koebe distortion bracket (1 - |w|) ~ |psi'(z)| dist(z, sigma), accurate up
-to a universal factor of 4, is the dictionary between the two sides and is
-exposed here as a measurable ratio.
+The paper's Lieb-Thirring-type bounds are sums over discrete eigenvalues z
+of dist(z, sigma(H0)) times an explicit |z|-dependent weight, one weight per
+kinetic symbol.  NAMED_WEIGHTS lists them, and weighted_blaschke_sum
+evaluates the sum for a list of classified points.  The proof reaches these
+weights through conformal disk charts and a disk-side Blaschke condition;
+only the z-side sums are computed here.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
-from .spectra import SpectralLabel, SpectralPoint, essential_spectrum
-from .symbols import SymbolKind
+from .spectra import SpectralLabel, SpectralPoint
 
-__all__ = [
-    "ConformalAtlas",
-    "WeightSpec",
-    "psi_map",
-    "psi_inverse",
-    "nu_map",
-    "nu_inverse",
-    "koebe_ratio",
-    "distortion_factors",
-    "weighted_blaschke_sum",
-    "NAMED_WEIGHTS",
-]
-
-_CHARTS = ("upper", "lower")
+__all__ = ["NAMED_WEIGHTS", "weighted_blaschke_sum"]
 
 #: Weight vocabulary for weighted_blaschke_sum.  Each name stands for the
 #: z-side weight multiplying dist(z, sigma(H0)) in the eigenvalue sum:
@@ -61,297 +34,6 @@ NAMED_WEIGHTS = (
 )
 
 
-def _slit_sqrt(z: complex) -> complex:
-    """Square root with branch cut along [0, inf), image in Im >= 0.
-
-    The argument is taken in [0, 2*pi); positive reals sit on the cut and
-    get the limit from the upper side (positive root).
-    """
-    z = complex(z)
-    if z.imag == 0.0:
-        if z.real >= 0.0:
-            return complex(math.sqrt(z.real), 0.0)
-        return complex(0.0, math.sqrt(-z.real))
-    theta = cmath.phase(z)
-    if theta < 0.0:
-        theta += 2.0 * math.pi
-    return math.sqrt(abs(z)) * cmath.exp(0.5j * theta)
-
-
-def _phi_plus(z: complex) -> complex:
-    return (z - 1j) / (z + 1j)
-
-
-def _phi_plus_inv(w: complex) -> complex:
-    return 1j * (1.0 + w) / (1.0 - w)
-
-
-def _phi_minus(z: complex) -> complex:
-    return (z + 1j) / (z - 1j)
-
-
-def _phi_minus_inv(w: complex) -> complex:
-    return -1j * (1.0 + w) / (1.0 - w)
-
-
-def _mobius(w: complex, a: complex) -> complex:
-    """Disk automorphism w -> (w + a)/(1 + conj(a) w); sends 0 to a."""
-    return (w + a) / (1.0 + a.conjugate() * w)
-
-
-def _mobius_inv(w: complex, a: complex) -> complex:
-    return (w - a) / (1.0 - a.conjugate() * w)
-
-
-def nu_map(w: complex, z0_tilde: complex) -> complex:
-    """Normalization automorphism of the disk, nu(0) = z0_tilde.
-
-    Implemented as w -> (w + z0_tilde)/(1 + conj(z0_tilde) w).  Without the
-    conjugate in the denominator the map fails to preserve the disk for
-    non-real z0_tilde, so the conjugated form is used throughout.
-    """
-    w = complex(w)
-    z0_tilde = complex(z0_tilde)
-    if abs(w) >= 1.0:
-        raise ValueError(f"nu_map needs |w| < 1, got |w| = {abs(w):.6g}")
-    if abs(z0_tilde) >= 1.0:
-        raise ValueError(f"nu_map needs |z0_tilde| < 1, got {abs(z0_tilde):.6g}")
-    return _mobius(w, z0_tilde)
-
-
-def nu_inverse(w: complex, z0_tilde: complex) -> complex:
-    """Inverse of nu_map: w -> (w - z0_tilde)/(1 - conj(z0_tilde) w)."""
-    w = complex(w)
-    z0_tilde = complex(z0_tilde)
-    if abs(w) >= 1.0:
-        raise ValueError(f"nu_inverse needs |w| < 1, got |w| = {abs(w):.6g}")
-    if abs(z0_tilde) >= 1.0:
-        raise ValueError(f"nu_inverse needs |z0_tilde| < 1, got {abs(z0_tilde):.6g}")
-    return _mobius_inv(w, z0_tilde)
-
-
-def _psi0(kind: SymbolKind, chart: str, z: complex) -> complex:
-    """Unnormalized chart rho(H0) -> closed unit disk (boundary on sigma)."""
-    z = complex(z)
-    if kind is SymbolKind.DIRAC_MASSLESS:
-        if chart == "upper":
-            if z.imag < 0.0:
-                raise ValueError(f"z = {z} is below the upper half-plane chart")
-            return _phi_plus(z)
-        if z.imag > 0.0:
-            raise ValueError(f"z = {z} is above the lower half-plane chart")
-        return _phi_minus(z)
-    if kind is SymbolKind.DIRAC_MASSIVE:
-        if z == -1.0:
-            return 1.0 + 0.0j  # removable: zeta -> inf, phi+(sqrt) -> 1
-        zeta = (z - 1.0) / (z + 1.0)
-        return _phi_plus(_slit_sqrt(zeta))
-    return _phi_plus(_slit_sqrt(z))
-
-
-def _psi0_inv(kind: SymbolKind, chart: str, w: complex) -> complex:
-    w = complex(w)
-    if kind is SymbolKind.DIRAC_MASSLESS:
-        if abs(1.0 - w) < 1e-300:
-            raise ValueError("w = 1 is the image of infinity on this chart")
-        return _phi_plus_inv(w) if chart == "upper" else _phi_minus_inv(w)
-    if kind is SymbolKind.DIRAC_MASSIVE:
-        den = 1.0 + w * w
-        if abs(den) < 1e-300:
-            raise ValueError("w = +/-i are the images of infinity")
-        return -2.0 * w / den
-    if abs(1.0 - w) < 1e-300:
-        raise ValueError("w = 1 is the image of infinity")
-    u = _phi_plus_inv(w)
-    return u * u
-
-
-@dataclass(frozen=True)
-class ConformalAtlas:
-    """Normalized conformal chart psi: rho(H0) -> D with psi(z0) = 0.
-
-    kind selects the domain; z0 is the normalization point (any point off
-    the essential spectrum, in practice one known to be resolvent for
-    H0 + V as well); chart picks the half-plane for the massless Dirac
-    operator and is ignored for the simply connected domains.  z0_tilde is
-    the unnormalized image of z0 and is derived on construction.
-
-    The square root underlying the scalar and massive charts uses the
-    branch with cut along [0, inf) and argument in [0, 2*pi), so points on
-    the cut evaluate to the boundary limit from the upper side and land on
-    the unit circle.
-    """
-
-    kind: SymbolKind
-    z0: complex
-    chart: str = "upper"
-    z0_tilde: complex = field(init=False)
-
-    def __post_init__(self):
-        if self.chart not in _CHARTS:
-            raise ValueError(f"chart must be one of {_CHARTS}, got {self.chart!r}")
-        if self.kind is not SymbolKind.DIRAC_MASSLESS and self.chart != "upper":
-            raise ValueError("chart selection only applies to the massless Dirac kind")
-        z0 = complex(self.z0)
-        object.__setattr__(self, "z0", z0)
-        if essential_spectrum(self.kind).distance(z0) <= 0.0:
-            raise ValueError(f"z0 = {z0} lies on the essential spectrum")
-        z0t = _psi0(self.kind, self.chart, z0)
-        if not abs(z0t) < 1.0:
-            raise ValueError(f"z0 = {z0} maps outside the open disk (wrong chart?)")
-        object.__setattr__(self, "z0_tilde", z0t)
-
-
-def psi_map(atlas: ConformalAtlas, z: complex) -> complex:
-    """Normalized chart value w = psi(z), |w| < 1 off the spectrum.
-
-    Points on the essential spectrum evaluate to the continuous boundary
-    extension with |w| = 1 (limit from the upper side of the cut); the only
-    hard failures are chart mismatches on the massless half-planes.
-    """
-    w0 = _psi0(atlas.kind, atlas.chart, z)
-    w = _mobius_inv(w0, atlas.z0_tilde)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise ValueError(f"chart value is not finite at z = {z}")
-    return w
-
-
-def psi_inverse(atlas: ConformalAtlas, w: complex) -> complex:
-    """Inverse chart: w in the open disk -> z in rho(H0)."""
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise ValueError(f"psi_inverse needs |w| < 1, got |w| = {abs(w):.6g}")
-    return _psi0_inv(atlas.kind, atlas.chart, _mobius(w, atlas.z0_tilde))
-
-
-# ---------------------------------------------------------------------------
-# distortion diagnostics
-
-
-def _psi_derivative(atlas: ConformalAtlas, z: complex) -> float:
-    """|psi'(z)| by finite differences in the real direction.
-
-    Central stencil with step 1e-6*|z| (floored at 1e-8); falls back to a
-    one-sided stencil when a central node would land on the cut, which on
-    these horizontal-slit domains happens exactly when its distance to the
-    spectrum vanishes.
-    """
-    z = complex(z)
-    dist = essential_spectrum(atlas.kind).distance
-    h = max(1e-6 * abs(z), 1e-8)
-    zp, zm = z + h, z - h
-    if dist(zp) <= 0.0:
-        d = (psi_map(atlas, z) - psi_map(atlas, zm)) / h
-    elif dist(zm) <= 0.0:
-        d = (psi_map(atlas, zp) - psi_map(atlas, z)) / h
-    else:
-        d = (psi_map(atlas, zp) - psi_map(atlas, zm)) / (2.0 * h)
-    return abs(d)
-
-
-def koebe_ratio(atlas: ConformalAtlas, z: complex) -> float:
-    """(1 - |psi(z)|) / (|psi'(z)| * dist(z, sigma(H0))).
-
-    The distortion theorem pins this ratio inside [1/4, 4] on any compact
-    subset of the domain; deviations flag a broken chart.
-    """
-    z = complex(z)
-    dist = essential_spectrum(atlas.kind).distance(z)
-    if dist < 1e-8:
-        raise ValueError(f"z = {z} is within 1e-8 of the essential spectrum")
-    w = psi_map(atlas, z)
-    return (1.0 - abs(w)) / (_psi_derivative(atlas, z) * dist)
-
-
-def distortion_factors(atlas: ConformalAtlas, z: complex) -> tuple[float, float, float]:
-    """Three measured/predicted ratios for the massive Dirac chart.
-
-    The two-slit chart admits closed-form comparisons between disk-side and
-    z-side quantities; each entry is (measured disk quantity) / (z-side
-    prediction), and all three stay within a universal factor of 16 on
-    compacts (a Koebe bracket chained with an explicit algebraic bracket):
-
-      r1: (1 - |w|)        vs  |1 - z^2|^{-1/2} (1 + |z|)^{-1} dist(z, sigma)
-      r2: |w - e+||w - e-|  vs  |1 - z^2|^{1/2} (1 + |z|)^{-1}
-      r3: |w - f+||w - f-|  vs  (1 + |z|)^{-1}
-
-    where e+/- are the chart images of the slit tips +/-1 and f+/- the two
-    boundary images of infinity.
-    """
-    if atlas.kind is not SymbolKind.DIRAC_MASSIVE:
-        raise ValueError("distortion_factors is defined for the massive Dirac chart")
-    z = complex(z)
-    dist = essential_spectrum(atlas.kind).distance(z)
-    if dist < 1e-8:
-        raise ValueError(f"z = {z} is within 1e-8 of the essential spectrum")
-    w = psi_map(atlas, z)
-    a = atlas.z0_tilde
-    tip_plus = _mobius_inv(_psi0(atlas.kind, atlas.chart, 1.0), a)
-    tip_minus = _mobius_inv(1.0 + 0.0j, a)  # psi0(z) -> 1 as z -> -1
-    inf_plus = _mobius_inv(1j, a)
-    inf_minus = _mobius_inv(-1j, a)
-    one_pz = 1.0 + abs(z)
-    root = math.sqrt(abs(1.0 - z * z))
-    r1 = (1.0 - abs(w)) * root * one_pz / dist
-    r2 = abs(w - tip_plus) * abs(w - tip_minus) * one_pz / root
-    r3 = abs(w - inf_plus) * abs(w - inf_minus) * one_pz
-    return (r1, r2, r3)
-
-
-# ---------------------------------------------------------------------------
-# weighted eigenvalue sums
-
-
-def _positive_part(x: float) -> float:
-    return x if x > 0.0 else 0.0
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Disk-side Blaschke weight with boundary singularities.
-
-    critical_images are the chart images of the critical symbol values, and
-    infinity_image the chart image of infinity; all must sit on the unit
-    circle.  Exponents mu are the local blow-up orders of the log-modulus
-    bound; the sum uses the clipped exponents (mu - 1 + eps)_+ so that the
-    weight vanishes fast enough at each singular boundary point.
-    """
-
-    critical_images: tuple[complex, ...]
-    critical_exponents: tuple[float, ...]
-    infinity_image: complex
-    infinity_exponent: float
-    eps: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "critical_images", tuple(complex(w) for w in self.critical_images)
-        )
-        object.__setattr__(
-            self, "critical_exponents", tuple(float(m) for m in self.critical_exponents)
-        )
-        object.__setattr__(self, "infinity_image", complex(self.infinity_image))
-        if len(self.critical_images) != len(self.critical_exponents):
-            raise ValueError("one exponent per critical image is required")
-        if any(m < 0.0 for m in self.critical_exponents) or self.infinity_exponent < 0.0:
-            raise ValueError("exponents must be nonnegative")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        for w in self.critical_images + (self.infinity_image,):
-            if abs(abs(w) - 1.0) > 1e-9:
-                raise ValueError(f"exceptional point {w} is not on the unit circle")
-
-    def term(self, w: complex) -> float:
-        """(1 - |w|) times the clipped boundary factors at w."""
-        out = 1.0 - abs(w)
-        for wc, mu in zip(self.critical_images, self.critical_exponents):
-            out *= abs(w - wc) ** _positive_part(mu - 1.0 + self.eps)
-        out *= abs(w - self.infinity_image) ** _positive_part(
-            self.infinity_exponent - 1.0 + self.eps
-        )
-        return out
-
-
 def _require(value, name: str, weight: str):
     if value is None:
         raise ValueError(f"named weight {weight!r} needs the {name} parameter")
@@ -360,21 +42,17 @@ def _require(value, name: str, weight: str):
 
 def weighted_blaschke_sum(
     points: Iterable[SpectralPoint],
-    weight: Union[WeightSpec, str],
+    weight: str,
     *,
-    atlas: ConformalAtlas = None,
     d: int = None,
     alpha: float = None,
     eps: float = None,
 ) -> float:
     """Weighted sum over discrete eigenvalues.
 
-    With a WeightSpec the sum runs on the disk side: each point is mapped
-    through the atlas and contributes (1-|w|) times the clipped boundary
-    factors.  With a named weight (see NAMED_WEIGHTS) the sum runs on the
-    z side: each point contributes dist(z, sigma) times the named |z|
-    weight, with alpha/eps/d bound from the run configuration.  Summation
-    uses numpy's deterministic pairwise reduction.
+    Each point contributes dist(z, sigma) times the named |z| weight (see
+    NAMED_WEIGHTS), with alpha/eps/d bound from the run configuration.
+    Summation uses numpy's deterministic pairwise reduction.
     """
     points = list(points)
     for p in points:
@@ -384,12 +62,6 @@ def weighted_blaschke_sum(
             raise ValueError(f"point {p.z} lies on the essential spectrum")
     if not points:
         return 0.0
-
-    if isinstance(weight, WeightSpec):
-        if atlas is None:
-            raise ValueError("a WeightSpec sum needs the atlas to map points")
-        terms = [weight.term(psi_map(atlas, p.z)) for p in points]
-        return float(np.sum(np.asarray(terms)))
 
     if weight == "plain":
         terms = [p.dist_sigma for p in points]

@@ -274,15 +274,16 @@ def nearest_eigenpair(H: np.ndarray, z: complex) -> Optional[tuple[complex, np.n
 
     One LU of H - z, then up to _ARNOLDI_STEPS Arnoldi steps (Gram-Schmidt
     twice per step) from a fixed pseudo-random unit vector.  Every
-    _CHECK_EVERY steps, the Ritz value theta of largest modulus maps back to
-    lam = z + 1/theta, and the pair is accepted when its unit Ritz vector x
-    is an eigenvector of H itself to within _RESIDUAL_TOLERANCE * ||H||_1 (a
-    small residual on the inverse alone also passes pseudo-eigenvalues of a
-    far-from-normal H).  The accepted x then takes one inverse-iteration
-    step on the same LU, which brings its backward error down to rounding;
-    on a far-from-normal H an x that only just passes can be 1e-8 off the
-    eigenvector.  lam is the Ritz value either way.  An exactly singular
-    H - z also returns None, and so does H = 0, whose tolerance is 0.
+    _CHECK_EVERY steps, the Ritz vector of the Ritz value of largest modulus
+    takes one inverse-iteration step on the same LU, and the unit vector x
+    it gives, with its Rayleigh quotient lam = x^H H x, is accepted when
+    ||H x - lam x|| is within _RESIDUAL_TOLERANCE * ||H||_1 (a small
+    residual on the inverse alone also passes pseudo-eigenvalues of a
+    far-from-normal H).  The step brings the backward error down to
+    rounding: a Ritz pair itself can stall just above the bar, and on a
+    far-from-normal H a Ritz vector that only just passes can be 1e-8 off
+    the eigenvector.  An exactly singular H - z also returns None, and so
+    does H = 0, whose tolerance is 0.
     getrf, getrs and geev are what lu_factor, lu_solve and eig run, minus
     their per-call argument checks.
     """
@@ -316,10 +317,11 @@ def nearest_eigenpair(H: np.ndarray, z: complex) -> Optional[tuple[complex, np.n
             if info != 0:  # QR iteration on the Hessenberg matrix did not converge
                 return None
             k = int(np.argmax(np.abs(theta)))
-            lam = z + 1.0 / theta[k]
-            x = zgemv(1.0, Q[:, :m], Y[:, k] / np.linalg.norm(Y[:, k]))
-            if np.linalg.norm(zgemv(1.0, H, x) - lam * x) < tolerance:
-                return lam, _inverse_step(lu, piv, x)
+            x = _inverse_step(lu, piv, zgemv(1.0, Q[:, :m], Y[:, k] / np.linalg.norm(Y[:, k])))
+            Hx = zgemv(1.0, H, x)
+            lam = np.vdot(x, Hx)
+            if np.linalg.norm(Hx - lam * x) < tolerance:
+                return lam, x
             if exhausted:  # invariant subspace: its Ritz values are all there is
                 return None
         Q[:, j + 1] = w / h[j + 1, j]

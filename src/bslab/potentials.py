@@ -28,6 +28,7 @@ with N >= modes agree (refinement-stable), and table(values).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,9 +296,17 @@ def parse_potential_file(path) -> tuple[TorusGrid, PotentialSpec]:
 
 def _parse_complex(tok: str, ln: int) -> complex:
     try:
-        return complex(tok.strip("()"))
+        val = complex(tok.strip("()"))
     except ValueError as exc:
         raise PotentialFormatError(f"potential.values: bad complex literal {tok!r} on line {ln}") from exc
+    return _finite("values", val, f" ({tok!r} on line {ln})")
+
+
+def _finite(key: str, val, where: str = ""):
+    """val, unless it is NaN or infinite: those would reach LAPACK as illegal values."""
+    if not cmath.isfinite(val):
+        raise PotentialFormatError(f"potential.{key}: must be a finite number{where}")
+    return val
 
 
 def _coerce_params(raw: dict[str, str]) -> dict:
@@ -306,11 +315,11 @@ def _coerce_params(raw: dict[str, str]) -> dict:
         if key in ("seed", "modes"):
             out[key] = int(val)
         elif key == "center":
-            out[key] = [float(tok) for tok in val.split()]
+            out[key] = [_finite(key, float(tok)) for tok in val.split()]
         elif key == "amplitude":
-            out[key] = complex(val.strip("()"))
+            out[key] = _finite(key, complex(val.strip("()")))
         else:
-            out[key] = float(val)
+            out[key] = _finite(key, float(val))
     return out
 
 

@@ -86,15 +86,14 @@ class EssentialSpectrum:
         return best
 
 
-def essential_spectrum(spec: SymbolSpec | SymbolKind) -> EssentialSpectrum:
-    kind = spec.kind if isinstance(spec, SymbolSpec) else spec
-    if kind in (SymbolKind.FRACTIONAL_LAPLACIAN, SymbolKind.RELATIVISTIC):
+def essential_spectrum(spec: SymbolSpec) -> EssentialSpectrum:
+    if spec.kind in (SymbolKind.FRACTIONAL_LAPLACIAN, SymbolKind.RELATIVISTIC):
         return EssentialSpectrum(intervals=((0.0, math.inf),))
-    if kind is SymbolKind.DIRAC_MASSLESS:
+    if spec.kind is SymbolKind.DIRAC_MASSLESS:
         return EssentialSpectrum(intervals=((-math.inf, math.inf),))
-    if kind is SymbolKind.DIRAC_MASSIVE:
+    if spec.kind is SymbolKind.DIRAC_MASSIVE:
         return EssentialSpectrum(intervals=((-math.inf, -1.0), (1.0, math.inf)))
-    raise ValueError(f"no closed-form essential spectrum for kind {kind}")
+    raise ValueError(f"no closed-form essential spectrum for kind {spec.kind}")
 
 
 def dist_to_spectrum(spec: SymbolSpec, z: complex) -> float:

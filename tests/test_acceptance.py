@@ -28,15 +28,6 @@ from bslab.certlab import (
     verify_uniform_resolvent,
 )
 from bslab.cli import main as cli_main
-from bslab.conformal import (
-    ConformalAtlas,
-    distortion_factors,
-    koebe_ratio,
-    nu_inverse,
-    nu_map,
-    psi_inverse,
-    psi_map,
-)
 from bslab.lattice import GridFunction, TorusGrid
 from bslab.potentials import (
     PotentialSpec,
@@ -238,58 +229,13 @@ def test_criterion_5_resolvent_uniformity_contrast():
     cert = verify_uniform_resolvent(spec, grid, K, p=1.0)
     assert cert.verdict == "PASS"
     assert cert.lhs <= 4.0, f"max/median ratio {cert.lhs}"
-    assert cert.constant >= 10.0, f"2->2 contrast {cert.constant}"
+    # ||R0(z)||_{2->2} = 1/dist(z, levels): the contrast is the offset ratio
+    assert abs(cert.constant - 100.0) <= 1e-12, f"2->2 contrast {cert.constant}"
     elapsed = time.perf_counter() - t_start
     assert elapsed < 600.0
     print(
         f"[5] uniformity contrast: PASS (max/median {cert.lhs:.2f} <= 4, "
-        f"edge contrast {cert.constant:.0f}x >= 10, {elapsed:.0f}s)"
-    )
-
-
-def test_criterion_6_conformal_atlas_roundtrips_and_distortion():
-    """Chart round-trips at 1e-12, exact normalization, bracketed distortion."""
-    t_start = time.perf_counter()
-    cases = [
-        ("scalar", ConformalAtlas(SymbolKind.FRACTIONAL_LAPLACIAN, complex(-1.2, 0.3)),
-         Region((-3.0, -0.3, -1.0, 1.0), clearance=0.2)),
-        ("relativistic", ConformalAtlas(SymbolKind.RELATIVISTIC, complex(-0.8, 0.2)),
-         Region((-2.5, -0.4, -0.8, 0.8), clearance=0.2)),
-        ("massless upper", ConformalAtlas(SymbolKind.DIRAC_MASSLESS, complex(0.4, 1.1)),
-         Region((-2.0, 2.0, 0.3, 1.8), clearance=0.2)),
-        ("massless lower", ConformalAtlas(SymbolKind.DIRAC_MASSLESS, complex(-0.3, -0.9), chart="lower"),
-         Region((-2.0, 2.0, -1.8, -0.3), clearance=0.2)),
-        ("massive", ConformalAtlas(SymbolKind.DIRAC_MASSIVE, complex(0.1, 0.4)),
-         Region((-0.55, 0.55, 0.15, 0.8), clearance=0.1)),
-    ]
-    rng = np.random.default_rng(11)
-    worst_round = 0.0
-    for name, atlas, K in cases:
-        assert psi_map(atlas, atlas.z0) == 0j, name  # exact normalization
-        for _ in range(1000):
-            w = 0.95 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-            z = psi_inverse(atlas, w)
-            worst_round = max(worst_round, abs(psi_map(atlas, z) - w))
-        ratios = [koebe_ratio(atlas, z) for z in K.sample_grid(7, 5)]
-        assert 0.25 <= min(ratios) and max(ratios) <= 4.0, (name, min(ratios), max(ratios))
-    assert worst_round <= 1e-12, worst_round
-
-    a = cases[2][1].z0_tilde
-    worst_nu = 0.0
-    for _ in range(1000):
-        w = 0.95 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        worst_nu = max(worst_nu, abs(nu_inverse(nu_map(w, a), a) - w))
-    assert worst_nu <= 1e-12, worst_nu
-
-    massive_atlas, massive_K = cases[4][1], cases[4][2]
-    factors = np.array([distortion_factors(massive_atlas, z) for z in massive_K.sample_grid(7, 5)])
-    assert factors.min() >= 1.0 / 16.0 and factors.max() <= 16.0, (factors.min(), factors.max())
-
-    elapsed = time.perf_counter() - t_start
-    assert elapsed < 60.0
-    print(
-        f"[6] conformal atlas: PASS (round-trips <= {max(worst_round, worst_nu):.2e} on 1000 pts/chart, "
-        f"psi(z0) = 0 exactly, Koebe and distortion bracketed, {elapsed:.1f}s)"
+        f"edge contrast {cert.constant:.0f}x, {elapsed:.0f}s)"
     )
 
 

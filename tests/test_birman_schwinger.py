@@ -487,6 +487,28 @@ def test_bs_principle_check_falls_back_to_the_full_eigendecomposition(monkeypatc
     assert eig_calls == [(48, 48)] * len(points)
 
 
+def test_bs_eigenpair_near_accepts_the_refined_pair_where_the_ritz_pair_stalls(monkeypatch):
+    # acceptance criterion 1's first well, at its eigenvalue nearest [0, inf):
+    # the Ritz residual stalls at about twice the tolerance (kappa ~ 4e3), and
+    # the pair after one inverse-iteration step passes without dense.eig
+    spec = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=2.0)
+    grid = TorusGrid(d=1, N=256, L=20.0)
+    amplitude = 0.22793796320329285 + 3.6263209477731535j
+    V = sample_potential(
+        PotentialSpec("gaussian", {"amplitude": amplitude, "width": 1.0142650828509534, "center": [-0.790275153921995]}),
+        grid,
+    )
+    M = bs_matrix(spec, grid, V, 1.9905875304204754 + 0.9550033963369815j)
+
+    def eig_refused(A):
+        raise AssertionError("dense.eig called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dense, "eig", eig_refused)
+        assert bs_eigenpair_near(M)[0] < 1e-10
+    assert_matches_full_spectrum(M)
+
+
 @st.composite
 def bs_models(draw, max_dim=2048):
     """Any kind in d = 1, 2, 3, a scalar or (n, n) site-block well, and z off the levels.

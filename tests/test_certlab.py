@@ -248,7 +248,8 @@ def test_verify_uniform_resolvent_mapping_regime():
     cert = verify_uniform_resolvent(FRAC15, grid, K, p=1.0)
     assert cert.verdict == "PASS"
     assert cert.lhs <= 4.0
-    assert cert.constant >= 10.0  # L2 contrast at an exact dispersion level
+    # L2 contrast at an exact dispersion level: ||R0(z)|| = 1/dist(z, levels), so the offset ratio
+    assert cert.constant == pytest.approx(100.0, rel=1e-14)
     assert cert.inputs["n_scan_points"] >= 8
 
 
@@ -258,6 +259,7 @@ def test_verify_uniform_resolvent_sum_space_regime():
     cert = verify_uniform_resolvent(FRAC06, grid, K, p=None)
     assert cert.verdict == "PASS"
     assert cert.lhs <= 4.0
+    assert cert.constant == pytest.approx(100.0, rel=1e-14)
 
 
 def test_verify_uniform_resolvent_argument_policing():

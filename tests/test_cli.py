@@ -163,6 +163,30 @@ def test_potential_file_box_must_equal_the_grid_box_exactly(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error at potential.file:")
 
 
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ("family gaussian\namplitude -4\nwidth nan\n", "width"),
+        ("family gaussian\namplitude (nan+0j)\nwidth 1.0\n", "amplitude"),
+        ("values\n" + "0 " * 60 + "nan -inf 0 0\n", "values"),
+    ],
+)
+def test_potential_file_with_a_non_finite_number_is_config_error(tmp_path, capfd, body, key):
+    # NaN and Inf are refused at load, before any LAPACK call can see them
+    (tmp_path / "well.pot").write_text(f"d 1\nN 64\nL 20.0\n{body}", encoding="utf-8")
+    doc = base_config(grid={"N": 64}, potential={"file": "well.pot"})
+    doc["potential"].pop("family", None)
+    doc["potential"].pop("params", None)
+    out = tmp_path / "out"
+    assert cli_main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capfd.readouterr()
+    assert captured.err == f"config error at potential.file: potential.{key}: must be a finite number" + (
+        " ('nan' on line 5)\n" if key == "values" else "\n"
+    )
+    assert captured.out == ""  # LAPACK's xerbla reports an illegal value on stdout
+    assert not out.exists() or run_dirs(out) == []
+
+
 def test_potential_file_upsamples_onto_finer_config_grid(tmp_path):
     write_potential_file(
         tmp_path / "well.pot",

@@ -1,277 +1,21 @@
-"""Chart roundtrips, distortion brackets, and weighted eigenvalue sums."""
+"""Named z-side weights of the eigenvalue sums."""
 
-import cmath
 import math
 
-import numpy as np
 import pytest
 
-from bslab.conformal import (
-    ConformalAtlas,
-    WeightSpec,
-    distortion_factors,
-    koebe_ratio,
-    nu_inverse,
-    nu_map,
-    psi_inverse,
-    psi_map,
-    weighted_blaschke_sum,
-)
+from bslab.conformal import weighted_blaschke_sum
 from bslab.spectra import SpectralLabel, SpectralPoint, essential_spectrum
-from bslab.symbols import SymbolKind
+from bslab.symbols import SymbolKind, SymbolSpec
 
-FRAC_ATLAS = ConformalAtlas(SymbolKind.FRACTIONAL_LAPLACIAN, z0=-1.0)
-RELA_ATLAS = ConformalAtlas(SymbolKind.RELATIVISTIC, z0=-4.0)
-UPPER_ATLAS = ConformalAtlas(SymbolKind.DIRAC_MASSLESS, z0=1j)
-LOWER_ATLAS = ConformalAtlas(SymbolKind.DIRAC_MASSLESS, z0=-1j, chart="lower")
-MASSIVE_ATLAS = ConformalAtlas(SymbolKind.DIRAC_MASSIVE, z0=0.0)
-
-ALL_ATLASES = [FRAC_ATLAS, RELA_ATLAS, UPPER_ATLAS, LOWER_ATLAS, MASSIVE_ATLAS]
+FRAC = SymbolSpec(SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=1.5)
+RELA = SymbolSpec(SymbolKind.RELATIVISTIC, d=1)
+MASSLESS = SymbolSpec(SymbolKind.DIRAC_MASSLESS, d=1)
+MASSIVE = SymbolSpec(SymbolKind.DIRAC_MASSIVE, d=1)
 
 
-def sample_domain(atlas, rng, count, min_dist=0.05):
-    """Random points of the atlas chart's domain, min_dist off the spectrum."""
-    dist = essential_spectrum(atlas.kind).distance
-    out = []
-    while len(out) < count:
-        z = complex(rng.uniform(-12.0, 12.0), rng.uniform(-12.0, 12.0))
-        if atlas.kind is SymbolKind.DIRAC_MASSLESS:
-            z = complex(z.real, abs(z.imag) if atlas.chart == "upper" else -abs(z.imag))
-        if dist(z) >= min_dist:
-            out.append(z)
-    return out
-
-
-def slit_sqrt(z):
-    theta = cmath.phase(z)
-    if theta < 0.0:
-        theta += 2.0 * math.pi
-    return math.sqrt(abs(z)) * cmath.exp(0.5j * theta)
-
-
-# ---------------------------------------------------------------------------
-# chart construction and inversion
-
-
-def test_base_point_maps_to_exact_zero():
-    for atlas in ALL_ATLASES:
-        assert psi_map(atlas, atlas.z0) == 0.0
-
-
-def test_unnormalized_base_images():
-    assert FRAC_ATLAS.z0_tilde == 0.0  # sqrt(-1)=i, (i-i)/(i+i)=0
-    assert abs(RELA_ATLAS.z0_tilde - (1.0 / 3.0)) < 1e-15
-    assert UPPER_ATLAS.z0_tilde == 0.0
-    assert LOWER_ATLAS.z0_tilde == 0.0
-    assert MASSIVE_ATLAS.z0_tilde == 0.0
-
-
-def test_roundtrip_from_the_domain_side():
-    rng = np.random.default_rng(42)
-    for atlas in ALL_ATLASES:
-        for z in sample_domain(atlas, rng, 1000):
-            w = psi_map(atlas, z)
-            assert abs(w) < 1.0
-            back = psi_inverse(atlas, w)
-            assert abs(back - z) <= 1e-12 * max(1.0, abs(z))
-
-
-def test_roundtrip_from_the_disk_side():
-    rng = np.random.default_rng(43)
-    for atlas in ALL_ATLASES:
-        done = 0
-        while done < 1000:
-            w = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if abs(w) > 0.95:
-                continue
-            back = psi_map(atlas, psi_inverse(atlas, w))
-            assert abs(back - w) <= 1e-12
-            done += 1
-
-
-def test_spectrum_maps_to_unit_circle():
-    for lam in (0.5, 1.0, 7.25, 120.0):
-        for atlas in (FRAC_ATLAS, RELA_ATLAS):
-            assert abs(abs(psi_map(atlas, lam)) - 1.0) <= 1e-12
-    for x in (-3.0, 0.0, 5.5):
-        assert abs(abs(psi_map(UPPER_ATLAS, x)) - 1.0) <= 1e-12
-    for x in (-4.0, -1.0, 1.0, 2.5):
-        assert abs(abs(psi_map(MASSIVE_ATLAS, x)) - 1.0) <= 1e-12
-
-
-def test_slit_chart_matches_closed_form():
-    # With a real negative base point a the normalized scalar chart is
-    # exactly (sqrt(z) - sqrt(a)) / (sqrt(z) + sqrt(a)).
-    rng = np.random.default_rng(44)
-    ra = slit_sqrt(-4.0)
-    assert abs(ra - 2j) < 1e-15
-    for z in sample_domain(RELA_ATLAS, rng, 200):
-        closed = (slit_sqrt(z) - ra) / (slit_sqrt(z) + ra)
-        assert abs(psi_map(RELA_ATLAS, z) - closed) <= 1e-12
-    # boundary value at the slit tip: formula forces -1
-    w0 = psi_map(RELA_ATLAS, 0.0)
-    assert abs(w0 + 1.0) <= 1e-12
-
-
-def test_massless_charts_are_mirror_images():
-    rng = np.random.default_rng(45)
-    for z in sample_domain(UPPER_ATLAS, rng, 50, min_dist=0.3):
-        wu = psi_map(UPPER_ATLAS, z)
-        wl = psi_map(LOWER_ATLAS, z.conjugate())
-        assert abs(wl - wu.conjugate()) <= 1e-14
-        ru = koebe_ratio(UPPER_ATLAS, z)
-        rl = koebe_ratio(LOWER_ATLAS, z.conjugate())
-        assert abs(ru - rl) <= 1e-10 * ru
-
-
-def test_injective_on_sampled_grid():
-    xs = np.linspace(-6.0, 6.0, 25)
-    ys = np.linspace(-5.0, 5.0, 21)
-    dist = essential_spectrum(FRAC_ATLAS.kind).distance
-    ws = np.array(
-        [
-            psi_map(FRAC_ATLAS, complex(x, y))
-            for x in xs
-            for y in ys
-            if dist(complex(x, y)) >= 0.2
-        ]
-    )
-    sep = np.abs(ws[:, None] - ws[None, :])
-    sep[np.diag_indices_from(sep)] = np.inf
-    assert sep.min() > 1e-10
-
-
-def test_boundary_correspondence_is_monotone():
-    cases = [(FRAC_ATLAS, 2.0), (UPPER_ATLAS, -1.5), (MASSIVE_ATLAS, 2.0)]
-    for atlas, x0 in cases:
-        heights = np.logspace(-6, 0, 25)
-        gaps = [1.0 - abs(psi_map(atlas, complex(x0, t))) for t in heights]
-        assert gaps[0] < 1e-3
-        assert all(a < b for a, b in zip(gaps, gaps[1:]))
-
-
-def test_construction_and_map_errors():
-    with pytest.raises(ValueError, match="essential spectrum"):
-        ConformalAtlas(SymbolKind.FRACTIONAL_LAPLACIAN, z0=3.0)
-    with pytest.raises(ValueError, match="essential spectrum"):
-        ConformalAtlas(SymbolKind.DIRAC_MASSIVE, z0=-2.0)
-    with pytest.raises(ValueError, match="chart"):
-        ConformalAtlas(SymbolKind.DIRAC_MASSLESS, z0=1j, chart="sideways")
-    with pytest.raises(ValueError, match="chart"):
-        ConformalAtlas(SymbolKind.RELATIVISTIC, z0=-1.0, chart="lower")
-    with pytest.raises(ValueError, match="half-plane"):
-        psi_map(UPPER_ATLAS, -2j)
-    with pytest.raises(ValueError, match="half-plane"):
-        psi_map(LOWER_ATLAS, 2j)
-    with pytest.raises(ValueError, match="< 1"):
-        psi_inverse(FRAC_ATLAS, 1.0 + 0j)
-
-
-# ---------------------------------------------------------------------------
-# normalization automorphism
-
-
-def test_nu_fixes_zero_to_base_image():
-    assert nu_map(0.0, 0.3 + 0.4j) == 0.3 + 0.4j
-
-
-def test_nu_with_zero_base_is_identity():
-    rng = np.random.default_rng(46)
-    for _ in range(20):
-        w = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        assert nu_map(w, 0.0) == w
-
-
-def test_nu_roundtrip():
-    rng = np.random.default_rng(47)
-    for _ in range(100):
-        w = complex(*rng.uniform(-0.7, 0.7, 2))
-        a = complex(*rng.uniform(-0.6, 0.6, 2))
-        assert abs(nu_inverse(nu_map(w, a), a) - w) <= 1e-14
-        assert abs(nu_map(nu_inverse(w, a), a) - w) <= 1e-14
-        assert abs(nu_map(w, a)) < 1.0
-
-
-def test_nu_rejects_circle_and_outside():
-    with pytest.raises(ValueError, match="nu_map"):
-        nu_map(1.0 + 0j, 0.3)
-    with pytest.raises(ValueError, match="nu_map"):
-        nu_map(0.3, 1.2 + 0j)
-    with pytest.raises(ValueError, match="nu_inverse"):
-        nu_inverse(-1.5j, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Koebe distortion
-
-
-def test_koebe_bracket_on_compact_grids():
-    grids = {
-        id(FRAC_ATLAS): (np.linspace(-6, 6, 13), np.linspace(-4, 4, 13)),
-        id(RELA_ATLAS): (np.linspace(-6, 6, 13), np.linspace(-4, 4, 13)),
-        id(UPPER_ATLAS): (np.linspace(-5, 5, 13), np.linspace(0.3, 4, 9)),
-        id(LOWER_ATLAS): (np.linspace(-5, 5, 13), np.linspace(-4, -0.3, 9)),
-        id(MASSIVE_ATLAS): (np.linspace(-2.5, 2.5, 11), np.linspace(-2, 2, 9)),
-    }
-    for atlas in ALL_ATLASES:
-        dist = essential_spectrum(atlas.kind).distance
-        xs, ys = grids[id(atlas)]
-        checked = 0
-        for x in xs:
-            for y in ys:
-                z = complex(x, y)
-                if dist(z) < 0.3 or abs(psi_map(atlas, z)) < 0.1:
-                    continue
-                assert 0.25 <= koebe_ratio(atlas, z) <= 4.0
-                checked += 1
-        assert checked > 40
-
-
-def test_koebe_ratio_near_base_point():
-    # First-order expansion at the chart zero: the ratio tends to
-    # 1/(|psi'(z0)| dist(z0)).  For the half-plane chart at i that value is
-    # exactly 2; a slit plane seen from a real negative base point is the
-    # extremal (Koebe-function) geometry, where it is exactly 4.
-    z = 1j * (1.0 + 1e-3)
-    assert abs(koebe_ratio(UPPER_ATLAS, z) - 2.0) <= 0.05 * 2.0
-    z = -4.0 * (1.0 + 1e-3)
-    assert abs(koebe_ratio(RELA_ATLAS, z) - 4.0) <= 0.05 * 4.0
-    z = -1.0 * (1.0 + 1e-3)
-    assert abs(koebe_ratio(FRAC_ATLAS, z) - 4.0) <= 0.05 * 4.0
-
-
-def test_koebe_rejects_near_spectrum():
-    with pytest.raises(ValueError, match="1e-8"):
-        koebe_ratio(FRAC_ATLAS, 3.0 + 1e-10j)
-
-
-def test_distortion_factors_bracket():
-    for z0 in (0.0, 0.4j):
-        atlas = ConformalAtlas(SymbolKind.DIRAC_MASSIVE, z0=z0)
-        dist = essential_spectrum(atlas.kind).distance
-        pts = [
-            complex(x, y)
-            for x in np.linspace(-2.5, 2.5, 11)
-            for y in np.linspace(-2, 2, 9)
-            if dist(complex(x, y)) >= 0.3
-        ]
-        pts += [8.0 + 2j, -8.0 - 2j, 15j, -15j, 10.0 + 10j, 0.5 + 0.9j]
-        for z in pts:
-            for r in distortion_factors(atlas, z):
-                assert 1.0 / 16.0 <= r <= 16.0
-
-
-def test_distortion_factors_wrong_kind():
-    with pytest.raises(ValueError, match="massive"):
-        distortion_factors(FRAC_ATLAS, 2j)
-
-
-# ---------------------------------------------------------------------------
-# weighted sums
-
-
-def discrete_point(spec_kind, z):
-    d = essential_spectrum(spec_kind).distance(z)
+def discrete_point(spec, z):
+    d = essential_spectrum(spec).distance(z)
     return SpectralPoint(z=z, dist_sigma=d, refinement_drift=0.0, label=SpectralLabel.DISCRETE)
 
 
@@ -281,15 +25,15 @@ def test_weighted_sum_empty():
 
 def test_weighted_sum_single_point_plain():
     z = -2.0 + 0.5j
-    p = discrete_point(SymbolKind.FRACTIONAL_LAPLACIAN, z)
+    p = discrete_point(FRAC, z)
     assert weighted_blaschke_sum([p], "plain") == p.dist_sigma
     assert p.dist_sigma == math.hypot(2.0, 0.5)
 
 
 def test_weighted_sum_massless_hand_expanded():
     pts = [
-        discrete_point(SymbolKind.DIRAC_MASSLESS, 1.0 + 1.0j),
-        discrete_point(SymbolKind.DIRAC_MASSLESS, -1.0 - 1.0j),
+        discrete_point(MASSLESS, 1.0 + 1.0j),
+        discrete_point(MASSLESS, -1.0 - 1.0j),
     ]
     got = weighted_blaschke_sum(pts, "massless_dirac", alpha=3.0, eps=0.5, d=2)
     # dist = 1 for both points; (d-1)/(d+1) = 1/3; exponent -3/3 - 1 - 0.5
@@ -299,13 +43,13 @@ def test_weighted_sum_massless_hand_expanded():
 
 def test_weighted_sum_named_formulas():
     zs = [-3.0 + 0.7j, -0.2 - 1.1j]
-    frac = [discrete_point(SymbolKind.FRACTIONAL_LAPLACIAN, z) for z in zs]
+    frac = [discrete_point(FRAC, z) for z in zs]
     eps = 0.25
     got = weighted_blaschke_sum(frac, "inverse_sqrt", eps=eps)
     expected = sum(p.dist_sigma * abs(p.z) ** (-(1.0 - eps) / 2.0) for p in frac)
     assert abs(got - expected) <= 1e-12 * expected
 
-    massive = [discrete_point(SymbolKind.DIRAC_MASSIVE, z) for z in (0.3 + 0.4j, -0.6j)]
+    massive = [discrete_point(MASSIVE, z) for z in (0.3 + 0.4j, -0.6j)]
     alpha, d = 3.0, 2
     got = weighted_blaschke_sum(massive, "massive_dirac", alpha=alpha, eps=eps, d=d)
     expected = sum(
@@ -316,7 +60,7 @@ def test_weighted_sum_named_formulas():
     )
     assert abs(got - expected) <= 1e-12 * expected
 
-    rela = [discrete_point(SymbolKind.RELATIVISTIC, z) for z in zs]
+    rela = [discrete_point(RELA, z) for z in zs]
     got = weighted_blaschke_sum(rela, "relativistic", alpha=alpha, eps=eps, d=d)
     expected = sum(
         p.dist_sigma
@@ -327,52 +71,9 @@ def test_weighted_sum_named_formulas():
     assert abs(got - expected) <= 1e-12 * expected
 
 
-def test_weighted_sum_disk_side():
-    # massless upper atlas with base i: psi = phi+, so psi(2i) = 1/3.
-    weight = WeightSpec(
-        critical_images=(),
-        critical_exponents=(),
-        infinity_image=1.0,
-        infinity_exponent=2.0,
-        eps=0.5,
-    )
-    p = discrete_point(SymbolKind.DIRAC_MASSLESS, 2j)
-    got = weighted_blaschke_sum([p], weight, atlas=UPPER_ATLAS)
-    expected = (2.0 / 3.0) * (2.0 / 3.0) ** 1.5
-    assert abs(got - expected) <= 1e-12
-
-    # scalar chart with base -1: critical image psi(0) = -1, psi(inf) = 1;
-    # point -4 maps to 1/3.
-    weight = WeightSpec(
-        critical_images=(-1.0,),
-        critical_exponents=(1.5,),
-        infinity_image=1.0,
-        infinity_exponent=2.0,
-        eps=0.5,
-    )
-    p = discrete_point(SymbolKind.FRACTIONAL_LAPLACIAN, -4.0)
-    got = weighted_blaschke_sum([p], weight, atlas=FRAC_ATLAS)
-    expected = (2.0 / 3.0) * (4.0 / 3.0) ** 1.0 * (2.0 / 3.0) ** 1.5
-    assert abs(got - expected) <= 1e-12
-
-
-def test_weight_spec_clipped_exponents_reduce_to_plain():
-    weight = WeightSpec(
-        critical_images=(-1.0,),
-        critical_exponents=(0.2,),
-        infinity_image=1.0,
-        infinity_exponent=0.1,
-        eps=0.3,
-    )
-    pts = [discrete_point(SymbolKind.FRACTIONAL_LAPLACIAN, z) for z in (-4.0, -1.0 + 2j)]
-    got = weighted_blaschke_sum(pts, weight, atlas=FRAC_ATLAS)
-    expected = sum(1.0 - abs(psi_map(FRAC_ATLAS, p.z)) for p in pts)
-    assert abs(got - expected) <= 1e-12
-
-
 def test_weighted_sum_validation():
     z = -2.0 + 0.5j
-    good = discrete_point(SymbolKind.FRACTIONAL_LAPLACIAN, z)
+    good = discrete_point(FRAC, z)
     artifact = SpectralPoint(
         z=z, dist_sigma=1.0, refinement_drift=0.0, label=SpectralLabel.CONTINUUM_ARTIFACT
     )
@@ -387,25 +88,3 @@ def test_weighted_sum_validation():
         weighted_blaschke_sum([good], "no_such_weight")
     with pytest.raises(ValueError, match="alpha"):
         weighted_blaschke_sum([good], "massless_dirac", eps=0.1, d=1)
-    with pytest.raises(ValueError, match="atlas"):
-        weighted_blaschke_sum(
-            [good],
-            WeightSpec(
-                critical_images=(),
-                critical_exponents=(),
-                infinity_image=1.0,
-                infinity_exponent=0.0,
-                eps=0.1,
-            ),
-        )
-
-
-def test_weight_spec_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        WeightSpec((), (), 1.0, -0.5, 0.1)
-    with pytest.raises(ValueError, match="eps"):
-        WeightSpec((), (), 1.0, 0.5, 0.0)
-    with pytest.raises(ValueError, match="unit circle"):
-        WeightSpec((0.5,), (1.0,), 1.0, 0.5, 0.1)
-    with pytest.raises(ValueError, match="one exponent per"):
-        WeightSpec((1.0, -1.0), (1.0,), 1.0, 0.5, 0.1)

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import pkgutil
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -131,18 +132,24 @@ MULTIPLIER_MATRIX_CALLERS = {
 }
 
 
-def _top_level_users(name: str) -> set[str]:
-    """module.def for every top-level def or class in src that names ``name``."""
-    users = set()
+@lru_cache(maxsize=None)
+def _top_level_names() -> dict[str, frozenset[str]]:
+    """module.def -> the names and attributes that each top-level def or class in src reads."""
+    names = {}
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            if any(
-                getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+            user = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            names[user] = names.get(user, frozenset()) | {
+                node.id if isinstance(node, ast.Name) else node.attr
                 for node in ast.walk(top)
                 if isinstance(node, (ast.Name, ast.Attribute))
-            ):
-                users.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    return users
+            }
+    return names
+
+
+def _top_level_users(name: str) -> set[str]:
+    """module.def for every top-level def or class in src that names ``name``."""
+    return {user for user, names in _top_level_names().items() if name in names}
 
 
 def test_multiplier_matrix_has_only_its_listed_callers():
@@ -152,6 +159,30 @@ def test_multiplier_matrix_has_only_its_listed_callers():
 def test_sandwich_gram_has_only_assemble_bs_as_caller():
     # the Fourier-side Gram matrix is the one route to M^H M: no second Gram path
     assert _top_level_users("sandwich_gram") == {"birman_schwinger.assemble_bs"}
+
+
+# the exported names that no top-level def in src uses but their own, and why
+# each stays: a new export is wired into a caller or listed here with its reason
+UNCALLED_EXPORTS = {
+    "regularized_det": "oracle: det_n of an assembled M(z), against bs_det_evaluator",
+    "det_bound_constant": "gate: criterion 7's bound log|det_n(I + M)| <= C_n ||M||_{S^n}^n",
+    "bs_principle_check": "bench entry point: bs-contour's residual at each eigenvalue",
+    "det_contour_roots": "bench entry point: bs-contour's root search",
+    "write_potential_file": "file-format writer: the inverse of parse_potential_file",
+    "factored_dirac_apply": "gate: criterion 2's factored Dirac resolvent",
+    "kernel_array": "oracle: the resolvent kernel that R0 and M(z) are checked against",
+}
+
+
+def test_uncalled_exports_are_listed():
+    uncalled = {
+        name
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+        for name in importlib.import_module(f"bslab.{path.stem}").__all__
+        if not _top_level_users(name) - {f"{path.stem}.{name}"}
+    }
+    assert uncalled == set(UNCALLED_EXPORTS)
 
 
 ROOT = Path(__file__).resolve().parents[1]
