@@ -156,10 +156,21 @@ def sample_potential(spec: PotentialSpec, grid: TorusGrid) -> PotentialField:
     return PotentialField(grid, vals)
 
 
+def _integer(spec: PotentialSpec, name: str, default=None) -> int:
+    """An integer parameter: a non-bool int, or a potential file's token for one."""
+    val = _param(spec, name, default)
+    try:
+        if isinstance(val, str) or (isinstance(val, (int, np.integer)) and not isinstance(val, bool)):
+            return int(val)
+    except ValueError:  # a file token such as '1.5'
+        pass
+    raise PotentialFormatError(f"potential.{name}: must be an integer")
+
+
 def _sample_random(spec: PotentialSpec, grid: TorusGrid) -> PotentialField:
     amp = complex(_param(spec, "amplitude"))
-    seed = int(_param(spec, "seed"))
-    modes = int(_param(spec, "modes", default=8))
+    seed = _integer(spec, "seed")
+    modes = _integer(spec, "modes", default=8)
     if modes % 2 != 0 or modes < 2 or modes > grid.N:
         raise PotentialFormatError(
             f"potential.modes: need an even band limit 2 <= modes <= N, got {modes}"
@@ -313,7 +324,7 @@ def _coerce_params(raw: dict[str, str]) -> dict:
     out: dict = {}
     for key, val in raw.items():
         if key in ("seed", "modes"):
-            out[key] = int(val)
+            out[key] = val  # the raw token; _sample_random checks that it is an integer
         elif key == "center":
             out[key] = [_finite(key, float(tok)) for tok in val.split()]
         elif key == "amplitude":
@@ -339,6 +350,6 @@ def write_potential_file(path, grid: TorusGrid, spec: PotentialSpec) -> None:
             elif isinstance(val, complex):
                 lines.append(f"{key} ({float(val.real)!r}{float(val.imag):+}j)")
             else:
-                lines.append(f"{key} {val!r}")
+                lines.append(f"{key} {val}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -229,25 +229,18 @@ def _norming_primal(v: np.ndarray, p: float, grid: TorusGrid) -> np.ndarray:
     return x / lp_norm(GridFunction(grid, x), p)
 
 
-def empirical_opnorm(
-    op,
-    p: float,
-    r: float | None = None,
-    *,
-    seed: int = 7,
-) -> OpNormEstimate:
-    """Lower bound for ||op||_{L^p -> L^r} by alternating duality-map iteration.
+def empirical_opnorm(op, p: float, *, seed: int = 7) -> OpNormEstimate:
+    """Lower bound for ||op||_{L^p -> L^r}, r = p/(p-1) the dual exponent, by
+    alternating duality-map iteration.
 
     op provides .grid, .spinor_dim, .apply and .apply_adjoint. Requires
-    1 <= p <= 2 <= r (r defaults to the dual exponent p/(p-1)); in that range
-    each sweep is nondecreasing, so the trace is monotone and the final value
-    is a certified lower bound. Non-converged runs return the best value with
-    converged=False.
+    1 <= p <= 2, so that r >= 2; in that range each sweep is nondecreasing,
+    so the trace is monotone and the final value is a certified lower bound.
+    Non-converged runs return the best value with converged=False.
     """
-    if r is None:
-        r = np.inf if p == 1.0 else p / (p - 1.0)
-    if not (1.0 <= p <= 2.0 <= r):
-        raise ValueError(f"need 1 <= p <= 2 <= r, got p={p}, r={r}")
+    if not 1.0 <= p <= 2.0:
+        raise ValueError(f"need 1 <= p <= 2, got p={p}")
+    r = np.inf if p == 1.0 else p / (p - 1.0)
     grid = op.grid
     shape = grid.field_shape(op.spinor_dim)
     rng = np.random.default_rng(seed)

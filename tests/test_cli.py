@@ -187,6 +187,27 @@ def test_potential_file_with_a_non_finite_number_is_config_error(tmp_path, capfd
     assert not out.exists() or run_dirs(out) == []
 
 
+@pytest.mark.parametrize("key, value", [("seed", 1.5), ("modes", 8.9)])
+def test_random_seeded_integers_are_checked_in_configs_and_files(tmp_path, capsys, key, value):
+    # both were truncated before: a config's 1.5 loaded as seed 1, and a file's
+    # '1.5' failed in int() with a message that named no key
+    params = {"amplitude": [1.0, 0.0], "seed": 3, "modes": 8, key: value}
+    (tmp_path / "random.pot").write_text(
+        "d 1\nN 32\nL 20.0\nfamily random_seeded\namplitude 1.0\n"
+        + "".join(f"{k} {v}\n" for k, v in params.items() if k != "amplitude"),
+        encoding="utf-8",
+    )
+    for potential, path in (
+        ({"family": "random_seeded", "params": params}, "potential"),
+        ({"file": "random.pot"}, "potential.file"),
+    ):
+        out = tmp_path / "out"
+        doc = base_config(potential=potential)
+        assert cli_main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error at {path}: potential.{key}: must be an integer\n"
+        assert not out.exists()
+
+
 def test_potential_file_upsamples_onto_finer_config_grid(tmp_path):
     write_potential_file(
         tmp_path / "well.pot",
@@ -743,6 +764,29 @@ def test_imaginary_regime_errors_name_their_field(tmp_path, capsys, operator, q,
     rc = cli_main(["verify", "imaginary", "--config", write_config(tmp_path, doc)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}:")
+
+
+@pytest.mark.parametrize(
+    "operator, grid",
+    [
+        ({"kind": "relativistic", "d": 1, "s": 0.8}, {"N": 32, "L": 20.0}),
+        ({"kind": "dirac_massive", "d": 2}, {"N": 12, "L": 6.0}),
+    ],
+    ids=["relativistic", "massive-dirac"],
+)
+def test_individual_bounds_refuses_inhomogeneous_symbols(tmp_path, capsys, monkeypatch, operator, grid):
+    # exact t^s scaling fails by construction for these kinds: exit 2, not a FAIL certificate
+    def no_compute(*a, **k):
+        raise AssertionError("a job started despite a config error")
+
+    monkeypatch.setattr("bslab.cli.run_jobs", no_compute)
+    doc = base_config(grid=grid, run={"q": 2.0, "theorems": ["individual-bounds"]})
+    doc["operator"] = operator
+    out = tmp_path / "out"
+    rc = cli_main(["verify", "individual-bounds", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error at operator.kind:")
+    assert not out.exists()
 
 
 def test_custom_kind_is_an_unknown_operator_kind(tmp_path, capsys):

@@ -27,6 +27,13 @@ def test_cli_table_ids_match_theorem_ids():
     assert tuple(cli.VERIFIERS) == certlab.THEOREM_IDS
 
 
+def test_readme_verifier_table_lists_the_theorem_ids():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Verifiers and certificates", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| `")]
+    assert tuple(row.strip("`") for row in rows) == certlab.THEOREM_IDS
+
+
 def test_bench_tracer_layers_resolve(monkeypatch):
     # bench/tracer.py wraps each LAYERS entry by name; a missing one breaks --trace 1
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"

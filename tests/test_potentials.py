@@ -132,6 +132,18 @@ def test_family_file_roundtrip(tmp_path):
     )
 
 
+def test_random_seeded_file_roundtrips_through_its_raw_tokens(tmp_path):
+    # a parsed spec keeps the file's seed and modes tokens; writing it back must give the same file
+    grid = TorusGrid(1, 16, 6.0)
+    spec = PotentialSpec("random_seeded", {"amplitude": 1.5 + 0.0j, "seed": 42, "modes": 8})
+    write_potential_file(tmp_path / "first.pot", grid, spec)
+    _, parsed = parse_potential_file(tmp_path / "first.pot")
+    write_potential_file(tmp_path / "second.pot", grid, parsed)
+    assert (tmp_path / "second.pot").read_text() == (tmp_path / "first.pot").read_text()
+    _, again = parse_potential_file(tmp_path / "second.pot")
+    assert np.array_equal(sample_potential(again, grid).values, sample_potential(spec, grid).values)
+
+
 def test_table_file_roundtrip(tmp_path):
     grid = TorusGrid(1, 8, 1.0)
     rng = np.random.default_rng(9)

@@ -104,7 +104,7 @@ def test_opnorm_l2_matches_multiplier_sup():
     grid = TorusGrid(1, 64, 6.0)
     z = 0.9 + 0.05j
     h = ResolventHandle(spec, grid, z)
-    est = empirical_opnorm(h, p=2.0, r=2.0)
+    est = empirical_opnorm(h, p=2.0)
     tvals = dispersion_values(spec, grid.xi())[..., 0]
     exact = float(np.max(1.0 / np.abs(tvals - z)))
     assert est.converged
@@ -129,13 +129,13 @@ def test_opnorm_one_to_inf_lower_bound_and_dominant_entry():
     grid = TorusGrid(1, 24, 3.0)
     rng = np.random.default_rng(5)
     mat = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
-    est = empirical_opnorm(_DenseOp(grid, mat), p=1.0, r=np.inf)
+    est = empirical_opnorm(_DenseOp(grid, mat), p=1.0)
     exact = np.abs(mat).max() / grid.weight
     # alternating argmax is a certified lower bound; it may stop at a local max
     assert est.value <= exact * (1 + 1e-12)
     assert est.value >= 0.8 * exact
     mat[7, 3] = 40.0 - 15.0j  # dominant entry: every restart should find it
-    est = empirical_opnorm(_DenseOp(grid, mat), p=1.0, r=np.inf)
+    est = empirical_opnorm(_DenseOp(grid, mat), p=1.0)
     assert est.value == pytest.approx(np.abs(mat).max() / grid.weight, rel=1e-10)
 
 
@@ -143,7 +143,7 @@ def test_opnorm_2_2_dense_matches_svd():
     grid = TorusGrid(1, 16, 2.0)
     rng = np.random.default_rng(12)
     mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    est = empirical_opnorm(_DenseOp(grid, mat), p=2.0, r=2.0)
+    est = empirical_opnorm(_DenseOp(grid, mat), p=2.0)
     assert est.value == pytest.approx(np.linalg.svd(mat, compute_uv=False)[0], rel=1e-6)
 
 
