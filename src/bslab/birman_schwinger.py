@@ -174,7 +174,7 @@ def schatten_order(d: int, q: float) -> float:
 
 def schatten_norm(sv: np.ndarray, alpha: float) -> float:
     """Schatten alpha-norm from nonincreasing singular values; alpha = inf gives sigma_1."""
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {alpha}")
     if sv.size == 0 or sv[0] == 0.0:
         return 0.0

@@ -157,7 +157,7 @@ class Region:
         object.__setattr__(self, "bounds", b)
         if not (b[0] < b[1] and b[2] < b[3]):
             raise ValueError(f"degenerate rectangle bounds {b}")
-        if self.clearance <= 0.0:
+        if not self.clearance > 0.0:
             raise ValueError("clearance must be positive")
 
     def contains(self, z: complex) -> bool:
@@ -187,7 +187,7 @@ class Region:
     def validate_for(self, spec: SymbolSpec) -> None:
         for c in critical_values(spec):
             gap = self.distance_to(c)
-            if gap < self.clearance:
+            if not gap >= self.clearance:
                 raise RegimeError(
                     "region",
                     f"region comes within {gap:.3g} of the critical value {c}, "
@@ -450,7 +450,7 @@ def boundary_ray(re_lo: float, re_hi: float, height: float, count: int = 9) -> l
     """
     if not 0.0 < re_lo < re_hi:
         raise ValueError(f"need 0 < re_lo < re_hi, got {re_lo}, {re_hi}")
-    if height <= 0.0:
+    if not height > 0.0:
         raise ValueError("height must be positive")
     return [complex(lam, height) for lam in np.geomspace(re_lo, re_hi, count)]
 
@@ -483,8 +483,8 @@ def sandwich_schatten_order(spec: SymbolSpec, q: float) -> float:
 def _check_q_window(spec: SymbolSpec, q: float, strict_lower: bool = False) -> None:
     d, s = spec.d, spec.s
     lo, hi = d / s, (d + 1) / 2.0
-    bad_low = q <= lo + 1e-12 if strict_lower else q < lo - 1e-12
-    if bad_low or q > hi + 1e-12:
+    above_lo = q > lo + 1e-12 if strict_lower else q >= lo - 1e-12
+    if not (above_lo and q <= hi + 1e-12):
         rel = "d/s < q" if strict_lower else "d/s <= q"
         raise RegimeError(
             "q",
@@ -509,7 +509,7 @@ def imaginary_q_window(spec: SymbolSpec, q: float) -> None:
     """
     d, s = spec.d, spec.s
     _check_kind_covered(spec, "purely-imaginary certificates")
-    if s < d / (d + 1.0) - 1e-12:
+    if not s >= d / (d + 1.0) - 1e-12:
         raise RegimeError("s", f"need s >= d/(d+1) = {d / (d + 1):.6g}, got s={s}")
     hi = (d + 1) / 2.0
     if 2.0 * s < d:
@@ -518,7 +518,7 @@ def imaginary_q_window(spec: SymbolSpec, q: float) -> None:
         lo, lo_strict = 1.0, True
     else:
         lo, lo_strict = 1.0, False
-    if q > hi + 1e-12 or q < lo - 1e-12 or (lo_strict and q <= lo + 1e-12):
+    if not lo - 1e-12 <= q <= hi + 1e-12 or (lo_strict and not q > lo + 1e-12):
         rel = "q > 1" if lo_strict else f"q >= {lo:.6g}"
         raise RegimeError("q", f"q={q} violates the window {rel} and q <= {hi:.6g} for 2s vs d")
 
@@ -530,7 +530,7 @@ def uniform_p_window(spec: SymbolSpec, p: Optional[float]) -> None:
         if p is None:
             raise RegimeError("p", "p is required in the s >= 2d/(d+1) regime")
         p_lo, p_hi = 2.0 * d / (d + s), 2.0 * (d + 1) / (d + 3)
-        if p < max(1.0, p_lo) - 1e-9 or p > p_hi + 1e-9:
+        if not max(1.0, p_lo) - 1e-9 <= p <= p_hi + 1e-9:
             raise RegimeError(
                 "p",
                 f"p={p} outside the admissible window "
@@ -898,7 +898,7 @@ def preflight_individual_bounds(spec: SymbolSpec, grid: TorusGrid, q: float) -> 
     d, s = spec.d, spec.s
     if not 0.0 < s < d:
         raise RegimeError("s", f"the sectorial bound regime needs 0 < s < d, got s={s}, d={d}")
-    if q < d / s - 1e-12:
+    if not q >= d / s - 1e-12:
         raise RegimeError("q", f"q={q} below the exponent floor d/s = {d / s:.6g}")
 
 
@@ -1091,7 +1091,7 @@ def preflight_weighted_sums(
     """Argument checks of :func:`verify_weighted_sums`; raises RegimeError."""
     _check_fine_pair(spec, grid)
     d, kind = spec.d, spec.kind
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise RegimeError("eps", "eps must be positive")
     if variant not in ("auto", "inverse_sqrt"):
         raise RegimeError(
@@ -1103,13 +1103,13 @@ def preflight_weighted_sums(
         # a nonempty window d/s < q <= (d+1)/2 already forces s > 2d/(d+1)
         _check_q_window(spec, q, strict_lower=True)
     elif variant == "inverse_sqrt":
-        if 2.0 * q <= d + 1e-12:
+        if not 2.0 * q > d + 1e-12:
             raise RegimeError("q", f"the inverse_sqrt substitution needs 2q > d, got q={q}, d={d}")
     elif alpha is None:
         raise RegimeError("alpha", f"the {_ALPHA_WEIGHTS[kind]!r} weight needs the alpha parameter")
     elif d == 2 and alpha != 3.0:
         raise RegimeError("alpha", f"alpha must be 3 when d = 2, got {alpha}")
-    elif d != 2 and alpha <= d:
+    elif d != 2 and not alpha > d:
         raise RegimeError("alpha", f"alpha must exceed d = {d}, got {alpha}")
 
 

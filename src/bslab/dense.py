@@ -14,7 +14,11 @@ Eigenvalues come two ways.  :func:`eigvals` is zgeev, for any square
 matrix.  :func:`eigvalsh` is zheevd on the upper triangle, for a matrix
 that is Hermitian up to rounding (a Hamiltonian with a self-adjoint
 potential, or a Gram matrix); it gives the whole spectrum at about the
-cost of one shift-invert solve by :func:`nearest_eigenpair`.
+cost of one shift-invert solve by :func:`nearest_eigenpair`.  Where an
+eigenvalue z is already known, :func:`eigenvectors_near` gives its right
+and left eigenvectors from one LU of H - z, and :func:`accepts_residual` is
+the backward-error bar that a pair checked elsewhere (on another grid, say)
+must pass, the same one :func:`nearest_eigenpair` applies.
 
 Determinants come two ways.  :func:`logdet` is one LU of the matrix itself.
 :func:`hessenberg_logdet` reduces H to Hessenberg form once and then gives
@@ -48,6 +52,8 @@ __all__ = [
     "logdet",
     "hessenberg_logdet",
     "nearest_eigenpair",
+    "eigenvectors_near",
+    "accepts_residual",
 ]
 
 
@@ -262,11 +268,51 @@ def _geev_lwork(m: int) -> int:
     return int(work.real)
 
 
-def _inverse_step(lu: np.ndarray, piv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(H - z)^{-1} x from H - z's LU, normalized; x itself if that overflows."""
-    y, _ = zgetrs(lu, piv, x)
+def accepts_residual(residual: float, norm_1: float) -> bool:
+    """Whether ||H x - lam x|| = residual, for a unit x, is within _RESIDUAL_TOLERANCE * ||H||_1."""
+    return residual < _RESIDUAL_TOLERANCE * norm_1
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed pseudo-random start of every inverse iteration here, not normalized."""
+    rng = np.random.default_rng(0)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _inverse_step(lu: np.ndarray, piv: np.ndarray, x: np.ndarray, trans: int = 0) -> np.ndarray:
+    """(H - z)^{-1} x from H - z's LU (trans=2: (H - z)^{-H} x), normalized; x itself if that overflows."""
+    y, _ = zgetrs(lu, piv, x, trans=trans)
     norm = np.linalg.norm(y)
     return y / norm if np.isfinite(norm) and norm > 0.0 else x
+
+
+_INVERSE_STEPS = 2
+
+
+def eigenvectors_near(H: np.ndarray, z: complex) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Unit right and left eigenvectors (x, y) of H for its eigenvalue at z, or None; H is overwritten.
+
+    z is meant to be an eigenvalue of H to working precision, one that
+    :func:`eigvals` returned.  One LU of H - z (in place for an F-contiguous
+    complex H; any other H is copied first), then _INVERSE_STEPS steps of
+    inverse iteration on it from :func:`nearest_eigenpair`'s fixed start
+    vector, for x, and as many with its conjugate transpose, for y: Hx ~ zx
+    and y^H H ~ z y^H.  At a simple, isolated z the first step already
+    lands on the eigenvector to rounding; the vectors are not checked here,
+    and at a cluster they mix its members.  An exactly singular H - z
+    returns None.
+    """
+    n = H.shape[0]
+    H = np.asfortranarray(H, dtype=complex)
+    H.flat[:: n + 1] -= z
+    lu, piv, info = zgetrf(H, overwrite_a=True)
+    if info > 0:
+        return None
+    x = y = _start_vector(n)
+    for _ in range(_INVERSE_STEPS):
+        x = _inverse_step(lu, piv, x)
+        y = _inverse_step(lu, piv, y, trans=2)
+    return x, y
 
 
 def nearest_eigenpair(H: np.ndarray, z: complex) -> Optional[tuple[complex, np.ndarray]]:
@@ -277,7 +323,7 @@ def nearest_eigenpair(H: np.ndarray, z: complex) -> Optional[tuple[complex, np.n
     _CHECK_EVERY steps, the Ritz vector of the Ritz value of largest modulus
     takes one inverse-iteration step on the same LU, and the unit vector x
     it gives, with its Rayleigh quotient lam = x^H H x, is accepted when
-    ||H x - lam x|| is within _RESIDUAL_TOLERANCE * ||H||_1 (a small
+    ||H x - lam x|| passes :func:`accepts_residual` (a small
     residual on the inverse alone also passes pseudo-eigenvalues of a
     far-from-normal H).  The step brings the backward error down to
     rounding: a Ritz pair itself can stall just above the bar, and on a
@@ -289,14 +335,13 @@ def nearest_eigenpair(H: np.ndarray, z: complex) -> Optional[tuple[complex, np.n
     """
     n = H.shape[0]
     H = np.asfortranarray(H)
-    tolerance = _RESIDUAL_TOLERANCE * np.linalg.norm(H, 1)
+    norm_1 = np.linalg.norm(H, 1)
     shifted = H.copy(order="F")
     shifted.flat[:: n + 1] -= z
     lu, piv, info = zgetrf(shifted, overwrite_a=True)
     if info > 0:  # z is an eigenvalue to working precision: the caller's dense solve answers
         return None
-    rng = np.random.default_rng(0)
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start = _start_vector(n)
     steps = min(_ARNOLDI_STEPS, n)
     Q = np.zeros((n, steps + 1), dtype=complex, order="F")
     h = np.zeros((steps + 1, steps), dtype=complex)
@@ -320,7 +365,7 @@ def nearest_eigenpair(H: np.ndarray, z: complex) -> Optional[tuple[complex, np.n
             x = _inverse_step(lu, piv, zgemv(1.0, Q[:, :m], Y[:, k] / np.linalg.norm(Y[:, k])))
             Hx = zgemv(1.0, H, x)
             lam = np.vdot(x, Hx)
-            if np.linalg.norm(Hx - lam * x) < tolerance:
+            if accepts_residual(np.linalg.norm(Hx - lam * x), norm_1):
                 return lam, x
             if exhausted:  # invariant subspace: its Ritz values are all there is
                 return None

@@ -22,7 +22,9 @@ transforms the site identity in small chunks and writes each column of block
 modify the matrix they are given, so no second operator-sized array exists.
 :func:`sandwich_gram` writes the Gram matrix M^H M of such a sandwich M in
 the same layout, from transforms of the multiplier's Fourier-side product
-rather than from M.
+rather than from M.  :func:`apply_operator` and :func:`operator_norm_1` give
+the product with T + diag(V) and its 1-norm without the matrix, and
+:func:`interpolate` carries samples of any layout to a finer grid.
 """
 
 from __future__ import annotations
@@ -40,9 +42,12 @@ __all__ = [
     "TorusGrid",
     "add_site_diagonal",
     "apply_multiplier",
+    "apply_operator",
     "dense_dim",
+    "interpolate",
     "lp_norm",
     "multiplier_matrix",
+    "operator_norm_1",
     "per_site",
     "sandwich_gram",
     "site_diagonal_sandwich",
@@ -202,7 +207,7 @@ def weighted_lp(mags: np.ndarray, p: float, weight: float) -> float:
     """(weight * sum mags^p)^(1/p) over per-site magnitudes, 1 <= p <= inf."""
     if np.isinf(p):
         return float(mags.max())
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p={p} out of range; need 1 <= p <= inf")
     return float((weight * np.sum(mags**p)) ** (1.0 / p))
 
@@ -362,3 +367,73 @@ def add_site_diagonal(mat: np.ndarray, values: np.ndarray, grid: TorusGrid) -> n
         spin = np.arange(n)
         mat[first + spin[:, None], first + spin[None, :]] += values.reshape(size, n, n)
     return mat
+
+
+def apply_operator(m: np.ndarray, values: np.ndarray, f: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """(T + diag(values)) f without the matrix, T the Fourier multiplier m.
+
+    m is as in :func:`multiplier_matrix`, values site-local as in
+    :func:`add_site_diagonal`, and f holds samples in the field layout
+    (grid.field_shape(n)).  The result has f's shape and is
+    add_site_diagonal(multiplier_matrix(m, grid), values, grid) @ f.reshape(-1),
+    reshaped: one transform pair and a site-by-site product.
+    """
+    out = apply_multiplier(m, GridFunction(grid, f)).values
+    if values.ndim == grid.d:
+        out += per_site(values, f, grid.d) * f
+    else:
+        n = values.shape[-1]
+        out += np.einsum("...ia,...a->...i", values, f.reshape(grid.shape + (n,))).reshape(f.shape)
+    return out
+
+
+def operator_norm_1(m: np.ndarray, values: np.ndarray, grid: TorusGrid) -> float:
+    """||T + diag(values)||_1, the largest column sum, from the kernel of m without the matrix.
+
+    Column (y, a) of :func:`multiplier_matrix` holds the kernel K = ifftn(m)
+    moved to site y, so its sum over the other sites is the same for every y;
+    only its own site block, K(0) plus values at y, differs from column to
+    column.  Arguments are as in :func:`apply_operator`.
+    """
+    mvals = np.asarray(m, dtype=complex)
+    blocks = mvals[..., None, None] if mvals.shape == grid.shape else mvals
+    n = blocks.shape[-1]
+    kernel = np.fft.ifftn(blocks, axes=grid.axes()).reshape(grid.size, n, n)  # [x, i, a]: entry (x, i; 0, a)
+    off_site = np.abs(kernel[1:]).sum(axis=(0, 1))
+    if values.ndim == grid.d:
+        own = kernel[0] + values.reshape(grid.size, 1, 1) * np.eye(n)
+    else:
+        own = kernel[0] + values.reshape(grid.size, n, n)
+    return float((off_site + np.abs(own).sum(axis=1)).max())
+
+
+def interpolate(values: np.ndarray, grid: TorusGrid, fine: TorusGrid) -> np.ndarray:
+    """Trigonometric interpolation of samples on grid onto fine, the same box with fine.N >= grid.N.
+
+    values has any field layout (grid.shape and then spinor or site-block
+    axes, which ride along).  The modes of grid keep their coefficients on
+    fine, with each axis's Nyquist coefficient split evenly between +N/2 and
+    -N/2, so real samples interpolate to real samples.
+    """
+    coeffs = np.fft.fftn(values, axes=grid.axes()) / grid.size
+    for ax in range(grid.d):
+        coeffs = _pad_axis(coeffs, ax, grid.N, fine.N)
+    return np.fft.ifftn(coeffs, axes=fine.axes()) * fine.size
+
+
+def _pad_axis(c: np.ndarray, ax: int, n_old: int, n_new: int) -> np.ndarray:
+    sh = list(c.shape)
+    sh[ax] = n_new
+    out = np.zeros(sh, dtype=complex)
+    half = n_old // 2
+    sl_out, sl_in = [slice(None)] * c.ndim, [slice(None)] * c.ndim
+    sl_out[ax], sl_in[ax] = slice(0, half), slice(0, half)
+    out[tuple(sl_out)] = c[tuple(sl_in)]
+    sl_out[ax], sl_in[ax] = slice(n_new - half + 1, n_new), slice(n_old - half + 1, n_old)
+    out[tuple(sl_out)] = c[tuple(sl_in)]
+    # Split the Nyquist coefficient between +N/2 and -N/2 on the wide grid.
+    sl_in[ax] = half
+    for pos in (half, n_new - half):
+        sl_out[ax] = pos
+        out[tuple(sl_out)] += 0.5 * c[tuple(sl_in)]
+    return out

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import TorusGrid, lp_norm
+from .lattice import TorusGrid, interpolate, lp_norm
 
 __all__ = [
     "PotentialField",
@@ -140,17 +140,17 @@ def sample_potential(spec: PotentialSpec, grid: TorusGrid) -> PotentialField:
     amp = complex(_param(spec, "amplitude"))
     if spec.family == "gaussian":
         width = float(_param(spec, "width"))
-        if width <= 0:
+        if not width > 0:
             raise PotentialFormatError("potential.width: must be positive")
         vals = amp * np.exp(-(r**2) / (2.0 * width**2))
     elif spec.family == "step":
         radius = float(_param(spec, "radius"))
-        if radius <= 0:
+        if not radius > 0:
             raise PotentialFormatError("potential.radius: must be positive")
         vals = amp * (r <= radius)
     else:  # coulomb_regularized
         soft = float(_param(spec, "softening"))
-        if soft <= 0:
+        if not soft > 0:
             raise PotentialFormatError("potential.softening: must be positive")
         vals = amp / np.sqrt(r**2 + soft**2)
     return PotentialField(grid, vals)
@@ -191,7 +191,10 @@ def _sample_random(spec: PotentialSpec, grid: TorusGrid) -> PotentialField:
 
 
 def resample(fld: PotentialField, grid: TorusGrid) -> PotentialField:
-    """Trigonometric interpolation onto a grid on the same box (d, L equal) with N2 >= N."""
+    """Trigonometric interpolation onto a grid on the same box (d, L equal) with N2 >= N.
+
+    The samples are carried by :func:`lattice.interpolate`.
+    """
     old = fld.grid
     if grid.d != old.d or grid.L != old.L or grid.N < old.N:
         raise ValueError(
@@ -200,34 +203,12 @@ def resample(fld: PotentialField, grid: TorusGrid) -> PotentialField:
         )
     if grid.N == old.N:
         return PotentialField(grid, fld.values.copy(), fld.imaginary_nonneg)
-    coeffs = np.fft.fftn(fld.values, axes=old.axes()) / old.size
-    for ax in range(old.d):
-        coeffs = _pad_axis(coeffs, ax, old.N, grid.N)
-    vals = np.fft.ifftn(coeffs, axes=grid.axes()) * grid.size
-    return PotentialField(grid, vals, fld.imaginary_nonneg)
-
-
-def _pad_axis(c: np.ndarray, ax: int, n_old: int, n_new: int) -> np.ndarray:
-    sh = list(c.shape)
-    sh[ax] = n_new
-    out = np.zeros(sh, dtype=complex)
-    half = n_old // 2
-    sl_out, sl_in = [slice(None)] * c.ndim, [slice(None)] * c.ndim
-    sl_out[ax], sl_in[ax] = slice(0, half), slice(0, half)
-    out[tuple(sl_out)] = c[tuple(sl_in)]
-    sl_out[ax], sl_in[ax] = slice(n_new - half + 1, n_new), slice(n_old - half + 1, n_old)
-    out[tuple(sl_out)] = c[tuple(sl_in)]
-    # Split the Nyquist coefficient between +N/2 and -N/2 on the wide grid.
-    sl_in[ax] = half
-    for pos in (half, n_new - half):
-        sl_out[ax] = pos
-        out[tuple(sl_out)] += 0.5 * c[tuple(sl_in)]
-    return out
+    return PotentialField(grid, interpolate(fld.values, old, grid), fld.imaginary_nonneg)
 
 
 def scaled_field(fld: PotentialField, t: float, s: float) -> PotentialField:
     """Exact scaling family V_t(x) = t^s V(t x): same samples times t^s on the box L/t."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     return PotentialField(fld.grid.rescaled(t), (t**s) * fld.values, fld.imaginary_nonneg)
 

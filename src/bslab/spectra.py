@@ -12,13 +12,16 @@ that barely move across the refinement are discrete.
 essential spectrum gets its nearest 2N eigenvalue by one of two routes.
 For a self-adjoint potential H_2N is Hermitian up to rounding, and one
 :func:`dense.eigvalsh` gives all of its spectrum at about the cost of one
-partner solve.  Otherwise each point gets its partner from
-:func:`dense.nearest_eigenpair` (one LU of H_2N - z and a short Arnoldi
-run on the inverse).  H_2N is assembled only if some point needs a
-partner.  Every eigensolve runs in :mod:`bslab.dense`; this module only
-assembles, sorts and labels.  The dense T(D) is built once per (symbol,
-grid) and cached read-only; every Hamiltonian is a fresh copy of it plus
-the site diagonal of V.
+partner solve.  Otherwise each point is first served from its coarse
+eigenpair: one LU of H_N - z gives the right and left eigenvectors, which
+are interpolated to 2N, and their Rayleigh quotient on H_2N, applied
+matrix-free, is the partner when its residual and condition number put an
+eigenvalue of H_2N within the Discrete bar.  Only a refused point
+assembles H_2N and takes :func:`dense.nearest_eigenpair` (one LU of
+H_2N - z and a short Arnoldi run on the inverse).  Every factorization
+runs in :mod:`bslab.dense`; this module only assembles, sorts and labels.
+The dense T(D) is built once per (symbol, grid) and cached read-only;
+every Hamiltonian is a fresh copy of it plus the site diagonal of V.
 
 Inside a :func:`spectrum_memo` scope, :func:`classified_spectrum` solves
 each (symbol, grid, potential samples) once and serves repeats from a memo
@@ -42,7 +45,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dense
-from .lattice import TorusGrid, add_site_diagonal, dense_dim, multiplier_matrix
+from .lattice import (
+    TorusGrid,
+    add_site_diagonal,
+    apply_operator,
+    dense_dim,
+    interpolate,
+    multiplier_matrix,
+    operator_norm_1,
+)
 from .potentials import PotentialField, resample
 from .resolvent import local_spacings
 from .symbols import SymbolKind, SymbolSpec, symbol_values
@@ -180,9 +191,12 @@ def classify(
 
     eigs_coarse are eigenvalues of H0 + V on grid, and nearest_fine maps z
     to the eigenvalue nearest z of the same potential sampled on
-    grid.refined() (the caller's contract).  A point is ContinuumArtifact
-    if its distance to the essential spectrum is at most eta, 5x the local
-    dispersion spacing near Re z; it gets no partner and its drift is nan.
+    grid.refined() (the caller's contract; :class:`_FinePartner` may
+    instead answer with the eigenvalue that z's eigenvector continues to,
+    certified to first order within the Discrete bar of z).  A point is
+    ContinuumArtifact if its distance to the essential spectrum is at most
+    eta, 5x the local dispersion spacing near Re z; it gets no partner and
+    its drift is nan.
     Every other point asks nearest_fine for its partner and is Discrete if
     that partner moved by less than 10% relatively, Undecided otherwise.
     """
@@ -210,7 +224,7 @@ def classify(
 
 
 # ---------------------------------------------------------------------------
-# fine partners: one Hermitian eigensolve, or shift-invert
+# fine partners: from the coarse eigenpair, one Hermitian eigensolve, or shift-invert
 
 
 def _is_self_adjoint(V: PotentialField) -> bool:
@@ -221,38 +235,95 @@ def _is_self_adjoint(V: PotentialField) -> bool:
     return not np.any(v.imag)
 
 
-class _FinePartner:
-    """z -> nearest eigenvalue of H_2N = T(D) + V on the fine grid.
+_ROUTES = ("coarse eigenpair", "shift-invert", "dense fallback", "Hermitian")
 
-    H_2N is assembled on the first call.  For a self-adjoint V (tested on
-    the coarse field the caller passed: resampling leaves rounding noise in
-    the imaginary part) H_2N is Hermitian up to rounding, and the first call
-    takes its whole spectrum from :func:`dense.eigvalsh`, which answers that
-    z and every later one.  Otherwise each z is answered by
-    :func:`dense.nearest_eigenpair`; the first time its check fails, the
-    dense spectrum of H_2N is computed in H_2N's own storage (one DEBUG
-    record on the ``bslab`` logger) and answers that z and every later one.
+
+class _FinePartner:
+    """z -> nearest eigenvalue of H_2N = T(D) + V on the fine grid, for a z that is an eigenvalue of H_N.
+
+    For a self-adjoint V (tested on the coarse field the caller passed:
+    resampling leaves rounding noise in the imaginary part) H_2N is
+    Hermitian up to rounding, and the first call assembles it and takes its
+    whole spectrum from :func:`dense.eigvalsh`, which answers that z and
+    every later one.
+
+    For any other V each z is first served from the coarse eigenpair, with
+    no fine matrix: :func:`dense.eigenvectors_near` gives H_N's right and
+    left eigenvectors at z, and :func:`lattice.interpolate` carries them to
+    the fine grid as unit vectors x and y.  H_2N x is applied matrix-free
+    (:func:`lattice.apply_operator`), and the Rayleigh quotient
+    lam = x^H H_2N x is the partner when the residual r = H_2N x - lam x
+    passes :func:`dense.accepts_residual` against ||H_2N||_1
+    (:func:`lattice.operator_norm_1`) and |z - lam| + kappa ||r|| is below
+    _DRIFT_TOLERANCE |z|, with kappa = 1/|y^H x|.  To first order an
+    eigenvalue of H_2N lies within kappa ||r|| of lam (Wilkinson; Trefethen
+    & Embree, Spectra and Pseudospectra, 2005, ch. 52), so classify's
+    Discrete label is then certain; the drift is that of the eigenvalue the
+    coarse one continues to.  A refused z assembles H_2N (once) and is
+    answered by :func:`dense.nearest_eigenpair`; the first time that check
+    fails too, the dense spectrum of H_2N is computed in H_2N's own storage
+    (one DEBUG record on the ``bslab`` logger) and answers that z and every
+    later one.  ``routes`` counts the answers by route.
     """
 
-    def __init__(self, spec: SymbolSpec, fine: TorusGrid, V: PotentialField):
-        self.spec, self.fine, self.V = spec, fine, V
+    def __init__(self, spec: SymbolSpec, grid: TorusGrid, fine: TorusGrid, V: PotentialField):
+        self.spec, self.grid, self.fine, self.V = spec, grid, fine, V
         self.hermitian = _is_self_adjoint(V)
+        self.routes = dict.fromkeys(_ROUTES, 0)
+        self.V_fine: Optional[PotentialField] = None
+        self.multiplier: Optional[np.ndarray] = None
+        self.norm_1 = math.nan
         self.H: Optional[np.ndarray] = None
         self.fallback: Optional[Callable[[complex], complex]] = None
 
     def __call__(self, z: complex) -> complex:
+        if self.fallback is None and self.hermitian:
+            self.fallback = nearest_in(dense.eigvalsh(self._fine_hamiltonian()))
         if self.fallback is None:
+            lam = self._from_coarse(z)
+            if lam is not None:
+                self.routes["coarse eigenpair"] += 1
+                return lam
             if self.H is None:
-                H = assemble_hamiltonian(self.spec, self.fine, resample(self.V, self.fine))
-                self.H = np.asfortranarray(H)
-            if not self.hermitian:
-                pair = dense.nearest_eigenpair(self.H, z)
-                if pair is not None:
-                    return pair[0]
-                _log.debug("dense %d-dim fine solve: no shift-invert partner at z=%s", self.H.shape[0], z)
+                self.H = self._fine_hamiltonian()
+            pair = dense.nearest_eigenpair(self.H, z)
+            if pair is not None:
+                self.routes["shift-invert"] += 1
+                return pair[0]
+            _log.debug("dense %d-dim fine solve: no shift-invert partner at z=%s", self.H.shape[0], z)
             H, self.H = self.H, None  # the dense solve overwrites H, and nothing reads it again
-            self.fallback = nearest_in(dense.eigvalsh(H) if self.hermitian else eigensolve(H))
+            self.fallback = nearest_in(eigensolve(H))
+        self.routes["Hermitian" if self.hermitian else "dense fallback"] += 1
         return self.fallback(z)
+
+    def _resampled(self) -> PotentialField:
+        if self.V_fine is None:
+            self.V_fine = resample(self.V, self.fine)
+        return self.V_fine
+
+    def _fine_hamiltonian(self) -> np.ndarray:
+        return np.asfortranarray(assemble_hamiltonian(self.spec, self.fine, self._resampled()))
+
+    def _from_coarse(self, z: complex) -> Optional[complex]:
+        """The Rayleigh quotient on the fine grid of H_N's eigenvectors at z, or None if refused."""
+        vectors = dense.eigenvectors_near(assemble_hamiltonian(self.spec, self.grid, self.V), z)
+        if vectors is None:
+            return None
+        v = self._resampled().values
+        if self.multiplier is None:
+            self.multiplier = symbol_values(self.spec, self.fine.xi())
+            self.norm_1 = operator_norm_1(self.multiplier, v, self.fine)
+        n = self.spec.n
+        x, y = (interpolate(u.reshape(self.grid.field_shape(n)), self.grid, self.fine) for u in vectors)
+        x /= np.linalg.norm(x)
+        y /= np.linalg.norm(y)
+        Hx = apply_operator(self.multiplier, v, x, self.fine)
+        lam = np.vdot(x, Hx)
+        residual = float(np.linalg.norm(Hx - lam * x))
+        drift_bound = abs(z - lam) + residual / abs(np.vdot(y, x))
+        if dense.accepts_residual(residual, self.norm_1) and drift_bound < _DRIFT_TOLERANCE * abs(z):
+            return complex(lam)
+        return None
 
 
 def fine_grid(spec: SymbolSpec, grid: TorusGrid) -> TorusGrid:
@@ -266,7 +337,10 @@ def _solve_classified(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> l
     """The solve beneath :func:`classified_spectrum`'s memo."""
     fine = fine_grid(spec, grid)
     coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
-    return classify(coarse, _FinePartner(spec, fine, V), spec, grid)
+    partner = _FinePartner(spec, grid, fine, V)
+    points = classify(coarse, partner, spec, grid)
+    _log.debug("fine partners: %s", ", ".join(f"{n} {route}" for route, n in partner.routes.items()))
+    return points
 
 
 @dataclass
@@ -305,9 +379,12 @@ def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) ->
     each point beyond eta gets its nearest eigenvalue on grid.refined().
     For a self-adjoint V (real scalars, or Hermitian site blocks) all of
     them come from one Hermitian eigensolve of H_2N.  For any other V each
-    comes from one LU and a short Arnoldi run (dense 2N eigensolve as the
-    fallback when that does not converge).  A call whose points are all
-    ContinuumArtifact assembles no fine matrix.  A grid without a
+    comes from the coarse eigenpair checked matrix-free on the fine grid,
+    where that check refuses from one LU of H_2N and a short Arnoldi run,
+    and from a dense 2N eigensolve when that does not converge either.
+    One DEBUG record on the ``bslab`` logger counts the partners by route.
+    A call whose points are all ContinuumArtifact, or all served from
+    their coarse eigenpairs, assembles no fine matrix.  A grid without a
     :func:`fine_grid` partner raises ValueError before any eigensolve.
     Inside a :func:`spectrum_memo` scope, a repeat of (spec, grid, V.grid
     and the shape, dtype and bytes of V.values) is served from the memo;

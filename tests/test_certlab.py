@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bslab import certlab, cli, dense, spectra
+from bslab import birman_schwinger, certlab, cli, dense, lattice, spectra
 from bslab.certlab import (
     BoundCertificate,
     JobError,
@@ -236,6 +236,48 @@ def test_verify_main_rejects_non_positive_t_max(t_max):
     with pytest.raises(certlab.RegimeError, match="t_max") as err:
         verify_main(FRAC15, grid, gaussian(grid, -2.5), K, q=1.0, t_max=t_max)
     assert err.value.param == "t_max"
+
+
+NAN = math.nan
+_NAN_GRID = TorusGrid(d=1, N=32, L=16.0)
+_NAN_K = Region((-6.0, 0.5, -0.4, 0.4), clearance=0.04)
+
+
+# each range check written so that NaN fails it: (what raises, the error, and its
+# RegimeError param or, for a ValueError, a piece of its message)
+@pytest.mark.parametrize(
+    "check, error, param",
+    [
+        (lambda: Region((-6.0, 0.5, -0.4, 0.4), clearance=NAN), ValueError, None),
+        (lambda: certlab.preflight_main(FRAC15, _NAN_GRID, _NAN_K, NAN, 32.0), RegimeError, "q"),
+        (lambda: verify_main(FRAC15, _NAN_GRID, gaussian(_NAN_GRID, -2.5), _NAN_K, q=NAN), RegimeError, "q"),
+        (lambda: certlab.imaginary_q_window(FRAC15, NAN), RegimeError, "q"),
+        (lambda: certlab.uniform_p_window(FRAC15, NAN), RegimeError, "p"),
+        (lambda: certlab.preflight_individual_bounds(FRAC06, _NAN_GRID, NAN), RegimeError, "q"),
+        (lambda: certlab.preflight_weighted_sums(FRAC15, _NAN_GRID, 1.0, None, NAN), RegimeError, "eps"),
+        (lambda: certlab.preflight_weighted_sums(FRAC15, _NAN_GRID, NAN, None, 0.1), RegimeError, "q"),
+        (lambda: certlab.preflight_weighted_sums(MASSIVE1, _NAN_GRID, 1.0, NAN, 0.1), RegimeError, "alpha"),
+        (lambda: certlab.preflight_weighted_sums(REL1, _NAN_GRID, NAN, None, 0.1, "inverse_sqrt"), RegimeError, "q"),
+        (lambda: boundary_ray(0.5, 2.0, NAN), ValueError, None),
+        (lambda: birman_schwinger.schatten_norm(np.array([1.0, 0.5]), NAN), ValueError, None),
+        (lambda: lattice.weighted_lp(np.ones(4), NAN, 1.0), ValueError, None),
+        (lambda: gaussian(_NAN_GRID, -1.0, width=NAN), ValueError, None),
+        (lambda: scaled_field(gaussian(_NAN_GRID, -1.0), NAN, 1.5), ValueError, "t must be positive"),
+    ],
+    ids=[
+        "region-clearance", "preflight_main-q", "verify_main-q", "imaginary_q_window-q",
+        "uniform_p_window-p", "preflight_individual_bounds-q", "preflight_weighted_sums-eps",
+        "preflight_weighted_sums-q", "preflight_weighted_sums-alpha", "preflight_weighted_sums-inverse_sqrt-q",
+        "boundary_ray-height", "schatten_norm-alpha", "weighted_lp-p", "gaussian-width", "scaled_field-t",
+    ],
+)
+def test_nan_fails_every_range_check(check, error, param):
+    with pytest.raises(error) as err:
+        check()
+    if error is RegimeError:
+        assert err.value.param == param
+    elif param is not None:
+        assert param in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,8 @@ DENSE_CALLERS = {
     "eigvalsh": {"spectra._FinePartner", "birman_schwinger.assemble_bs"},
     "eig": {"birman_schwinger.bs_eigenpair_near"},
     "nearest_eigenpair": {"spectra._FinePartner", "birman_schwinger.bs_eigenpair_near"},
+    "eigenvectors_near": {"spectra._FinePartner"},
+    "accepts_residual": {"spectra._FinePartner"},
     "logdet": {"birman_schwinger.regularized_det"},
     "hessenberg_logdet": {"birman_schwinger.bs_det_evaluator"},
     "svdvals": {"birman_schwinger.assemble_bs"},

@@ -1,6 +1,7 @@
 """Property tests of the lattice objects: T(xi), its level set, the local spacing,
 the field layout (site magnitudes, weighted L^p norms, site-diagonal embedding),
-the dense multiplier assembly and the cached dense T(D) under every Hamiltonian."""
+the dense multiplier assembly and the cached dense T(D) under every Hamiltonian,
+and the matrix-free operator and interpolation against them."""
 
 import bisect
 import math
@@ -16,8 +17,11 @@ from bslab.lattice import (
     TorusGrid,
     add_site_diagonal,
     apply_multiplier,
+    apply_operator,
+    interpolate,
     lp_norm,
     multiplier_matrix,
+    operator_norm_1,
     per_site,
     site_diagonal_sandwich,
     site_magnitudes,
@@ -276,3 +280,34 @@ def test_hamiltonian_is_a_fresh_copy_of_the_cached_kinetic_matrix(lattice, layou
     assert not cached.flags.writeable
     with pytest.raises(ValueError):
         cached[0, 0] = 0.0
+
+
+@given(lattices(), st.sampled_from(_POTENTIALS), st.integers(0, 2**32 - 1))
+def test_matrix_free_operator_and_its_norm_match_the_assembled_hamiltonian(lat, layout, seed):
+    spec, grid = lat
+    V = PotentialField(grid, _samples(grid, layout, spec.n, seed))
+    H = assemble_hamiltonian(spec, grid, V)
+    m = symbol_values(spec, grid.xi())
+    norm = np.linalg.norm(H, 1)
+    assert math.isclose(operator_norm_1(m, V.values, grid), norm, rel_tol=1e-12)
+    f = _samples(grid, "spinor" if spec.is_dirac else "scalar", spec.n, seed + 1)
+    got = apply_operator(m, V.values, f, grid)
+    assert got.shape == f.shape
+    assert np.abs(got.reshape(-1) - H @ f.reshape(-1)).max() <= 1e-12 * np.abs(H).sum(axis=1).max() * np.abs(f).max()
+
+
+@given(fields(), st.integers(0, 2**32 - 1))
+def test_interpolation_is_exact_on_the_coarse_modes(field, seed):
+    # a field made of modes below the coarse Nyquist, sampled on the fine grid,
+    # is interpolated exactly from its every-other-site samples
+    grid, _, _, samples = field
+    fine = grid.refined()
+    rng = np.random.default_rng(seed)
+    shape = fine.shape + samples.shape[grid.d :]
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    low = np.abs(np.fft.fftfreq(fine.N, 1.0 / fine.N)) < grid.N // 2
+    for ax in range(grid.d):
+        coeffs *= low.reshape((-1,) + (1,) * (len(shape) - ax - 1))
+    exact = np.fft.ifftn(coeffs, axes=fine.axes())
+    coarse = exact[(slice(None, None, 2),) * grid.d]
+    assert np.abs(interpolate(coarse, grid, fine) - exact).max() <= 1e-12 * np.abs(exact).max()
