@@ -191,13 +191,11 @@ def schatten_norm(sv: np.ndarray, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class DetValue:
-    """det_n(I + M) with the magnitude kept in log form to avoid overflow.
-
-    phase is the argument of value, defined mod 2 pi and stored as its
-    principal value (math.remainder by 2 pi, so |phase| <= pi).
+    """det_n(I + M) in log form, so no magnitude overflows: log_abs = log|det_n|
+    (-inf for a singular I + M) and phase = arg det_n, stored as its principal
+    value (math.remainder by 2 pi, so |phase| <= pi).
     """
 
-    value: complex
     log_abs: float
     phase: float
 
@@ -234,16 +232,7 @@ def _det_value(log_abs: float, angle: float, traces: list[complex]) -> DetValue:
     The regularizing factor exp(sum_k (-1)^k tr(M^k) / k) joins in log form.
     """
     reg = sum(((-1) ** k * t / k for k, t in enumerate(traces, 1)), 0j)
-    log_abs += reg.real
-    phase = math.remainder(angle + reg.imag, _TWO_PI)
-    if log_abs == -math.inf:
-        value = 0j
-    else:
-        try:
-            value = cmath.rect(math.exp(log_abs), phase)
-        except OverflowError:
-            value = cmath.rect(math.inf, phase)
-    return DetValue(value=value, log_abs=log_abs, phase=phase)
+    return DetValue(log_abs=log_abs + reg.real, phase=math.remainder(angle + reg.imag, _TWO_PI))
 
 
 def regularized_det(M: np.ndarray, order: int) -> DetValue:
@@ -252,7 +241,7 @@ def regularized_det(M: np.ndarray, order: int) -> DetValue:
     det(I+M) comes from one LU factorization (dense.logdet); the regularizing
     factor from traces of powers of M, so orders 2 and 3 cost no matrix
     product and every two orders above one more.  Magnitude and phase are
-    combined in log form.  A singular I+M gives log_abs = -inf and value 0.
+    combined in log form.  A singular I+M gives log_abs = -inf.
     The LU sees I + M through M's own diagonal, shifted by one and then
     restored bit for bit, so M must be writable and is unchanged on return.
     The oracle for :func:`bs_det_evaluator`.

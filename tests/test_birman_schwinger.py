@@ -279,29 +279,33 @@ def test_schatten_order_values():
 # regularized determinants
 
 
+def det_value(dv):
+    """The complex det_n that a DetValue holds in log form."""
+    return cmath.rect(math.exp(dv.log_abs), dv.phase)
+
+
 def test_det_order_one_is_plain_determinant():
     rng = np.random.default_rng(17)
     A = 0.4 * (rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25))) / 5.0
     dv = regularized_det(A, 1)
     plain = np.linalg.det(np.eye(25) + A)
-    assert abs(dv.value - plain) < 1e-10 * abs(plain)
-    assert abs(dv.value - cmath.rect(math.exp(dv.log_abs), dv.phase)) < 1e-12 * abs(plain)
+    assert abs(det_value(dv) - plain) < 1e-10 * abs(plain)
 
 
 def test_det2_diagonal_closed_form():
     dv = regularized_det(np.diag([1.0, -0.5]).astype(complex), 2)
     expected = (2.0 * math.exp(-1.0)) * (0.5 * math.exp(0.5))
-    assert abs(dv.value - expected) < 1e-12
+    assert abs(det_value(dv) - expected) < 1e-12
     # order 3 adds the quadratic counterterm exp(mu^2/2)
     dv3 = regularized_det(np.diag([1.0, -0.5]).astype(complex), 3)
     expected3 = (2.0 * math.exp(-1.0 + 0.5)) * (0.5 * math.exp(0.5 + 0.125))
-    assert abs(dv3.value - expected3) < 1e-12
+    assert abs(det_value(dv3) - expected3) < 1e-12
 
 
 def test_det_exact_zero():
     dv = regularized_det(np.diag([-1.0, 0.3]).astype(complex), 2)
-    assert dv.value == 0
     assert dv.log_abs == -math.inf
+    assert det_value(dv) == 0
 
 
 def test_det_log_bounds_on_random_matrices():
@@ -662,7 +666,7 @@ def poly_det(roots):
         val = complex(1.0)
         for r in roots:
             val *= z - r
-        return DetValue(value=val, log_abs=math.log(abs(val)) if val != 0 else -math.inf, phase=cmath.phase(val))
+        return DetValue(log_abs=math.log(abs(val)) if val != 0 else -math.inf, phase=cmath.phase(val))
 
     return fn
 
@@ -792,8 +796,6 @@ def test_det_phase_is_the_principal_value(M, order, twist):
     # a large imaginary shift winds the unreduced phase many times around
     dv = regularized_det(M + 1j * twist * np.eye(M.shape[0]) / M.shape[0], order)
     assert abs(dv.phase) <= math.pi
-    assume(dv.log_abs < 700.0)  # beyond that exp overflows and value is inf
-    assert cmath.rect(math.exp(dv.log_abs), dv.phase) == dv.value
 
 
 @st.composite

@@ -20,7 +20,6 @@ from bslab.certlab import (
     RegimeError,
     ScalingLaw,
     THEOREM_IDS,
-    VerifyJob,
     boundary_ray,
     certificate_json,
     discrete_spectrum,
@@ -280,6 +279,31 @@ def test_nan_fails_every_range_check(check, error, param):
         assert param in str(err.value)
 
 
+@pytest.mark.parametrize("d, s, q, accepted", [(2, 0.75, 1.5, True), (2, 1.0, 1.0, False), (2, 1.0, 1.2, True)],
+                         ids=["2s<d", "2s=d-q=1", "2s=d-q>1"])
+def test_imaginary_q_window_below_and_at_2s_eq_d(d, s, q, accepted):
+    # 2s < d: d/(2s) <= q <= (d+1)/2; 2s = d: 1 < q <= (d+1)/2
+    spec = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=d, s=s)
+    if accepted:
+        certlab.imaginary_q_window(spec, q)
+    else:
+        with pytest.raises(RegimeError, match="q > 1") as err:
+            certlab.imaginary_q_window(spec, q)
+        assert err.value.param == "q"
+
+
+@pytest.mark.parametrize("spec", [MASSLESS1, MASSIVE1], ids=["massless", "massive"])
+def test_weighted_sums_dirac_base_point_lies_two_rho_from_the_essential_spectrum(spec):
+    # s*q = d: z0 = 2 rho i (massless) or i sqrt(4 rho^2 - 1) (massive), rho = max |V|
+    grid = TorusGrid(d=1, N=64, L=12.0)
+    V = gaussian(grid, -2.0 + 0.5j)
+    cert = verify_weighted_sums(spec, grid, V, q=1.0, alpha=2.0, eps=0.5)
+    rho, z0 = cert.inputs["rho"], cert.inputs["z0"]
+    assert rho == float(np.abs(V.values).max())
+    assert z0.real == 0.0 and z0.imag > 0.0
+    assert spectra.dist_to_spectrum(spec, z0) == pytest.approx(2.0 * rho, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # verify_uniform_resolvent
 
@@ -292,6 +316,15 @@ def test_verify_uniform_resolvent_mapping_regime():
     assert cert.lhs <= 4.0
     assert cert.lhs == cert.inputs["scan_max"] / cert.inputs["scan_median"]
     assert cert.constant == cert.inputs["scan_max"] > 0.0
+    assert cert.inputs["n_scan_points"] >= 8
+
+
+@pytest.mark.parametrize("spec", [MASSLESS1, MASSIVE1], ids=["massless", "massive"])
+def test_verify_uniform_resolvent_on_dirac_kinds(spec):
+    # d = 1 Dirac sits at s = 2d/(d+1) = 1, in the mapping regime with p = 1
+    cert = verify_uniform_resolvent(spec, TorusGrid(d=1, N=64, L=10.0), Region((1.5, 3.0, -0.5, 0.5)), p=1.0)
+    assert cert.verdict == "PASS"
+    assert cert.lhs <= 4.0
     assert cert.inputs["n_scan_points"] >= 8
 
 
@@ -430,11 +463,25 @@ def _explicit_scaling_drifts(spec, grid, V, q):
         Vt = scaled_field(V, t, spec.s)
         eigs_t = spectra.eigensolve(spectra.assemble_hamiltonian(spec, grid.rescaled(t), Vt))
         scale = t**spec.s
-        drift = np.max(np.abs(eigs_t - scale * base_eigs)) / (scale * np.abs(base_eigs).max())
+        gaps = np.abs(eigs_t[:, None] - scale * base_eigs[None, :])  # compared as sets, both ways
+        drift = max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) / (scale * np.abs(base_eigs).max())
         spectrum_drift = max(spectrum_drift, float(drift))
         z_t = eigs_t[np.argmin(np.abs(eigs_t - scale * anchor.z))]
         ratios[t] = abs(z_t) ** (q - spec.d / spec.s) / potential_norm(Vt, q) ** q
     return spectrum_drift, max(abs(ratios[t] / ratios[1.0] - 1.0) for t in certlab._SCALING_TS)
+
+
+def test_verify_individual_bounds_matches_pt_symmetric_pairs_across_rescalings():
+    # V(-x) = conj V(x): conjugate pairs share their real parts up to rounding, so
+    # eigensolve's (Re, Im) sort can order a pair differently at each t
+    spec = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=0.75)
+    grid = TorusGrid(d=1, N=64, L=20.0)
+    x = grid.x_folded(grid.L / 2)[..., 0]
+    V = PotentialField(grid, (-4.0 + 1.5j * x) * np.exp(-x**2 / 2))
+    cert = verify_individual_bounds(spec, grid, V, q=2.0)
+    assert cert.verdict == "PASS"
+    assert cert.inputs["spectrum_drift"] <= 1e-12
+    assert cert.inputs["ratio_drift"] <= 1e-12
 
 
 def test_verify_individual_bounds_solves_the_base_hamiltonian_once(monkeypatch):
@@ -716,15 +763,15 @@ def test_golden_verifiers_solve_each_coupling_once(tmp_path, monkeypatch):
     # takes its 2N partners from one Hermitian eigensolve, never shift-invert.
     seen = _solver_calls(monkeypatch)
     csv_eigensolves = []
-    classified_points = cli._classified_points
+    classified = cli.classified_spectrum
 
-    def csv_spy(cfg):
+    def csv_spy(spec, grid, V):
         before = sum(seen["dims"].values())
-        points = classified_points(cfg)
+        points = classified(spec, grid, V)
         csv_eigensolves.append(sum(seen["dims"].values()) - before)
         return points
 
-    monkeypatch.setattr(cli, "_classified_points", csv_spy)
+    monkeypatch.setattr(cli, "classified_spectrum", csv_spy)
     _golden_scan(tmp_path)
     assert len(seen["solves"]) == len(set(seen["solves"])) == 22
     assert seen["dims"] == {64: 22}
@@ -825,10 +872,9 @@ def test_run_jobs_preserves_submission_order():
 
         return fn
 
-    jobs = [VerifyJob("slow", make("slow", 0.05)), VerifyJob("fast", make("fast", 0.0))]
-    out = run_jobs(jobs)
+    out = run_jobs({"slow": make("slow", 0.05), "fast": make("fast", 0.0)})
     assert [c.inputs["tag"] for c in out] == ["slow", "fast"]
-    assert run_jobs([]) == []
+    assert run_jobs({}) == []
 
 
 def test_run_jobs_runs_in_the_calling_thread_and_stops_at_a_failure():
@@ -844,18 +890,14 @@ def test_run_jobs_runs_in_the_calling_thread_and_stops_at_a_failure():
         return fn
 
     with pytest.raises(JobError):
-        run_jobs([VerifyJob(t, record(t)) for t in ("a", "bad", "c")])
+        run_jobs({t: record(t) for t in ("a", "bad", "c")})
     assert seen == [("a", threading.get_ident()), ("bad", threading.get_ident())]
 
 
-def test_run_jobs_rejects_duplicate_ids_and_wraps_errors():
-    ok = VerifyJob("a", lambda: _quick_cert())
-    with pytest.raises(ValueError, match="unique"):
-        run_jobs([ok, VerifyJob("a", lambda: _quick_cert())])
-
+def test_run_jobs_wraps_errors_with_the_job_id():
     def boom():
         raise RuntimeError("solver exploded")
 
     with pytest.raises(JobError, match="'bad'") as err:
-        run_jobs([ok, VerifyJob("bad", boom)])
+        run_jobs({"a": _quick_cert, "bad": boom})
     assert err.value.job_id == "bad"

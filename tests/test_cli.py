@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import tempfile
 from pathlib import Path
@@ -262,16 +263,22 @@ def test_spectrum_drift_is_nan_for_artifacts_and_small_for_discrete(tmp_path):
     assert discrete and all(math.isfinite(x) and x < 0.1 for x in discrete)
 
 
-def test_spectrum_without_refinement_leaves_points_undecided(tmp_path, capsys):
-    # 2N = 20 exceeds the d=3 cap 16: no refinement pair, so no drift to classify by
+def test_spectrum_without_refinement_leaves_points_undecided(tmp_path, caplog):
+    # 2N = 20 exceeds the d=3 cap 16: no refinement pair, so no drift to classify by;
+    # the artifact band keeps its labels and every point beyond eta is Undecided
     doc = base_config(operator={"kind": "fractional_laplacian", "d": 3, "s": 1.5}, grid={"N": 10, "L": 8.0})
     out = tmp_path / "runs"
-    rc = cli_main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    with caplog.at_level(logging.WARNING, logger="bslab"):
+        rc = cli_main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out)])
     assert rc == 0
-    assert "no N -> 2N refinement pair (" in capsys.readouterr().out
+    (warning,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warning.name == "bslab"
+    assert warning.getMessage().startswith("no N -> 2N refinement pair (")
     (run_dir,) = run_dirs(out)
     rows = (run_dir / "spectra.csv").read_text().strip().splitlines()[1:]
-    assert {row.split(",")[4] for row in rows} == {"Undecided"}
+    labels = [row.split(",")[4] for row in rows]
+    assert set(labels) == {"ContinuumArtifact", "Undecided"}
+    assert len(rows) == 1000
     assert all(row.split(",")[3] == "nan" for row in rows)
 
 
@@ -734,7 +741,7 @@ def test_refinement_pair_that_cannot_be_built_exits_2_before_compute(
     def no_compute(*a, **k):
         raise AssertionError("compute started despite a config error")
 
-    for name in ("run_jobs", "classified_spectrum", "eigensolve"):
+    for name in ("run_jobs", "classified_spectrum"):
         monkeypatch.setattr(f"bslab.cli.{name}", no_compute)
     doc = base_config(grid={"N": N, "L": 6.0, **legacy})
     doc["operator"] = operator

@@ -170,6 +170,18 @@ def test_sandwich_gram_has_only_assemble_bs_as_caller():
     assert _top_level_users("sandwich_gram") == {"birman_schwinger.assemble_bs"}
 
 
+def test_spectral_points_are_built_only_by_classify():
+    # classify is the one labelling rule: every SpectralPoint in src comes out of it
+    builders = {
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "SpectralPoint"
+    }
+    assert builders == {"spectra.classify"}
+
+
 # the exported names that no top-level def in src uses but their own, and why
 # each stays: a new export is wired into a caller or listed here with its reason
 UNCALLED_EXPORTS = {

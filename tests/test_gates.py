@@ -5,8 +5,7 @@ clean input and sees PASS with the condition's measured input on the good
 side of its bar.  Then it plants a one-line defect in one ``certlab`` global
 and sees the expected verdict, with that input past the bar.  A condition
 that no planted defect can flip is decided before any measurement and does
-not belong in a verdict.  The one such term left is ``main``'s check that
-points entered at t*, which holds by the bisection invariant.
+not belong in a verdict.
 """
 
 import dataclasses

@@ -56,6 +56,19 @@ def test_dirac_factorization_small(kind, d):
         assert np.abs(direct.values - factored.values).max() < 1e-12 * max(1.0, scale)
 
 
+@pytest.mark.parametrize("kind,d", [("dirac_massless", 1), ("dirac_massive", 1), ("dirac_massive", 2)])
+def test_dirac_apply_adjoint_is_the_conjugate_transpose(kind, d):
+    # R0(z)^H of the dense site-major, spinor-minor matrix, block by block
+    spec = SymbolSpec(kind, d=d)
+    grid = TorusGrid(d, 8, 3.0)
+    handle = ResolventHandle(spec, grid, 0.6 + 0.7j)
+    R0 = multiplier_matrix(handle._mult, grid)
+    f = _random_field(grid, seed=5, n=spec.n)
+    adjoint = handle.apply_adjoint(f).values.ravel()
+    expected = R0.conj().T @ f.values.ravel()
+    assert np.abs(adjoint - expected).max() < 1e-12 * np.abs(expected).max()
+
+
 def test_kernel_reproduces_convolution():
     spec = SymbolSpec("relativistic", d=1, s=0.8)
     grid = TorusGrid(1, 32, 6.0)
