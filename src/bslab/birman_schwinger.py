@@ -5,7 +5,8 @@ half-potential split and the dense sandwiched resolvent, multiplied in place
 on the column-major R0(z), so M is the one operator-sized array it makes.
 :func:`assemble_bs` returns the singular values of M for a Schatten
 exponent alpha: for 2 < alpha < inf from the eigenvalues of M^H M, which
-:func:`lattice.sandwich_gram` builds on the Fourier side without M;
+:func:`lattice.sandwich_gram` builds on the Fourier side without M, one
+block per sector of the axis exchange where M commutes with it;
 otherwise from zgesdd of the M that :func:`bs_matrix` builds, overwritten on
 the way.  Callers that need M itself call :func:`bs_matrix`.
 On top of it this module computes Schatten norms from singular values and
@@ -32,6 +33,7 @@ determinants and the eigenvalues come from :mod:`bslab.dense`.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,11 +42,11 @@ from typing import Callable
 import numpy as np
 
 from . import dense
-from .lattice import TorusGrid, multiplier_matrix, sandwich_gram, site_diagonal_sandwich
+from .lattice import TorusGrid, exchange_sectors, multiplier_matrix, sandwich_gram, site_diagonal_sandwich
 from .potentials import PotentialField
 from .resolvent import resolvent_multiplier
 from .spectra import assemble_hamiltonian
-from .symbols import SymbolSpec, dispersion_values
+from .symbols import SymbolSpec, dispersion_values, exchange_unitary
 
 __all__ = [
     "DetValue",
@@ -62,6 +64,8 @@ __all__ = [
     "det_contour_roots",
     "ContourBoundaryError",
 ]
+
+_log = logging.getLogger("bslab")
 
 # Singular values below this fraction of sigma_1 are transform round-off
 # and are dropped from Schatten sums (keeps norms monotone in alpha).
@@ -133,25 +137,44 @@ def assemble_bs(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex
     (:func:`dense.eigvalsh`): the singular values below sqrt(eps) sigma_1
     that squaring blurs weigh less than eps in S^alpha.  G is built on the
     Fourier side from R0(z)'s multiplier and the half potentials
-    (:func:`lattice.sandwich_gram`), without M, in O(dim^2 log dim).  V is
+    (:func:`lattice.sandwich_gram`), without M, in O(dim^2 log dim), and
+    solved one exchange sector at a time.  Where d >= 2, V is scalar and
+    exactly symmetric under the exchange x_1 <-> x_2, and the symbol has an
+    exchange unitary U (:func:`symbols.exchange_unitary`), the exchange
+    f(x) -> U f(swap x) commutes with M, so G is block diagonal in its two
+    eigenspaces (:func:`lattice.exchange_sectors`): two Hermitian solves of
+    about dim/2 each, a quarter of the work of one of dim.  Otherwise the
+    one sector is the whole space.  The reflections x_j -> -x_j are left
+    out: a Dirac symbol would need U m(-xi) U^H = m(xi), and on an even N
+    the Nyquist mode -N/2 is its own mirror image, where that fails.  One
+    DEBUG record on the ``bslab`` logger gives the sector dimensions.  V is
     first scaled by the power of two 2^-k that brings its largest real or
     imaginary part into [0.5, 1), exactly and in two halves, each a normal
     float even for a subnormal V; M is linear in V, so the singular values
-    are 2^k sqrt(max(lam, 0)).  Every other alpha takes zgesdd
-    (:func:`dense.svdvals`) of the M that :func:`bs_matrix` builds:
-    alpha = inf needs sigma_1 to full precision, alpha < 2 weighs the small
-    singular values at more than their square, and alpha = 2 keeps zgesdd's
-    values in the certificates that pin them.  Either route makes one
-    operator-sized array and overwrites it; a caller that needs M itself
-    builds it with :func:`bs_matrix`.
+    are 2^k sqrt(max(lam, 0)), merged nonincreasing over the sectors.
+    Every other alpha takes zgesdd (:func:`dense.svdvals`) of the M that
+    :func:`bs_matrix` builds: alpha = inf needs sigma_1 to full precision,
+    alpha < 2 weighs the small singular values at more than their square,
+    and alpha = 2 keeps zgesdd's values in the certificates that pin them.
+    Either route makes one operator-sized array at a time and overwrites
+    it (the Gram route one sector block, about G/4 where there are two); a
+    caller that needs M itself builds it with :func:`bs_matrix`.
     """
     if not 2.0 < alpha < math.inf:
         return dense.svdvals(bs_matrix(spec, grid, V, z))
     V.check_fits(grid, spec.n)
+    U = exchange_unitary(spec)
+    if U is not None and (V.is_matrix or not np.array_equal(V.values, V.values.swapaxes(0, 1))):
+        U = None
     _, k = math.frexp(max(np.abs(V.values.real).max(), np.abs(V.values.imag).max()))
     left, right = half_potentials(V.scaled(math.ldexp(1.0, -(k // 2))).scaled(math.ldexp(1.0, k // 2 - k)))
-    G = sandwich_gram(left.values, resolvent_multiplier(spec, grid, z), right.values, grid)
-    return np.ldexp(np.sqrt(np.maximum(dense.eigvalsh(G)[::-1], 0.0)), k)
+    mult = resolvent_multiplier(spec, grid, z)
+    lams = [
+        dense.eigvalsh(sandwich_gram(left.values, mult, right.values, grid, sector))
+        for sector in exchange_sectors(grid, spec.n, U)
+    ]
+    _log.debug("gram sectors: %s", ", ".join(str(lam.size) for lam in lams))
+    return np.ldexp(np.sqrt(np.maximum(np.sort(np.concatenate(lams))[::-1], 0.0)), k)
 
 
 # ---------------------------------------------------------------------------

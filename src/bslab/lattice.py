@@ -22,9 +22,11 @@ transforms the site identity in small chunks and writes each column of block
 modify the matrix they are given, so no second operator-sized array exists.
 :func:`sandwich_gram` writes the Gram matrix M^H M of such a sandwich M in
 the same layout, from transforms of the multiplier's Fourier-side product
-rather than from M.  :func:`apply_operator` and :func:`operator_norm_1` give
-the product with T + diag(V) and its 1-norm without the matrix, and
-:func:`interpolate` carries samples of any layout to a finer grid.
+rather than from M, or its block on one eigenspace of the exchange of the
+first two axes (:func:`exchange_sectors`, a sparse isometry per sector).
+:func:`apply_operator` and :func:`operator_norm_1` give the product with
+T + diag(V) and its 1-norm without the matrix, and :func:`interpolate`
+carries samples of any layout to a finer grid.
 """
 
 from __future__ import annotations
@@ -38,12 +40,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
+    "ExchangeSector",
     "GridFunction",
     "TorusGrid",
     "add_site_diagonal",
     "apply_multiplier",
     "apply_operator",
     "dense_dim",
+    "exchange_sectors",
     "interpolate",
     "lp_norm",
     "multiplier_matrix",
@@ -293,21 +297,102 @@ def site_diagonal_sandwich(
     return mat
 
 
-def sandwich_gram(left: np.ndarray, m: np.ndarray, right: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """M^H M for M = diag(left) R diag(right), R the matrix of the multiplier m, built without M.
+@dataclass(frozen=True)
+class ExchangeSector:
+    """One eigenspace of an exchange involution P on the index of a dense operator.
+
+    P acts on n-component fields by (P f)(x) = U f(partner(x)), with partner
+    an involution of the sites and U a Hermitian unitary with U^2 = 1; on
+    the modes of the same grid it acts by the same formula.  iso is the
+    sparse (dim, sector dim) isometry Q whose orthonormal columns span the
+    eigenspace P = eps.  Column j of Q is (1 + eps P)(e_site ⊗ seed)/2 for
+    the site sites[j] and the spinor vector seeds[j]: on a pair of sites it
+    is sqrt(2) e_a at the pair's first site, on a fixed site an eps
+    eigenvector of U.
+    """
+
+    iso: scipy.sparse.csr_array
+    sites: np.ndarray
+    seeds: np.ndarray
+
+
+def exchange_sectors(grid: TorusGrid, n: int, U: np.ndarray | None) -> tuple[ExchangeSector, ...]:
+    """The nonempty eigenspaces of the exchange f(x) -> U f(swap x), P = +1 first.
+
+    swap exchanges the first two axes of the grid.  U is an (n, n)
+    Hermitian unitary with U^2 = 1 (``symbols.exchange_unitary``); None
+    takes partner(x) = x and U = 1, whose one sector is the whole space
+    with Q the identity.  An operator that commutes with P is block
+    diagonal in these sectors.  Each eigenbasis of U comes from
+    Gram-Schmidt on the columns of (1 + eps U)/2, its eps projector.
+    """
+    import scipy.sparse  # here, not at the top: runs that build no Gram matrix skip its ~2 MB
+
+    size = grid.size
+    dim = dense_dim(grid, n)
+    sites = np.arange(size)
+    if U is None:
+        partner, U = sites, np.eye(n, dtype=complex)
+    else:
+        partner = sites.reshape(grid.shape).swapaxes(0, 1).ravel()
+    fixed, reps = sites[partner == sites], sites[sites < partner]
+    spin = np.arange(n)
+    out = []
+    for eps in (1.0, -1.0):
+        basis = []  # orthonormal eps eigenvectors of U
+        for col in (np.eye(n) + eps * U).T / 2.0:
+            for b in basis:
+                col = col - b * np.vdot(b, col)
+            if np.linalg.norm(col) > 1e-8:
+                basis.append(col / np.linalg.norm(col))
+        col_sites = np.concatenate([np.repeat(fixed, len(basis)), np.repeat(reps, n)])
+        if not col_sites.size:
+            continue
+        seeds = np.concatenate(
+            [np.tile(np.reshape(basis, (-1, n)), (fixed.size, 1)), np.tile(math.sqrt(2.0) * np.eye(n), (reps.size, 1))]
+        )
+        # Q e_j = (e_site ⊗ seed + eps e_partner ⊗ U seed) / 2; on a fixed site the two halves add up
+        rows = np.concatenate([col_sites[:, None] * n + spin, partner[col_sites][:, None] * n + spin]).ravel()
+        cols = np.tile(np.repeat(np.arange(col_sites.size), n), 2)
+        vals = np.concatenate([seeds, eps * seeds @ U.T]).ravel() / 2.0
+        iso = scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, col_sites.size))
+        iso.eliminate_zeros()
+        out.append(ExchangeSector(iso, col_sites, seeds))
+    return tuple(out)
+
+
+def sandwich_gram(
+    left: np.ndarray, m: np.ndarray, right: np.ndarray, grid: TorusGrid, sector: ExchangeSector
+) -> np.ndarray:
+    """Q^H M^H M Q for M = diag(left) R diag(right), R the matrix of the multiplier m, built without M.
 
     left, m and right are as in :func:`site_diagonal_sandwich` and
-    :func:`multiplier_matrix`, and the result is column-major in their
-    layout.  With R = F^{-1} diag(r) F and W = left^H left site by site,
-    R^H W R = F^{-1} C^ F, where C^[k, k'] = r(k)^H w^(k - k') r(k') / N^d
-    and w^ is the transform of W: a site-diagonal W couples the modes
-    through its transform alone.  C^ is built a few column sites k' at a
-    time in two scratch buffers of _SCRATCH elements in all, its w^ factor
-    gathered from the transform tiled twice; each block is transformed over
-    k in the scratch and copied into its columns.  One in-place pass then
-    transforms every row over k', and :func:`site_diagonal_sandwich`
-    applies right^H and right.  O(dim^2 log dim) work and no matrix
-    product; the result is the only operator-sized array the call makes.
+    :func:`multiplier_matrix`; Q is the isometry of an
+    :class:`ExchangeSector` of M^H M, and the result is column-major (for
+    the one sector of ``exchange_sectors(grid, n, None)``, Q = 1, it is
+    M^H M in their layout).  With R = F^{-1} diag(r) F
+    and W = left^H left site by site, R^H W R = F^{-1} C^ F, where
+    C^[k, k'] = r(k)^H w^(k - k') r(k') / N^d and w^ is the transform of W:
+    a site-diagonal W couples the modes through its transform alone.
+
+    A sector needs a scalar left and right that are invariant under the
+    exchange P, and an m with U m(swap k) U^H = m(k) (which cases qualify,
+    and why the reflections x_j -> -x_j are not used, is
+    ``birman_schwinger.assemble_bs``'s rule); then W, R and the
+    transform commute with P, and Q^H F^{-1} C^ F Q = X F_Q, with
+    X = Q^H F^{-1} C^ Q and F_Q = Q^H F Q.  Column j of X needs one column
+    of C^ only: Q e_j = (1 + eps P) s_j / 2, C^ commutes with P and Q^H P
+    = eps Q^H, so X e_j = Q^H F^{-1} C^ s_j for the single-mode vector
+    s_j = e_{sites[j]} ⊗ seeds[j].  Those columns are built a few at a
+    time in two scratch buffers of _SCRATCH elements in all, their w^
+    factor gathered from the transform tiled twice; each panel is
+    transformed over k and restricted by Q^H.  The rows are then taken a
+    panel at a time: expanded by conj(Q), transformed over k' and
+    restricted by Q^T, since the transform matrix is symmetric.  Last,
+    right^H and right scale the rows and columns; on a sector a scalar
+    right is one value per column, that of its site.  O(dim^2 log dim)
+    work and no matrix product; the result is the only operator-sized
+    array the call makes, of the sector's size.
     """
     mvals = np.asarray(m, dtype=complex)
     size, d, N = grid.size, grid.d, grid.N
@@ -325,33 +410,44 @@ def sandwich_gram(left: np.ndarray, m: np.ndarray, right: np.ndarray, grid: Toru
     # shifted[N - k'][..., k] is w^(k - k'), axis by axis, from the transform tiled twice
     shifted = sliding_window_view(np.tile(w_hat, (2,) * d + (1,) * (w.ndim - d)), grid.shape, axis=grid.axes())
     far = N - np.indices(grid.shape).reshape(d, size)
-    r_rows = np.ascontiguousarray(np.swapaxes(r, 0, 1))  # [c, k', a]
+    seeded = np.einsum("jca,ja->cj", r[sector.sites], sector.seeds)  # [c, j]: (r(k'_j) seed_j)[c]
     terms = [(b, b) for b in range(n)] if scalar else list(np.ndindex(n, n))  # a scalar W is w times the identity
-    out = np.empty((dim, dim), dtype=complex, order="F")
-    blocks = out.T.reshape(size, n, size, n)  # [k', a, x, i] is out[x*n + i, k'*n + a]
-    chunk = max(1, _SCRATCH // (2 * n * dim))  # two scratch buffers share _SCRATCH elements
-    scratch = np.empty((2, chunk * n * dim), dtype=complex)
-    for lo in range(0, size, chunk):
-        hi = min(lo + chunk, size)
-        gathered = shifted[tuple(far[:, lo:hi])].reshape(hi - lo, *w.shape[d:], size)
-        table = np.repeat(np.moveaxis(gathered, -1, 0), n, axis=1)[:, None]  # [k, -, (j, a), ...]: w^(k - k'_j)
-        part, term = (buf[: (hi - lo) * n * dim].reshape(size, n, (hi - lo) * n) for buf in scratch)
-        for t, (b, c) in enumerate(terms):  # part[k, i, (j, a)] += conj(r(k)[b, i]) w^(k - k'_j)[b, c] r(k'_j)[c, a]
+    iso = sector.iso
+    restrict, expand, restrict_rows = iso.conj().T.tocsr(), iso.conj(), iso.T.tocsr()
+    sdim = sector.sites.size
+    out = np.empty((sdim, sdim), dtype=complex, order="F")
+    width = max(1, _SCRATCH // (2 * dim))  # columns per panel: two scratch buffers share _SCRATCH elements
+    scratch = np.empty((2, width * dim), dtype=complex)
+    for lo in range(0, sdim, width):
+        hi = min(lo + width, sdim)
+        gathered = shifted[tuple(far[:, sector.sites[lo:hi]])].reshape(hi - lo, *w.shape[d:], size)
+        table = np.ascontiguousarray(np.moveaxis(gathered, -1, 0))[:, None]  # [k, -, j, ...]: w^(k - k'_j)
+        part, term = (buf[: (hi - lo) * dim].reshape(size, n, hi - lo) for buf in scratch)
+        for t, (b, c) in enumerate(terms):  # part[k, i, j] += conj(r(k)[b, i]) w^(k - k'_j)[b, c] seeded[c, j]
             dst = term if t else part
-            np.multiply(r_conj[:, b, :, None], r_rows[c, lo:hi].reshape(-1), out=dst)
+            np.multiply(r_conj[:, b, :, None], seeded[c, lo:hi], out=dst)
             if not scalar:
                 dst *= table[..., b, c]
             if t:
                 part += dst
         if scalar:
             part *= table
-        fields = part.reshape(grid.shape + (n, hi - lo, n))
+        fields = part.reshape(grid.shape + (n, hi - lo))
         np.fft.ifftn(fields, axes=grid.axes(), out=fields)
-        blocks[lo:hi] = part.reshape(size, n, hi - lo, n).transpose(2, 3, 0, 1)
-    rows = out.T.reshape(grid.shape + (n, dim))  # [k', a, row]
-    np.fft.fftn(rows, axes=grid.axes(), out=rows)
+        out[:, lo:hi] = restrict @ part.reshape(dim, hi - lo)
+    rows = out.T  # [j, i]: row i of the result is column i here
+    for lo in range(0, sdim, width):
+        hi = min(lo + width, sdim)
+        fields = (expand @ rows[:, lo:hi]).reshape(grid.shape + (n, hi - lo))
+        np.fft.fftn(fields, axes=grid.axes(), out=fields)
+        rows[:, lo:hi] = restrict_rows @ fields.reshape(dim, hi - lo)
     if scalar:
-        return site_diagonal_sandwich(np.conj(right), out, right, grid)
+        b = right.ravel()[sector.sites]
+        np.multiply(np.conj(b)[:, None], out, out=out)
+        out *= b[None, :]
+        return out
+    if sdim != dim:
+        raise ValueError("site-block factors take the whole space, not an exchange sector")
     rb = right.reshape(grid.shape + (n, n))
     return site_diagonal_sandwich(np.conj(np.swapaxes(rb, -1, -2)), out, rb, grid)
 

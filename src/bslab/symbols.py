@@ -15,7 +15,9 @@ alpha_i = 2 delta_ij, beta anticommutes with every alpha_j, beta^2 = 1).
 
 T(xi) on frequency arrays is built in :func:`symbol_values` only; its
 eigenvalue branches are :func:`dispersion_values`, and the sorted level set
-of a lattice is ``resolvent.lattice_levels``.
+of a lattice is ``resolvent.lattice_levels``.  :func:`exchange_unitary`
+gives the spinor rotation, if any, under which T is symmetric in the axis
+exchange xi_1 <-> xi_2.
 
 Frequencies are plain vectors; the 2*pi convention lives entirely in the
 lattice transforms, which pair these symbols with the frequency grid k/L.
@@ -34,6 +36,7 @@ __all__ = [
     "clifford_generators",
     "critical_values",
     "dispersion_values",
+    "exchange_unitary",
     "symbol_values",
 ]
 
@@ -160,6 +163,30 @@ def dispersion_values(spec: SymbolSpec, xi_array: np.ndarray) -> np.ndarray:
     lam = np.sqrt(r2) if spec.kind is SymbolKind.DIRAC_MASSLESS else np.sqrt(1.0 + r2)
     half = spec.n // 2
     return np.stack([-lam] * half + [lam] * half, axis=-1)
+
+
+def exchange_unitary(spec: SymbolSpec) -> np.ndarray | None:
+    """The (n, n) unitary U with U T(swap xi) U^H = T(xi), or None.
+
+    swap exchanges xi_1 and xi_2.  U is 1 for the scalar kinds in d >= 2
+    and (sigma_x + sigma_y)/sqrt(2) for massless Dirac in d = 2.  In d = 3
+    both Dirac kinds admit sigma_z (x) (sigma_x - sigma_y)/sqrt(2): it
+    exchanges alpha_1 and alpha_2 and fixes alpha_3 and beta.  Massive
+    Dirac in d = 2 has none, since a U that exchanges sigma_x and sigma_y
+    flips beta = sigma_z, and d = 1 has no exchange.  Every U returned is
+    Hermitian with U^2 = 1, so the exchange f(x) -> U f(swap x) is an
+    involution with eigenvalues +1 and -1.  U concerns T alone: a potential
+    whose values are (n, n) site blocks would need U V(swap x) U^H = V(x)
+    as well, which is not checked, so such a potential always takes one
+    sector (``birman_schwinger.assemble_bs``).
+    """
+    if spec.d == 1 or (spec.kind is SymbolKind.DIRAC_MASSIVE and spec.d == 2):
+        return None
+    if not spec.is_dirac:
+        return np.ones((1, 1), dtype=complex)
+    if spec.d == 2:
+        return (_SIGMA_X + _SIGMA_Y) / np.sqrt(2.0)
+    return np.kron(_SIGMA_Z, _SIGMA_X - _SIGMA_Y) / np.sqrt(2.0)
 
 
 def critical_values(spec: SymbolSpec) -> tuple[float, ...]:

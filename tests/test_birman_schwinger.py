@@ -1,6 +1,7 @@
 """Birman-Schwinger assembly, Schatten norms, determinants, contour roots."""
 
 import cmath
+import logging
 import math
 import tracemalloc
 
@@ -25,11 +26,12 @@ from bslab.birman_schwinger import (
     schatten_norm,
     schatten_order,
 )
+from bslab.certlab import boundary_ray, fixed_argument_ray, verify_schatten_scaling
 from bslab.lattice import TorusGrid, multiplier_matrix, sandwich_gram, site_diagonal_sandwich
 from bslab.potentials import PotentialField, PotentialSpec, sample_potential
 from bslab.resolvent import ResolventHandle, kernel_array, lattice_levels, resolvent_multiplier
 from bslab.spectra import assemble_hamiltonian, eigensolve
-from bslab.symbols import SymbolKind, SymbolSpec
+from bslab.symbols import SymbolKind, SymbolSpec, exchange_unitary
 
 FRAC = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=1.5)
 
@@ -192,11 +194,13 @@ def test_assemble_bs_wraps_bs_matrix():
 
 def test_assemble_bs_peak_memory_is_one_matrix():
     # zgesdd overwrites the one M that the sandwich built in place on R0; the Gram
-    # route makes G alone.  In the scalar case a whole S x S table of the potential's
+    # route makes G alone, and for these exchange-symmetric wells not even G: one
+    # sector block at a time.  In the scalar case a whole S x S table of the potential's
     # transform would be one more matrix: the route gathers it a few rows at a time
     plane = TorusGrid(d=2, N=20, L=4.8)
     square = TorusGrid(d=2, N=32, L=4.8)
     frac2 = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=2, s=1.0)
+    lattice.exchange_sectors(plane, 1, None)  # imports scipy.sparse before the trace starts
     for spec, grid, alphas in (
         (DIRAC2, plane, (2.0, 3.0)),
         (frac2, square, (3.0,)),
@@ -211,6 +215,8 @@ def test_assemble_bs_peak_memory_is_one_matrix():
             finally:
                 tracemalloc.stop()
             assert peak < 1.6 * matrix_bytes
+            if alpha == 3.0:  # a centred well: one sector block of about G / 4 at a time
+                assert peak < matrix_bytes / 4 + 4 * 16 * lattice._SCRATCH
 
 
 @pytest.mark.parametrize(
@@ -604,7 +610,8 @@ def test_gram_route_matches_zgesdd(model, alpha, panels):
     left, right = half_potentials(V)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_SCRATCH", 2 * spec.n * M.shape[0] * -(-grid.size // panels))
-        G = sandwich_gram(left.values, resolvent_multiplier(spec, grid, z), right.values, grid)
+        (whole,) = lattice.exchange_sectors(grid, spec.n, None)
+        G = sandwich_gram(left.values, resolvent_multiplier(spec, grid, z), right.values, grid, whole)
     ref_G = M.conj().T @ M
     assert G.flags.f_contiguous
     assert np.abs(G - ref_G).max() <= 1e-13 * np.abs(ref_G).max()
@@ -618,6 +625,93 @@ def test_gram_route_is_exact_under_power_of_two_scaling(model, seed, e):
     vals = rng.standard_normal(V.values.shape) + 1j * rng.standard_normal(V.values.shape)
     sv = assemble_bs(spec, grid, PotentialField(grid, vals * 2.0**e), z, 3.0)
     assert np.array_equal(sv, np.ldexp(assemble_bs(spec, grid, PotentialField(grid, vals), z, 3.0), e))
+
+
+@st.composite
+def exchange_symmetric_models(draw):
+    """A scalar well on a d = 2 or 3 grid whose values are exactly symmetric under x_1 <-> x_2,
+    for the fractional, relativistic and (d = 2) massless Dirac kinds, and z off the levels.
+
+    The well is a Gaussian at a drawn centre plus complex noise, V, and the model
+    takes (V + V^T)/2 with T the exchange of the first two axes: the sum is
+    commutative, so the result is bitwise symmetric.
+    """
+    kind, d = draw(st.sampled_from([
+        (SymbolKind.FRACTIONAL_LAPLACIAN, 2), (SymbolKind.FRACTIONAL_LAPLACIAN, 3),
+        (SymbolKind.RELATIVISTIC, 2), (SymbolKind.RELATIVISTIC, 3), (SymbolKind.DIRAC_MASSLESS, 2),
+    ]))
+    s = 1.0 if kind is SymbolKind.DIRAC_MASSLESS else draw(st.floats(0.5, 2.0))
+    spec = SymbolSpec(kind=kind, d=d, s=s)
+    grid = TorusGrid(d=d, N=8 if d == 3 else 2 * draw(st.integers(4, 8)), L=draw(st.floats(2.0, 20.0)))
+    amp = complex(draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0)))
+    center = [draw(st.floats(0.0, grid.L)) for _ in range(d)]
+    well = PotentialSpec("gaussian", {"amplitude": amp, "width": draw(st.floats(0.3, 2.0)), "center": center})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.floats(0.0, 1.0)) * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    vals = sample_potential(well, grid).values + noise
+    vals = (vals + vals.swapaxes(0, 1)) / 2.0
+    z = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-2.0, 2.0)))
+    assume(np.min(np.abs(lattice_levels(spec, grid) - z)) >= 0.1)
+    return spec, grid, PotentialField(grid, vals), z
+
+
+@given(exchange_symmetric_models(), st.floats(2.0, 8.0, exclude_min=True), st.integers(1, 64))
+def test_sector_gram_route_matches_zgesdd(model, alpha, panels):
+    # each exchange sector's block is built in up to `panels` panels of columns
+    # (two scratch buffers of width * dim elements share _SCRATCH)
+    spec, grid, V, z = model
+    M = bs_matrix(spec, grid, V, z)
+    dim = M.shape[0]
+    ref = schatten_norm(dense.svdvals(M), alpha)
+    assert np.array_equal(V.values, V.values.swapaxes(0, 1))
+    assert len(lattice.exchange_sectors(grid, spec.n, exchange_unitary(spec))) == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_SCRATCH", 2 * dim * -(-dim // (2 * panels)))
+        sv = assemble_bs(spec, grid, V, z, alpha)
+    assert sv.size == dim and np.all(sv >= 0) and np.all(np.diff(sv) <= 0)
+    assert abs(schatten_norm(sv, alpha) - ref) <= 1e-12 * ref
+
+
+def test_gram_route_solves_one_block_per_exchange_sector(monkeypatch):
+    dims = []
+    eigvalsh = dense.eigvalsh
+
+    def spy(A):
+        dims.append(A.shape[0])
+        return eigvalsh(A)
+
+    monkeypatch.setattr(dense, "eigvalsh", spy)
+    # criterion 4's massless Dirac fit on the coarse grid of the benchmark's warm-up:
+    # a centred well, so two blocks of dim / 2 at each of the nine ray points
+    grid = TorusGrid(d=2, N=12, L=4.8)
+    ray = boundary_ray(1.0, 3.0, 0.2, 9)
+    verify_schatten_scaling(DIRAC2, grid, 1.5, ray, _gaussian_2d(grid, 1.0, 0.9))
+    assert dims == [144] * 18
+    # a well off the diagonal x_1 = x_2, and a kind with no exchange unitary: one block
+    frac2 = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=2, s=1.0)
+    off = PotentialSpec("gaussian", {"amplitude": -1.3 + 0.4j, "width": 0.9, "center": [0.3, 1.1]})
+    massive = SymbolSpec(kind=SymbolKind.DIRAC_MASSIVE, d=2)
+    for spec, V in ((frac2, sample_potential(off, grid)), (massive, _gaussian_2d(grid, 1.0, 0.9))):
+        dims.clear()
+        assemble_bs(spec, grid, V, 0.4 + 0.3j, 3.0)
+        assert dims == [grid.size * spec.n]
+    # d = 1 has no exchange: case (b) of a d = 1 fit takes one block of dim at each point
+    dims.clear()
+    frac1 = SymbolSpec(kind=SymbolKind.FRACTIONAL_LAPLACIAN, d=1, s=0.8)
+    line = TorusGrid(d=1, N=64, L=30.0)
+    verify_schatten_scaling(frac1, line, 1.0, fixed_argument_ray(math.pi, 0.5, 8.0, 9), gaussian_well(line, -1.0))
+    assert dims == [64] * 9
+
+
+def test_gram_route_logs_its_sector_dimensions(caplog):
+    grid = TorusGrid(d=2, N=12, L=4.8)
+    V = _gaussian_2d(grid, 1.0, 0.9)
+    caplog.set_level(logging.DEBUG, logger="bslab")
+    assemble_bs(DIRAC2, grid, V, 1.5 + 0.2j, 3.0)
+    assemble_bs(SymbolSpec(kind=SymbolKind.DIRAC_MASSIVE, d=2), grid, V, 1.5 + 0.2j, 3.0)
+    assemble_bs(DIRAC2, grid, V, 1.5 + 0.2j, 2.0)
+    records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("gram sectors")]
+    assert records == ["gram sectors: 144, 144", "gram sectors: 288"]
 
 
 def test_det_evaluator_reduces_the_hamiltonian_once(monkeypatch):

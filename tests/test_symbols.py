@@ -9,8 +9,10 @@ from bslab.symbols import (
     clifford_generators,
     critical_values,
     dispersion_values,
+    exchange_unitary,
     symbol_values,
 )
+from bslab.lattice import TorusGrid
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -64,6 +66,33 @@ def test_dispersion_matches_eigenvalues():
     branches = dispersion_values(spec, xis)
     for xi, branch in zip(xis, branches):
         assert np.allclose(np.sort(branch), np.sort(np.linalg.eigvalsh(symbol_values(spec, xi))), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(SymbolKind))
+@pytest.mark.parametrize("d, N", [(2, 64), (3, 16)])
+def test_exchange_unitary_carries_the_swapped_symbol_onto_the_symbol(kind, d, N):
+    # U m(swap xi) U^H = m(xi) on every mode of the largest d = 2 and d = 3 grids;
+    # massive Dirac in d = 2 has no such U (it would flip beta)
+    spec = SymbolSpec(kind, d=d)
+    U = exchange_unitary(spec)
+    if kind is SymbolKind.DIRAC_MASSIVE and d == 2:
+        assert U is None
+        return
+    n = spec.n
+    assert U.shape == (n, n)
+    assert np.abs(U - U.conj().T).max() <= 1e-15
+    assert np.abs(U @ U - np.eye(n)).max() <= 1e-15
+    xi = TorusGrid(d=d, N=N, L=7.3).xi()
+    swapped = xi[..., [1, 0, 2][:d]]
+    m, m_swapped = symbol_values(spec, xi), symbol_values(spec, swapped)
+    if not spec.is_dirac:
+        m, m_swapped = m[..., None, None], m_swapped[..., None, None]
+    assert np.abs(U @ m_swapped @ U.conj().T - m).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind", list(SymbolKind))
+def test_exchange_unitary_needs_two_axes(kind):
+    assert exchange_unitary(SymbolSpec(kind, d=1)) is None
 
 
 def test_critical_value_table():
