@@ -35,9 +35,9 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,8 +86,8 @@ _MAX_EVALS = 40000  # determinant evaluations one search may spend
 # half potentials
 
 
-def half_potentials(V: PotentialField) -> tuple[PotentialField, PotentialField]:
-    """Split V into the factors |V|^{1/2} and V^{1/2} with V^{1/2}|V|^{1/2} = V.
+def half_potentials(V: PotentialField) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of |V|^{1/2} and V^{1/2}, the factors with V^{1/2}|V|^{1/2} = V.
 
     Scalar case: |V|^{1/2} = sqrt(|V|) and V^{1/2} = sqrt(|V|) e^{i arg V},
     so the product recovers V pointwise (zeros map to zeros).  Matrix case:
@@ -97,20 +97,10 @@ def half_potentials(V: PotentialField) -> tuple[PotentialField, PotentialField]:
     vals = V.values
     if not V.is_matrix:
         mag_root = np.sqrt(np.abs(vals))
-        signed = mag_root * np.exp(1j * np.angle(vals))
-        return (
-            PotentialField(V.grid, mag_root),
-            PotentialField(V.grid, signed),
-        )
-
+        return mag_root, mag_root * np.exp(1j * np.angle(vals))
     u, sig, vh = np.linalg.svd(vals)
     root = np.sqrt(sig)
-    abs_half = np.swapaxes(vh, -1, -2).conj() @ (root[..., :, None] * vh)
-    signed_half = u @ (root[..., :, None] * vh)
-    return (
-        PotentialField(V.grid, abs_half),
-        PotentialField(V.grid, signed_half),
-    )
+    return np.swapaxes(vh, -1, -2).conj() @ (root[..., :, None] * vh), u @ (root[..., :, None] * vh)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +116,7 @@ def bs_matrix(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex) 
     V.check_fits(grid, spec.n)
     left, right = half_potentials(V)  # |V|^{1/2}, V^{1/2}
     rmat = multiplier_matrix(resolvent_multiplier(spec, grid, z), grid)
-    return site_diagonal_sandwich(left.values, rmat, right.values, grid)
+    return site_diagonal_sandwich(left, rmat, right, grid)
 
 
 def assemble_bs(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex, alpha: float) -> np.ndarray:
@@ -170,7 +160,7 @@ def assemble_bs(spec: SymbolSpec, grid: TorusGrid, V: PotentialField, z: complex
     left, right = half_potentials(V.scaled(math.ldexp(1.0, -(k // 2))).scaled(math.ldexp(1.0, k // 2 - k)))
     mult = resolvent_multiplier(spec, grid, z)
     lams = [
-        dense.eigvalsh(sandwich_gram(left.values, mult, right.values, grid, sector))
+        dense.eigvalsh(sandwich_gram(left, mult, right, grid, sector))
         for sector in exchange_sectors(grid, spec.n, U)
     ]
     _log.debug("gram sectors: %s", ", ".join(str(lam.size) for lam in lams))
@@ -212,8 +202,7 @@ def schatten_norm(sv: np.ndarray, alpha: float) -> float:
 # regularized determinants
 
 
-@dataclass(frozen=True)
-class DetValue:
+class DetValue(NamedTuple):
     """det_n(I + M) in log form, so no magnitude overflows: log_abs = log|det_n|
     (-inf for a singular I + M) and phase = arg det_n, stored as its principal
     value (math.remainder by 2 pi, so |phase| <= pi).
@@ -397,30 +386,6 @@ class ContourBoundaryError(RuntimeError):
     """
 
 
-class _DetSampler:
-    """Caching (log_abs, phase) sampler with an evaluation budget."""
-
-    def __init__(self, det_fn: Callable[[complex], DetValue], budget: int):
-        self.det_fn = det_fn
-        self.budget = budget
-        self.cache: dict[complex, tuple[float, float]] = {}
-        self.evals = 0
-
-    def __call__(self, z: complex) -> tuple[float, float]:
-        hit = self.cache.get(z)
-        if hit is not None:
-            return hit
-        if self.evals >= self.budget:
-            raise RuntimeError(
-                f"contour search exceeded its evaluation budget ({self.budget})"
-            )
-        dv = self.det_fn(z)
-        self.evals += 1
-        val = (dv.log_abs, dv.phase)
-        self.cache[z] = val
-        return val
-
-
 def _edge_point(edge: tuple[complex, complex], t: Fraction) -> complex:
     """The point at exact fraction t of the way along edge = (a, b).
 
@@ -431,7 +396,7 @@ def _edge_point(edge: tuple[complex, complex], t: Fraction) -> complex:
     return b if t == 1 else a + (b - a) * float(t)
 
 
-def _phase_change(sampler: _DetSampler, edge, t0: Fraction, t1: Fraction, min_len: float):
+def _phase_change(sample: Callable[[complex], DetValue], edge, t0: Fraction, t1: Fraction, min_len: float):
     """Continuous phase increment of det along an edge, fractions t0 to t1; None if a zero sits on it.
 
     Every interval is verified against its own midpoint: the direct step and
@@ -441,15 +406,15 @@ def _phase_change(sampler: _DetSampler, edge, t0: Fraction, t1: Fraction, min_le
     guards against a whirl aligned so the midpoint fails to reveal it.
     """
     a, b = _edge_point(edge, t0), _edge_point(edge, t1)
-    la, pa = sampler(a)
-    lb, pb = sampler(b)
+    la, pa = sample(a)
+    lb, pb = sample(b)
     direct = math.remainder(pb - pa, _TWO_PI)
     if abs(b - a) < min_len:
         if math.isfinite(la) and math.isfinite(lb) and abs(direct) <= 0.5 * math.pi and abs(lb - la) <= 1.0:
             return direct
         return None
     mid = (t0 + t1) / 2
-    lm, pm = sampler(_edge_point(edge, mid))
+    lm, pm = sample(_edge_point(edge, mid))
     s1 = math.remainder(pm - pa, _TWO_PI)
     s2 = math.remainder(pb - pm, _TWO_PI)
     if (
@@ -463,16 +428,16 @@ def _phase_change(sampler: _DetSampler, edge, t0: Fraction, t1: Fraction, min_le
         and abs(direct - (s1 + s2)) < 1e-6
     ):
         return s1 + s2
-    left = _phase_change(sampler, edge, t0, mid, min_len)
+    left = _phase_change(sample, edge, t0, mid, min_len)
     if left is None:
         return None
-    right = _phase_change(sampler, edge, mid, t1, min_len)
+    right = _phase_change(sample, edge, mid, t1, min_len)
     if right is None:
         return None
     return left + right
 
 
-def _winding_at(sampler: _DetSampler, x0, x1, y0, y1, min_len, segments):
+def _winding_at(sample: Callable[[complex], DetValue], x0, x1, y0, y1, min_len, segments):
     corners = [
         complex(x0, y0),
         complex(x1, y0),
@@ -482,14 +447,14 @@ def _winding_at(sampler: _DetSampler, x0, x1, y0, y1, min_len, segments):
     total = 0.0
     for edge in zip(corners, corners[1:] + corners[:1]):
         for k in range(segments):
-            step = _phase_change(sampler, edge, Fraction(k, segments), Fraction(k + 1, segments), min_len)
+            step = _phase_change(sample, edge, Fraction(k, segments), Fraction(k + 1, segments), min_len)
             if step is None:
                 return None
             total += step
     return int(round(total / _TWO_PI))
 
 
-def _winding(sampler: _DetSampler, x0, x1, y0, y1, min_len, segments):
+def _winding(sample: Callable[[complex], DetValue], x0, x1, y0, y1, min_len, segments):
     """Winding number, base sampling tripled until two levels agree.
 
     The adaptive walk alone can alias past a picket fence of zeros or
@@ -501,7 +466,7 @@ def _winding(sampler: _DetSampler, x0, x1, y0, y1, min_len, segments):
     prev = None
     seg = segments
     while True:
-        w = _winding_at(sampler, x0, x1, y0, y1, min_len, seg)
+        w = _winding_at(sample, x0, x1, y0, y1, min_len, seg)
         if w is None:
             return None
         if prev is not None and w == prev:
@@ -516,10 +481,12 @@ def _winding(sampler: _DetSampler, x0, x1, y0, y1, min_len, segments):
             )
 
 
-def _secant_polish(sampler: _DetSampler, z0: complex, z1: complex, tol: float, max_iter: int = 60):
+def _secant_polish(
+    sample: Callable[[complex], DetValue], z0: complex, z1: complex, tol: float, max_iter: int = 60
+):
     """Secant iteration on exp(log_abs - shift + i phase); None if it wanders."""
-    la0, ph0 = sampler(z0)
-    la1, ph1 = sampler(z1)
+    la0, ph0 = sample(z0)
+    la1, ph1 = sample(z1)
     if la0 == -math.inf:
         return z0
     if la1 == -math.inf:
@@ -536,7 +503,7 @@ def _secant_polish(sampler: _DetSampler, z0: complex, z1: complex, tol: float, m
             return None
         if abs(z2 - z1) <= tol:
             return z2
-        la2, ph2 = sampler(z2)
+        la2, ph2 = sample(z2)
         z0, h0 = z1, h1
         z1 = z2
         h1 = cmath.rect(math.exp(min(la2 - shift, 500.0)), ph2)
@@ -565,12 +532,18 @@ def det_contour_roots(
     min_len = 1e-12 * scale
     min_box = _MIN_BOX_REL * scale
     polish_tol = _POLISH_REL * scale
-    sampler = _DetSampler(det_fn, _MAX_EVALS)
+
+    @cache
+    def sample(z: complex) -> DetValue:
+        # the cache holds one entry per completed evaluation
+        if sample.cache_info().currsize >= _MAX_EVALS:
+            raise RuntimeError(f"contour search exceeded its evaluation budget ({_MAX_EVALS})")
+        return det_fn(z)
 
     roots: list[complex] = []
 
     def solve(x0, x1, y0, y1, depth):
-        w = _winding(sampler, x0, x1, y0, y1, min_len, _BASE_SEGMENTS)
+        w = _winding(sample, x0, x1, y0, y1, min_len, _BASE_SEGMENTS)
         if w is None:
             raise ContourBoundaryError(
                 "determinant zero sits on the search rectangle boundary; "
@@ -591,7 +564,7 @@ def det_contour_roots(
         if w == 1:
             center = complex(cx, cy)
             offset = 0.01 * complex(x1 - x0, y1 - y0)
-            polished = _secant_polish(sampler, center, center + offset, polish_tol)
+            polished = _secant_polish(sample, center, center + offset, polish_tol)
             if polished is not None and (
                 x0 - min_len <= polished.real <= x1 + min_len
                 and y0 - min_len <= polished.imag <= y1 + min_len

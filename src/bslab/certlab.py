@@ -39,7 +39,7 @@ from .birman_schwinger import (
     schatten_order,
 )
 from .conformal import weighted_blaschke_sum
-from .lattice import GridFunction, TorusGrid, dense_dim, lp_norm, site_magnitudes
+from .lattice import GridFunction, TorusGrid, dense_dim, lp_norm, multiplier_blocks, site_magnitudes
 from .potentials import PotentialField, imaginary_potential, potential_norm, scaled_field
 from .resolvent import (
     ResolventHandle,
@@ -58,6 +58,7 @@ from .spectra import (
     dist_to_spectrum,
     eigensolve,
     fine_grid,
+    nearest_in,
     spectrum_memo,
 )
 from .symbols import SymbolKind, SymbolSpec, critical_values
@@ -954,7 +955,7 @@ def verify_individual_bounds(
         spectrum_drift = max(
             spectrum_drift, _hausdorff(eigs_t, scale * base_eigs) / (scale * np.abs(base_eigs).max())
         )
-        z_t = eigs_t[np.argmin(np.abs(eigs_t - scale * anchor.z))]
+        z_t = nearest_in(eigs_t)(scale * anchor.z)
         ratios[t] = abs(z_t) ** (q - d / s) / potential_norm(Vt, q) ** q
     ratio_drift = max(abs(ratios[t] / ratios[1.0] - 1.0) for t in _SCALING_TS)
 
@@ -1033,13 +1034,9 @@ def verify_imaginary(
 
     # (i) resolvent identity per Fourier mode: R0 is unitarily block-diagonal
     # there, so the dense matrices' Frobenius residual is the modes' one
-    def mode_blocks(w: complex) -> np.ndarray:
-        r = resolvent_multiplier(spec, grid, w)
-        return r if spec.is_dirac else r[..., None, None]
-
     resid_identity = 0.0
     for z in _IDENTITY_POINTS:
-        r, rc = mode_blocks(z), mode_blocks(z.conjugate())
+        r, rc = (multiplier_blocks(resolvent_multiplier(spec, grid, w), grid) for w in (z, z.conjugate()))
         im_part = (r - np.conj(np.swapaxes(r, -1, -2))) / 2j
         resid = np.linalg.norm(im_part - z.imag * (r @ rc)) / np.linalg.norm(im_part)
         resid_identity = max(resid_identity, float(resid))

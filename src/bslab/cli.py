@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -467,9 +468,7 @@ def _cmd_spectrum(cfg: ExperimentConfig, args) -> int:
     dest = _artifact_dir(args.out)
     path = dest / "spectra.csv"
     spectrum_csv(points, path)
-    labels = {}
-    for p in points:
-        labels[p.label.value] = labels.get(p.label.value, 0) + 1
+    labels = Counter(p.label.value for p in points)
     tally = ", ".join(f"{k}: {v}" for k, v in sorted(labels.items()))
     print(f"{len(points)} spectral points ({tally})")
     print(f"wrote {path}")

@@ -50,6 +50,7 @@ __all__ = [
     "exchange_sectors",
     "interpolate",
     "lp_norm",
+    "multiplier_blocks",
     "multiplier_matrix",
     "operator_norm_1",
     "per_site",
@@ -233,6 +234,19 @@ def dense_dim(grid: TorusGrid, n: int) -> int:
     return dim
 
 
+def multiplier_blocks(m: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The multiplier m as (n, n) blocks, grid.shape + (n, n); a scalar m (grid.shape) gives n = 1.
+
+    The one check of a multiplier's shape: ValueError for any other.
+    """
+    mvals = np.asarray(m, dtype=complex)
+    blocks = mvals[..., None, None] if mvals.shape == grid.shape else mvals
+    n = blocks.shape[-1]
+    if blocks.shape != grid.shape + (n, n):
+        raise ValueError(f"multiplier shape {mvals.shape} does not match grid/spinor")
+    return blocks
+
+
 def multiplier_matrix(m: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Dense matrix of a Fourier multiplier on coefficient vectors, column-major.
 
@@ -245,11 +259,8 @@ def multiplier_matrix(m: np.ndarray, grid: TorusGrid) -> np.ndarray:
     elements; column j of block (i, a) is the inverse transform of m[..., i, a]
     times the transformed site j, written straight into its column.
     """
-    mvals = np.asarray(m, dtype=complex)
-    blocks = mvals[..., None, None] if mvals.shape == grid.shape else mvals
+    blocks = multiplier_blocks(m, grid)
     n = blocks.shape[-1]
-    if blocks.shape != grid.shape + (n, n):
-        raise ValueError(f"multiplier shape {mvals.shape} does not match grid/spinor")
     dim = dense_dim(grid, n)
     size = grid.size
     axes = tuple(range(1, grid.d + 1))
@@ -394,11 +405,11 @@ def sandwich_gram(
     work and no matrix product; the result is the only operator-sized
     array the call makes, of the sector's size.
     """
-    mvals = np.asarray(m, dtype=complex)
     size, d, N = grid.size, grid.d, grid.N
-    r = mvals.reshape(size, *(mvals.shape[d:] or (1, 1)))  # (n, n) blocks; a scalar is n = 1
+    blocks = multiplier_blocks(m, grid)
+    n = blocks.shape[-1]
+    r = blocks.reshape(size, n, n)
     r_conj = np.conj(r)
-    n = r.shape[-1]
     dim = dense_dim(grid, n)
     scalar = left.ndim == d
     if scalar:
@@ -491,8 +502,7 @@ def operator_norm_1(m: np.ndarray, values: np.ndarray, grid: TorusGrid) -> float
     only its own site block, K(0) plus values at y, differs from column to
     column.  Arguments are as in :func:`apply_operator`.
     """
-    mvals = np.asarray(m, dtype=complex)
-    blocks = mvals[..., None, None] if mvals.shape == grid.shape else mvals
+    blocks = multiplier_blocks(m, grid)
     n = blocks.shape[-1]
     kernel = np.fft.ifftn(blocks, axes=grid.axes()).reshape(grid.size, n, n)  # [x, i, a]: entry (x, i; 0, a)
     off_site = np.abs(kernel[1:]).sum(axis=(0, 1))

@@ -175,17 +175,11 @@ def _sample_random(spec: PotentialSpec, grid: TorusGrid) -> PotentialField:
         raise PotentialFormatError(
             f"potential.modes: need an even band limit 2 <= modes <= N, got {modes}"
         )
-    rng = np.random.default_rng(seed)
-    ks = np.arange(-modes // 2, modes // 2)
-    # Fixed lexicographic mode order keeps the field identical across grids.
-    coeffs = np.empty((modes,) * grid.d, dtype=complex)
-    for idx in np.ndindex(*coeffs.shape):
-        re, im = rng.standard_normal(2)
-        coeffs[idx] = (re + 1j * im) / np.sqrt(2.0)
+    # Fixed lexicographic mode order, (re, im) per mode, keeps the field identical across grids.
+    draws = np.random.default_rng(seed).standard_normal((modes,) * grid.d + (2,))
+    ks = np.arange(-modes // 2, modes // 2) % grid.N
     spectrum = np.zeros(grid.shape, dtype=complex)
-    for idx in np.ndindex(*coeffs.shape):
-        k = tuple(int(ks[i]) % grid.N for i in idx)
-        spectrum[k] = coeffs[idx]
+    spectrum[np.ix_(*[ks] * grid.d)] = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
     vals = np.fft.ifftn(spectrum) * grid.size / modes**grid.d
     return PotentialField(grid, amp * vals)
 

@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,14 +97,16 @@ class EssentialSpectrum:
         return best
 
 
+_ESSENTIAL_INTERVALS = {
+    SymbolKind.FRACTIONAL_LAPLACIAN: ((0.0, math.inf),),
+    SymbolKind.RELATIVISTIC: ((0.0, math.inf),),
+    SymbolKind.DIRAC_MASSLESS: ((-math.inf, math.inf),),
+    SymbolKind.DIRAC_MASSIVE: ((-math.inf, -1.0), (1.0, math.inf)),
+}
+
+
 def essential_spectrum(spec: SymbolSpec) -> EssentialSpectrum:
-    if spec.kind in (SymbolKind.FRACTIONAL_LAPLACIAN, SymbolKind.RELATIVISTIC):
-        return EssentialSpectrum(intervals=((0.0, math.inf),))
-    if spec.kind is SymbolKind.DIRAC_MASSLESS:
-        return EssentialSpectrum(intervals=((-math.inf, math.inf),))
-    if spec.kind is SymbolKind.DIRAC_MASSIVE:
-        return EssentialSpectrum(intervals=((-math.inf, -1.0), (1.0, math.inf)))
-    raise ValueError(f"no closed-form essential spectrum for kind {spec.kind}")
+    return EssentialSpectrum(_ESSENTIAL_INTERVALS[spec.kind])
 
 
 def dist_to_spectrum(spec: SymbolSpec, z: complex) -> float:
@@ -271,9 +273,6 @@ class _FinePartner:
         self.spec, self.grid, self.fine, self.V = spec, grid, fine, V
         self.hermitian = _is_self_adjoint(V)
         self.routes = dict.fromkeys(_ROUTES, 0)
-        self.V_fine: Optional[PotentialField] = None
-        self.multiplier: Optional[np.ndarray] = None
-        self.norm_1 = math.nan
         self.H: Optional[np.ndarray] = None
         self.fallback: Optional[Callable[[complex], complex]] = None
 
@@ -297,28 +296,31 @@ class _FinePartner:
         self.routes["Hermitian" if self.hermitian else "dense fallback"] += 1
         return self.fallback(z)
 
-    def _resampled(self) -> PotentialField:
-        if self.V_fine is None:
-            self.V_fine = resample(self.V, self.fine)
-        return self.V_fine
+    @cached_property
+    def V_fine(self) -> PotentialField:
+        return resample(self.V, self.fine)
+
+    @cached_property
+    def multiplier(self) -> np.ndarray:
+        return symbol_values(self.spec, self.fine.xi())
+
+    @cached_property
+    def norm_1(self) -> float:
+        return operator_norm_1(self.multiplier, self.V_fine.values, self.fine)
 
     def _fine_hamiltonian(self) -> np.ndarray:
-        return np.asfortranarray(assemble_hamiltonian(self.spec, self.fine, self._resampled()))
+        return np.asfortranarray(assemble_hamiltonian(self.spec, self.fine, self.V_fine))
 
     def _from_coarse(self, z: complex) -> Optional[complex]:
         """The Rayleigh quotient on the fine grid of H_N's eigenvectors at z, or None if refused."""
         vectors = dense.eigenvectors_near(assemble_hamiltonian(self.spec, self.grid, self.V), z)
         if vectors is None:
             return None
-        v = self._resampled().values
-        if self.multiplier is None:
-            self.multiplier = symbol_values(self.spec, self.fine.xi())
-            self.norm_1 = operator_norm_1(self.multiplier, v, self.fine)
         n = self.spec.n
         x, y = (interpolate(u.reshape(self.grid.field_shape(n)), self.grid, self.fine) for u in vectors)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        Hx = apply_operator(self.multiplier, v, x, self.fine)
+        Hx = apply_operator(self.multiplier, self.V_fine.values, x, self.fine)
         lam = np.vdot(x, Hx)
         residual = float(np.linalg.norm(Hx - lam * x))
         drift_bound = abs(z - lam) + residual / abs(np.vdot(y, x))

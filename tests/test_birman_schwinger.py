@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, strategies as st
 
 from bslab import birman_schwinger, dense, lattice
@@ -53,9 +54,9 @@ def test_half_potentials_negative_constant():
     grid = TorusGrid(d=1, N=8, L=8.0)
     V = PotentialField(grid, np.full(grid.shape, -4.0, dtype=complex))
     abs_half, signed_half = half_potentials(V)
-    assert np.allclose(abs_half.values, 2.0)
-    assert np.allclose(signed_half.values, -2.0)
-    assert np.allclose(signed_half.values * abs_half.values, V.values)
+    assert np.allclose(abs_half, 2.0)
+    assert np.allclose(signed_half, -2.0)
+    assert np.allclose(signed_half * abs_half, V.values)
 
 
 def test_half_potentials_random_complex_identity():
@@ -65,9 +66,9 @@ def test_half_potentials_random_complex_identity():
     vals[5] = 0.0  # zeros must map to zeros
     V = PotentialField(grid, vals)
     abs_half, signed_half = half_potentials(V)
-    assert np.max(np.abs(signed_half.values * abs_half.values - vals)) < 1e-14
-    assert abs_half.values[5] == 0 and signed_half.values[5] == 0
-    assert np.all(abs_half.values.imag == 0) and np.all(abs_half.values.real >= 0)
+    assert np.max(np.abs(signed_half * abs_half - vals)) < 1e-14
+    assert abs_half[5] == 0 and signed_half[5] == 0
+    assert np.all(abs_half.imag == 0) and np.all(abs_half.real >= 0)
 
 
 def test_half_potentials_matrix_case():
@@ -76,12 +77,12 @@ def test_half_potentials_matrix_case():
     vals = rng.standard_normal(grid.shape + (2, 2)) + 1j * rng.standard_normal(grid.shape + (2, 2))
     V = PotentialField(grid, vals)
     abs_half, signed_half = half_potentials(V)
-    prod = signed_half.values @ abs_half.values
+    prod = signed_half @ abs_half
     assert np.max(np.abs(prod - vals)) < 1e-13
     # |V|^{1/2} is Hermitian positive semidefinite site-wise
-    herm_gap = np.max(np.abs(abs_half.values - np.swapaxes(abs_half.values, -1, -2).conj()))
+    herm_gap = np.max(np.abs(abs_half - np.swapaxes(abs_half, -1, -2).conj()))
     assert herm_gap < 1e-13
-    eigs = np.linalg.eigvalsh(abs_half.values)
+    eigs = np.linalg.eigvalsh(abs_half)
     assert eigs.min() > -1e-13
 
 
@@ -130,7 +131,7 @@ def test_order_variants_share_nonzero_spectra():
     z = -1.1 - 0.6j
     abs_half, signed_half = half_potentials(V)
     rmat = multiplier_matrix(resolvent_multiplier(FRAC, grid, z), grid)
-    swapped = site_diagonal_sandwich(signed_half.values, rmat, abs_half.values, grid)
+    swapped = site_diagonal_sandwich(signed_half, rmat, abs_half, grid)
     mu_a = np.linalg.eigvals(bs_matrix(FRAC, grid, V, z))
     mu_b = np.linalg.eigvals(swapped)
     big_a = sorted((m for m in mu_a if abs(m) > 1e-9), key=abs, reverse=True)
@@ -470,12 +471,28 @@ def bs_at_eigenvalues(draw):
     return spec, grid, V, draw(st.sampled_from(off))
 
 
+def near_defective_model():
+    """A purely imaginary massless d = 1 Dirac well at an eigenvalue z of H with
+    condition number 4.1e7, where |mu + 1| = 5.9e-8 is above 1e-8."""
+    spec = SymbolSpec(kind=SymbolKind.DIRAC_MASSLESS, d=1)
+    grid = TorusGrid(d=1, N=36, L=14.0)
+    V = gaussian_well(grid, 1.5j, 2.0)
+    eigs = eigensolve(assemble_hamiltonian(spec, grid, V))
+    return spec, grid, V, eigs[np.argmin(np.abs(eigs - (-0.035714285553371534 + 0.5172081000946445j)))]
+
+
 @given(bs_at_eigenvalues())
+@example(near_defective_model())
 def test_bs_eigenpair_matches_the_full_spectrum_at_hamiltonian_eigenvalues(model):
     spec, grid, V, z = model
     M = bs_matrix(spec, grid, V, z)
     assert_matches_full_spectrum(M)
-    assert bs_eigenpair_near(M)[0] < 1e-8
+    # z is an eigenvalue of H only to about kappa eps ||H||_1, kappa its condition number
+    H = assemble_hamiltonian(spec, grid, V)
+    w, left, right = scipy.linalg.eig(H, left=True)
+    k = np.argmin(np.abs(w - z))
+    kappa = np.linalg.norm(left[:, k]) * np.linalg.norm(right[:, k]) / abs(np.vdot(left[:, k], right[:, k]))
+    assert bs_eigenpair_near(M)[0] < max(1e-8, 10.0 * kappa * np.finfo(float).eps * np.linalg.norm(H, 1))
 
 
 def test_bs_principle_check_falls_back_to_the_full_eigendecomposition(monkeypatch):
@@ -595,11 +612,20 @@ def subnormal_model():
     return spec, grid, PotentialField(grid, np.full(grid.shape, 5e-324j)), 1j
 
 
+def tiny_dirac_model():
+    """A massive d = 1 Dirac Gaussian of peak 5.05e-158 at z = 0: M^H M is subnormal
+    (largest entry 1.4e-315), so its entries are resolved only to the smallest subnormal."""
+    grid = TorusGrid(d=1, N=8, L=2.0)
+    well = PotentialSpec("gaussian", {"amplitude": 5.05e-158, "width": 1.0, "center": 0.0})
+    return SymbolSpec(kind=SymbolKind.DIRAC_MASSIVE, d=1), grid, sample_potential(well, grid), 0j
+
+
 # Random draws stop at dim 512; the one 2048-dim shape, d = 3 Dirac, runs once per
 # run as the explicit example.
 @given(bs_models(max_dim=512), st.floats(2.0, 8.0, exclude_min=True), st.integers(1, 512))
 @example(dirac3_model(), 3.0, 100)
 @example(subnormal_model(), 3.0, 1)
+@example(tiny_dirac_model(), 3.0, 1)
 def test_gram_route_matches_zgesdd(model, alpha, panels):
     spec, grid, V, z = model
     M = bs_matrix(spec, grid, V, z)
@@ -611,10 +637,12 @@ def test_gram_route_matches_zgesdd(model, alpha, panels):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_SCRATCH", 2 * spec.n * M.shape[0] * -(-grid.size // panels))
         (whole,) = lattice.exchange_sectors(grid, spec.n, None)
-        G = sandwich_gram(left.values, resolvent_multiplier(spec, grid, z), right.values, grid, whole)
+        G = sandwich_gram(left, resolvent_multiplier(spec, grid, z), right, grid, whole)
     ref_G = M.conj().T @ M
     assert G.flags.f_contiguous
-    assert np.abs(G - ref_G).max() <= 1e-13 * np.abs(ref_G).max()
+    # plus the resolution of a dim-term sum of subnormals, for a G whose 1e-13 max|G| underflows
+    bar = 1e-13 * np.abs(ref_G).max() + M.shape[0] * np.finfo(float).smallest_subnormal
+    assert np.abs(G - ref_G).max() <= bar
 
 
 @given(bs_models(max_dim=256), st.integers(0, 2**32 - 1), st.integers(min_value=-1000, max_value=1000))
@@ -814,6 +842,32 @@ def test_contour_propagates_other_runtime_errors():
         det_contour_roots(det_fn, -1.0 - 1.0j, 1.0 + 1.0j)
     assert not isinstance(err.value, ContourBoundaryError)
     assert len(interior_calls) == 1
+
+
+def test_contour_roots_dodge_a_zero_on_the_first_cut():
+    # 0.5i lies on x = 0, the first cut of the box: that attempt is dropped and the cut moves
+    roots = [0.5j, 0.5 - 0.3j]
+    sampled = []
+
+    def det_fn(z):
+        sampled.append(z)
+        return poly_det(roots)(z)
+
+    found = det_contour_roots(det_fn, -1.0 - 1.0j, 1.0 + 1.0j)
+    assert 0.5j in sampled
+    assert len(found) == 2
+    for r in sorted(roots, key=lambda w: (w.real, w.imag)):
+        assert min(abs(f - r) for f in found) < 1e-10
+
+
+def test_contour_pole_gives_negative_winding():
+    pole = 0.2 + 0.1j
+    with pytest.raises(RuntimeError, match="negative winding"):
+        det_contour_roots(
+            lambda z: DetValue(log_abs=-math.log(abs(z - pole)), phase=-cmath.phase(z - pole)),
+            -1.0 - 1.0j,
+            1.0 + 1.0j,
+        )
 
 
 def test_contour_roots_match_eigensolve():

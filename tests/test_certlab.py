@@ -417,6 +417,22 @@ def test_verify_schatten_scaling_massless_growth():
     assert cert.law.residual <= 0.05
 
 
+def test_verify_schatten_scaling_relativistic_case_b_exponents():
+    # s = 0.8 < 2d/(d+1) = 1: case (b), alpha = d/s + 1, and the predicted exponent
+    # depends on which side of |z| = 1 the ray runs
+    d, s = 1, 0.8
+    spec = SymbolSpec(kind=SymbolKind.RELATIVISTIC, d=d, s=s)
+    grid = TorusGrid(d=d, N=32, L=10.0)
+    V = gaussian(grid, -1.0)
+    for ray, predicted in (
+        (fixed_argument_ray(math.pi, 0.05, 0.5, 8), s / 2.0 - 1.0),
+        (fixed_argument_ray(math.pi, 1.0, 8.0, 8), 2.0 * d / (s * (d + 1)) - 1.0),
+    ):
+        cert = verify_schatten_scaling(spec, grid, 1.0, ray, V)
+        assert cert.inputs["case"] == "b"
+        assert cert.inputs["predicted"] == cert.rhs == predicted
+
+
 def test_verify_schatten_scaling_ray_policing():
     grid = TorusGrid(d=1, N=64, L=30.0)
     V = gaussian(grid, -1.0)

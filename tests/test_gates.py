@@ -75,6 +75,22 @@ def altered(transform, picked=lambda call: True):
     return plant
 
 
+def at_two_couplings(real):
+    """discrete_spectrum with points only at the first two couplings that have any."""
+    kept = []
+
+    def planted(spec, grid, V):
+        pts, key = real(spec, grid, V), V.values.tobytes()
+        if pts and key not in kept and len(kept) < 2:
+            kept.append(key)
+        return pts if key in kept else []
+    return planted
+
+
+def nonzero_sums(cert):
+    return sum(1 for m in cert.inputs["sums"] if m > 0.0)
+
+
 def times_abs_z_to(power):
     return lambda real: lambda spec, grid, V, z, alpha: real(spec, grid, V, z, alpha) * abs(z) ** power
 
@@ -107,6 +123,8 @@ ROWS = [
      operator.le, 1e-6, "bs_matrix", altered(lambda M: 1.001 * M), "FAIL"),
     ("weighted-sums-growth-slope", golden("weighted-sums"), lambda c: c.inputs["fitted_growth"],
      operator.le, _GOLDEN_GROWTH_BUDGET, "weighted_blaschke_sum", altered(lambda total: total**3), "FAIL"),
+    ("weighted-sums-fit-points", golden("weighted-sums"), nonzero_sums,
+     operator.ge, 3, "discrete_spectrum", at_two_couplings, "REPORT-ONLY"),
 ]
 
 
@@ -121,3 +139,11 @@ def test_planted_defect_flips_the_verdict(monkeypatch, run, measure, holds, bar,
     planted = run()
     assert planted.verdict == verdict
     assert not holds(measure(planted), bar), (measure(planted), bar)
+
+
+def test_weighted_sums_without_three_nonzero_sums_fits_nothing(monkeypatch):
+    monkeypatch.setattr(certlab, "discrete_spectrum", at_two_couplings(certlab.discrete_spectrum))
+    cert = golden("weighted-sums")()
+    assert (cert.verdict, nonzero_sums(cert)) == ("REPORT-ONLY", 2)
+    assert cert.inputs["note"] == "fewer than 3 couplings with a nonzero sum; no growth fit"
+    assert cert.inputs["fitted_growth"] == 0.0
