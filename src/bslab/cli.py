@@ -3,7 +3,8 @@
 The CLI is a thin layer over the library: a single JSON config file with
 ``operator`` / ``grid`` / ``potential`` / ``run`` blocks describes the whole
 experiment, and no command-line flag can override physics parameters -- flags
-choose only output paths.  Certificates written by a run therefore
+choose only output paths and, with ``--verbose``, whether the ``bslab``
+logger's DEBUG records reach stderr.  Certificates written by a run therefore
 fully describe it, and a rerun of the same config and seed reproduces them
 byte for byte (with ``--deterministic`` zeroing wall-clock fields).  The
 verifiers of a run execute one after another in this process, inside one
@@ -20,11 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -543,6 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bslab",
         description="Spectral experiments on periodic grids, driven by a JSON config.",
     )
+    parser.add_argument("--verbose", action="store_true", help="write the bslab logger's DEBUG records to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, reports=False):
@@ -571,20 +575,37 @@ _HANDLERS = {
 }
 
 
+@contextmanager
+def _debug_to_stderr():
+    """Every record of the ``bslab`` logger, DEBUG and up, on stderr while the scope is open."""
+    logger = logging.getLogger("bslab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        return _HANDLERS[args.command](cfg, args)
-    except ConfigError as err:
-        print(f"config error at {err}", file=sys.stderr)
-        return 2
-    except (np.linalg.LinAlgError, RuntimeError, OSError) as err:  # LinAlgError is a ValueError
-        print(f"compute failure in {args.command}: {err}", file=sys.stderr)
-        return 3
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    with _debug_to_stderr() if args.verbose else nullcontext():
+        try:
+            cfg = load_config(args.config)
+            return _HANDLERS[args.command](cfg, args)
+        except ConfigError as err:
+            print(f"config error at {err}", file=sys.stderr)
+            return 2
+        except (np.linalg.LinAlgError, RuntimeError, OSError) as err:  # LinAlgError is a ValueError
+            print(f"compute failure in {args.command}: {err}", file=sys.stderr)
+            return 3
+        except ValueError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ that barely move across the refinement are discrete.
 essential spectrum gets its nearest 2N eigenvalue by one of two routes.
 For a self-adjoint potential H_2N is Hermitian up to rounding, and one
 :func:`dense.eigvalsh` gives all of its spectrum at about the cost of one
-partner solve.  Otherwise each point is first served from its coarse
+partner solve; for a scalar symbol H_2N is also real up to rounding, and
+that solve takes Re H_2N alone, real symmetric, at about half the cost of
+the complex one.  Otherwise each point is first served from its coarse
 eigenpair: one LU of H_N - z gives the right and left eigenvectors, which
 are interpolated to 2N, and their Rayleigh quotient on H_2N, applied
 matrix-free, is the partner when its residual and condition number put an
@@ -227,7 +229,7 @@ def classify(
 
 
 # ---------------------------------------------------------------------------
-# fine partners: from the coarse eigenpair, one Hermitian eigensolve, or shift-invert
+# fine partners: from the coarse eigenpair, one Hermitian or real symmetric eigensolve, or shift-invert
 
 
 def _is_self_adjoint(V: PotentialField) -> bool:
@@ -238,7 +240,7 @@ def _is_self_adjoint(V: PotentialField) -> bool:
     return not np.any(v.imag)
 
 
-_ROUTES = ("coarse eigenpair", "shift-invert", "dense fallback", "Hermitian")
+_ROUTES = ("coarse eigenpair", "shift-invert", "dense fallback", "Hermitian", "real symmetric")
 
 
 class _FinePartner:
@@ -248,7 +250,14 @@ class _FinePartner:
     resampling leaves rounding noise in the imaginary part) H_2N is
     Hermitian up to rounding, and the first call assembles it and takes its
     whole spectrum from :func:`dense.eigvalsh`, which answers that z and
-    every later one.
+    every later one.  A scalar symbol (spec.n == 1) makes V real and T(D)'s
+    kernel real and even, so H_2N is real symmetric up to FFT rounding:
+    only its real part is assembled, from the cached T(D) and the real
+    site diagonal, and solved by dsyevd (route "real symmetric"); the Im
+    H_2N it drops moves each eigenvalue by a few eps ||H_2N||_1 at most
+    (Weyl, see :func:`dense.eigvalsh`).  Dirac kinds, whose T(D) has an
+    imaginary part of its own size, keep the complex Hermitian solve
+    (route "Hermitian").
 
     For any other V each z is first served from the coarse eigenpair, with
     no fine matrix: :func:`dense.eigenvectors_near` gives H_N's right and
@@ -272,13 +281,15 @@ class _FinePartner:
     def __init__(self, spec: SymbolSpec, grid: TorusGrid, fine: TorusGrid, V: PotentialField):
         self.spec, self.grid, self.fine, self.V = spec, grid, fine, V
         self.hermitian = _is_self_adjoint(V)
+        self.real = self.hermitian and spec.n == 1
         self.routes = dict.fromkeys(_ROUTES, 0)
         self.H: Optional[np.ndarray] = None
         self.fallback: Optional[Callable[[complex], complex]] = None
 
     def __call__(self, z: complex) -> complex:
         if self.fallback is None and self.hermitian:
-            self.fallback = nearest_in(dense.eigvalsh(self._fine_hamiltonian()))
+            H = self._real_fine_hamiltonian() if self.real else self._fine_hamiltonian()
+            self.fallback = nearest_in(dense.eigvalsh(H))
         if self.fallback is None:
             lam = self._from_coarse(z)
             if lam is not None:
@@ -293,7 +304,7 @@ class _FinePartner:
             _log.debug("dense %d-dim fine solve: no shift-invert partner at z=%s", self.H.shape[0], z)
             H, self.H = self.H, None  # the dense solve overwrites H, and nothing reads it again
             self.fallback = nearest_in(eigensolve(H))
-        self.routes["Hermitian" if self.hermitian else "dense fallback"] += 1
+        self.routes["real symmetric" if self.real else "Hermitian" if self.hermitian else "dense fallback"] += 1
         return self.fallback(z)
 
     @cached_property
@@ -310,6 +321,11 @@ class _FinePartner:
 
     def _fine_hamiltonian(self) -> np.ndarray:
         return np.asfortranarray(assemble_hamiltonian(self.spec, self.fine, self.V_fine))
+
+    def _real_fine_hamiltonian(self) -> np.ndarray:
+        """Re H_2N, column-major: the real part of the cached T(D) plus the real site diagonal."""
+        T = _kinetic_matrix(self.spec, self.fine).real.copy(order="F")
+        return add_site_diagonal(T, self.V_fine.values.real, self.fine)
 
     def _from_coarse(self, z: complex) -> Optional[complex]:
         """The Rayleigh quotient on the fine grid of H_N's eigenvectors at z, or None if refused."""
@@ -385,7 +401,8 @@ def classified_spectrum(spec: SymbolSpec, grid: TorusGrid, V: PotentialField) ->
     Dense at N, partners at 2N: the full eigensolve runs on grid only, and
     each point beyond eta gets its nearest eigenvalue on grid.refined().
     For a self-adjoint V (real scalars, or Hermitian site blocks) all of
-    them come from one Hermitian eigensolve of H_2N.  For any other V each
+    them come from one Hermitian eigensolve of H_2N, real symmetric on
+    Re H_2N when the symbol is scalar (spec.n == 1).  For any other V each
     comes from the coarse eigenpair checked matrix-free on the fine grid,
     where that check refuses from one LU of H_2N and a short Arnoldi run,
     and from a dense 2N eigensolve when that does not converge either.

@@ -742,8 +742,8 @@ def _golden_scan(out):
 
 def _solver_calls(monkeypatch):
     """V bytes of every solve beneath the spectrum memo, the dimension of every
-    eigensolve and of every Hermitian eigensolve, and the count of shift-invert
-    partner solves."""
+    eigensolve, the (dimension, dtype) of every Hermitian eigensolve, and the
+    count of shift-invert partner solves."""
     seen = {"solves": [], "dims": Counter(), "hermitian": Counter(), "partners": 0}
     solve, eig, nearest = spectra._solve_classified, spectra.eigensolve, dense.nearest_eigenpair
     eigh = dense.eigvalsh
@@ -757,7 +757,7 @@ def _solver_calls(monkeypatch):
         return eig(H)
 
     def eigh_spy(A):
-        seen["hermitian"][A.shape[0]] += 1
+        seen["hermitian"][A.shape[0], A.dtype.name] += 1
         return eigh(A)
 
     def nearest_spy(H, z):
@@ -775,8 +775,9 @@ def test_golden_verifiers_solve_each_coupling_once(tmp_path, monkeypatch):
     # main bisects from [0, 1] and weighted-sums halves from t = 1: both probe
     # t = 1, 1/2, ..., 1/32, and spectra.csv reads t = 1 again.  One memo for
     # the scan solves every distinct t*V once, and spectra.csv solves nothing.
-    # The golden well is real, so each coupling that has a point beyond eta
-    # takes its 2N partners from one Hermitian eigensolve, never shift-invert.
+    # The golden well is real and its symbol scalar, so each coupling that has
+    # a point beyond eta takes its 2N partners from one real symmetric
+    # eigensolve of Re H_2N, never a complex one and never shift-invert.
     seen = _solver_calls(monkeypatch)
     csv_eigensolves = []
     classified = cli.classified_spectrum
@@ -791,7 +792,7 @@ def test_golden_verifiers_solve_each_coupling_once(tmp_path, monkeypatch):
     _golden_scan(tmp_path)
     assert len(seen["solves"]) == len(set(seen["solves"])) == 22
     assert seen["dims"] == {64: 22}
-    assert seen["hermitian"] == {128: 18}
+    assert seen["hermitian"] == {(128, "float64"): 18}
     assert seen["partners"] == 0
     assert csv_eigensolves == [0]
 

@@ -901,6 +901,25 @@ def test_golden_certificates_match_the_benchmark_references(tmp_path):
     assert hashes == refs["golden-scan"]["certificate_sha256"]
 
 
+def test_verbose_writes_debug_records_to_stderr_and_leaves_the_artifacts_alone(tmp_path, capsys):
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "golden.json")
+    outs = [tmp_path / "quiet", tmp_path / "verbose"]
+    assert cli_main(["scan", "--config", config, "--out", str(outs[0]), "--deterministic"]) == 0
+    assert capsys.readouterr().err == ""
+    logger = logging.getLogger("bslab")
+    handlers, level = list(logger.handlers), logger.level
+    assert cli_main(["--verbose", "scan", "--config", config, "--out", str(outs[1]), "--deterministic"]) == 0
+    records = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith("DEBUG bslab: fine partners: ") for line in records) == 22
+    assert records[-1] == "DEBUG bslab: 22 couplings solved, 14 served from the memo"
+    assert (logger.handlers, logger.level) == (handlers, level)  # the handler closes with the run
+    (quiet,), (verbose,) = run_dirs(outs[0]), run_dirs(outs[1])
+    names = sorted(p.name for p in quiet.iterdir())
+    assert names == sorted(p.name for p in verbose.iterdir())
+    for name in names:
+        assert (quiet / name).read_bytes() == (verbose / name).read_bytes(), name
+
+
 def test_output_root_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("BSLAB_OUTPUT_DIR", str(tmp_path / "from-env"))
     rc = cli_main(["spectrum", "--config", write_config(tmp_path, base_config())])

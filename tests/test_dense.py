@@ -134,6 +134,16 @@ def test_eigvalsh_solves_the_hermitian_matrix_of_the_upper_triangle(n, seed):
 
 
 @given(sizes, seeds)
+def test_eigvalsh_solves_the_symmetric_matrix_of_the_upper_triangle_of_a_real_matrix(n, seed):
+    A = random_complex(n, seed).real  # its lower triangle is not the upper one's transpose
+    S = np.triu(A, 1) + np.triu(A, 1).T + np.diag(A.diagonal())
+    w = dense.eigvalsh(np.asfortranarray(A))
+    assert w.dtype == np.float64
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(w - np.linalg.eigvalsh(S)).max() <= 1e-13 * n * np.linalg.norm(S, 1)
+
+
+@given(sizes, seeds)
 def test_svdvals_match_numpy(n, seed):
     A = random_complex(n, seed)
     sv, ref = dense.svdvals(A), np.linalg.svd(A, compute_uv=False)

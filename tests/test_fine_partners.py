@@ -1,7 +1,7 @@
 """classified_spectrum (dense at N; at 2N one Hermitian eigensolve for a
-self-adjoint potential, otherwise the coarse eigenpair checked matrix-free on
-the fine grid, then shift-invert partners) against the dense oracle: classify
-fed every eigenvalue of H_2N."""
+self-adjoint potential, real symmetric for a scalar symbol, otherwise the
+coarse eigenpair checked matrix-free on the fine grid, then shift-invert
+partners) against the dense oracle: classify fed every eigenvalue of H_2N."""
 
 import logging
 import math
@@ -84,7 +84,28 @@ def test_shift_invert_partners_match_the_dense_oracle(well):
         fine = grid.refined()
         H = assemble_hamiltonian(spec, fine, resample(V, fine))
         assert np.linalg.norm(H - H.conj().T, 1) <= 1e-13 * np.linalg.norm(H, 1)
+        if spec.n == 1:  # and the real route's: H_2N is real to rounding
+            assert imaginary_share(H) <= 1e-13
     assert_matches_oracle(classified_spectrum(spec, grid, V), dense_oracle(spec, grid, V))
+
+
+def imaginary_share(H):
+    """||Im H||_1 / ||H||_1: the real route drops Im H, so it needs this at rounding."""
+    return np.linalg.norm(H.imag, 1) / np.linalg.norm(H, 1)
+
+
+@pytest.mark.parametrize("kind", list(SymbolKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize(
+    "grid", [TorusGrid(1, 32, 10.0), TorusGrid(2, 8, 6.0), TorusGrid(3, 8, 5.0)], ids=["d1", "d2", "d3"]
+)
+def test_kinetic_matrix_is_real_exactly_for_scalar_symbols(kind, grid):
+    # The real route takes Re T(D) for every spec.n == 1 symbol: a complex
+    # scalar symbol added later fails here instead of losing its Im T(D).
+    orders = (1.0,) if SymbolSpec(kind, grid.d).is_dirac else (0.75, 1.0, 1.5, 2.0)
+    for s in orders:
+        spec = SymbolSpec(kind, grid.d, s)
+        T = spectra._kinetic_matrix.__wrapped__(spec, grid)  # uncached: the d=3 Dirac T(D) is 64 MB
+        assert (imaginary_share(T) <= 1e-13) == (spec.n == 1)
 
 
 def route_counts(record):
@@ -172,10 +193,38 @@ def test_failed_residual_check_falls_back_to_one_dense_solve(monkeypatch, caplog
     assert solve.levelno == routes.levelno == logging.DEBUG
     assert f"dense {96 * spec.n}-dim fine solve" in solve.getMessage()
     partners = sum(p.label is not _ARTIFACT for p in oracle)
-    assert route_counts(routes) == {"coarse eigenpair": 0, "shift-invert": 0, "dense fallback": partners, "Hermitian": 0}
+    assert route_counts(routes) == {
+        "coarse eigenpair": 0, "shift-invert": 0, "dense fallback": partners, "Hermitian": 0, "real symmetric": 0
+    }
     assert [(p.z, p.label) for p in points] == [(p.z, p.label) for p in oracle]
     for p, q in zip(points, oracle):
         assert p.refinement_drift == q.refinement_drift or p.label is _ARTIFACT
+
+
+@pytest.mark.parametrize(
+    "spec, grid, amplitude, dtypes",
+    [
+        (SymbolSpec(SymbolKind.FRACTIONAL_LAPLACIAN, 1, 1.5), TorusGrid(1, 48, 12.0), -3.0, ["float64"]),
+        (SymbolSpec(SymbolKind.DIRAC_MASSIVE, 1), TorusGrid(1, 48, 12.0), -3.0, ["complex128"]),
+        (SymbolSpec(SymbolKind.DIRAC_MASSLESS, 2), TorusGrid(2, 8, 6.0), -3.0, ["complex128"]),
+        (SymbolSpec(SymbolKind.FRACTIONAL_LAPLACIAN, 1, 1.5), TorusGrid(1, 48, 12.0), -3.0 + 0.8j, []),
+    ],
+    ids=["real-fractional", "real-massive-dirac", "real-massless-dirac-2d", "complex-fractional"],
+)
+def test_only_scalar_self_adjoint_wells_take_the_real_symmetric_solve(monkeypatch, spec, grid, amplitude, dtypes):
+    # A real V for a Dirac symbol still leaves Im T(D) of the size of T(D),
+    # so its fine spectrum stays a complex Hermitian solve; a complex V makes
+    # none.  The partner is asked directly: a massless Dirac point with a real
+    # V lies on the real axis, where classify asks for none.
+    V = gaussian_well(grid, amplitude, 1.0, [grid.L / 2] * grid.d)
+    solved = counting(monkeypatch, "eigvalsh", module=dense)
+    z = eigensolve(assemble_hamiltonian(spec, grid, V))[0]
+    partner = spectra._FinePartner(spec, grid, grid.refined(), V)
+    partner(z)
+    assert [A.dtype.name for A in solved] == dtypes
+    route = {"float64": "real symmetric", "complex128": "Hermitian"}
+    assert [partner.routes[route[dtype]] for dtype in dtypes] == [1] * len(dtypes)
+    assert partner.routes["Hermitian"] + partner.routes["real symmetric"] == len(dtypes)
 
 
 def far_from_normal_well():
@@ -307,7 +356,9 @@ def test_resolved_partners_build_nothing_on_the_fine_grid(monkeypatch):
     multiplied = counting(monkeypatch, "multiplier_matrix", arg=1)
     shifted = counting(monkeypatch, "nearest_eigenpair", module=dense)
     points, routes = classified_with_routes(spec, grid, V)
-    assert routes == {"coarse eigenpair": 9, "shift-invert": 0, "dense fallback": 0, "Hermitian": 0}
+    assert routes == {
+        "coarse eigenpair": 9, "shift-invert": 0, "dense fallback": 0, "Hermitian": 0, "real symmetric": 0
+    }
     assert sum(p.label is SpectralLabel.DISCRETE for p in points) == 9
     assert set(assembled) == set(multiplied) == {grid}
     assert not shifted
