@@ -3,8 +3,8 @@
 Each verifier runs one family of checks end to end -- eigensolves, Schatten
 norms, operator-norm sweeps, scaling fits -- on explicit grids and potentials,
 and returns a :class:`BoundCertificate` recording the measured quantities and
-a verdict.  The verdict policy is strict: PASS/FAIL is reserved for exact
-identities, exact-scaling invariances, bracketed properties, and slope fits
+a verdict, read from :data:`GATES`.  The policy is strict: PASS/FAIL is kept for
+exact identities, exact-scaling invariances, bracketed properties, and slope fits
 with a pre-registered tolerance.  Every inequality whose sharp constant is
 not explicit stays REPORT-ONLY, with the measured constant recorded.
 
@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import logging
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -91,24 +93,51 @@ __all__ = [
     "verify_individual_bounds",
     "verify_imaginary",
     "verify_weighted_sums",
+    "GATES",
     "THEOREM_IDS",
+    "read_gate",
+    "gate_verdict",
     "JobError",
     "run_jobs",
 ]
 
+_log = logging.getLogger("bslab")
+
 PASS = "PASS"
 FAIL = "FAIL"
 REPORT_ONLY = "REPORT-ONLY"
+VERDICTS = (PASS, FAIL, REPORT_ONLY)
+
+#: Every measured verdict condition, by theorem, in check order (REPORT-ONLY first): (id, value read from the
+#: certificate, comparison that passes, bar or a function of the certificate giving it, verdict on failure).
+GATES = {
+    "main": (
+        ("main-bs-residual", lambda c: np.max(c.inputs["bs_residuals"]), operator.lt, 1e-6, FAIL),
+        ("main-sigma1-at-entry", lambda c: np.min(c.inputs["sigma1_at_entry"]), operator.ge, 1.0 - 1e-9, FAIL),
+        ("main-sweep", lambda c: c.inputs["sweep_max_sigma1"], operator.lt, 1.0, FAIL),
+    ),
+    "uniform-resolvent": (("uniform-resolvent-max-over-median", lambda c: c.lhs, operator.le, 4.0, FAIL),),
+    "schatten-scaling": (
+        ("schatten-scaling-fit-residual", lambda c: c.inputs["residual"], operator.le, 0.05, REPORT_ONLY),
+        ("schatten-scaling-slope", lambda c: abs(c.inputs["fitted"] - c.inputs["predicted"]), operator.le, 0.1, FAIL),
+    ),
+    "individual-bounds": (
+        ("individual-bounds-spectrum-drift", lambda c: c.inputs["spectrum_drift"], operator.le, 1e-10, FAIL),
+        ("individual-bounds-ratio-drift", lambda c: c.inputs["ratio_drift"], operator.le, 1e-10, FAIL),
+    ),
+    "imaginary": (
+        ("imaginary-mode-identity", lambda c: c.lhs, operator.le, 1e-10, FAIL),
+        ("imaginary-re-q-deviation", lambda c: c.inputs["re_q_deviation"], operator.le, 1e-6, FAIL),
+    ),
+    "weighted-sums": (
+        ("weighted-sums-fit-points", lambda c: sum(m > 0.0 for m in c.inputs["sums"]), operator.ge, 3, REPORT_ONLY),
+        ("weighted-sums-growth-slope", lambda c: c.inputs["fitted_growth"], operator.le, lambda c: c.rhs, FAIL),
+    ),
+}
+_BARS = {gate[0]: gate[3] for gates in GATES.values() for gate in gates}
 
 #: Identifiers accepted by the command-line ``verify`` subcommand.
-THEOREM_IDS = (
-    "main",
-    "uniform-resolvent",
-    "schatten-scaling",
-    "individual-bounds",
-    "imaginary",
-    "weighted-sums",
-)
+THEOREM_IDS = tuple(GATES)
 
 # Fixed verifier settings, by verifier
 _BISECT_STEPS = 14  # main: bisection steps on t* after the power-of-two bracket
@@ -256,7 +285,7 @@ class BoundCertificate:
     law: Optional[ScalingLaw] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.verdict not in (PASS, FAIL, REPORT_ONLY):
+        if self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.theorem not in THEOREM_IDS:
             raise ValueError(f"unknown theorem id {self.theorem!r}; options: {THEOREM_IDS}")
@@ -348,23 +377,44 @@ def _inputs_head(
     return head
 
 
+def read_gate(gate: tuple, cert: BoundCertificate) -> tuple:
+    """(value, bar, passed) of one :data:`GATES` entry on a certificate; NaN never passes."""
+    _, read, passes, bar, _ = gate
+    value, bar = float(read(cert)), float(bar(cert) if callable(bar) else bar)
+    return value, bar, bool(passes(value, bar))
+
+
+def gate_verdict(cert: BoundCertificate) -> str:
+    """Verdict from the certificate theorem's :data:`GATES`: the first gate that fails decides,
+    FAIL if its value is NaN; one DEBUG record on the ``bslab`` logger names it, or says none did."""
+    for gate in GATES[cert.theorem]:
+        value, bar, passed = read_gate(gate, cert)
+        if not passed:
+            verdict = FAIL if math.isnan(value) else gate[4]
+            _log.debug("%s: %s at gate %s (value %r, bar %r)", cert.theorem, verdict, gate[0], value, bar)
+            return verdict
+    _log.debug("%s: PASS, every gate passed", cert.theorem)
+    return PASS
+
+
 def _certifier(theorem: str, grid: TorusGrid, seed: int) -> Callable[..., BoundCertificate]:
     """Start the clock on one verifier run; the returned function closes the run."""
     t0 = time.perf_counter()
 
-    def certify(inputs: dict, lhs: float, *, rhs=None, constant=None, verdict: str, law=None):
-        return BoundCertificate(
+    def certify(inputs: dict, lhs: float, *, rhs=None, constant=None, verdict: Optional[str] = None, law=None):
+        cert = BoundCertificate(
             theorem=theorem,
             inputs=inputs,
             lhs=lhs,
             rhs=rhs,
             constant=constant,
-            verdict=verdict,
+            verdict=verdict or REPORT_ONLY,
             seed=seed,
             runtime_s=time.perf_counter() - t0,
             grid=_grid_dict(grid),
             law=law,
         )
+        return cert if verdict else replace(cert, verdict=gate_verdict(cert))
 
     return certify
 
@@ -609,19 +659,11 @@ def verify_main(
     V_hi = V.scaled(t_hi)
     bs_residuals = [bs_residual(bs_matrix(spec, grid, V_hi, p.z)) for p in new_pts]
     sigma1 = [float(assemble_bs(spec, grid, V_hi, p.z, math.inf)[0]) for p in new_pts]
-    sweep_max = 0.0
-    if t_lo > 0.0:
-        for z in K.sample_grid(*_SWEEP_SHAPE):
-            if dist_to_spectrum(spec, z) <= 0.0:
-                continue
-            sweep_max = max(sweep_max, float(assemble_bs(spec, grid, V.scaled(t_lo), z, math.inf)[0]))
+    sweep = [float(assemble_bs(spec, grid, V.scaled(t_lo), z, math.inf)[0])
+             for z in K.sample_grid(*_SWEEP_SHAPE) if t_lo > 0.0 and dist_to_spectrum(spec, z) > 0.0]
+    sweep_max = float(np.max(sweep, initial=0.0))  # np.max keeps a NaN that max(0.0, nan) drops
 
     # new_pts is never empty: the bisection keeps t_hi at a coupling with a Discrete point in K
-    ok = (
-        all(r < 1e-6 for r in bs_residuals)
-        and all(s1 >= 1.0 - 1e-9 for s1 in sigma1)
-        and sweep_max < 1.0
-    )
     inputs.update(
         {
             "t_lo": t_lo,
@@ -632,7 +674,7 @@ def verify_main(
             "sweep_max_sigma1": sweep_max,
         }
     )
-    return certify(inputs, float(lhs), constant=float(t_hi), verdict=PASS if ok else FAIL)
+    return certify(inputs, float(lhs), constant=float(t_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +747,7 @@ def verify_uniform_resolvent(
     }
     if len(zs) < 8:
         inputs["note"] = "insufficient boundary-offset separation inside K on this grid"
-        return certify(inputs, 0.0, rhs=4.0, verdict=REPORT_ONLY)
+        return certify(inputs, 0.0, rhs=_BARS["uniform-resolvent-max-over-median"], verdict=REPORT_ONLY)
 
     vals = []
     for z in zs:
@@ -713,11 +755,8 @@ def verify_uniform_resolvent(
         if case_a:
             vals.append(float(empirical_opnorm(handle, p, seed=seed).value))
         else:
-            best = 0.0
-            for f in fields:
-                denom = max(lp_norm(f, a), lp_norm(f, b))
-                best = max(best, sum_space_norm(handle.apply(f), a_star, b_star) / denom)
-            vals.append(best)
+            vals.append(float(np.max([sum_space_norm(handle.apply(f), a_star, b_star)
+                                      / max(lp_norm(f, a), lp_norm(f, b)) for f in fields])))
     vals = np.asarray(vals)
     scan_max, scan_median = float(vals.max()), float(np.median(vals))
     ratio = scan_max / scan_median
@@ -729,7 +768,7 @@ def verify_uniform_resolvent(
             "scan_max": scan_max,
         }
     )
-    return certify(inputs, ratio, rhs=4.0, constant=scan_max, verdict=PASS if ratio <= 4.0 else FAIL)
+    return certify(inputs, ratio, rhs=_BARS["uniform-resolvent-max-over-median"], constant=scan_max)
 
 
 # ---------------------------------------------------------------------------
@@ -858,12 +897,6 @@ def verify_schatten_scaling(
     measured = [schatten_norm(assemble_bs(spec, g, W, z, alpha), alpha) / vnorm(W) for z, g, W in samples]
     law, intercept = fit_scaling_law(xs, np.log(measured), predicted)
 
-    if law.residual > 0.05:
-        verdict = REPORT_ONLY
-    elif abs(law.fitted - law.predicted) <= 0.1:
-        verdict = PASS
-    else:
-        verdict = FAIL
     inputs = _inputs_head(spec, q, V, alpha=alpha) | {
         "ray": [complex(z) for z in zs],
         "measured": [float(v) for v in measured],
@@ -878,7 +911,6 @@ def verify_schatten_scaling(
         law.fitted,
         rhs=law.predicted,
         constant=float(math.exp(intercept)),
-        verdict=verdict,
         law=law,
     )
 
@@ -906,9 +938,9 @@ def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sided nearest-neighbour (Hausdorff) distance between two finite sets of complex points."""
 
     def farthest(p: np.ndarray, q: np.ndarray) -> float:  # max over p of |p - its nearest point of q|
-        return max(float(np.abs(p[i : i + 512, None] - q).min(axis=1).max()) for i in range(0, p.size, 512))
+        return np.max([np.abs(p[i : i + 512, None] - q).min(axis=1).max() for i in range(0, p.size, 512)])
 
-    return max(farthest(a, b), farthest(b, a))
+    return float(np.max([farthest(a, b), farthest(b, a)]))
 
 
 @spectrum_memo()
@@ -946,18 +978,16 @@ def verify_individual_bounds(
 
     anchor = max(base_pts, key=lambda pt: pt.dist_sigma)
     base_eigs = np.array([p.z for p in points])
-    ratios = {}
-    spectrum_drift = 0.0
+    ratios, drifts = {}, []
     for t in _SCALING_TS:
         Vt = scaled_field(V, t, s)
         eigs_t = base_eigs if t == 1.0 else eigensolve(assemble_hamiltonian(spec, grid.rescaled(t), Vt))
         scale = t**s
-        spectrum_drift = max(
-            spectrum_drift, _hausdorff(eigs_t, scale * base_eigs) / (scale * np.abs(base_eigs).max())
-        )
+        drifts.append(_hausdorff(eigs_t, scale * base_eigs) / (scale * np.abs(base_eigs).max()))
         z_t = nearest_in(eigs_t)(scale * anchor.z)
         ratios[t] = abs(z_t) ** (q - d / s) / potential_norm(Vt, q) ** q
-    ratio_drift = max(abs(ratios[t] / ratios[1.0] - 1.0) for t in _SCALING_TS)
+    spectrum_drift = float(np.max(drifts))  # np.max keeps a NaN that Python's max drops
+    ratio_drift = float(np.max([abs(ratios[t] / ratios[1.0] - 1.0) for t in _SCALING_TS]))
 
     # empirical constants over a seeded family of rescaled copies
     rng = np.random.default_rng(seed)
@@ -976,7 +1006,6 @@ def verify_individual_bounds(
                 sect = (abs(z.imag) / abs(z.real)) ** (d / s - 1.0) * abs(z.imag) ** (q - d / s)
                 sup_sectorial = max(sup_sectorial, sect / vq)
 
-    ok = ratio_drift <= 1e-10 and spectrum_drift <= 1e-10
     inputs.update(
         {
             "anchor": complex(anchor.z),
@@ -986,13 +1015,7 @@ def verify_individual_bounds(
             "family_eigenvalues": n_eigs,
         }
     )
-    return certify(
-        inputs,
-        float(ratio_drift),
-        rhs=1e-10,
-        constant=float(sup_radial),
-        verdict=PASS if ok else FAIL,
-    )
+    return certify(inputs, ratio_drift, rhs=_BARS["individual-bounds-ratio-drift"], constant=float(sup_radial))
 
 
 # ---------------------------------------------------------------------------
@@ -1034,15 +1057,15 @@ def verify_imaginary(
 
     # (i) resolvent identity per Fourier mode: R0 is unitarily block-diagonal
     # there, so the dense matrices' Frobenius residual is the modes' one
-    resid_identity = 0.0
+    resids = []
     for z in _IDENTITY_POINTS:
         r, rc = (multiplier_blocks(resolvent_multiplier(spec, grid, w), grid) for w in (z, z.conjugate()))
         im_part = (r - np.conj(np.swapaxes(r, -1, -2))) / 2j
-        resid = np.linalg.norm(im_part - z.imag * (r @ rc)) / np.linalg.norm(im_part)
-        resid_identity = max(resid_identity, float(resid))
+        resids.append(np.linalg.norm(im_part - z.imag * (r @ rc)) / np.linalg.norm(im_part))
+    resid_identity = float(np.max(resids))
 
     # (ii) + (iii) over the coupling ladder
-    dev_max = 0.0
+    devs = []
     sup_quantity = None
     n_eigs = 0
     for t in _IMAGINARY_LADDER:
@@ -1056,24 +1079,18 @@ def verify_imaginary(
             M = bs_matrix(spec, grid, Vt, z)
             _, g = bs_eigenpair_near(M)
             ratio = np.vdot(g, -(M @ g)) / np.vdot(g, g)
-            dev_max = max(dev_max, abs(ratio.real - 1.0))
+            devs.append(abs(ratio.real - 1.0))
             val = abs(z) ** (2.0 * q - d / s) * abs(z.imag) ** (-q) / vq
             sup_quantity = val if sup_quantity is None else max(sup_quantity, val)
 
-    ok = resid_identity <= 1e-10 and dev_max <= 1e-6
     inputs = _inputs_head(spec, q, Vi) | {
         "ladder": list(_IMAGINARY_LADDER),
         "identity_points": list(_IDENTITY_POINTS),
-        "re_q_deviation": dev_max,
+        "re_q_deviation": float(np.max(devs, initial=0.0)),
         "eigenvalues_checked": n_eigs,
     }
-    return certify(
-        inputs,
-        float(resid_identity),
-        rhs=1e-10,
-        constant=None if sup_quantity is None else float(sup_quantity),
-        verdict=PASS if ok else FAIL,
-    )
+    constant = None if sup_quantity is None else float(sup_quantity)
+    return certify(inputs, resid_identity, rhs=_BARS["imaginary-mode-identity"], constant=constant)
 
 
 # ---------------------------------------------------------------------------
@@ -1195,23 +1212,19 @@ def verify_weighted_sums(
     inputs["counts"] = counts
     inputs["vnorms"] = vnorms
 
+    # no explicit constant without a fit budget, nor for the s -> 2 substitution: report only
+    verdict = REPORT_ONLY if fit_budget is None or variant == "inverse_sqrt" else None
     if fit_budget is not None:
         xs = [math.log(v) for v, m in zip(vnorms, sums) if m > 0.0]
         ys = [math.log(m) for m in sums if m > 0.0]
-        if len(xs) < 3:
+        slope = 0.0
+        if len(xs) < _BARS["weighted-sums-fit-points"]:
             inputs["note"] = "fewer than 3 couplings with a nonzero sum; no growth fit"
-            verdict, slope = REPORT_ONLY, 0.0
         else:
             slope, _ = np.polyfit(xs, ys, 1)
-            # the s -> 2 substitution carries no explicit constant: report only
-            if variant == "inverse_sqrt":
-                verdict = REPORT_ONLY
-            else:
-                verdict = PASS if slope <= fit_budget else FAIL
         inputs["fitted_growth"] = float(slope)
         lhs = float(slope)
     else:
-        verdict = REPORT_ONLY
         lhs = float(sums[-1])
     return certify(inputs, lhs, rhs=fit_budget, constant=float(max(sums)), verdict=verdict)
 

@@ -38,6 +38,8 @@ import numpy as np
 
 from .birman_schwinger import assemble_bs, bs_det_evaluator, schatten_norm
 from .certlab import (
+    FAIL,
+    VERDICTS,
     BoundCertificate,
     RegimeError,
     Region,
@@ -427,12 +429,9 @@ def emit_report(certs: Sequence[BoundCertificate], dest: Path) -> Path:
         rhs = "" if c.rhs is None else f"{c.rhs:.6g}"
         const = "" if c.constant is None else f"{c.constant:.6g}"
         lines.append(f"| {c.theorem} | {c.verdict} | {c.lhs:.6g} | {rhs} | {const} |")
-    counts = {v: sum(1 for c in certs if c.verdict == v) for v in ("PASS", "FAIL", "REPORT-ONLY")}
+    counts = Counter(c.verdict for c in certs)
     lines.append("")
-    lines.append(
-        f"{len(certs)} certificates: {counts['PASS']} PASS, {counts['FAIL']} FAIL, "
-        f"{counts['REPORT-ONLY']} REPORT-ONLY"
-    )
+    lines.append(f"{len(certs)} certificates: " + ", ".join(f"{counts[v]} {v}" for v in VERDICTS))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -523,7 +522,7 @@ def _run_verifiers(cfg: ExperimentConfig, theorems: list[str], args, with_spectr
     for cert in certs:
         print(f"{cert.theorem}: {cert.verdict} (lhs={cert.lhs:.6g})")
     print(f"wrote {dest}")
-    return 1 if any(c.verdict == "FAIL" for c in certs) else 0
+    return 1 if any(c.verdict == FAIL for c in certs) else 0
 
 
 def _cmd_verify(cfg: ExperimentConfig, args) -> int:

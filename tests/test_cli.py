@@ -911,6 +911,8 @@ def test_verbose_writes_debug_records_to_stderr_and_leaves_the_artifacts_alone(t
     assert cli_main(["--verbose", "scan", "--config", config, "--out", str(outs[1]), "--deterministic"]) == 0
     records = capsys.readouterr().err.splitlines()
     assert sum(line.startswith("DEBUG bslab: fine partners: ") for line in records) == 22
+    gates = [line for line in records if "gate" in line]
+    assert gates == [f"DEBUG bslab: {t}: PASS, every gate passed" for t in ("main", "schatten-scaling", "weighted-sums")]
     assert records[-1] == "DEBUG bslab: 22 couplings solved, 14 served from the memo"
     assert (logger.handlers, logger.level) == (handlers, level)  # the handler closes with the run
     (quiet,), (verbose,) = run_dirs(outs[0]), run_dirs(outs[1])

@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -30,8 +31,12 @@ def test_cli_table_ids_match_theorem_ids():
 def test_readme_verifier_table_lists_the_theorem_ids():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Verifiers and certificates", 1)[1].split("\n## ", 1)[0]
-    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| `")]
-    assert tuple(row.strip("`") for row in rows) == certlab.THEOREM_IDS
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert tuple(row.split("|")[1].strip().strip("`") for row in rows) == certlab.THEOREM_IDS
+    # the last column lists each theorem's gate ids, in check order
+    gates = {row.split("|")[1].strip().strip("`"): tuple(re.findall(r"`([a-z0-9-]+)`", row.split(" | ")[-1]))
+             for row in rows}
+    assert gates == {theorem: tuple(g[0] for g in gs) for theorem, gs in certlab.GATES.items()}
 
 
 def test_bench_tracer_layers_resolve(monkeypatch):
