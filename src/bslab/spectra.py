@@ -261,7 +261,8 @@ class _FinePartner:
 
     For any other V each z is first served from the coarse eigenpair, with
     no fine matrix: :func:`dense.eigenvectors_near` gives H_N's right and
-    left eigenvectors at z, and :func:`lattice.interpolate` carries them to
+    left eigenvectors at z (its correction step applies H_N by
+    :func:`lattice.apply_operator`), and :func:`lattice.interpolate` carries them to
     the fine grid as unit vectors x and y.  H_2N x is applied matrix-free
     (:func:`lattice.apply_operator`), and the Rayleigh quotient
     lam = x^H H_2N x is the partner when the residual r = H_2N x - lam x
@@ -312,6 +313,10 @@ class _FinePartner:
         return resample(self.V, self.fine)
 
     @cached_property
+    def coarse_multiplier(self) -> np.ndarray:
+        return symbol_values(self.spec, self.grid.xi())
+
+    @cached_property
     def multiplier(self) -> np.ndarray:
         return symbol_values(self.spec, self.fine.xi())
 
@@ -329,11 +334,16 @@ class _FinePartner:
 
     def _from_coarse(self, z: complex) -> Optional[complex]:
         """The Rayleigh quotient on the fine grid of H_N's eigenvectors at z, or None if refused."""
-        vectors = dense.eigenvectors_near(assemble_hamiltonian(self.spec, self.grid, self.V), z)
+        n = self.spec.n
+        field_shape = self.grid.field_shape(n)
+
+        def apply(u: np.ndarray) -> np.ndarray:
+            return apply_operator(self.coarse_multiplier, self.V.values, u.reshape(field_shape), self.grid).reshape(-1)
+
+        vectors = dense.eigenvectors_near(assemble_hamiltonian(self.spec, self.grid, self.V), z, apply)
         if vectors is None:
             return None
-        n = self.spec.n
-        x, y = (interpolate(u.reshape(self.grid.field_shape(n)), self.grid, self.fine) for u in vectors)
+        x, y = (interpolate(u.reshape(field_shape), self.grid, self.fine) for u in vectors)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
         Hx = apply_operator(self.multiplier, self.V_fine.values, x, self.fine)

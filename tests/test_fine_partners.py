@@ -304,8 +304,7 @@ def resolved_wells(draw):
     center = [draw(st.floats(0.0, L))]
     if kind is SymbolKind.DIRAC_MASSLESS:
         depth = draw(st.floats(0.6, 0.8)) / w * np.exp(1j * draw(st.floats(0.0, 0.5)))
-        profile = gaussian_well(grid, depth, w, center).values
-        return SymbolSpec(kind, 1), grid, PotentialField(grid, profile[:, None, None] * 1j * _S3)
+        return imaginary_mass_well(grid, depth, w, center)
     if kind is SymbolKind.DIRAC_MASSIVE:
         depth = draw(st.floats(0.3, 0.6)) / w * np.exp(1j * draw(st.floats(0.2, 1.0)))
         return SymbolSpec(kind, 1), grid, gaussian_well(grid, depth, w, center)
@@ -314,8 +313,24 @@ def resolved_wells(draw):
     return SymbolSpec(kind, 1, s), grid, gaussian_well(grid, depth, w, center)
 
 
+def imaginary_mass_well(grid, depth, width, center):
+    """Massless Dirac in d=1 with the site block i sigma_3 times a Gaussian of the given depth."""
+    profile = gaussian_well(grid, depth, width, center).values
+    return SymbolSpec(SymbolKind.DIRAC_MASSLESS, 1), grid, PotentialField(grid, profile[:, None, None] * 1j * _S3)
+
+
+def stalled_inverse_iteration_well():
+    """A resolved well whose first coarse eigenpair, near -0.165 + 0.179i, inverse
+    iteration alone leaves at a residual of 4.6e-12 on H_N (the 512-dim LU's
+    backward error), above the bar of 1e-13 ||H||_1 = 3.3e-12 on H_2N."""
+    grid = TorusGrid(1, 256, 32.0)
+    width = grid.L / 15.0
+    return imaginary_mass_well(grid, 0.71875 / width * np.exp(0.5j), width, [0.0])
+
+
 @settings(max_examples=12)
 @given(resolved_wells())
+@example(stalled_inverse_iteration_well())
 def test_coarse_eigenpairs_match_the_dense_oracle_on_resolved_wells(well):
     spec, grid, V = well
     points, routes = classified_with_routes(spec, grid, V)
